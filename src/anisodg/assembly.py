@@ -21,6 +21,16 @@ Conforming and non-conforming interfaces are treated identically: each
 sub-segment integrates with its own Gauss rule, mapped into both adjacent
 reference edge coordinates.  Contributions on field-tangent edges
 (``|b . n| <= 1e-14 |b|``) are skipped, so they are exactly zero.
+
+Every term is assembled in one batched pass, without a Python loop that
+evaluates bases or coefficients per cell or per interface.  All cells are
+translates of ``cells[0]``, so the volume terms share one set of basis
+tables and map their quadrature points from ``cells[0]`` by the cell
+anchors.  The interface and penalty terms share one trace pass over all
+field-crossing segments: it yields the jump trace ``[+own, -nbr]`` and
+the average trace ``[own, nbr] / 2``, the interface term pairs the jump
+with the average and the penalty pairs the jump with itself, and each is
+scattered into the global matrix by a single COO-to-CSR conversion.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ import scipy.sparse as sp
 
 from .basis import BasisSpec, gauss_rule, tensor_basis_eval
 from .fields import CoefficientField, MagneticField
-from .geometry import ALIGNMENT_TOL, TWO_PI, Interface, Mesh, edge_point
+from .geometry import ALIGNMENT_TOL, TWO_PI, Mesh, edge_point
 
 #: Assembled entries below this times the matrix max are dropped.
 DROP_TOL = 1e-15
@@ -46,25 +56,6 @@ class AssemblyError(RuntimeError):
 def default_quad_points(spec: BasisSpec) -> int:
     """Default Gauss points per direction (and per interface sub-segment)."""
     return max(spec.p_xi, spec.p_eta) + 3
-
-
-@dataclass(frozen=True)
-class DofMap:
-    """Cell-contiguous global numbering: dof = cell_id * n_loc + local."""
-
-    n_cells: int
-    n_loc: int
-
-    @classmethod
-    def create(cls, mesh: Mesh, spec: BasisSpec) -> "DofMap":
-        return cls(n_cells=mesh.n_cells, n_loc=spec.n_loc)
-
-    @property
-    def total(self) -> int:
-        return self.n_cells * self.n_loc
-
-    def cell_slice(self, cell_id: int) -> slice:
-        return slice(cell_id * self.n_loc, (cell_id + 1) * self.n_loc)
 
 
 class BlockDiagMatrix:
@@ -115,9 +106,6 @@ class BlockDiagMatrix:
 
     def inv_sqrt(self) -> "BlockDiagMatrix":
         return self.map_blocks(lambda b: _spd_power(b, -0.5))
-
-    def sqrt(self) -> "BlockDiagMatrix":
-        return self.map_blocks(lambda b: _spd_power(b, 0.5))
 
 
 def _spd_inverse(block: np.ndarray) -> np.ndarray:
@@ -193,8 +181,8 @@ class SparseSymMatrix:
 class OperatorSet:
     """The assembled matrices of the mixed LDG system.
 
-    ``a_phiv`` and ``b_phiv`` are the exact transposes of ``a_upsi`` and
-    ``b_upsi`` and share their storage.
+    The ``A_PhiV`` and ``B_PhiV`` couplings are the exact transposes of
+    ``a_upsi`` and ``b_upsi`` and are not stored.
     """
 
     m_uv: BlockDiagMatrix
@@ -204,20 +192,40 @@ class OperatorSet:
     m_phipsi: BlockDiagMatrix
     eta_s: float
 
-    @property
-    def a_phiv(self) -> sp.csr_matrix:
-        return self.a_upsi.T.tocsr()
 
-    @property
-    def b_phiv(self) -> sp.csr_matrix:
-        return self.b_upsi.T.tocsr()
+# ---------------------------------------------------------------------------
+# shared tables
+
+
+def _map_points(mesh: Mesh, cell_ids: np.ndarray, xi, eta):
+    """Physical (x, y) of reference points in the cells ``cell_ids``.
+
+    All cells are translates of ``cells[0]``: they share its Jacobian and
+    differ only in their anchors.  Row ``k`` of ``xi``/``eta`` (shape
+    ``(len(cell_ids), q)``, or ``(q,)`` for the same points in every cell)
+    is mapped through cell ``cell_ids[k]``, with the arithmetic of
+    ``Cell.map_point``.
+    """
+    cell0 = mesh.cells[0]
+    anchors = np.array([c.anchor for c in mesh.cells]).reshape(-1, 2)[cell_ids]
+    x = anchors[:, :1] + cell0.half_xi[0] * (xi + 1.0) + cell0.half_eta[0] * (eta + 1.0)
+    y = anchors[:, 1:] + cell0.half_xi[1] * (xi + 1.0) + cell0.half_eta[1] * (eta + 1.0)
+    return x, y
+
+
+def _scatter(dofs: np.ndarray, blocks: np.ndarray, n: int) -> sp.csr_matrix:
+    """Sum ``blocks[k]`` into the rows and columns ``dofs[k]`` of an n x n matrix."""
+    rows = np.broadcast_to(dofs[:, :, None], blocks.shape)
+    cols = np.broadcast_to(dofs[:, None, :], blocks.shape)
+    return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(n, n)).tocsr()
 
 
 # ---------------------------------------------------------------------------
 # volume terms
 
 
-def _volume_tables(mesh: Mesh, spec: BasisSpec, n_quad: int):
+def _volume_tables(spec: BasisSpec, n_quad: int):
     """Quadrature nodes and basis tables shared by all (congruent) cells."""
     rule = gauss_rule(n_quad)
     xi, eta = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
@@ -227,11 +235,17 @@ def _volume_tables(mesh: Mesh, spec: BasisSpec, n_quad: int):
     return xi, eta, wq, vals, grads
 
 
+def _volume_weights(mesh: Mesh, coeff: CoefficientField, xi, eta, wq):
+    """Quadrature weights ``(n_cells, q)`` including ``det J`` and a coefficient."""
+    x, y = _map_points(mesh, np.arange(mesh.n_cells), xi, eta)
+    return wq * mesh.cells[0].jacobian_det * coeff.eval(x, y)
+
+
 def assemble_mass_u(mesh: Mesh, spec: BasisSpec, n_quad: int | None = None
                     ) -> BlockDiagMatrix:
     """Unweighted cell mass blocks (diagonal for the Legendre basis)."""
     n_quad = n_quad or default_quad_points(spec)
-    _, _, wq, vals, _ = _volume_tables(mesh, spec, n_quad)
+    _, _, wq, vals, _ = _volume_tables(spec, n_quad)
     det = mesh.cells[0].jacobian_det
     block = np.einsum("q,qi,qj->ij", wq * det, vals, vals)
     block = (block + block.T) / 2.0
@@ -245,14 +259,10 @@ def assemble_mass_phi(mesh: Mesh, spec: BasisSpec, alpha: CoefficientField,
         base = assemble_mass_u(mesh, spec, n_quad)
         return BlockDiagMatrix(base.blocks * alpha.mean)
     n_quad = n_quad or default_quad_points(spec)
-    xi, eta, wq, vals, _ = _volume_tables(mesh, spec, n_quad)
-    blocks = np.empty((mesh.n_cells, spec.n_loc, spec.n_loc))
-    for cid, cell in enumerate(mesh.cells):
-        x, y = cell.map_point(xi, eta)
-        w = wq * cell.jacobian_det * alpha.eval(x, y)
-        blk = np.einsum("q,qi,qj->ij", w, vals, vals)
-        blocks[cid] = (blk + blk.T) / 2.0
-    return BlockDiagMatrix(blocks)
+    xi, eta, wq, vals, _ = _volume_tables(spec, n_quad)
+    w = _volume_weights(mesh, alpha, xi, eta, wq)
+    blocks = np.einsum("cq,qi,qj->cij", w, vals, vals)
+    return BlockDiagMatrix((blocks + blocks.transpose(0, 2, 1)) / 2.0)
 
 
 def assemble_gradient(mesh: Mesh, spec: BasisSpec, B: MagneticField,
@@ -263,105 +273,97 @@ def assemble_gradient(mesh: Mesh, spec: BasisSpec, B: MagneticField,
     transposed coupling.
     """
     n_quad = n_quad or default_quad_points(spec)
-    xi, eta, wq, vals, grads = _volume_tables(mesh, spec, n_quad)
+    xi, eta, wq, vals, grads = _volume_tables(spec, n_quad)
     # b expressed in reference-gradient components: (J^{-1} b) . grad_ref
-    blocks = []
-    for cell in mesh.cells:
-        c = np.linalg.solve(cell.jacobian, B.b.as_array())
-        b_dot_grad = grads @ c  # (nq, n_loc)
-        x, y = cell.map_point(xi, eta)
-        w = wq * cell.jacobian_det * B.beta.eval(x, y)
-        blocks.append(np.einsum("q,qi,qj->ij", w, b_dot_grad, vals))
-    return sp.block_diag(blocks, format="csr")
+    c = np.linalg.solve(mesh.cells[0].jacobian, B.b.as_array())
+    b_dot_grad = grads @ c  # (q, n_loc)
+    w = _volume_weights(mesh, B.beta, xi, eta, wq)
+    blocks = np.einsum("cq,qi,qj->cij", w, b_dot_grad, vals)
+    dofs = np.arange(mesh.n_cells * spec.n_loc).reshape(mesh.n_cells, spec.n_loc)
+    return _scatter(dofs, blocks, dofs.size)
 
 
 # ---------------------------------------------------------------------------
 # interface terms
 
 
-def face_quadrature(mesh: Mesh, spec: BasisSpec, itf: Interface, n_quad: int):
-    """Traces and weights on one interface segment.
+def _side_points(mesh: Mesh, interfaces, side: str, s: np.ndarray):
+    """Reference and physical points of the segment nodes on one side.
 
-    Returns ``(w, x, y, vals_own, vals_nbr)`` where ``w`` includes the
-    physical surface measure ``h_F/2`` and the traces are evaluated at
-    matching points of both reference edges.  Raises if the two sides do
-    not map onto the same physical segment.
+    ``side`` is ``"owner"`` or ``"neighbor"``; ``s`` are the nodes as
+    fractions of each segment.  Returns ``(xi, eta, x, y)``, each ``(F, q)``.
+    """
+    cells = np.array([mesh.cell_id(getattr(itf, side)) for itf in interfaces], dtype=int)
+    edges = np.array([getattr(itf, f"{side}_edge") for itf in interfaces])
+    ranges = np.array([getattr(itf, f"{side}_range") for itf in interfaces]).reshape(-1, 2)
+    t = ranges[:, :1] + (ranges[:, 1:] - ranges[:, :1]) * s
+    xi, eta = np.empty_like(t), np.empty_like(t)
+    for name in set(edges.tolist()):
+        rows = edges == name
+        xi[rows], eta[rows] = edge_point(name, t[rows])
+    return (xi, eta) + _map_points(mesh, cells, xi, eta)
+
+
+def face_quadrature(mesh: Mesh, spec: BasisSpec, interfaces, n_quad: int):
+    """Traces and weights on a sequence of F interface segments.
+
+    Returns ``(w, x, y, vals_own, vals_nbr)``: weights and owner-side
+    physical points of shape ``(F, q)`` and traces of shape
+    ``(F, q, n_loc)``.  ``w`` includes the physical surface measure
+    ``h_F/2``, and the traces are evaluated at matching points of both
+    reference edges.  Raises, naming the first offending interface, if the
+    two sides of an interface do not map onto the same physical segment.
     """
     rule = gauss_rule(n_quad)
-    own = mesh.cell(itf.owner)
-    nbr = mesh.cell(itf.neighbor)
-    a, b = itf.owner_range
-    c, d = itf.neighbor_range
-    t_own = a + (b - a) * (rule.nodes + 1.0) / 2.0
-    t_nbr = c + (d - c) * (rule.nodes + 1.0) / 2.0
-    xo, yo = own.map_point(*edge_point(itf.owner_edge, t_own))
-    xn, yn = nbr.map_point(*edge_point(itf.neighbor_edge, t_nbr))
+    s = (rule.nodes + 1.0) / 2.0
+    xi_o, eta_o, xo, yo = _side_points(mesh, interfaces, "owner", s)
+    xi_n, eta_n, xn, yn = _side_points(mesh, interfaces, "neighbor", s)
     dxw = np.remainder(xo - xn, TWO_PI)
     dyw = np.remainder(yo - yn, TWO_PI)
-    if np.any(np.minimum(dxw, TWO_PI - dxw) > 1e-9) or \
-            np.any(np.minimum(dyw, TWO_PI - dyw) > 1e-9):
+    bad = np.any((np.minimum(dxw, TWO_PI - dxw) > 1e-9)
+                 | (np.minimum(dyw, TWO_PI - dyw) > 1e-9), axis=1)
+    if np.any(bad):
+        itf = interfaces[int(np.argmax(bad))]
         raise AssemblyError(f"owner/neighbor segment mapping mismatch on {itf}")
-    vals_own, _ = tensor_basis_eval(spec, *edge_point(itf.owner_edge, t_own))
-    vals_nbr, _ = tensor_basis_eval(spec, *edge_point(itf.neighbor_edge, t_nbr))
-    w = rule.weights * (itf.h_F / 2.0)
+    vals_own, _ = tensor_basis_eval(spec, xi_o, eta_o)
+    vals_nbr, _ = tensor_basis_eval(spec, xi_n, eta_n)
+    h_f = np.array([itf.h_F for itf in interfaces])
+    w = rule.weights * (h_f[:, None] / 2.0)
     return w, xo, yo, vals_own, vals_nbr
 
 
-def _b_dot_normal(B: MagneticField, itf: Interface) -> float:
-    """b . n of an interface, snapped to exactly 0 on field-tangent edges."""
-    bn = B.b.b1 * itf.normal[0] + B.b.b2 * itf.normal[1]
-    if abs(bn) <= ALIGNMENT_TOL * B.b.norm:
-        return 0.0
-    return bn
+def _crossing_traces(mesh: Mesh, spec: BasisSpec, B: MagneticField, n_quad: int):
+    """One batched trace pass over the interfaces that the field crosses.
 
-
-class _CooBuilder:
-    def __init__(self, n: int):
-        self.n = n
-        self.rows: list[np.ndarray] = []
-        self.cols: list[np.ndarray] = []
-        self.data: list[np.ndarray] = []
-
-    def add_block(self, row0: int, col0: int, block: np.ndarray):
-        m, k = block.shape
-        r = np.repeat(np.arange(row0, row0 + m), k)
-        c = np.tile(np.arange(col0, col0 + k), m)
-        self.rows.append(r)
-        self.cols.append(c)
-        self.data.append(block.ravel())
-
-    def tocsr(self) -> sp.csr_matrix:
-        if not self.data:
-            return sp.csr_matrix((self.n, self.n))
-        mat = sp.coo_matrix(
-            (np.concatenate(self.data),
-             (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=(self.n, self.n)).tocsr()
-        mat.sum_duplicates()
-        return mat
+    Edges with ``|b . n| <= ALIGNMENT_TOL |b|`` are field-tangent and
+    skipped, so they contribute exactly zero.  Returns ``(dofs, w, bn_beta,
+    h_F, jump, avg)``: the dofs ``[owner | neighbour]`` ``(F, 2 n_loc)``,
+    the weights and ``(b . n) beta`` ``(F, q)``, the segment lengths
+    ``(F,)``, the jump trace ``[+own, -nbr]`` and the average trace
+    ``[own, nbr] / 2``, both ``(F, q, 2 n_loc)``.
+    """
+    normals = np.array([itf.normal for itf in mesh.interfaces]).reshape(-1, 2)
+    bn = B.b.b1 * normals[:, 0] + B.b.b2 * normals[:, 1]
+    crossing = np.abs(bn) > ALIGNMENT_TOL * B.b.norm
+    faces = [itf for itf, keep in zip(mesh.interfaces, crossing) if keep]
+    w, x, y, vo, vn = face_quadrature(mesh, spec, faces, n_quad)
+    bn_beta = bn[crossing][:, None] * B.beta.eval(x, y)
+    cells = np.array([[mesh.cell_id(itf.owner), mesh.cell_id(itf.neighbor)]
+                      for itf in faces], dtype=int).reshape(-1, 2, 1)
+    dofs = (cells * spec.n_loc + np.arange(spec.n_loc)).reshape(len(faces), -1)
+    h_f = np.array([itf.h_F for itf in faces])
+    jump = np.concatenate([vo, -vn], axis=-1)
+    avg = np.concatenate([vo, vn], axis=-1) / 2.0
+    return dofs, w, bn_beta, h_f, jump, avg
 
 
 def assemble_face_terms(mesh: Mesh, spec: BasisSpec, B: MagneticField,
                         n_quad: int | None = None) -> sp.csr_matrix:
     """Interface blocks F[i, j] = sum over faces of {phi_j} * (B . [phi_i])."""
     n_quad = n_quad or default_quad_points(spec)
-    dof = DofMap.create(mesh, spec)
-    builder = _CooBuilder(dof.total)
-    for itf in mesh.interfaces:
-        bn = _b_dot_normal(B, itf)
-        if bn == 0.0:
-            continue
-        w, x, y, vo, vn = face_quadrature(mesh, spec, itf, n_quad)
-        beta = B.beta.eval(x, y)
-        jump_w = w * bn * beta  # weight for the jump factor rows
-        o0 = mesh.cell_id(itf.owner) * spec.n_loc
-        n0 = mesh.cell_id(itf.neighbor) * spec.n_loc
-        # jump rows: +owner trace, -neighbor trace; average cols: half each
-        builder.add_block(o0, o0, np.einsum("q,qi,qj->ij", jump_w * 0.5, vo, vo))
-        builder.add_block(o0, n0, np.einsum("q,qi,qj->ij", jump_w * 0.5, vo, vn))
-        builder.add_block(n0, o0, np.einsum("q,qi,qj->ij", -jump_w * 0.5, vn, vo))
-        builder.add_block(n0, n0, np.einsum("q,qi,qj->ij", -jump_w * 0.5, vn, vn))
-    return builder.tocsr()
+    dofs, w, bn_beta, _, jump, avg = _crossing_traces(mesh, spec, B, n_quad)
+    blocks = np.einsum("fq,fqi,fqj->fij", w * bn_beta, jump, avg, optimize=True)
+    return _scatter(dofs, blocks, mesh.n_cells * spec.n_loc)
 
 
 def assemble_penalty(mesh: Mesh, spec: BasisSpec, B: MagneticField,
@@ -370,23 +372,10 @@ def assemble_penalty(mesh: Mesh, spec: BasisSpec, B: MagneticField,
     if eta_s < 0.0:
         raise ValueError("penalty parameter must be >= 0")
     n_quad = n_quad or default_quad_points(spec)
-    dof = DofMap.create(mesh, spec)
-    builder = _CooBuilder(dof.total)
-    if eta_s > 0.0:
-        for itf in mesh.interfaces:
-            bn = _b_dot_normal(B, itf)
-            if bn == 0.0:
-                continue
-            w, x, y, vo, vn = face_quadrature(mesh, spec, itf, n_quad)
-            beta = B.beta.eval(x, y)
-            w_pen = w * (eta_s / itf.h_F) * (bn * beta) ** 2
-            o0 = mesh.cell_id(itf.owner) * spec.n_loc
-            n0 = mesh.cell_id(itf.neighbor) * spec.n_loc
-            builder.add_block(o0, o0, np.einsum("q,qi,qj->ij", w_pen, vo, vo))
-            builder.add_block(o0, n0, np.einsum("q,qi,qj->ij", -w_pen, vo, vn))
-            builder.add_block(n0, o0, np.einsum("q,qi,qj->ij", -w_pen, vn, vo))
-            builder.add_block(n0, n0, np.einsum("q,qi,qj->ij", w_pen, vn, vn))
-    return SparseSymMatrix.from_product(builder.tocsr())
+    dofs, w, bn_beta, h_f, jump, _ = _crossing_traces(mesh, spec, B, n_quad)
+    w_pen = w * (eta_s / h_f[:, None]) * bn_beta**2
+    blocks = np.einsum("fq,fqi,fqj->fij", w_pen, jump, jump, optimize=True)
+    return SparseSymMatrix.from_product(_scatter(dofs, blocks, mesh.n_cells * spec.n_loc))
 
 
 # ---------------------------------------------------------------------------

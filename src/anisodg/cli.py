@@ -242,6 +242,10 @@ def _parse_levels(text: str, nx: int, ny: int) -> list[tuple[int, int]]:
             levels.append((int(a), int(b)))
         except ValueError as exc:
             raise ConfigError(f"bad level {item!r} (expected NXxNY)") from exc
+        if min(levels[-1]) < 1:
+            raise ConfigError(f"bad level {item!r} (cell counts must be >= 1)")
+    if len(levels) < 2:
+        raise ConfigError(f"levels {text!r}: need at least two refinement levels")
     return levels
 
 
@@ -308,7 +312,11 @@ def _parse_s_values(text: str) -> list[float]:
 
 def cmd_sweep(config: RunConfig) -> int:
     s_values = sorted(_parse_s_values(config.s_values))
-    workers = max(1, int(os.environ.get(THREADS_ENV, "1")))
+    threads = os.environ.get(THREADS_ENV, "1")
+    try:
+        workers = max(1, int(threads))
+    except ValueError as exc:
+        raise ConfigError(f"bad {THREADS_ENV} {threads!r} (expected an integer)") from exc
 
     def solve_one(s: float):
         # an "{s}" placeholder in the field file names selects

@@ -68,10 +68,6 @@ class CoefficientField:
     __call__ = eval
 
 
-def eval_field(f: CoefficientField, x, y) -> np.ndarray:
-    return f.eval(x, y)
-
-
 def check_positive(f: CoefficientField, samples: int = POSITIVITY_SAMPLES) -> float:
     """Sample f on a samples x samples grid; raise if the minimum is not > 0.
 

@@ -127,13 +127,6 @@ class Cell:
         return (self.half_xi[0] * self.half_eta[1]
                 - self.half_eta[0] * self.half_xi[1])
 
-    @property
-    def inv_jacobian_t(self) -> np.ndarray:
-        """Inverse transpose of the Jacobian (maps reference to physical gradients)."""
-        det = self.jacobian_det
-        return np.array([[self.half_eta[1], -self.half_xi[1]],
-                         [-self.half_eta[0], self.half_xi[0]]]) / det
-
     def map_point(self, xi, eta) -> tuple[np.ndarray, np.ndarray]:
         """Physical (x, y) of reference (xi, eta); not wrapped into the period."""
         xi = np.asarray(xi, dtype=float)
@@ -141,11 +134,6 @@ class Cell:
         x = self.anchor[0] + self.half_xi[0] * (xi + 1.0) + self.half_eta[0] * (eta + 1.0)
         y = self.anchor[1] + self.half_xi[1] * (xi + 1.0) + self.half_eta[1] * (eta + 1.0)
         return x, y
-
-
-def reference_map(cell: Cell, xi, eta) -> tuple[np.ndarray, np.ndarray]:
-    """Affine map of ``cell`` evaluated at reference coordinates."""
-    return cell.map_point(xi, eta)
 
 
 EDGES = ("left", "right", "bottom", "top")

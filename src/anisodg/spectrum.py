@@ -153,14 +153,6 @@ class FourierProjector:
         return mode, float(best)
 
 
-def project_to_fourier(mesh: Mesh, spec: BasisSpec, eigenvector: np.ndarray,
-                       m_max: int = DEFAULT_MODE_BOUND,
-                       n_max: int = DEFAULT_MODE_BOUND
-                       ) -> dict[tuple[int, int], float]:
-    """One-off amplitude table; use FourierProjector to batch eigenvectors."""
-    return FourierProjector(mesh, spec, m_max, n_max).amplitude_table(eigenvector)
-
-
 @dataclass(frozen=True)
 class Association:
     index: int

@@ -133,6 +133,10 @@ def test_convergence_command(tmp_path):
     assert [r["level"] for r in rows] == ["0", "1"]
     assert int(rows[1]["DoF"]) == 4 * int(rows[0]["DoF"])
     float(rows[1]["slope"])
+    for levels in ["2x8", "0x8,2x8"]:
+        code = main(["convergence", *TINY, "--levels", levels,
+                     "--output_dir", str(tmp_path)])
+        assert code == EXIT_CONFIG, levels
 
 
 def test_convergence_rejects_variable_coefficients(tmp_path):
@@ -172,21 +176,30 @@ def test_sweep_sorted_and_combined(tmp_path):
     assert set(s_values) == {0.0, 0.5, 1.0}
 
 
-def test_sweep_validates_s_range(tmp_path):
+def test_sweep_validates_s_range(tmp_path, monkeypatch):
     code = main(["sweep", "--s_values", "0,2", "--output_dir", str(tmp_path)])
     assert code == EXIT_CONFIG
     code = main(["sweep", "--output_dir", str(tmp_path)])
     assert code == EXIT_CONFIG
+    monkeypatch.setenv("ANISODG_NUM_THREADS", "two")
+    code = main(["sweep", "--s_values", "0,1", "--output_dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
 
 
 def test_sweep_thread_pool(tmp_path, monkeypatch):
-    monkeypatch.setenv("ANISODG_NUM_THREADS", "2")
-    code = main(["sweep", "--nx", "2", "--ny", "2", "--p_xi", "1",
-                 "--p_eta", "1", "--alignment", "aligned_bottom_top",
-                 "--m_max", "2", "--n_max", "2",
-                 "--s_values", "0,1", "--output_dir", str(tmp_path)])
-    assert code == EXIT_OK
-    assert (tmp_path / "sweep.csv").exists()
+    outputs = {}
+    for threads in ["2", "1"]:
+        monkeypatch.setenv("ANISODG_NUM_THREADS", threads)
+        out = tmp_path / f"threads{threads}"
+        code = main(["sweep", "--nx", "2", "--ny", "2", "--p_xi", "1",
+                     "--p_eta", "1", "--alignment", "aligned_bottom_top",
+                     "--m_max", "2", "--n_max", "2",
+                     "--s_values", "0,1", "--output_dir", str(out)])
+        assert code == EXIT_OK
+        outputs[threads] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    assert "sweep.csv" in outputs["2"]
+    # the pool changes the schedule, never the bytes written
+    assert outputs["2"] == outputs["1"]
 
 
 def test_sweep_per_surface_field_files(tmp_path):

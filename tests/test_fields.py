@@ -4,26 +4,26 @@ import numpy as np
 import pytest
 
 from anisodg.fields import (CoefficientField, FieldFileError, Harmonic,
-                            MagneticField, check_positive, eval_field,
+                            MagneticField, check_positive,
                             iota_profile, load_field, parse_field)
 from anisodg.geometry import FieldDirection
 
 
 def test_constant_field():
     f = CoefficientField.constant(1.0)
-    assert eval_field(f, 2.3, -1.0) == 1.0
+    assert f.eval(2.3, -1.0) == 1.0
     assert f.is_constant
 
 
 def test_single_harmonic_at_origin():
     f = CoefficientField(1.0, (Harmonic(1, 1, 0.3, 0.0),))
-    assert eval_field(f, 0.0, 0.0) == pytest.approx(1.3)
+    assert f.eval(0.0, 0.0) == pytest.approx(1.3)
 
 
 def test_harmonic_direct_evaluation():
     f = CoefficientField(1.0, (Harmonic(2, -1, 0.3, 0.0),))
     expect = 1.0 + 0.3 * math.cos(3 * math.pi / 4)
-    assert eval_field(f, math.pi / 2, math.pi / 4) == pytest.approx(expect, abs=1e-12)
+    assert f.eval(math.pi / 2, math.pi / 4) == pytest.approx(expect, abs=1e-12)
     assert expect == pytest.approx(0.787868, abs=1e-6)
 
 

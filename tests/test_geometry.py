@@ -5,7 +5,7 @@ import pytest
 
 from anisodg.geometry import (Alignment, FieldDirection, MeshConfig,
                               aspect_ratios, build_mesh, choose_alignment,
-                              outward_normal, reference_map)
+                              outward_normal)
 
 TWO_PI = 2.0 * math.pi
 REF_B = FieldDirection(1.165939761, 1.0)
@@ -67,7 +67,7 @@ def test_reference_case_split_fractions():
 def test_reference_map_examples():
     mesh = build_mesh(MeshConfig(2, 2, Alignment.BOTTOM_TOP, FieldDirection(3.0, 1.0)))
     cell = mesh.cell((0, 0))
-    x, y = reference_map(cell, -1.0, -1.0)
+    x, y = cell.map_point(-1.0, -1.0)
     assert (x, y) == cell.anchor
     # xi tangent parallel to b
     t = np.array(cell.half_xi)
@@ -79,7 +79,7 @@ def test_reference_map_examples():
     cell = Cell(index=(0, 0), anchor=(0.0, 0.0), dx=math.pi, dy=math.pi,
                 shear=math.pi / 3, half_xi=(math.pi / 2, math.pi / 6),
                 half_eta=(0.0, math.pi / 2))
-    x, y = reference_map(cell, 1.0, 0.0)
+    x, y = cell.map_point(1.0, 0.0)
     assert abs(x - math.pi) < 1e-15
     assert abs(y - (math.pi / 3 + math.pi / 2)) < 1e-15
 

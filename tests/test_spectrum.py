@@ -13,7 +13,7 @@ from anisodg.spectrum import (ConvergenceRow, FourierProjector, SolveSetup,
                               canonical_mode, compare_band_errors,
                               convergence_study, exact_spectrum,
                               least_squares_slope, mode_error_table,
-                              project_to_fourier, run_band_solve)
+                              run_band_solve)
 
 REF_B = FieldDirection(1.165939761, 1.0)
 CONST = CoefficientField.constant(1.0)
@@ -130,11 +130,11 @@ def test_projector_zero_vector_rejected():
         proj.amplitudes(np.zeros(3))
 
 
-def test_project_to_fourier_wrapper():
+def test_projector_amplitude_table():
     mesh, spec, proj = build_projector(nx=2, ny=2, p=1, m_max=2, n_max=2)
     vec = np.zeros(mesh.n_cells * spec.n_loc)
     vec[::spec.n_loc] = 1.0
-    table = project_to_fourier(mesh, spec, vec, 2, 2)
+    table = proj.amplitude_table(vec)
     assert table[(0, 0)] == pytest.approx(4 * math.pi**2, rel=1e-12)
 
 
