@@ -1,9 +1,11 @@
 """One complete band solve: assemble, certify completeness, associate modes.
 
 The discontinuous Galerkin discretization reduces to a generalized
-symmetric eigenproblem; all eigenpairs below the band edge are computed by
-shift-invert iteration and certified complete via the LDL^T inertia of the
-shifted operator.  Each eigenvector is then matched to the Fourier mode
+symmetric eigenproblem.  One LDL^T factorization of the shifted pencil
+A - omega_max^2 M certifies the band: its inertia is the number of
+eigenvalues below the edge.  All of them are then computed, by LAPACK's
+generalized solver at this size or by shift-invert Lanczos with the same
+factor on larger meshes.  Each eigenvector is matched to the Fourier mode
 with the largest projection amplitude.
 """
 

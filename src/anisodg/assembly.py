@@ -104,22 +104,11 @@ class BlockDiagMatrix:
         except sla.LinAlgError as exc:
             raise AssemblyError(f"singular/indefinite diagonal block: {exc}") from exc
 
-    def inv_sqrt(self) -> "BlockDiagMatrix":
-        return self.map_blocks(lambda b: _spd_power(b, -0.5))
-
 
 def _spd_inverse(block: np.ndarray) -> np.ndarray:
     c, low = sla.cho_factor(block)
     inv = sla.cho_solve((c, low), np.eye(block.shape[0]))
     return (inv + inv.T) / 2.0
-
-
-def _spd_power(block: np.ndarray, expo: float) -> np.ndarray:
-    w, v = sla.eigh(block)
-    if w[0] <= 0.0:
-        raise AssemblyError(f"block not positive definite (min eig {w[0]:.3e})")
-    out = (v * w**expo) @ v.T
-    return (out + out.T) / 2.0
 
 
 class SparseSymMatrix:
@@ -400,9 +389,3 @@ def build_reduced(ops: OperatorSet) -> tuple[SparseSymMatrix, BlockDiagMatrix]:
     m_inv = ops.m_uv.inverse().to_sparse()
     a_full = (c @ m_inv) @ c.T + ops.b_phipsi.to_full()
     return SparseSymMatrix.from_product(a_full), ops.m_phipsi
-
-
-def standard_form(a: SparseSymMatrix, m: BlockDiagMatrix) -> SparseSymMatrix:
-    """Similarity-free reduction M^{-1/2} A M^{-1/2}; eigenvalues preserved."""
-    r = m.inv_sqrt().to_sparse()
-    return SparseSymMatrix.from_product((r @ a.to_full()) @ r)

@@ -1,11 +1,12 @@
 """Generalized symmetric band eigensolver with an inertia completeness check.
 
 ``band_eig`` returns *all* eigenpairs of ``A x = lambda M x`` with
-``lambda <= lambda_max``.  Completeness is certified through Sylvester's
-law: the number of negative pivots of an LDL^T factorization of
-``A - lambda_max M`` (equivalently of the congruent standard-form shift)
-must equal the number of returned eigenvalues, retrying with a larger
-subspace until the counts match.
+``lambda <= lambda_max``.  One factorization of the pencil shift
+``A - lambda_max M`` does two jobs.  By Sylvester's law the number of its
+negative pivots is the number of band eigenvalues, which certifies the
+solve: the returned count must equal it.  Its solve is also the
+shift-invert operator of the Lanczos iteration, so no standard-form
+reduction and no second factorization is needed.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
-from .assembly import BlockDiagMatrix, SparseSymMatrix, standard_form
+from .assembly import BlockDiagMatrix, SparseSymMatrix
 
 #: Problems at most this large may be handled by dense LAPACK paths.
 DENSE_CAP = 8192
@@ -116,40 +118,48 @@ def ldl_inertia(s, zero_tol: float = 1e-12) -> tuple[int, int, int]:
         s = s.toarray()
     elif isinstance(s, SparseSymMatrix):
         s = s.to_dense()
-    s = np.asarray(s, dtype=float)
-    n = s.shape[0]
-    scale = max(float(np.max(np.abs(s), initial=0.0)), np.finfo(float).tiny)
-    _, d, _ = sla.ldl(s, lower=True)
-    tol = zero_tol * scale
-    n_neg = n_zero = n_pos = 0
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i + 1, i] != 0.0:
-            evals = sla.eigvalsh(d[i:i + 2, i:i + 2])
-            step = 2
-        else:
-            evals = [d[i, i]]
-            step = 1
-        for ev in evals:
-            if abs(ev) <= tol:
-                n_zero += 1
-            elif ev < 0.0:
-                n_neg += 1
-            else:
-                n_pos += 1
-        i += step
-    return n_neg, n_zero, n_pos
+    return _ldl_factor(np.array(s, dtype=float, order="F"), zero_tol)[0]
 
 
-def _superlu_inertia(s_csc: sp.csc_matrix, zero_tol: float) -> tuple[int, int, int]:
-    """Inertia from a static-pivot (diagonal) SuperLU factorization.
+def _count_signs(pivots: np.ndarray, tol: float) -> tuple[int, int, int]:
+    n_zero = int(np.sum(np.abs(pivots) <= tol))
+    n_neg = int(np.sum(pivots < -tol))
+    return n_neg, n_zero, len(pivots) - n_neg - n_zero
+
+
+def _ldl_factor(k: np.ndarray, zero_tol: float):
+    """Inertia of a dense symmetric matrix and a solve with it, from one
+    Bunch-Kaufman LDL^T factorization that overwrites ``k``.
+
+    D has 1x1 and 2x2 pivot blocks; in LAPACK's lower storage the negative
+    ``ipiv`` entries come in pairs, one pair per 2x2 block.  D is then a
+    tridiagonal matrix that splits at its zero off-diagonals, and its
+    eigenvalues within ``zero_tol * max|K|`` of zero count as zero.
+    """
+    n = k.shape[0]
+    scale = max(float(np.max(k)), -float(np.min(k)), np.finfo(float).tiny)
+    lwork = int(lapack.dsytrf_lwork(n, lower=1)[0])
+    lu, piv, info = lapack.dsytrf(k, lower=1, lwork=lwork, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dsytrf: illegal value in argument {-info}")
+    starts = np.flatnonzero(piv < 0)[::2]
+    off = np.zeros(max(n - 1, 0))
+    off[starts] = lu[starts + 1, starts]
+    pivots = sla.eigvalsh_tridiagonal(np.diag(lu).copy(), off)
+    return (_count_signs(pivots, zero_tol * scale),
+            lambda b: lapack.dsytrs(lu, piv, b, lower=1)[0])
+
+
+def _superlu_factor(k: sp.csc_matrix, zero_tol: float):
+    """Inertia of a sparse symmetric matrix and a solve with it, from one
+    static-pivot (diagonal) SuperLU factorization.
 
     With symmetric mode and a zero diagonal-pivot threshold the row and
     column permutations coincide, the factorization is a congruence, and
     the signs of diag(U) give the inertia.  Raises if SuperLU had to pivot
     off the diagonal.
     """
-    lu = spla.splu(s_csc.tocsc(), permc_spec="MMD_AT_PLUS_A",
+    lu = spla.splu(k, permc_spec="MMD_AT_PLUS_A",
                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise CompletenessError(
@@ -158,45 +168,45 @@ def _superlu_inertia(s_csc: sp.csc_matrix, zero_tol: float) -> tuple[int, int, i
     d = lu.U.diagonal()
     if not np.all(np.isfinite(d)):
         raise CompletenessError("static-pivot factorization broke down")
-    scale = max(float(np.max(np.abs(s_csc.data), initial=0.0)), np.finfo(float).tiny)
-    tol = zero_tol * scale
-    n_zero = int(np.sum(np.abs(d) <= tol))
-    n_neg = int(np.sum(d < -tol))
-    return n_neg, n_zero, len(d) - n_neg - n_zero
+    scale = max(float(np.max(np.abs(k.data), initial=0.0)), np.finfo(float).tiny)
+    return _count_signs(d, zero_tol * scale), lu.solve
 
 
-def shifted_inertia(s: SparseSymMatrix, shift: float, zero_tol: float = 1e-12,
-                    dense_cap: int = DENSE_CAP) -> tuple[int, int, int]:
-    """Inertia of (S - shift * I), dense when affordable, static-pivot sparse
-    otherwise."""
-    shifted = (s.to_full() - shift * sp.identity(s.n, format="csr")).tocsc()
-    if s.n <= dense_cap:
-        return ldl_inertia(shifted.toarray(), zero_tol)
-    return _superlu_inertia(shifted, zero_tol)
+def shifted_inertia(a, m, shift: float, zero_tol: float = 1e-12):
+    """Inertia of ``K = A - shift * M`` and a solve with K, from one
+    factorization.
+
+    By Sylvester's law ``(n_neg, n_zero, n_pos)`` counts the eigenvalues of
+    the pencil (A, M) below, at and above ``shift``.  K is factored by dense
+    Bunch-Kaufman LDL^T up to ``DENSE_CAP`` unknowns and by static-pivot
+    SuperLU above.
+    """
+    a_sym = _as_sym(a)
+    m_bd = _as_blockdiag(m, a_sym.n)
+    m_sp = sp.identity(a_sym.n) if m_bd is None else m_bd.to_sparse()
+    k = (a_sym.to_full() - shift * m_sp).tocsc()
+    if a_sym.n <= DENSE_CAP:
+        return _ldl_factor(k.toarray(order="F"), zero_tol)
+    return _superlu_factor(k, zero_tol)
 
 
-def band_eig(a, m, req: BandRequest, *, seed: int = 0,
-             dense_switch: int = DENSE_SWITCH,
-             dense_cap: int = DENSE_CAP) -> EigenSolution:
+def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
     """All eigenpairs of ``A x = lambda M x`` with ``lambda <= lambda_max``.
 
-    The pencil is reduced to standard form with the block square root of M,
-    solved by shift-invert Lanczos around ``sigma = lambda_max / 2`` (every
-    band eigenvalue is closer to sigma than any exterior one), and accepted
-    only when the returned count matches the LDL^T inertia at lambda_max.
-    Small problems use the dense path directly; the certification is
-    identical there.
+    One factorization of ``K = A - lambda_max M`` serves the certificate
+    and the solve.  Its inertia is the band count.  Up to ``DENSE_SWITCH``
+    unknowns LAPACK solves the pencil for ``lambda <= lambda_max``.  Above
+    it, shift-invert Lanczos at ``sigma = lambda_max`` applies K's solve:
+    every band eigenvalue maps to a negative ``1/(lambda - lambda_max)``
+    and every other one to a positive value, so the inertia count of
+    smallest algebraic values is exactly the band.  The result is accepted
+    only when the returned count matches the inertia and every residual is
+    within tolerance.
     """
     a_sym = _as_sym(a)
     n = a_sym.n
     m_bd = _as_blockdiag(m, n)
-    if m_bd is None:
-        s, r_inv = a_sym, None
-    else:
-        r_inv = m_bd.inv_sqrt()
-        s = standard_form(a_sym, m_bd)
-
-    n_neg, n_zero, _ = shifted_inertia(s, req.lambda_max, dense_cap=dense_cap)
+    (n_neg, n_zero, _), solve = shifted_inertia(a_sym, m_bd, req.lambda_max)
     if n_zero:
         raise CompletenessError(
             f"{n_zero} pivot(s) within tolerance of lambda_max="
@@ -212,27 +222,34 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0,
         raise CompletenessError(
             f"band holds {n_neg} eigenvalues, more than the subspace cap "
             f"{max_subspace}")
-    if n <= dense_switch or n_neg + 8 >= n - 1:
-        if n > dense_cap:
+    m_mat = None if m_bd is None else m_bd.to_sparse()
+    if n <= DENSE_SWITCH or n_neg + 8 >= n - 1:
+        if n > DENSE_CAP:
             raise CompletenessError(
                 f"band of {n_neg} eigenvalues needs a subspace near the full "
                 f"dimension {n}, which exceeds the dense cap")
-        w, y = sla.eigh(s.to_dense())
-        keep = w <= req.lambda_max
-        w, y = w[keep], y[:, keep]
+        w, x = sla.eigh(a_sym.to_dense(), None if m_mat is None else m_mat.toarray(),
+                        subset_by_value=(-np.inf, req.lambda_max))
         method = "dense-band"
     else:
-        w, y = _shift_invert_band(s, req, n_neg, max_subspace, seed)
+        op_inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+        v0 = np.random.default_rng(seed).standard_normal(n)
+        try:
+            w, x = spla.eigsh(a_sym.to_full(), k=n_neg, M=m_mat,
+                              sigma=req.lambda_max, which="SA", OPinv=op_inv,
+                              v0=v0, ncv=min(n - 1, max(4 * n_neg, 40)))
+        except spla.ArpackError as exc:
+            raise CompletenessError(f"shift-invert Lanczos failed: {exc}") from exc
         method = "shift-invert"
 
-    if len(w) != n_neg:
+    found = int(np.sum(w <= req.lambda_max))
+    if found != n_neg:
         raise CompletenessError(
-            f"found {len(w)} eigenvalues <= {req.lambda_max:.6g} but the "
+            f"found {found} eigenvalues <= {req.lambda_max:.6g} but the "
             f"inertia count demands {n_neg}")
 
     order = np.argsort(w)
-    w, y = w[order], y[:, order]
-    x = y if r_inv is None else r_inv.matmat(y)
+    w, x = w[order], x[:, order]
     resid = _residuals(a_sym, m_bd, w, x)
     limit = req.tolerance * max(norm_a, np.finfo(float).tiny)
     if np.any(resid > limit):
@@ -243,32 +260,3 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0,
             f"negative eigenvalue {w.min():.3e} below the PSD tolerance")
     return EigenSolution(eigenvalues=w, eigenvectors=x, residuals=resid,
                          method=method, inertia_count=n_neg, norm_a=norm_a)
-
-
-def _shift_invert_band(s: SparseSymMatrix, req: BandRequest, n_band: int,
-                       max_subspace: int, seed: int):
-    """ARPACK shift-invert runs with a growing subspace until the band fills."""
-    n = s.n
-    s_csc = s.to_full().tocsc()
-    v0 = np.random.default_rng(seed).standard_normal(n)
-    sigma = req.lambda_max / 2.0
-    k = min(n - 2, n_band + 2)
-    while True:
-        try:
-            w, y = spla.eigsh(s_csc, k=k, sigma=sigma, which="LM", v0=v0,
-                              ncv=min(n - 1, max(4 * k, 40)))
-        except RuntimeError as exc:  # factorization hit an eigenvalue
-            sigma *= 1.0 + 1e-4
-            try:
-                w, y = spla.eigsh(s_csc, k=k, sigma=sigma, which="LM", v0=v0,
-                                  ncv=min(n - 1, max(4 * k, 40)))
-            except RuntimeError:
-                raise CompletenessError(f"shift-invert factorization failed: {exc}")
-        keep = w <= req.lambda_max
-        if int(keep.sum()) >= n_band:
-            return w[keep], y[:, keep]
-        if k >= max_subspace or k >= n - 2:
-            raise CompletenessError(
-                f"subspace of {k} vectors holds {int(keep.sum())} band "
-                f"eigenvalues, inertia demands {n_band}")
-        k = min(max(2 * k, n_band + 8), max_subspace, n - 2)

@@ -104,16 +104,11 @@ class Cell:
 
     The map is ``x(xi, eta) = anchor + half_xi*(xi+1) + half_eta*(eta+1)``
     with constant Jacobian ``[half_xi | half_eta]`` of determinant
-    ``dx*dy/4 > 0``.  ``shear`` is the offset of the aligned edge over one
-    cell (y-offset per cell width for bottom/top alignment, x-offset per
-    cell height for left/right, 0 for cartesian).
+    ``dx*dy/4 > 0`` for cells of width dx and height dy.
     """
 
     index: tuple[int, int]
     anchor: tuple[float, float]
-    dx: float
-    dy: float
-    shear: float
     half_xi: tuple[float, float]
     half_eta: tuple[float, float]
 
@@ -190,7 +185,6 @@ class Interface:
     neighbor_range: tuple[float, float]
     normal: tuple[float, float]
     h_F: float
-    periodic_wrap: tuple[bool, bool]
 
 
 @dataclass
@@ -229,8 +223,7 @@ class Mesh:
                  f"b=({self.config.b.b1:.12g},{self.config.b.b2:.12g})"]
         for c in self.cells:
             lines.append(f"cell ({c.index[0]},{c.index[1]}) "
-                         f"anchor=({c.anchor[0]:.12g},{c.anchor[1]:.12g}) "
-                         f"shear={c.shear:.12g}")
+                         f"anchor=({c.anchor[0]:.12g},{c.anchor[1]:.12g})")
         for itf in self.interfaces:
             lines.append(
                 f"iface ({itf.owner[0]},{itf.owner[1]}):{itf.owner_edge}"
@@ -238,8 +231,7 @@ class Mesh:
                 f" -> ({itf.neighbor[0]},{itf.neighbor[1]}):{itf.neighbor_edge}"
                 f"[{itf.neighbor_range[0]:.12g},{itf.neighbor_range[1]:.12g}]"
                 f" hF={itf.h_F:.12g}"
-                f" n=({itf.normal[0]:.12g},{itf.normal[1]:.12g})"
-                f" wrap=({int(itf.periodic_wrap[0])},{int(itf.periodic_wrap[1])})")
+                f" n=({itf.normal[0]:.12g},{itf.normal[1]:.12g})")
         return "\n".join(lines) + "\n"
 
     def validate(self) -> None:
@@ -282,33 +274,24 @@ def build_mesh(config: MeshConfig) -> Mesh:
     dx, dy = TWO_PI / nx, TWO_PI / ny
     b1, b2 = config.b.b1, config.b.b2
 
-    if config.alignment == Alignment.CARTESIAN:
-        shear = 0.0
-        half_xi = (dx / 2.0, 0.0)
-
-        def anchor(i, j):
-            return (i * dx, j * dy)
-
-        half_eta = (0.0, dy / 2.0)
-    elif config.alignment == Alignment.BOTTOM_TOP:
-        shear = (b2 / b1) * dx
-        half_xi = (dx / 2.0, shear / 2.0)
-        half_eta = (0.0, dy / 2.0)
-
-        def anchor(i, j):
-            return (i * dx, j * dy)
-    else:
-        shear = (b1 / b2) * dy
-        half_xi = (shear / 2.0, dy / 2.0)
+    if config.alignment == Alignment.LEFT_RIGHT:
+        half_xi = ((b1 / b2) * dy / 2.0, dy / 2.0)
         half_eta = (-dx / 2.0, 0.0)
 
         # anchor at the bottom-right vertex keeps the map positively oriented
         # with xi along b
         def anchor(i, j):
             return ((i + 1) * dx, j * dy)
+    else:
+        rise = 0.0 if config.alignment == Alignment.CARTESIAN else (b2 / b1) * dx
+        half_xi = (dx / 2.0, rise / 2.0)
+        half_eta = (0.0, dy / 2.0)
 
-    cells = [Cell(index=(i, j), anchor=anchor(i, j), dx=dx, dy=dy, shear=shear,
-                  half_xi=half_xi, half_eta=half_eta)
+        def anchor(i, j):
+            return (i * dx, j * dy)
+
+    cells = [Cell(index=(i, j), anchor=anchor(i, j), half_xi=half_xi,
+                  half_eta=half_eta)
              for i in range(nx) for j in range(ny)]
 
     mesh = Mesh(config=config, cells=cells, interfaces=[])
@@ -331,10 +314,8 @@ def _aligned_family(mesh: Mesh) -> list[Interface]:
                 # reference-top edge = physical left edge; the cell beyond it
                 # is the previous column
                 neighbor = ((i - 1) % nx, j)
-                wrap = (i == 0, False)
             else:
                 neighbor = (i, (j + 1) % ny)
-                wrap = (False, j == ny - 1)
             cell = mesh.cell(owner)
             h_f = 2.0 * math.hypot(*cell.half_xi)
             out.append(Interface(
@@ -342,7 +323,7 @@ def _aligned_family(mesh: Mesh) -> list[Interface]:
                 owner_edge="top", neighbor_edge="bottom",
                 owner_range=(-1.0, 1.0), neighbor_range=(-1.0, 1.0),
                 normal=tuple(outward_normal(cell, "top")),
-                h_F=h_f, periodic_wrap=wrap))
+                h_F=h_f))
     return out
 
 
@@ -372,7 +353,6 @@ def _cross_family(mesh: Mesh) -> list[Interface]:
 
     out = []
     for line in range(n_lines):
-        line_wrap = line == n_lines - 1
         for k in range(n_edges):
             if cfg.alignment == Alignment.LEFT_RIGHT:
                 own = ((n_edges - 1 - k) % n_edges, line)
@@ -395,8 +375,7 @@ def _cross_family(mesh: Mesh) -> list[Interface]:
                     owner=own, neighbor=nbr_of(slot),
                     owner_edge="right", neighbor_edge="left",
                     owner_range=(-1.0, 1.0), neighbor_range=(-1.0, 1.0),
-                    normal=normal, h_F=width,
-                    periodic_wrap=_wrap_flags(cfg, line_wrap, slot, n_edges)))
+                    normal=normal, h_F=width))
             else:
                 lo = k + shift  # owner edge spans [lo + g, lo + g + 1)
                 out.append(Interface(
@@ -404,21 +383,11 @@ def _cross_family(mesh: Mesh) -> list[Interface]:
                     owner_edge="right", neighbor_edge="left",
                     owner_range=(-1.0, 1.0 - 2.0 * g),
                     neighbor_range=(-1.0 + 2.0 * g, 1.0),
-                    normal=normal, h_F=width * (1.0 - g),
-                    periodic_wrap=_wrap_flags(cfg, line_wrap, lo, n_edges)))
+                    normal=normal, h_F=width * (1.0 - g)))
                 out.append(Interface(
                     owner=own, neighbor=nbr_of(lo + 1),
                     owner_edge="right", neighbor_edge="left",
                     owner_range=(1.0 - 2.0 * g, 1.0),
                     neighbor_range=(-1.0, -1.0 + 2.0 * g),
-                    normal=normal, h_F=width * g,
-                    periodic_wrap=_wrap_flags(cfg, line_wrap, lo + 1, n_edges)))
+                    normal=normal, h_F=width * g))
     return out
-
-
-def _wrap_flags(cfg: MeshConfig, line_wrap: bool, slot: int, n_edges: int
-                ) -> tuple[bool, bool]:
-    along_wrap = not (0 <= slot < n_edges)
-    if cfg.alignment == Alignment.LEFT_RIGHT:
-        return along_wrap, line_wrap
-    return line_wrap, along_wrap

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from anisodg.assembly import assemble_operator_set, build_reduced, \
-    standard_form
+from anisodg import eigensolve
+from anisodg.assembly import assemble_operator_set, build_reduced
 from anisodg.basis import BasisSpec
 from anisodg.eigensolve import (BandRequest, CompletenessError,
-                                _superlu_inertia, band_eig,
+                                _superlu_factor, band_eig,
                                 dense_generalized_eig, ldl_inertia,
                                 shifted_inertia)
 from anisodg.fields import CoefficientField, MagneticField
@@ -66,20 +67,23 @@ def test_superlu_inertia_matches_dense():
     a = sp.random(n, n, density=0.01, random_state=3)
     a = (a + a.T).tocsc() + sp.diags(rng.standard_normal(n)).tocsc()
     dense = ldl_inertia(a.toarray())
-    assert _superlu_inertia(a, 1e-12) == dense
+    assert _superlu_factor(a, 1e-12)[0] == dense
 
 
-def test_shifted_inertia_on_operator():
-    mesh = build_mesh(MeshConfig(4, 4, Alignment.BOTTOM_TOP, REF_B))
-    ops = assemble_operator_set(mesh, BasisSpec(2, 2),
-                                CoefficientField.constant(1.0),
-                                MagneticField.uniform(REF_B), 6.0)
-    a, m = build_reduced(ops)
-    s = standard_form(a, m)
-    dense = shifted_inertia(s, 0.2, dense_cap=10_000)
-    sparse = _superlu_inertia(
-        (s.to_full() - 0.2 * sp.identity(s.n)).tocsc(), 1e-12)
+def test_shifted_inertia_on_operator(monkeypatch):
+    """Dense and SuperLU inertia of A - 0.2 M both count the generalized
+    eigenvalues below 0.2, and the factor's solve inverts A - 0.2 M."""
+    a, m = make_small_system(4, 4, 2)
+    want = int(np.sum(dense_generalized_eig(a, m).eigenvalues <= 0.2))
+    k = a.to_full() - 0.2 * m.to_sparse()
+    rhs = np.random.default_rng(7).standard_normal(a.n)
+    dense, dense_solve = shifted_inertia(a, m, 0.2)
+    monkeypatch.setattr(eigensolve, "DENSE_CAP", 0)
+    sparse, sparse_solve = shifted_inertia(a, m, 0.2)
     assert dense == sparse
+    assert dense[0] == want
+    for solve in (dense_solve, sparse_solve):
+        assert np.max(np.abs(k @ solve(rhs) - rhs)) < 1e-10
 
 
 def test_band_eig_diag_example():
@@ -104,10 +108,11 @@ def make_small_system(nx=2, ny=2, p=2):
     return build_reduced(ops)
 
 
-def test_band_eig_agrees_with_dense():
+def test_band_eig_agrees_with_dense(monkeypatch):
     a, m = make_small_system(4, 4, 2)  # 144 dof
     req = BandRequest(lambda_max=0.4)
-    sparse_sol = band_eig(a, m, req, dense_switch=0)  # force shift-invert
+    monkeypatch.setattr(eigensolve, "DENSE_SWITCH", 0)  # force shift-invert
+    sparse_sol = band_eig(a, m, req)
     dense_sol = dense_generalized_eig(a, m)
     keep = dense_sol.eigenvalues <= 0.4
     assert sparse_sol.method == "shift-invert"
@@ -116,10 +121,11 @@ def test_band_eig_agrees_with_dense():
         <= 1e-9 * max(1.0, np.abs(dense_sol.eigenvalues[keep]).max())
 
 
-def test_band_eig_invariants_on_operator():
+def test_band_eig_invariants_on_operator(monkeypatch):
     a, m = make_small_system(4, 4, 2)
     req = BandRequest(lambda_max=0.4, tolerance=1e-10)
-    sol = band_eig(a, m, req, dense_switch=0)
+    monkeypatch.setattr(eigensolve, "DENSE_SWITCH", 0)
+    sol = band_eig(a, m, req)
     # completeness: returned count equals the inertia count
     assert sol.inertia_count == len(sol)
     # residual bound and PSD floor
@@ -130,20 +136,49 @@ def test_band_eig_invariants_on_operator():
     assert np.max(np.abs(gram - np.eye(len(sol)))) < 1e-9
 
 
-def test_band_eig_deterministic():
+def test_band_eig_deterministic(monkeypatch):
     a, m = make_small_system(4, 4, 2)
     req = BandRequest(lambda_max=0.4)
-    s1 = band_eig(a, m, req, dense_switch=0, seed=5)
-    s2 = band_eig(a, m, req, dense_switch=0, seed=5)
+    monkeypatch.setattr(eigensolve, "DENSE_SWITCH", 0)
+    s1 = band_eig(a, m, req, seed=5)
+    s2 = band_eig(a, m, req, seed=5)
     assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
     assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
 
 
-def test_band_eig_max_subspace_exhaustion():
+def test_band_eig_max_subspace_exhaustion(monkeypatch):
     a, m = make_small_system(4, 4, 2)
+    monkeypatch.setattr(eigensolve, "DENSE_SWITCH", 0)
     with pytest.raises(CompletenessError):
-        band_eig(a, m, BandRequest(lambda_max=0.4, max_subspace=3),
-                 dense_switch=0)
+        band_eig(a, m, BandRequest(lambda_max=0.4, max_subspace=3))
+
+
+def test_band_eig_sparse_factor_path(monkeypatch):
+    """The SuperLU factor serves both the inertia and shift-invert Lanczos."""
+    a, m = make_small_system(4, 4, 2)
+    monkeypatch.setattr(eigensolve, "DENSE_SWITCH", 0)
+    monkeypatch.setattr(eigensolve, "DENSE_CAP", 0)
+    sol = band_eig(a, m, BandRequest(lambda_max=0.4))
+    dense = dense_generalized_eig(a, m).eigenvalues
+    want = dense[dense <= 0.4]
+    assert sol.method == "shift-invert"
+    assert len(sol) == sol.inertia_count == len(want)
+    assert np.max(np.abs(sol.eigenvalues - want)) <= 1e-9
+    gram = sol.eigenvectors.T @ m.to_dense() @ sol.eigenvectors
+    assert np.max(np.abs(gram - np.eye(len(sol)))) < 1e-9
+
+
+def test_band_eig_lanczos_failure_is_incomplete(monkeypatch):
+    """An ARPACK failure is reported as an uncertified band."""
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0),
+                                       np.empty((0, 0)))
+
+    a, m = make_small_system(4, 4, 2)
+    monkeypatch.setattr(eigensolve, "DENSE_SWITCH", 0)
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(CompletenessError, match="Lanczos failed"):
+        band_eig(a, m, BandRequest(lambda_max=0.4))
 
 
 def test_band_request_validation():
@@ -163,10 +198,11 @@ def test_band_eig_accepts_plain_arrays():
     assert np.max(np.abs(np.sort(sol.eigenvalues) - evals[:12])) < 1e-9
 
 
-def test_band_eig_returns_near_degenerate_pairs_completely():
+def test_band_eig_returns_near_degenerate_pairs_completely(monkeypatch):
     """Both members of each +-(m,n) pair land in the band (even count)."""
     a, m = make_small_system(4, 4, 3)
-    sol = band_eig(a, m, BandRequest(lambda_max=0.2), dense_switch=0)
+    monkeypatch.setattr(eigensolve, "DENSE_SWITCH", 0)
+    sol = band_eig(a, m, BandRequest(lambda_max=0.2))
     w = sol.eigenvalues
     nonzero = w[w > 1e-8 * w.max()]
     assert len(nonzero) % 2 == 0
