@@ -3,13 +3,15 @@
 The weak form couples a scalar parallel-gradient variable u with the
 primal variable phi through seven matrices:
 
-* ``M_UV``   cell mass blocks of u/v (block diagonal),
+* ``M_UV``   mass of u/v, exactly diagonal for the Legendre basis on
+  affine cells and stored as its diagonal,
 * ``A_UPsi`` volume blocks of ``u * B . grad(psi)`` (its transpose is the
   ``A_PhiV`` coupling; shared storage),
 * ``B_UPsi`` interface blocks of ``{u} * B . [psi]`` (transpose serves
   ``B_PhiV``),
 * ``B_PhiPsi`` penalty ``(eta_S / h_F) * (B . [phi]) (B . [psi])``,
-* ``M_PhiPsi`` weighted mass blocks with coefficient alpha.
+* ``M_PhiPsi`` weighted mass blocks with coefficient alpha (diagonal for
+  a constant alpha).
 
 Eliminating u yields the reduced symmetric positive semidefinite operator
 
@@ -38,12 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .basis import BasisSpec, gauss_rule, tensor_basis_eval
 from .fields import CoefficientField, MagneticField
-from .geometry import ALIGNMENT_TOL, TWO_PI, Mesh, edge_point
+from .geometry import ALIGNMENT_TOL, Mesh, _periodic_close, edge_point
 
 #: Assembled entries below this times the matrix max are dropped.
 DROP_TOL = 1e-15
@@ -58,75 +59,21 @@ def default_quad_points(spec: BasisSpec) -> int:
     return max(spec.p_xi, spec.p_eta) + 3
 
 
-class BlockDiagMatrix:
-    """Symmetric block diagonal matrix stored as (n_cells, n_loc, n_loc)."""
-
-    def __init__(self, blocks: np.ndarray):
-        blocks = np.asarray(blocks, dtype=float)
-        if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
-            raise ValueError("blocks must have shape (n_cells, n_loc, n_loc)")
-        self.blocks = blocks
-
-    @property
-    def n(self) -> int:
-        return self.blocks.shape[0] * self.blocks.shape[1]
-
-    @property
-    def n_loc(self) -> int:
-        return self.blocks.shape[1]
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        xb = x.reshape(self.blocks.shape[0], self.n_loc)
-        return np.einsum("cij,cj->ci", self.blocks, xb).reshape(x.shape)
-
-    def matmat(self, x: np.ndarray) -> np.ndarray:
-        """Apply to the columns of a (n, k) matrix."""
-        k = x.shape[1]
-        xb = x.reshape(self.blocks.shape[0], self.n_loc, k)
-        return np.einsum("cij,cjk->cik", self.blocks, xb).reshape(x.shape)
-
-    def to_sparse(self) -> sp.csr_matrix:
-        return sp.block_diag([b for b in self.blocks], format="csr")
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        m = self.n_loc
-        for c, blk in enumerate(self.blocks):
-            out[c * m:(c + 1) * m, c * m:(c + 1) * m] = blk
-        return out
-
-    def map_blocks(self, fn) -> "BlockDiagMatrix":
-        return BlockDiagMatrix(np.stack([fn(b) for b in self.blocks]))
-
-    def inverse(self) -> "BlockDiagMatrix":
-        try:
-            return self.map_blocks(lambda b: _spd_inverse(b))
-        except sla.LinAlgError as exc:
-            raise AssemblyError(f"singular/indefinite diagonal block: {exc}") from exc
-
-
-def _spd_inverse(block: np.ndarray) -> np.ndarray:
-    c, low = sla.cho_factor(block)
-    inv = sla.cho_solve((c, low), np.eye(block.shape[0]))
-    return (inv + inv.T) / 2.0
-
-
 class SparseSymMatrix:
-    """Sparse symmetric matrix storing only the lower triangle."""
+    """Sparse symmetric matrix stored as its full CSR."""
 
-    def __init__(self, lower: sp.csr_matrix):
-        self.lower = lower.tocsr()
-        self._full = None
+    def __init__(self, full: sp.spmatrix):
+        self._csr = full.tocsr()
 
     @classmethod
-    def from_product(cls, full: sp.spmatrix, drop_tol: float = DROP_TOL
-                     ) -> "SparseSymMatrix":
-        """Symmetrize a (numerically almost symmetric) product and keep tril."""
+    def from_product(cls, full: sp.spmatrix) -> "SparseSymMatrix":
+        """Symmetrize a (numerically almost symmetric) product and drop
+        entries below ``DROP_TOL`` times its largest entry."""
         full = full.tocsr()
         sym = (full + full.T) * 0.5
-        sym.data[np.abs(sym.data) < drop_tol * np.max(np.abs(sym.data), initial=0.0)] = 0.0
+        sym.data[np.abs(sym.data) < DROP_TOL * np.max(np.abs(sym.data), initial=0.0)] = 0.0
         sym.eliminate_zeros()
-        return cls(sp.tril(sym, format="csr"))
+        return cls(sym)
 
     @classmethod
     def from_dense(cls, a: np.ndarray) -> "SparseSymMatrix":
@@ -134,25 +81,26 @@ class SparseSymMatrix:
 
     @property
     def n(self) -> int:
-        return self.lower.shape[0]
+        return self._csr.shape[0]
+
+    @property
+    def lower(self) -> sp.csr_matrix:
+        return sp.tril(self._csr, format="csr")
 
     def to_full(self) -> sp.csr_matrix:
-        if self._full is None:
-            diag = sp.diags(self.lower.diagonal())
-            self._full = (self.lower + self.lower.T - diag).tocsr()
-        return self._full
+        return self._csr
 
     def to_dense(self) -> np.ndarray:
-        return self.to_full().toarray()
+        return self._csr.toarray()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.to_full() @ x
+        return self._csr @ x
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.lower.data), initial=0.0))
+        return float(np.max(np.abs(self._csr.data), initial=0.0))
 
     def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.to_full()).sum(axis=1)))
+        return float(np.max(np.abs(self._csr).sum(axis=1)))
 
     def nnz_percent(self) -> float:
         """Stored nonzeros as a percentage of the full lower triangle."""
@@ -170,16 +118,16 @@ class SparseSymMatrix:
 class OperatorSet:
     """The assembled matrices of the mixed LDG system.
 
-    The ``A_PhiV`` and ``B_PhiV`` couplings are the exact transposes of
+    ``m_uv`` is the diagonal of the (exactly diagonal) u mass matrix.  The
+    ``A_PhiV`` and ``B_PhiV`` couplings are the exact transposes of
     ``a_upsi`` and ``b_upsi`` and are not stored.
     """
 
-    m_uv: BlockDiagMatrix
+    m_uv: np.ndarray
     a_upsi: sp.csr_matrix
     b_upsi: sp.csr_matrix
     b_phipsi: SparseSymMatrix
-    m_phipsi: BlockDiagMatrix
-    eta_s: float
+    m_phipsi: SparseSymMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -230,28 +178,26 @@ def _volume_weights(mesh: Mesh, coeff: CoefficientField, xi, eta, wq):
     return wq * mesh.cells[0].jacobian_det * coeff.eval(x, y)
 
 
-def assemble_mass_u(mesh: Mesh, spec: BasisSpec, n_quad: int | None = None
-                    ) -> BlockDiagMatrix:
-    """Unweighted cell mass blocks (diagonal for the Legendre basis)."""
-    n_quad = n_quad or default_quad_points(spec)
-    _, _, wq, vals, _ = _volume_tables(spec, n_quad)
-    det = mesh.cells[0].jacobian_det
-    block = np.einsum("q,qi,qj->ij", wq * det, vals, vals)
-    block = (block + block.T) / 2.0
-    return BlockDiagMatrix(np.broadcast_to(block, (mesh.n_cells,) + block.shape).copy())
+def assemble_mass_u(mesh: Mesh, spec: BasisSpec) -> np.ndarray:
+    """The unweighted mass matrix, which is exactly diagonal, as its ``(n,)``
+    diagonal: ``det J * 2/(2a+1) * 2/(2b+1)`` for the Legendre mode ``(a, b)``."""
+    norms_xi = 2.0 / (2 * np.arange(spec.p_xi + 1) + 1)
+    norms_eta = 2.0 / (2 * np.arange(spec.p_eta + 1) + 1)
+    local = mesh.cells[0].jacobian_det * np.outer(norms_xi, norms_eta).ravel()
+    return np.tile(local, mesh.n_cells)
 
 
 def assemble_mass_phi(mesh: Mesh, spec: BasisSpec, alpha: CoefficientField,
-                      n_quad: int | None = None) -> BlockDiagMatrix:
-    """Cell mass blocks weighted by the coefficient alpha(x)."""
+                      n_quad: int | None = None) -> SparseSymMatrix:
+    """Mass matrix weighted by the coefficient alpha(x); block diagonal."""
     if alpha.is_constant:
-        base = assemble_mass_u(mesh, spec, n_quad)
-        return BlockDiagMatrix(base.blocks * alpha.mean)
+        return SparseSymMatrix(sp.diags(alpha.mean * assemble_mass_u(mesh, spec)))
     n_quad = n_quad or default_quad_points(spec)
     xi, eta, wq, vals, _ = _volume_tables(spec, n_quad)
     w = _volume_weights(mesh, alpha, xi, eta, wq)
     blocks = np.einsum("cq,qi,qj->cij", w, vals, vals)
-    return BlockDiagMatrix((blocks + blocks.transpose(0, 2, 1)) / 2.0)
+    dofs = np.arange(mesh.n_cells * spec.n_loc).reshape(mesh.n_cells, spec.n_loc)
+    return SparseSymMatrix.from_product(_scatter(dofs, blocks, dofs.size))
 
 
 def assemble_gradient(mesh: Mesh, spec: BasisSpec, B: MagneticField,
@@ -307,10 +253,7 @@ def face_quadrature(mesh: Mesh, spec: BasisSpec, interfaces, n_quad: int):
     s = (rule.nodes + 1.0) / 2.0
     xi_o, eta_o, xo, yo = _side_points(mesh, interfaces, "owner", s)
     xi_n, eta_n, xn, yn = _side_points(mesh, interfaces, "neighbor", s)
-    dxw = np.remainder(xo - xn, TWO_PI)
-    dyw = np.remainder(yo - yn, TWO_PI)
-    bad = np.any((np.minimum(dxw, TWO_PI - dxw) > 1e-9)
-                 | (np.minimum(dyw, TWO_PI - dyw) > 1e-9), axis=1)
+    bad = ~np.all(_periodic_close(xo, xn) & _periodic_close(yo, yn), axis=1)
     if np.any(bad):
         itf = interfaces[int(np.argmax(bad))]
         raise AssemblyError(f"owner/neighbor segment mapping mismatch on {itf}")
@@ -375,17 +318,17 @@ def assemble_operator_set(mesh: Mesh, spec: BasisSpec, alpha: CoefficientField,
                           B: MagneticField, eta_s: float,
                           n_quad: int | None = None) -> OperatorSet:
     return OperatorSet(
-        m_uv=assemble_mass_u(mesh, spec, n_quad),
+        m_uv=assemble_mass_u(mesh, spec),
         a_upsi=assemble_gradient(mesh, spec, B, n_quad),
         b_upsi=assemble_face_terms(mesh, spec, B, n_quad),
         b_phipsi=assemble_penalty(mesh, spec, B, eta_s, n_quad),
-        m_phipsi=assemble_mass_phi(mesh, spec, alpha, n_quad),
-        eta_s=eta_s)
+        m_phipsi=assemble_mass_phi(mesh, spec, alpha, n_quad))
 
 
-def build_reduced(ops: OperatorSet) -> tuple[SparseSymMatrix, BlockDiagMatrix]:
+def build_reduced(ops: OperatorSet) -> tuple[SparseSymMatrix, SparseSymMatrix]:
     """Form A = (A_UPsi - B_UPsi) M_UV^{-1} (..)^T + B_PhiPsi and M = M_PhiPsi."""
+    if np.any(ops.m_uv <= 0.0):
+        raise AssemblyError("u mass matrix has a non-positive diagonal entry")
     c = (ops.a_upsi - ops.b_upsi).tocsr()
-    m_inv = ops.m_uv.inverse().to_sparse()
-    a_full = (c @ m_inv) @ c.T + ops.b_phipsi.to_full()
+    a_full = (c @ sp.diags(1.0 / ops.m_uv)) @ c.T + ops.b_phipsi.to_full()
     return SparseSymMatrix.from_product(a_full), ops.m_phipsi

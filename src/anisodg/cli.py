@@ -69,7 +69,6 @@ class RunConfig:
     beta_file: str = ""
     output_dir: str = "."
     tolerance: float = 1e-10
-    max_subspace: int = 0    # 0 = automatic
     seed: int = 0
     n_quad: int = 0          # 0 = degree-based default
     band_margin: float = 1.0
@@ -138,7 +137,6 @@ class RunConfig:
             omega_max_sq=self.omega_max_sq,
             m_max=self.m_max, n_max=self.n_max,
             tolerance=self.tolerance,
-            max_subspace=self.max_subspace or None,
             seed=self.seed,
             n_quad=self.n_quad or None,
             band_margin=self.band_margin)

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .assembly import BlockDiagMatrix, SparseSymMatrix
+from .assembly import SparseSymMatrix
 
 #: Problems at most this large may be handled by dense LAPACK paths.
 DENSE_CAP = 8192
@@ -36,7 +36,6 @@ class CompletenessError(RuntimeError):
 class BandRequest:
     lambda_max: float
     tolerance: float = 1e-10
-    max_subspace: int | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.lambda_max) or self.lambda_max <= 0.0:
@@ -68,13 +67,10 @@ def _as_sym(a) -> SparseSymMatrix:
     return SparseSymMatrix.from_dense(np.asarray(a, dtype=float))
 
 
-def _as_blockdiag(m, n: int) -> BlockDiagMatrix | None:
-    if m is None or isinstance(m, BlockDiagMatrix):
-        return m
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 1:
-        return BlockDiagMatrix(m.reshape(n, 1, 1))
-    return BlockDiagMatrix(m.reshape(1, n, n))
+def _as_pencil(a, m) -> tuple[SparseSymMatrix, SparseSymMatrix]:
+    """``(A, M)`` as symmetric sparse matrices; ``M = None`` is the identity."""
+    a = _as_sym(a)
+    return a, _as_sym(sp.identity(a.n, format="csr") if m is None else m)
 
 
 def dense_generalized_eig(a, m=None, cap: int = DENSE_CAP) -> EigenSolution:
@@ -83,29 +79,20 @@ def dense_generalized_eig(a, m=None, cap: int = DENSE_CAP) -> EigenSolution:
     The generalized problem is reduced with a Cholesky factorization of M
     inside the LAPACK driver; eigenvectors come back M-orthonormal.
     """
-    a_sym = _as_sym(a)
-    n = a_sym.n
-    if n > cap:
-        raise ValueError(f"dense solve of dimension {n} exceeds cap {cap}")
-    a_d = a_sym.to_dense()
-    m_bd = _as_blockdiag(m, n)
-    if m_bd is None:
-        w, v = sla.eigh(a_d)
-        resid = _residuals(a_sym, None, w, v)
-    else:
-        w, v = sla.eigh(a_d, m_bd.to_dense())
-        resid = _residuals(a_sym, m_bd, w, v)
-    return EigenSolution(eigenvalues=w, eigenvectors=v, residuals=resid,
-                         method="dense", norm_a=a_sym.norm_inf())
+    a, m = _as_pencil(a, m)
+    if a.n > cap:
+        raise ValueError(f"dense solve of dimension {a.n} exceeds cap {cap}")
+    w, v = sla.eigh(a.to_dense(), m.to_dense())
+    return EigenSolution(eigenvalues=w, eigenvectors=v,
+                         residuals=_residuals(a, m, w, v), method="dense",
+                         norm_a=a.norm_inf())
 
 
-def _residuals(a: SparseSymMatrix, m: BlockDiagMatrix | None,
+def _residuals(a: SparseSymMatrix, m: SparseSymMatrix,
                w: np.ndarray, v: np.ndarray) -> np.ndarray:
     if v.size == 0:
         return np.empty(0)
-    r = a.to_full() @ v
-    mv = v if m is None else m.matmat(v)
-    return np.linalg.norm(r - mv * w[None, :], axis=0)
+    return np.linalg.norm(a.matvec(v) - m.matvec(v) * w[None, :], axis=0)
 
 
 def ldl_inertia(s, zero_tol: float = 1e-12) -> tuple[int, int, int]:
@@ -181,11 +168,9 @@ def shifted_inertia(a, m, shift: float, zero_tol: float = 1e-12):
     Bunch-Kaufman LDL^T up to ``DENSE_CAP`` unknowns and by static-pivot
     SuperLU above.
     """
-    a_sym = _as_sym(a)
-    m_bd = _as_blockdiag(m, a_sym.n)
-    m_sp = sp.identity(a_sym.n) if m_bd is None else m_bd.to_sparse()
-    k = (a_sym.to_full() - shift * m_sp).tocsc()
-    if a_sym.n <= DENSE_CAP:
+    a, m = _as_pencil(a, m)
+    k = (a.to_full() - shift * m.to_full()).tocsc()
+    if a.n <= DENSE_CAP:
         return _ldl_factor(k.toarray(order="F"), zero_tol)
     return _superlu_factor(k, zero_tol)
 
@@ -203,39 +188,32 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
     only when the returned count matches the inertia and every residual is
     within tolerance.
     """
-    a_sym = _as_sym(a)
-    n = a_sym.n
-    m_bd = _as_blockdiag(m, n)
-    (n_neg, n_zero, _), solve = shifted_inertia(a_sym, m_bd, req.lambda_max)
+    a, m = _as_pencil(a, m)
+    n = a.n
+    (n_neg, n_zero, _), solve = shifted_inertia(a, m, req.lambda_max)
     if n_zero:
         raise CompletenessError(
             f"{n_zero} pivot(s) within tolerance of lambda_max="
             f"{req.lambda_max:.6g}; band boundary is ambiguous")
-    norm_a = a_sym.norm_inf()
+    norm_a = a.norm_inf()
     if n_neg == 0:
         return EigenSolution(eigenvalues=np.empty(0), eigenvectors=np.empty((n, 0)),
                              residuals=np.empty(0), method="empty",
                              inertia_count=0, norm_a=norm_a)
 
-    max_subspace = req.max_subspace or min(n - 1, max(4 * n_neg + 50, 100))
-    if n_neg > max_subspace:
-        raise CompletenessError(
-            f"band holds {n_neg} eigenvalues, more than the subspace cap "
-            f"{max_subspace}")
-    m_mat = None if m_bd is None else m_bd.to_sparse()
     if n <= DENSE_SWITCH or n_neg + 8 >= n - 1:
         if n > DENSE_CAP:
             raise CompletenessError(
                 f"band of {n_neg} eigenvalues needs a subspace near the full "
                 f"dimension {n}, which exceeds the dense cap")
-        w, x = sla.eigh(a_sym.to_dense(), None if m_mat is None else m_mat.toarray(),
+        w, x = sla.eigh(a.to_dense(), m.to_dense(),
                         subset_by_value=(-np.inf, req.lambda_max))
         method = "dense-band"
     else:
         op_inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
         v0 = np.random.default_rng(seed).standard_normal(n)
         try:
-            w, x = spla.eigsh(a_sym.to_full(), k=n_neg, M=m_mat,
+            w, x = spla.eigsh(a.to_full(), k=n_neg, M=m.to_full(),
                               sigma=req.lambda_max, which="SA", OPinv=op_inv,
                               v0=v0, ncv=min(n - 1, max(4 * n_neg, 40)))
         except spla.ArpackError as exc:
@@ -250,7 +228,7 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
 
     order = np.argsort(w)
     w, x = w[order], x[:, order]
-    resid = _residuals(a_sym, m_bd, w, x)
+    resid = _residuals(a, m, w, x)
     limit = req.tolerance * max(norm_a, np.finfo(float).tiny)
     if np.any(resid > limit):
         raise CompletenessError(

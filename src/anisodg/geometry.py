@@ -251,7 +251,7 @@ class Mesh:
             tn = c + (d - c) * (ts + 1.0) / 2.0
             xo, yo = own.map_point(*edge_point(itf.owner_edge, to))
             xn, yn = nbr.map_point(*edge_point(itf.neighbor_edge, tn))
-            if not (_periodic_close(xo, xn) and _periodic_close(yo, yn)):
+            if not np.all(_periodic_close(xo, xn) & _periodic_close(yo, yn)):
                 raise RuntimeError(f"interface segment mismatch: {itf}")
             n_nbr = outward_normal(nbr, itf.neighbor_edge)
             if not np.allclose(np.array(itf.normal), -n_nbr, atol=1e-13):
@@ -262,10 +262,10 @@ class Mesh:
                     f"edge {edge} of cell {index} covered {total/2.0:.17g} times")
 
 
-def _periodic_close(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
+def _periodic_close(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Elementwise: ``u`` and ``v`` agree modulo 2 pi to within ``tol``."""
     d = np.remainder(u - v, TWO_PI)
-    d = np.minimum(d, TWO_PI - d)
-    return bool(np.all(d <= tol))
+    return np.minimum(d, TWO_PI - d) <= tol
 
 
 def build_mesh(config: MeshConfig) -> Mesh:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import spherical_jn
@@ -258,7 +258,6 @@ class SolveSetup:
     m_max: int = DEFAULT_MODE_BOUND
     n_max: int = DEFAULT_MODE_BOUND
     tolerance: float = 1e-10
-    max_subspace: int | None = None
     seed: int = 0
     n_quad: int | None = None
     band_margin: float = 1.0
@@ -306,8 +305,7 @@ def run_band_solve(setup: SolveSetup) -> BandResult:
         solution = dense_generalized_eig(a, m)
     else:
         lam = setup.omega_max_sq * max(setup.band_margin, 1.0)
-        req = BandRequest(lambda_max=lam, tolerance=setup.tolerance,
-                          max_subspace=setup.max_subspace)
+        req = BandRequest(lambda_max=lam, tolerance=setup.tolerance)
         solution = band_eig(a, m, req, seed=setup.seed)
     projector = FourierProjector(mesh, setup.spec, setup.m_max, setup.n_max)
     exact = exact_spectrum(setup.mesh_config.b, setup.m_max, setup.n_max) \
@@ -378,16 +376,10 @@ FULL_SPECTRUM_CAP = 4096
 
 
 def _run_level(setup: SolveSetup, nx: int, ny: int, band_margin: float):
-    cfg = setup.mesh_config
-    level_dof = nx * ny * setup.spec.n_loc
-    level_setup = SolveSetup(
-        mesh_config=MeshConfig(nx=nx, ny=ny, alignment=cfg.alignment, b=cfg.b),
-        spec=setup.spec, alpha=setup.alpha, beta=setup.beta,
-        eta_s=setup.eta_s, omega_max_sq=setup.omega_max_sq,
-        m_max=setup.m_max, n_max=setup.n_max, tolerance=setup.tolerance,
-        max_subspace=setup.max_subspace, seed=setup.seed,
-        n_quad=setup.n_quad, band_margin=band_margin,
-        full_spectrum=level_dof <= FULL_SPECTRUM_CAP)
+    level_setup = replace(
+        setup, mesh_config=replace(setup.mesh_config, nx=nx, ny=ny),
+        band_margin=band_margin,
+        full_spectrum=nx * ny * setup.spec.n_loc <= FULL_SPECTRUM_CAP)
     result = run_band_solve(level_setup)
     max_err, missing = max_band_mode_error(result)
     if missing:

@@ -287,7 +287,7 @@ def test_criterion_7_oracle_equivalence():
                                               assemble_mass_u,
                                               assemble_penalty)
                 pairs = [
-                    (assemble_mass_u(mesh, spec, nq).to_dense(),
+                    (np.diag(assemble_mass_u(mesh, spec)),
                      bf.oracle_mass(mesh, spec, None)),
                     (assemble_mass_phi(mesh, spec, alpha, nq).to_dense(),
                      bf.oracle_mass(mesh, spec,

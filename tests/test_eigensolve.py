@@ -75,7 +75,7 @@ def test_shifted_inertia_on_operator(monkeypatch):
     eigenvalues below 0.2, and the factor's solve inverts A - 0.2 M."""
     a, m = make_small_system(4, 4, 2)
     want = int(np.sum(dense_generalized_eig(a, m).eigenvalues <= 0.2))
-    k = a.to_full() - 0.2 * m.to_sparse()
+    k = a.to_full() - 0.2 * m.to_full()
     rhs = np.random.default_rng(7).standard_normal(a.n)
     dense, dense_solve = shifted_inertia(a, m, 0.2)
     monkeypatch.setattr(eigensolve, "DENSE_CAP", 0)
@@ -146,11 +146,13 @@ def test_band_eig_deterministic(monkeypatch):
     assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
 
 
-def test_band_eig_max_subspace_exhaustion(monkeypatch):
-    a, m = make_small_system(4, 4, 2)
-    monkeypatch.setattr(eigensolve, "DENSE_SWITCH", 0)
-    with pytest.raises(CompletenessError):
-        band_eig(a, m, BandRequest(lambda_max=0.4, max_subspace=3))
+@pytest.mark.parametrize("diag", [[0.5, 1.0, 1.5], [1.0]], ids=["3x3", "1x1"])
+def test_band_eig_whole_spectrum_in_band(diag):
+    """A band that holds every eigenvalue is solved on the dense path."""
+    sol = band_eig(np.diag(diag), None, BandRequest(lambda_max=2.0))
+    assert sol.method == "dense-band"
+    assert sol.inertia_count == len(diag)
+    assert np.allclose(sol.eigenvalues, diag)
 
 
 def test_band_eig_sparse_factor_path(monkeypatch):
