@@ -82,10 +82,17 @@ def dense_generalized_eig(a, m=None, cap: int = DENSE_CAP) -> EigenSolution:
     a, m = _as_pencil(a, m)
     if a.n > cap:
         raise ValueError(f"dense solve of dimension {a.n} exceeds cap {cap}")
-    w, v = sla.eigh(a.to_dense(), m.to_dense())
+    w, v = sla.eigh(*_dense_pencil(a, m), overwrite_a=True, overwrite_b=True)
     return EigenSolution(eigenvalues=w, eigenvectors=v,
                          residuals=_residuals(a, m, w, v), method="dense",
                          norm_a=a.norm_inf())
+
+
+def _dense_pencil(a: SparseSymMatrix, m: SparseSymMatrix
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Dense Fortran-ordered ``(A, M)``, which LAPACK may overwrite in place
+    instead of copying."""
+    return a.to_full().toarray(order="F"), m.to_full().toarray(order="F")
 
 
 def _residuals(a: SparseSymMatrix, m: SparseSymMatrix,
@@ -206,8 +213,8 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
             raise CompletenessError(
                 f"band of {n_neg} eigenvalues needs a subspace near the full "
                 f"dimension {n}, which exceeds the dense cap")
-        w, x = sla.eigh(a.to_dense(), m.to_dense(),
-                        subset_by_value=(-np.inf, req.lambda_max))
+        w, x = sla.eigh(*_dense_pencil(a, m), overwrite_a=True,
+                        overwrite_b=True, subset_by_value=(-np.inf, req.lambda_max))
         method = "dense-band"
     else:
         op_inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)

@@ -133,6 +133,8 @@ class Cell:
 
 EDGES = ("left", "right", "bottom", "top")
 
+_EDGE_ID = {edge: k for k, edge in enumerate(EDGES)}
+
 # (fixed coordinate name, fixed value) per reference edge; the other
 # coordinate is the edge parameter, increasing over [-1, 1].
 _EDGE_FIXED = {"left": ("xi", -1.0), "right": ("xi", 1.0),
@@ -235,31 +237,68 @@ class Mesh:
         return "\n".join(lines) + "\n"
 
     def validate(self) -> None:
-        """Geometric self-checks; raises on an inconsistent construction."""
-        coverage: dict[tuple[tuple[int, int], str], float] = {}
+        """Geometric self-checks; raises on an inconsistent construction.
+
+        All interfaces are checked in one batched pass: both sides of each
+        segment map to the same physical points modulo 2 pi, the stored
+        normal is opposite the neighbour's outward normal, and the ranges
+        on every edge that an interface touches cover it exactly once.  An
+        error names the first offending interface, or for coverage the
+        first offending ``(cell, edge)`` in interface order.
+        """
+        if not self.interfaces:
+            return
+        anchor = np.array([c.anchor for c in self.cells])
+        half_xi = np.array([c.half_xi for c in self.cells])
+        half_eta = np.array([c.half_eta for c in self.cells])
+        cells = np.array([(self._cell_of[itf.owner], self._cell_of[itf.neighbor])
+                          for itf in self.interfaces])
+        edges = np.array([(_EDGE_ID[itf.owner_edge], _EDGE_ID[itf.neighbor_edge])
+                          for itf in self.interfaces])
+        ranges = np.array([(itf.owner_range, itf.neighbor_range)
+                           for itf in self.interfaces])          # (F, side, 2)
+        normals = np.array([itf.normal for itf in self.interfaces])
+
+        # segment matching at a few parameters, with Cell.map_point's arithmetic
         ts = np.array([-1.0, -0.37, 0.58, 1.0])
-        for itf in self.interfaces:
-            own = self.cell(itf.owner)
-            nbr = self.cell(itf.neighbor)
-            a, b = itf.owner_range
-            c, d = itf.neighbor_range
-            coverage[(itf.owner, itf.owner_edge)] = \
-                coverage.get((itf.owner, itf.owner_edge), 0.0) + (b - a)
-            coverage[(itf.neighbor, itf.neighbor_edge)] = \
-                coverage.get((itf.neighbor, itf.neighbor_edge), 0.0) + (d - c)
-            to = a + (b - a) * (ts + 1.0) / 2.0
-            tn = c + (d - c) * (ts + 1.0) / 2.0
-            xo, yo = own.map_point(*edge_point(itf.owner_edge, to))
-            xn, yn = nbr.map_point(*edge_point(itf.neighbor_edge, tn))
-            if not np.all(_periodic_close(xo, xn) & _periodic_close(yo, yn)):
-                raise RuntimeError(f"interface segment mismatch: {itf}")
-            n_nbr = outward_normal(nbr, itf.neighbor_edge)
-            if not np.allclose(np.array(itf.normal), -n_nbr, atol=1e-13):
-                raise RuntimeError(f"interface normals not opposite: {itf}")
-        for (index, edge), total in coverage.items():
-            if abs(total - 2.0) > 1e-12:
-                raise RuntimeError(
-                    f"edge {edge} of cell {index} covered {total/2.0:.17g} times")
+        lo, hi = ranges[..., :1], ranges[..., 1:]
+        t = lo + (hi - lo) * (ts + 1.0) / 2.0                   # (F, side, 4)
+        xi, eta = np.empty_like(t), np.empty_like(t)
+        for k, name in enumerate(EDGES):
+            rows = edges == k
+            xi[rows], eta[rows] = edge_point(name, t[rows])
+        x, y = (anchor[cells, d, None] + half_xi[cells, d, None] * (xi + 1.0)
+                + half_eta[cells, d, None] * (eta + 1.0) for d in (0, 1))
+        seg_bad = ~np.all(_periodic_close(x[:, 0], x[:, 1])
+                          & _periodic_close(y[:, 0], y[:, 1]), axis=1)
+
+        # the neighbour's outward normal, once per distinct cell shape and edge
+        shapes, shape_of = np.unique(np.hstack([half_xi, half_eta]), axis=0,
+                                     return_inverse=True)
+        shape_of = shape_of.ravel()
+        first = [int(np.argmax(shape_of == s)) for s in range(len(shapes))]
+        templates = np.array([[outward_normal(self.cells[c], e) for e in EDGES]
+                              for c in first])
+        n_nbr = templates[shape_of[cells[:, 1]], edges[:, 1]]
+        normal_bad = ~np.all(np.isclose(normals, -n_nbr, atol=1e-13), axis=1)
+
+        bad = seg_bad | normal_bad
+        if bad.any():
+            k = int(np.argmax(bad))
+            what = "segment mismatch" if seg_bad[k] else "normals not opposite"
+            raise RuntimeError(f"interface {what}: {self.interfaces[k]}")
+
+        # coverage per (cell, edge), summed in interface order
+        keys = (cells * len(EDGES) + edges).ravel()
+        total = np.zeros(self.n_cells * len(EDGES))
+        np.add.at(total, keys, (hi - lo).ravel())
+        off = np.abs(total[keys] - 2.0) > 1e-12
+        if off.any():
+            key = int(keys[np.argmax(off)])
+            cell, edge = divmod(key, len(EDGES))
+            raise RuntimeError(
+                f"edge {EDGES[edge]} of cell {self.cells[cell].index} "
+                f"covered {total[key]/2.0:.17g} times")
 
 
 def _periodic_close(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> np.ndarray:

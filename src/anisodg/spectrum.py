@@ -24,7 +24,8 @@ from .basis import BasisSpec, dof_parallel, dof_perpendicular
 from .eigensolve import (BandRequest, EigenSolution, band_eig,
                          dense_generalized_eig)
 from .fields import CoefficientField, MagneticField
-from .geometry import FieldDirection, Mesh, MeshConfig, build_mesh
+from .geometry import (MERGE_TOL, TWO_PI, FieldDirection, Mesh, MeshConfig,
+                       build_mesh)
 
 log = logging.getLogger(__name__)
 
@@ -76,25 +77,57 @@ def exact_spectrum(b: FieldDirection, m_max: int = DEFAULT_MODE_BOUND,
     return ExactSpectrum(b=b, m_max=m_max, n_max=n_max, entries=entries)
 
 
+#: Columns projected per batch: the DFT buffer holds ``16 * n`` bytes per
+#: column, and the per-class products are ``n_loc x PROJECT_BLOCK`` GEMMs.
+PROJECT_BLOCK = 64
+
+
+def _tie_order(mode: tuple[int, int]) -> tuple[int, int, int]:
+    """Exact amplitude ties go to the smaller ``|m|+|n|``, then ``m``, then ``n``."""
+    return abs(mode[0]) + abs(mode[1]), mode[0], mode[1]
+
+
 class FourierProjector:
     """Projections of DG coefficient vectors onto Fourier modes.
 
     The moment of basis function ``P_a(xi) P_b(eta)`` against
     ``exp(i(mx+ny))`` factorizes over an affine cell into 1D integrals
     ``int P_a(t) exp(ict) dt = 2 i^a j_a(c)`` with spherical Bessel
-    functions, so the full moment matrix is assembled in closed form.
+    functions, so the moments of ``cells[0]`` are known in closed form.
+
+    Lattice assumption: cell ``i*ny + j`` is ``cells[0]`` translated by
+    ``(i dx, j dy)``, as ``build_mesh`` makes it.  The constructor checks
+    this and raises ``ValueError`` otherwise.  The moment of mode ``(m, n)``
+    against dof ``k`` of cell ``(i, j)`` then factors as
+
+        phase0[mode] * local[mode, k] * exp(2 pi i (m i / nx + n j / ny)),
+
+    where ``local`` holds the moments of ``cells[0]`` about its centre and
+    ``phase0`` is the unit-modulus phase of that centre, which no amplitude
+    depends on and which is therefore dropped.  A block of vectors is
+    projected by a 2D DFT over the two cell axes, then one product of
+    ``local`` with the transformed block per residue class
+    ``(m mod nx, n mod ny)``; no ``modes x n`` matrix is formed.  ``modes``
+    is stored in the tie order of ``argmax_mode``, so the first maximum is
+    the documented winner.
     """
 
     def __init__(self, mesh: Mesh, spec: BasisSpec,
                  m_max: int = DEFAULT_MODE_BOUND, n_max: int = DEFAULT_MODE_BOUND):
+        _check_lattice(mesh)
         self.mesh = mesh
         self.spec = spec
         self.m_max = m_max
         self.n_max = n_max
-        self.modes = canonical_modes(m_max, n_max)
-        self._moments = self._build_moments()
+        self.modes = sorted(canonical_modes(m_max, n_max), key=_tie_order)
+        self._local = self._build_local()
+        nx, ny = mesh.config.nx, mesh.config.ny
+        mn = np.array(self.modes)
+        residue = (mn[:, 0] % nx) * ny + mn[:, 1] % ny
+        self._classes = [(int(r) // ny, int(r) % ny, np.flatnonzero(residue == r))
+                         for r in np.unique(residue)]
 
-    def _build_moments(self) -> np.ndarray:
+    def _build_local(self) -> np.ndarray:
         mesh, spec = self.mesh, self.spec
         mm = np.array([mn[0] for mn in self.modes], dtype=float)
         nn = np.array([mn[1] for mn in self.modes], dtype=float)
@@ -119,38 +152,83 @@ class FourierProjector:
 
         f_xi = segment_factors(p_xi, c_xi)       # (p_xi+1, modes)
         f_eta = segment_factors(p_eta, c_eta)    # (p_eta+1, modes)
-        local = det * np.einsum("am,bm->mab", f_xi, f_eta).reshape(
+        return det * np.einsum("am,bm->mab", f_xi, f_eta).reshape(
             n_modes, spec.n_loc)
 
-        anchors = np.array([c.anchor for c in mesh.cells])  # (cells, 2)
-        phase = np.exp(1j * (np.outer(mm, anchors[:, 0])
-                             + np.outer(nn, anchors[:, 1])
-                             + (c_xi + c_eta)[:, None]))    # (modes, cells)
-        # moments[mode, cell*n_loc + k] = phase * local
-        moments = phase[:, :, None] * local[:, None, :]
-        return moments.reshape(n_modes, mesh.n_cells * spec.n_loc)
-
-    def amplitudes(self, vec: np.ndarray) -> np.ndarray:
-        """|projection| of a coefficient vector onto each canonical mode."""
-        if vec.shape[0] != self._moments.shape[1]:
+    def _columns(self, vecs: np.ndarray) -> np.ndarray:
+        n = self.mesh.n_cells * self.spec.n_loc
+        if vecs.shape[0] != n:
             raise ValueError(
-                f"vector dimension {vec.shape[0]} does not match the "
-                f"{self._moments.shape[1]} degrees of freedom")
-        return np.abs(self._moments @ vec)
+                f"vector dimension {vecs.shape[0]} does not match the "
+                f"{n} degrees of freedom")
+        return vecs[:, None] if vecs.ndim == 1 else vecs
+
+    def _project(self, block: np.ndarray) -> np.ndarray:
+        """``(modes, b)`` amplitudes of the ``b`` columns of ``block``."""
+        nx, ny = self.mesh.config.nx, self.mesh.config.ny
+        cells = block.T.reshape(-1, nx, ny, self.spec.n_loc)
+        # what[c, p, q, k] = sum_ij exp(2 pi i (p i / nx + q j / ny)) cells[c, i, j, k]
+        what = np.fft.ifft2(cells, axes=(1, 2), norm="forward")
+        out = np.empty((len(self.modes), block.shape[1]))
+        for p, q, rows in self._classes:
+            out[rows] = np.abs(self._local[rows] @ what[:, p, q, :].T)
+        return out
+
+    def amplitudes(self, vecs: np.ndarray) -> np.ndarray:
+        """|projection| onto each mode: ``(modes,)`` for a coefficient vector,
+        ``(modes, k)`` for the ``k`` columns of a block."""
+        vecs = np.asarray(vecs)
+        block = self._columns(vecs)
+        out = np.empty((len(self.modes), block.shape[1]))
+        for s in range(0, block.shape[1], PROJECT_BLOCK):
+            out[:, s:s + PROJECT_BLOCK] = self._project(block[:, s:s + PROJECT_BLOCK])
+        return out.reshape((len(self.modes),) + vecs.shape[1:])
 
     def amplitude_table(self, vec: np.ndarray) -> dict[tuple[int, int], float]:
         amps = self.amplitudes(vec)
         return {mode: float(a) for mode, a in zip(self.modes, amps)}
 
+    def argmax_modes(self, vecs: np.ndarray
+                     ) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """Best mode and its amplitude for each column of ``vecs``; ties
+        prefer small |m|+|n|, then small m."""
+        block = self._columns(np.asarray(vecs))
+        best = np.empty(block.shape[1], dtype=int)
+        amps = np.empty(block.shape[1])
+        for s in range(0, block.shape[1], PROJECT_BLOCK):
+            a = self._project(block[:, s:s + PROJECT_BLOCK])
+            best[s:s + PROJECT_BLOCK] = a.argmax(axis=0)
+            amps[s:s + PROJECT_BLOCK] = a.max(axis=0)
+        if np.any(amps <= 0.0):
+            raise ValueError("zero projection everywhere; cannot associate")
+        return [self.modes[i] for i in best], amps
+
     def argmax_mode(self, vec: np.ndarray) -> tuple[tuple[int, int], float]:
         """Best mode and its amplitude; ties prefer small |m|+|n|, then small m."""
-        amps = self.amplitudes(vec)
-        best = np.max(amps)
-        if best <= 0.0:
-            raise ValueError("zero projection everywhere; cannot associate")
-        tied = [mode for mode, a in zip(self.modes, amps) if a == best]
-        mode = min(tied, key=lambda mn: (abs(mn[0]) + abs(mn[1]), mn[0], mn[1]))
-        return mode, float(best)
+        modes, amps = self.argmax_modes(np.asarray(vec)[:, None])
+        return modes[0], float(amps[0])
+
+
+def _check_lattice(mesh: Mesh) -> None:
+    """Raise unless cell ``i*ny + j`` has index ``(i, j)`` and is ``cells[0]``
+    translated by ``(i dx, j dy)``, to within ``MERGE_TOL``."""
+    nx, ny = mesh.config.nx, mesh.config.ny
+    if mesh.n_cells != nx * ny:
+        raise ValueError(f"mesh has {mesh.n_cells} cells, not {nx}x{ny}")
+    ij = np.stack(np.divmod(np.arange(nx * ny), ny), axis=1)
+    index = np.array([c.index for c in mesh.cells])
+    anchors = np.array([c.anchor for c in mesh.cells])
+    maps = np.array([c.half_xi + c.half_eta for c in mesh.cells])
+    shift = anchors - anchors[0] - ij * (TWO_PI / nx, TWO_PI / ny)
+    bad = (np.any(index != ij, axis=1)
+           | np.any(np.abs(shift) > MERGE_TOL, axis=1)
+           | np.any(np.abs(maps - maps[0]) > MERGE_TOL, axis=1))
+    if bad.any():
+        cid = int(np.argmax(bad))
+        raise ValueError(
+            f"cell {cid} {mesh.cells[cid].index} is not cells[0] translated to "
+            f"lattice site {tuple(ij[cid].tolist())}; the Fourier projection "
+            f"needs cell i*ny + j at cells[0].anchor + (i dx, j dy)")
 
 
 @dataclass(frozen=True)
@@ -167,9 +245,9 @@ class Association:
 def associate_modes(solution: EigenSolution, projector: FourierProjector,
                     exact: ExactSpectrum | None = None) -> list[Association]:
     """Associate each eigenpair with its dominant Fourier mode."""
+    modes, amps = projector.argmax_modes(solution.eigenvectors)
     out = []
-    for idx in range(len(solution)):
-        mode, amp = projector.argmax_mode(solution.eigenvectors[:, idx])
+    for idx, (mode, amp) in enumerate(zip(modes, amps.tolist())):
         w2 = float(solution.eigenvalues[idx])
         if exact is None:
             out.append(Association(idx, w2, mode, amp, None, None, "none"))

@@ -9,6 +9,7 @@ and no transpose reuse.
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
+from scipy.special import spherical_jn
 
 from anisodg.geometry import edge_point
 
@@ -158,3 +159,31 @@ def oracle_reduced(mesh, spec, alpha, b_field, eta_s, nq=ORACLE_QUAD):
     c = grad - face
     a = c @ np.linalg.inv(mass_u) @ c.T + pen
     return (a + a.T) / 2.0, mass_phi
+
+
+def oracle_moments(mesh, spec, modes):
+    """Dense ``(modes, n)`` Fourier moments: row ``(m, n)`` times a coefficient
+    vector is its projection onto ``exp(i(mx+ny))``.
+
+    Each cell uses its own anchor and Jacobian, with no lattice structure:
+    ``m x + n y = m ax + n ay + c_xi (xi+1) + c_eta (eta+1)`` on the cell, so
+    its moment is the phase ``exp(i(m ax + n ay + c_xi + c_eta))`` times
+    ``det J`` times the 1D integrals ``int P_a(t) exp(ict) dt = 2 i^a j_a(c)``.
+    """
+    def segment(p, c):
+        sign = -1.0 if c < 0 else 1.0
+        return np.array([2.0 * 1j ** a * sign ** a * spherical_jn(a, abs(c))
+                         for a in range(p + 1)])
+
+    n_loc = spec.n_loc
+    out = np.zeros((len(modes), mesh.n_cells * n_loc), dtype=complex)
+    for row, (m, n) in enumerate(modes):
+        for cid, cell in enumerate(mesh.cells):
+            c_xi = m * cell.half_xi[0] + n * cell.half_xi[1]
+            c_eta = m * cell.half_eta[0] + n * cell.half_eta[1]
+            phase = np.exp(1j * (m * cell.anchor[0] + n * cell.anchor[1]
+                                 + c_xi + c_eta))
+            local = np.outer(segment(spec.p_xi, c_xi), segment(spec.p_eta, c_eta))
+            out[row, cid * n_loc:(cid + 1) * n_loc] = \
+                cell.jacobian_det * phase * local.ravel()
+    return out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -189,3 +190,48 @@ def test_summary_export():
     assert "cell (0,0) anchor=(0,0)" in lines
     assert ("iface (0,0):top[-1,1] -> (0,1):bottom[-1,1] hF=3.14159265359 "
             "n=(0,1)") in lines
+
+
+def _corrupt(mesh, k, **changes):
+    """Replace interface ``k`` by a copy with ``changes``; returns the copy."""
+    bad = dataclasses.replace(mesh.interfaces[k], **changes)
+    mesh.interfaces[k] = bad
+    return bad
+
+
+@pytest.mark.parametrize("alignment,b", [
+    (Alignment.BOTTOM_TOP, REF_B),
+    (Alignment.LEFT_RIGHT, FieldDirection(1.0, 1.7)),
+])
+def test_validate_names_first_mismatched_segment(alignment, b):
+    mesh = build_mesh(MeshConfig(3, 4, alignment, b))
+    k = len(mesh.interfaces) - 3          # a cross-field (split) interface
+    lo, hi = mesh.interfaces[k].neighbor_range
+    bad = _corrupt(mesh, k, neighbor_range=(lo + 0.25 * (hi - lo), hi))
+    later = _corrupt(mesh, k + 1, normal=(0.0, 0.0))
+    with pytest.raises(RuntimeError, match="segment mismatch") as err:
+        mesh.validate()
+    assert str(bad) in str(err.value) and str(later) not in str(err.value)
+
+
+def test_validate_names_interface_with_wrong_normal():
+    mesh = build_mesh(MeshConfig(3, 4, Alignment.BOTTOM_TOP, REF_B))
+    nx, ny = mesh.interfaces[7].normal
+    bad = _corrupt(mesh, 7, normal=(ny, nx))
+    with pytest.raises(RuntimeError, match="normals not opposite") as err:
+        mesh.validate()
+    assert str(bad) in str(err.value)
+
+
+def test_validate_names_undercovered_edge():
+    """Shrinking both ranges of one cartesian right/left interface keeps
+    its two sides matched but leaves a quarter of each edge uncovered; the
+    owner's edge is met first in interface order."""
+    mesh = build_mesh(MeshConfig(3, 4, Alignment.CARTESIAN, REF_B))
+    k = [k for k, itf in enumerate(mesh.interfaces) if itf.owner_edge == "right"][5]
+    itf = mesh.interfaces[k]
+    _corrupt(mesh, k, owner_range=(-1.0, 0.5), neighbor_range=(-1.0, 0.5))
+    with pytest.raises(RuntimeError,
+                       match=rf"edge right of cell \({itf.owner[0]}, "
+                             rf"{itf.owner[1]}\) covered 0.75 times"):
+        mesh.validate()

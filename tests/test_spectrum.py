@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from anisodg.basis import BasisSpec
 from anisodg.eigensolve import EigenSolution
 from anisodg.fields import CoefficientField
 from anisodg.geometry import Alignment, FieldDirection, MeshConfig, build_mesh
-from anisodg.spectrum import (ConvergenceRow, FourierProjector, SolveSetup,
-                              associate_modes, band_error_report,
+from anisodg.spectrum import (PROJECT_BLOCK, ConvergenceRow, FourierProjector,
+                              SolveSetup, associate_modes, band_error_report,
                               canonical_mode, compare_band_errors,
                               convergence_study, exact_spectrum,
                               least_squares_slope, mode_error_table,
@@ -136,6 +137,99 @@ def test_projector_amplitude_table():
     vec[::spec.n_loc] = 1.0
     table = proj.amplitude_table(vec)
     assert table[(0, 0)] == pytest.approx(4 * math.pi**2, rel=1e-12)
+
+
+PROJECTOR_MESHES = {
+    "bottom-top-4x4": (MeshConfig(4, 4, Alignment.BOTTOM_TOP, REF_B), BasisSpec(3, 3)),
+    "left-right-3x5": (MeshConfig(3, 5, Alignment.LEFT_RIGHT, FieldDirection(0.6, 1.3)),
+                       BasisSpec(2, 3)),
+    "cartesian-3x2": (MeshConfig(3, 2, Alignment.CARTESIAN, REF_B), BasisSpec(2, 1)),
+    "bottom-top-1x4": (MeshConfig(1, 4, Alignment.BOTTOM_TOP, REF_B), BasisSpec(2, 2)),
+    "left-right-4x1": (MeshConfig(4, 1, Alignment.LEFT_RIGHT, FieldDirection(1.0, 1.7)),
+                       BasisSpec(3, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTOR_MESHES))
+def test_factored_projector_matches_explicit_moments(name):
+    """The DFT-plus-residue-class projection equals the explicit
+    ``modes x n`` moment matrix; the 7x5 box is wider than every mesh, so
+    several modes share each residue class."""
+    config, spec = PROJECTOR_MESHES[name]
+    mesh = build_mesh(config)
+    proj = FourierProjector(mesh, spec, 7, 5)
+    block = np.random.default_rng(5).standard_normal((mesh.n_cells * spec.n_loc, 7))
+    want = np.abs(bf.oracle_moments(mesh, spec, proj.modes) @ block)
+    got = proj.amplitudes(block)
+    assert got.shape == want.shape == (len(proj.modes), 7)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+    assert np.allclose(proj.amplitudes(block[:, 3]), got[:, 3], rtol=0,
+                       atol=1e-12 * np.max(want))
+
+
+def test_batched_association_matches_per_column_argmax():
+    """More columns than one projection block: every association equals
+    the single-vector argmax."""
+    result = reference_solve(nx=2, ny=8, p=2, full_spectrum=True)
+    vecs = result.solution.eigenvectors
+    assert vecs.shape[1] > PROJECT_BLOCK
+    proj = FourierProjector(result.mesh, result.setup.spec, 20, 20)
+    for row in result.assoc:
+        mode, amp = proj.argmax_mode(vecs[:, row.index])
+        assert row.mode == mode
+        assert row.amplitude == pytest.approx(amp, rel=1e-12)
+
+
+def test_exact_tie_prefers_small_order_then_small_m():
+    """On the 1x1 cartesian p=1 mesh, P_1(xi) + P_1(eta) projects onto
+    (1, 0) and (0, 1) with bit-identical amplitudes; (0, 1) must win."""
+    mesh = build_mesh(MeshConfig(1, 1, Alignment.CARTESIAN, REF_B))
+    spec = BasisSpec(1, 1)
+    proj = FourierProjector(mesh, spec, 3, 3)
+    vec = np.array([0.0, 1.0, 1.0, 0.0])  # dofs (a, b) = (0,0), (0,1), (1,0), (1,1)
+    table = proj.amplitude_table(vec)
+    best = max(table.values())
+    assert table[(1, 0)] == table[(0, 1)] == best
+    assert {mode for mode, a in table.items() if a == best} == {(0, 1), (1, 0)}
+    assert proj.argmax_mode(vec) == ((0, 1), best)
+
+
+def test_tie_rule_on_crafted_amplitudes(monkeypatch):
+    """Ties between modes of different order, and of equal order and m,
+    resolve by (|m|+|n|, m, n), whatever the canonical enumeration order."""
+    mesh, spec, proj = build_projector(m_max=3, n_max=3)
+    ties = [[(0, 3), (2, 0), (1, -1)], [(2, -1), (1, 2), (0, 3)], [(1, 2), (1, -2)]]
+    amps = np.full((len(proj.modes), len(ties)), 0.5)
+    for col, modes in enumerate(ties):
+        for mode in modes:
+            amps[proj.modes.index(mode), col] = 2.0
+    monkeypatch.setattr(proj, "_project", lambda block: amps[:, :block.shape[1]])
+    vecs = np.zeros((mesh.n_cells * spec.n_loc, len(ties)))
+    modes, best = proj.argmax_modes(vecs)
+    assert modes == [(1, -1), (0, 3), (1, -2)]
+    assert list(best) == [2.0, 2.0, 2.0]
+
+
+def test_empty_solution_associates_to_nothing():
+    mesh, spec, proj = build_projector()
+    n = mesh.n_cells * spec.n_loc
+    empty = EigenSolution(eigenvalues=np.empty(0), eigenvectors=np.empty((n, 0)),
+                          residuals=np.empty(0), method="empty")
+    assert associate_modes(empty, proj, exact_spectrum(REF_B, 6, 6)) == []
+
+
+def test_projector_rejects_broken_lattice():
+    mesh = build_mesh(MeshConfig(3, 4, Alignment.BOTTOM_TOP, REF_B))
+    spec = BasisSpec(1, 1)
+    cells = list(mesh.cells)
+    moved = dataclasses.replace(cells[5], anchor=(cells[5].anchor[0] + 1e-6,
+                                                  cells[5].anchor[1]))
+    mesh.cells = cells[:5] + [moved] + cells[6:]
+    with pytest.raises(ValueError, match=r"cell 5 \(1, 1\)"):
+        FourierProjector(mesh, spec)
+    mesh.cells = [cells[0], cells[2], cells[1]] + cells[3:]
+    with pytest.raises(ValueError, match=r"cell 1 \(0, 2\)"):
+        FourierProjector(mesh, spec)
 
 
 def reference_solve(nx=4, ny=4, p=3, **kwargs):
