@@ -25,14 +25,16 @@ reference edge coordinates.  Contributions on field-tangent edges
 (``|b . n| <= 1e-14 |b|``) are skipped, so they are exactly zero.
 
 Every term is assembled in one batched pass, without a Python loop that
-evaluates bases or coefficients per cell or per interface.  All cells are
-translates of ``cells[0]``, so the volume terms share one set of basis
-tables and map their quadrature points from ``cells[0]`` by the cell
-anchors.  The interface and penalty terms share one trace pass over all
-field-crossing segments: it yields the jump trace ``[+own, -nbr]`` and
-the average trace ``[own, nbr] / 2``, the interface term pairs the jump
-with the average and the penalty pairs the jump with itself, and each is
-scattered into the global matrix by a single COO-to-CSR conversion.
+evaluates bases or coefficients per cell or per interface.  The mesh is a
+lattice: all cells are translates of ``mesh.cell0``, so the volume terms
+share one set of basis tables and map their quadrature points with
+``Mesh.map_points``.  The interface and penalty terms share one trace pass
+over the arrays of the field-crossing faces (``Mesh.faces``), with the
+basis traces evaluated once per face template: it yields the jump trace
+``[+own, -nbr]`` and the average trace ``[own, nbr] / 2``, the interface
+term pairs the jump with the average and the penalty pairs the jump with
+itself, and each is scattered into the global matrix by a single
+COO-to-CSR conversion.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import scipy.sparse as sp
 
 from .basis import BasisSpec, gauss_rule, tensor_basis_eval
 from .fields import CoefficientField, MagneticField
-from .geometry import ALIGNMENT_TOL, Mesh, _periodic_close, edge_point
+from .geometry import ALIGNMENT_TOL, Faces, Mesh, _sides_apart
 
 #: Assembled entries below this times the matrix max are dropped.
 DROP_TOL = 1e-15
@@ -134,22 +136,6 @@ class OperatorSet:
 # shared tables
 
 
-def _map_points(mesh: Mesh, cell_ids: np.ndarray, xi, eta):
-    """Physical (x, y) of reference points in the cells ``cell_ids``.
-
-    All cells are translates of ``cells[0]``: they share its Jacobian and
-    differ only in their anchors.  Row ``k`` of ``xi``/``eta`` (shape
-    ``(len(cell_ids), q)``, or ``(q,)`` for the same points in every cell)
-    is mapped through cell ``cell_ids[k]``, with the arithmetic of
-    ``Cell.map_point``.
-    """
-    cell0 = mesh.cells[0]
-    anchors = np.array([c.anchor for c in mesh.cells]).reshape(-1, 2)[cell_ids]
-    x = anchors[:, :1] + cell0.half_xi[0] * (xi + 1.0) + cell0.half_eta[0] * (eta + 1.0)
-    y = anchors[:, 1:] + cell0.half_xi[1] * (xi + 1.0) + cell0.half_eta[1] * (eta + 1.0)
-    return x, y
-
-
 def _scatter(dofs: np.ndarray, blocks: np.ndarray, n: int) -> sp.csr_matrix:
     """Sum ``blocks[k]`` into the rows and columns ``dofs[k]`` of an n x n matrix."""
     rows = np.broadcast_to(dofs[:, :, None], blocks.shape)
@@ -174,8 +160,8 @@ def _volume_tables(spec: BasisSpec, n_quad: int):
 
 def _volume_weights(mesh: Mesh, coeff: CoefficientField, xi, eta, wq):
     """Quadrature weights ``(n_cells, q)`` including ``det J`` and a coefficient."""
-    x, y = _map_points(mesh, np.arange(mesh.n_cells), xi, eta)
-    return wq * mesh.cells[0].jacobian_det * coeff.eval(x, y)
+    x, y = mesh.map_points(np.arange(mesh.n_cells), xi, eta)
+    return wq * mesh.cell0.jacobian_det * coeff.eval(x, y)
 
 
 def assemble_mass_u(mesh: Mesh, spec: BasisSpec) -> np.ndarray:
@@ -183,7 +169,7 @@ def assemble_mass_u(mesh: Mesh, spec: BasisSpec) -> np.ndarray:
     diagonal: ``det J * 2/(2a+1) * 2/(2b+1)`` for the Legendre mode ``(a, b)``."""
     norms_xi = 2.0 / (2 * np.arange(spec.p_xi + 1) + 1)
     norms_eta = 2.0 / (2 * np.arange(spec.p_eta + 1) + 1)
-    local = mesh.cells[0].jacobian_det * np.outer(norms_xi, norms_eta).ravel()
+    local = mesh.cell0.jacobian_det * np.outer(norms_xi, norms_eta).ravel()
     return np.tile(local, mesh.n_cells)
 
 
@@ -210,7 +196,7 @@ def assemble_gradient(mesh: Mesh, spec: BasisSpec, B: MagneticField,
     n_quad = n_quad or default_quad_points(spec)
     xi, eta, wq, vals, grads = _volume_tables(spec, n_quad)
     # b expressed in reference-gradient components: (J^{-1} b) . grad_ref
-    c = np.linalg.solve(mesh.cells[0].jacobian, B.b.as_array())
+    c = np.linalg.solve(mesh.cell0.jacobian, B.b.as_array())
     b_dot_grad = grads @ c  # (q, n_loc)
     w = _volume_weights(mesh, B.beta, xi, eta, wq)
     blocks = np.einsum("cq,qi,qj->cij", w, b_dot_grad, vals)
@@ -222,71 +208,53 @@ def assemble_gradient(mesh: Mesh, spec: BasisSpec, B: MagneticField,
 # interface terms
 
 
-def _side_points(mesh: Mesh, interfaces, side: str, s: np.ndarray):
-    """Reference and physical points of the segment nodes on one side.
-
-    ``side`` is ``"owner"`` or ``"neighbor"``; ``s`` are the nodes as
-    fractions of each segment.  Returns ``(xi, eta, x, y)``, each ``(F, q)``.
-    """
-    cells = np.array([mesh.cell_id(getattr(itf, side)) for itf in interfaces], dtype=int)
-    edges = np.array([getattr(itf, f"{side}_edge") for itf in interfaces])
-    ranges = np.array([getattr(itf, f"{side}_range") for itf in interfaces]).reshape(-1, 2)
-    t = ranges[:, :1] + (ranges[:, 1:] - ranges[:, :1]) * s
-    xi, eta = np.empty_like(t), np.empty_like(t)
-    for name in set(edges.tolist()):
-        rows = edges == name
-        xi[rows], eta[rows] = edge_point(name, t[rows])
-    return (xi, eta) + _map_points(mesh, cells, xi, eta)
-
-
-def face_quadrature(mesh: Mesh, spec: BasisSpec, interfaces, n_quad: int):
-    """Traces and weights on a sequence of F interface segments.
+def face_quadrature(mesh: Mesh, spec: BasisSpec, faces: Faces, n_quad: int):
+    """Traces and weights on the faces ``faces`` (rows of ``mesh.faces``).
 
     Returns ``(w, x, y, vals_own, vals_nbr)``: weights and owner-side
     physical points of shape ``(F, q)`` and traces of shape
     ``(F, q, n_loc)``.  ``w`` includes the physical surface measure
     ``h_F/2``, and the traces are evaluated at matching points of both
-    reference edges.  Raises, naming the first offending interface, if the
-    two sides of an interface do not map onto the same physical segment.
+    reference edges, once per template.  Raises, naming the first offending
+    face, if the two sides of a face do not map onto the same physical
+    segment.
     """
     rule = gauss_rule(n_quad)
     s = (rule.nodes + 1.0) / 2.0
-    xi_o, eta_o, xo, yo = _side_points(mesh, interfaces, "owner", s)
-    xi_n, eta_n, xn, yn = _side_points(mesh, interfaces, "neighbor", s)
-    bad = ~np.all(_periodic_close(xo, xn) & _periodic_close(yo, yn), axis=1)
+    xi, eta, x, y = mesh.face_points(faces, s)
+    bad = _sides_apart(x, y)
     if np.any(bad):
-        itf = interfaces[int(np.argmax(bad))]
+        itf = mesh.interfaces_of(faces.take([int(np.argmax(bad))]))[0]
         raise AssemblyError(f"owner/neighbor segment mapping mismatch on {itf}")
-    vals_own, _ = tensor_basis_eval(spec, xi_o, eta_o)
-    vals_nbr, _ = tensor_basis_eval(spec, xi_n, eta_n)
-    h_f = np.array([itf.h_F for itf in interfaces])
-    w = rule.weights * (h_f[:, None] / 2.0)
-    return w, xo, yo, vals_own, vals_nbr
+    # the faces of one template share their reference points
+    _, first, template = np.unique(faces.template, return_index=True,
+                                   return_inverse=True)
+    vals = tensor_basis_eval(spec, xi[first], eta[first])[0][template]
+    w = rule.weights * (faces.h_F[:, None] / 2.0)
+    return w, x[:, 0], y[:, 0], vals[:, 0], vals[:, 1]
 
 
 def _crossing_traces(mesh: Mesh, spec: BasisSpec, B: MagneticField, n_quad: int):
-    """One batched trace pass over the interfaces that the field crosses.
+    """One batched trace pass over the faces that the field crosses.
 
-    Edges with ``|b . n| <= ALIGNMENT_TOL |b|`` are field-tangent and
+    Faces with ``|b . n| <= ALIGNMENT_TOL |b|`` are field-tangent and
     skipped, so they contribute exactly zero.  Returns ``(dofs, w, bn_beta,
     h_F, jump, avg)``: the dofs ``[owner | neighbour]`` ``(F, 2 n_loc)``,
     the weights and ``(b . n) beta`` ``(F, q)``, the segment lengths
     ``(F,)``, the jump trace ``[+own, -nbr]`` and the average trace
     ``[own, nbr] / 2``, both ``(F, q, 2 n_loc)``.
     """
-    normals = np.array([itf.normal for itf in mesh.interfaces]).reshape(-1, 2)
-    bn = B.b.b1 * normals[:, 0] + B.b.b2 * normals[:, 1]
+    faces = mesh.faces
+    bn = B.b.b1 * faces.normal[:, 0] + B.b.b2 * faces.normal[:, 1]
     crossing = np.abs(bn) > ALIGNMENT_TOL * B.b.norm
-    faces = [itf for itf, keep in zip(mesh.interfaces, crossing) if keep]
+    faces = faces.take(crossing)
     w, x, y, vo, vn = face_quadrature(mesh, spec, faces, n_quad)
     bn_beta = bn[crossing][:, None] * B.beta.eval(x, y)
-    cells = np.array([[mesh.cell_id(itf.owner), mesh.cell_id(itf.neighbor)]
-                      for itf in faces], dtype=int).reshape(-1, 2, 1)
-    dofs = (cells * spec.n_loc + np.arange(spec.n_loc)).reshape(len(faces), -1)
-    h_f = np.array([itf.h_F for itf in faces])
+    dofs = (faces.cells[:, :, None] * spec.n_loc
+            + np.arange(spec.n_loc)).reshape(len(w), -1)
     jump = np.concatenate([vo, -vn], axis=-1)
     avg = np.concatenate([vo, vn], axis=-1) / 2.0
-    return dofs, w, bn_beta, h_f, jump, avg
+    return dofs, w, bn_beta, faces.h_F, jump, avg
 
 
 def assemble_face_terms(mesh: Mesh, spec: BasisSpec, B: MagneticField,

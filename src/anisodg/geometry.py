@@ -12,6 +12,11 @@ Meshes are structured Nx-by-Ny tilings.  Cells can be axis-parallel
 * ``aligned_left_right``: the mirrored construction with the roles of x/y
   and (b1, b2) swapped.
 
+A ``Mesh`` is stored as its lattice: one cell ``cell0``, whose translates
+are all cells, and at most three face templates (the interfaces of cell
+``(0, 0)``: the aligned one and one or two cross-field sub-segments), which
+every cell owns translated by its lattice index.
+
 Every cell carries an affine map from the reference square
 ``(xi, eta) in [-1, 1]^2``.  The xi direction is always the field-aligned
 one, and the map is oriented so its Jacobian determinant is ``dx*dy/4 > 0``.
@@ -24,8 +29,10 @@ may split).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -189,34 +196,144 @@ class Interface:
     h_F: float
 
 
-@dataclass
-class Mesh:
-    config: MeshConfig
-    cells: list[Cell]
-    interfaces: list[Interface]
-    _cell_of: dict = field(default_factory=dict, repr=False)
+class Faces(NamedTuple):
+    """Interfaces as arrays, one row per face.
 
-    def __post_init__(self):
-        self._cell_of = {c.index: k for k, c in enumerate(self.cells)}
+    On ``Mesh.faces`` row ``c * T + t`` is template ``t`` of the ``T``
+    owned by cell ``c``.  Pairs are ``(owner, neighbour)``; edges are
+    indices into ``EDGES``.
+    """
+
+    template: np.ndarray  # (F,) index into Mesh.templates
+    cells: np.ndarray     # (F, 2) cell ids
+    edges: np.ndarray     # (F, 2)
+    ranges: np.ndarray    # (F, 2, 2) edge parameter ranges
+    normal: np.ndarray    # (F, 2) owner's outward normal
+    h_F: np.ndarray       # (F,)
+
+    def take(self, rows) -> Faces:
+        """The faces ``rows`` (an index or mask array), as copies."""
+        return Faces(*(a[rows] for a in self))
+
+
+def _anchors(config: MeshConfig, i, j):
+    """Anchor of cell ``(i, j)``: its bottom-left vertex, or for left/right
+    alignment its bottom-right one, which keeps the map positively oriented
+    with xi along b."""
+    if config.alignment == Alignment.LEFT_RIGHT:
+        i = i + 1
+    return i * (TWO_PI / config.nx), j * (TWO_PI / config.ny)
+
+
+@dataclass(frozen=True)
+class Mesh:
+    """The lattice of one cell and at most three interface templates.
+
+    Cell ``(i, j)``, with id ``i*ny + j``, is ``cell0`` translated to its
+    anchor.  The templates are the interfaces that cell ``(0, 0)`` owns;
+    cell ``(i, j)`` owns their translates by ``(i, j)`` (modulo
+    ``(nx, ny)``).  ``anchors`` and ``faces`` (arrays) and ``cells`` and
+    ``interfaces`` (records) are derived on first use.
+    """
+
+    config: MeshConfig
+    cell0: Cell
+    templates: tuple[Interface, ...]
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return self.config.nx * self.config.ny
+
+    @cached_property
+    def anchors(self) -> np.ndarray:
+        """``(n_cells, 2)`` cell anchors."""
+        i, j = np.divmod(np.arange(self.n_cells), self.config.ny)
+        return np.stack(_anchors(self.config, i, j), axis=1)
+
+    @cached_property
+    def cells(self) -> tuple[Cell, ...]:
+        ny = self.config.ny
+        return tuple(Cell(index=divmod(k, ny), anchor=tuple(a),
+                          half_xi=self.cell0.half_xi, half_eta=self.cell0.half_eta)
+                     for k, a in enumerate(self.anchors.tolist()))
+
+    @cached_property
+    def faces(self) -> Faces:
+        nx, ny = self.config.nx, self.config.ny
+        i, j = np.divmod(np.arange(self.n_cells), ny)
+        tpl = self.templates
+        template = np.tile(np.arange(len(tpl)), self.n_cells)
+        neighbor = np.stack([(i + t.neighbor[0]) % nx * ny + (j + t.neighbor[1]) % ny
+                             for t in tpl], axis=1).ravel()
+        owner = np.repeat(np.arange(self.n_cells), len(tpl))
+        edges = [(_EDGE_ID[t.owner_edge], _EDGE_ID[t.neighbor_edge]) for t in tpl]
+        return Faces(template=template,
+                     cells=np.stack([owner, neighbor], axis=1),
+                     edges=np.array(edges)[template],
+                     ranges=np.array([(t.owner_range, t.neighbor_range) for t in tpl])[template],
+                     normal=np.array([t.normal for t in tpl])[template],
+                     h_F=np.array([t.h_F for t in tpl])[template])
+
+    @cached_property
+    def interfaces(self) -> tuple[Interface, ...]:
+        return tuple(self.interfaces_of(self.faces))
+
+    def interfaces_of(self, faces: Faces) -> list[Interface]:
+        """The rows of ``faces`` as ``Interface`` records."""
+        ny = self.config.ny
+        return [Interface(owner=divmod(own, ny), neighbor=divmod(nbr, ny),
+                          owner_edge=EDGES[e_own], neighbor_edge=EDGES[e_nbr],
+                          owner_range=tuple(r_own), neighbor_range=tuple(r_nbr),
+                          normal=tuple(normal), h_F=h_f)
+                for (own, nbr), (e_own, e_nbr), (r_own, r_nbr), normal, h_f
+                in zip(faces.cells.tolist(), faces.edges.tolist(),
+                       faces.ranges.tolist(), faces.normal.tolist(),
+                       faces.h_F.tolist())]
 
     def cell_id(self, index: tuple[int, int]) -> int:
-        return self._cell_of[index]
+        i, j = index
+        if not (0 <= i < self.config.nx and 0 <= j < self.config.ny):
+            raise KeyError(index)
+        return i * self.config.ny + j
 
     def cell(self, index: tuple[int, int]) -> Cell:
-        return self.cells[self._cell_of[index]]
+        return self.cells[self.cell_id(index)]
+
+    def map_points(self, cell_ids: np.ndarray, xi, eta):
+        """Physical (x, y) of reference points in the cells ``cell_ids``.
+
+        ``xi`` and ``eta`` broadcast against ``cell_ids[..., None]``: their
+        last axis runs over the points of each cell.  The arithmetic is that
+        of ``Cell.map_point``; points are not wrapped into the period.
+        """
+        anchors = self.anchors[cell_ids]
+        hx, he = self.cell0.half_xi, self.cell0.half_eta
+        x = anchors[..., :1] + hx[0] * (xi + 1.0) + he[0] * (eta + 1.0)
+        y = anchors[..., 1:] + hx[1] * (xi + 1.0) + he[1] * (eta + 1.0)
+        return x, y
+
+    def face_points(self, faces: Faces, s: np.ndarray):
+        """Points at the fractions ``s`` of each face, on both of its sides.
+
+        Returns ``(xi, eta, x, y)``, each ``(F, 2, len(s))`` with the owner
+        side first.
+        """
+        lo, hi = faces.ranges[..., :1], faces.ranges[..., 1:]
+        t = lo + (hi - lo) * s
+        xi, eta = np.empty_like(t), np.empty_like(t)
+        for k, name in enumerate(EDGES):
+            rows = faces.edges == k
+            xi[rows], eta[rows] = edge_point(name, t[rows])
+        return (xi, eta) + self.map_points(faces.cells, xi, eta)
 
     def is_conforming(self) -> bool:
-        return all(itf.owner_range == (-1.0, 1.0) for itf in self.interfaces)
+        return all(t.owner_range == (-1.0, 1.0) for t in self.templates)
 
     def total_interface_length(self) -> float:
-        return sum(itf.h_F for itf in self.interfaces)
+        return self.n_cells * sum(t.h_F for t in self.templates)
 
     def total_cell_area(self) -> float:
-        return sum(4.0 * c.jacobian_det for c in self.cells)
+        return self.n_cells * 4.0 * self.cell0.jacobian_det
 
     def summary(self) -> str:
         """Plain-text dump of cells and interfaces, for debugging and golden tests."""
@@ -237,67 +354,39 @@ class Mesh:
         return "\n".join(lines) + "\n"
 
     def validate(self) -> None:
-        """Geometric self-checks; raises on an inconsistent construction.
+        """Geometric self-checks of ``faces``; raises on an inconsistent one.
 
-        All interfaces are checked in one batched pass: both sides of each
+        Every face is checked in one batched pass: both sides of each
         segment map to the same physical points modulo 2 pi, the stored
         normal is opposite the neighbour's outward normal, and the ranges
-        on every edge that an interface touches cover it exactly once.  An
-        error names the first offending interface, or for coverage the
-        first offending ``(cell, edge)`` in interface order.
+        on every edge that a face touches cover it exactly once.  An error
+        names the first offending face, or for coverage the first offending
+        ``(cell, edge)`` in face order.
         """
-        if not self.interfaces:
-            return
-        anchor = np.array([c.anchor for c in self.cells])
-        half_xi = np.array([c.half_xi for c in self.cells])
-        half_eta = np.array([c.half_eta for c in self.cells])
-        cells = np.array([(self._cell_of[itf.owner], self._cell_of[itf.neighbor])
-                          for itf in self.interfaces])
-        edges = np.array([(_EDGE_ID[itf.owner_edge], _EDGE_ID[itf.neighbor_edge])
-                          for itf in self.interfaces])
-        ranges = np.array([(itf.owner_range, itf.neighbor_range)
-                           for itf in self.interfaces])          # (F, side, 2)
-        normals = np.array([itf.normal for itf in self.interfaces])
-
-        # segment matching at a few parameters, with Cell.map_point's arithmetic
-        ts = np.array([-1.0, -0.37, 0.58, 1.0])
-        lo, hi = ranges[..., :1], ranges[..., 1:]
-        t = lo + (hi - lo) * (ts + 1.0) / 2.0                   # (F, side, 4)
-        xi, eta = np.empty_like(t), np.empty_like(t)
-        for k, name in enumerate(EDGES):
-            rows = edges == k
-            xi[rows], eta[rows] = edge_point(name, t[rows])
-        x, y = (anchor[cells, d, None] + half_xi[cells, d, None] * (xi + 1.0)
-                + half_eta[cells, d, None] * (eta + 1.0) for d in (0, 1))
-        seg_bad = ~np.all(_periodic_close(x[:, 0], x[:, 1])
-                          & _periodic_close(y[:, 0], y[:, 1]), axis=1)
-
-        # the neighbour's outward normal, once per distinct cell shape and edge
-        shapes, shape_of = np.unique(np.hstack([half_xi, half_eta]), axis=0,
-                                     return_inverse=True)
-        shape_of = shape_of.ravel()
-        first = [int(np.argmax(shape_of == s)) for s in range(len(shapes))]
-        templates = np.array([[outward_normal(self.cells[c], e) for e in EDGES]
-                              for c in first])
-        n_nbr = templates[shape_of[cells[:, 1]], edges[:, 1]]
-        normal_bad = ~np.all(np.isclose(normals, -n_nbr, atol=1e-13), axis=1)
-
+        faces = self.faces
+        _, _, x, y = self.face_points(faces, np.array([0.0, 0.315, 0.79, 1.0]))
+        seg_bad = _sides_apart(x, y)
+        # all cells share cell0's outward normals
+        normals = np.array([outward_normal(self.cell0, e) for e in EDGES])
+        normal_bad = ~np.all(np.isclose(faces.normal, -normals[faces.edges[:, 1]],
+                                        atol=1e-13), axis=1)
         bad = seg_bad | normal_bad
         if bad.any():
             k = int(np.argmax(bad))
             what = "segment mismatch" if seg_bad[k] else "normals not opposite"
-            raise RuntimeError(f"interface {what}: {self.interfaces[k]}")
+            raise RuntimeError(
+                f"interface {what}: {self.interfaces_of(faces.take([k]))[0]}")
 
-        # coverage per (cell, edge), summed in interface order
-        keys = (cells * len(EDGES) + edges).ravel()
+        # coverage per (cell, edge), summed in face order
+        keys = (faces.cells * len(EDGES) + faces.edges).ravel()
         total = np.zeros(self.n_cells * len(EDGES))
-        np.add.at(total, keys, (hi - lo).ravel())
+        np.add.at(total, keys, np.diff(faces.ranges, axis=-1).ravel())
         off = np.abs(total[keys] - 2.0) > 1e-12
         if off.any():
             key = int(keys[np.argmax(off)])
             cell, edge = divmod(key, len(EDGES))
             raise RuntimeError(
-                f"edge {EDGES[edge]} of cell {self.cells[cell].index} "
+                f"edge {EDGES[edge]} of cell {divmod(cell, self.config.ny)} "
                 f"covered {total[key]/2.0:.17g} times")
 
 
@@ -307,126 +396,70 @@ def _periodic_close(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> np.ndarr
     return np.minimum(d, TWO_PI - d) <= tol
 
 
+def _sides_apart(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``(F,)`` mask of the faces whose two sides' points ``(F, 2, q)`` (as
+    from ``Mesh.face_points``) differ modulo 2 pi."""
+    return ~np.all(_periodic_close(x[:, 0], x[:, 1])
+                   & _periodic_close(y[:, 0], y[:, 1]), axis=1)
+
+
 def build_mesh(config: MeshConfig) -> Mesh:
     """Build the periodic mesh and resolve all (possibly split) interfaces."""
-    nx, ny = config.nx, config.ny
-    dx, dy = TWO_PI / nx, TWO_PI / ny
+    dx, dy = TWO_PI / config.nx, TWO_PI / config.ny
     b1, b2 = config.b.b1, config.b.b2
-
     if config.alignment == Alignment.LEFT_RIGHT:
         half_xi = ((b1 / b2) * dy / 2.0, dy / 2.0)
         half_eta = (-dx / 2.0, 0.0)
-
-        # anchor at the bottom-right vertex keeps the map positively oriented
-        # with xi along b
-        def anchor(i, j):
-            return ((i + 1) * dx, j * dy)
     else:
         rise = 0.0 if config.alignment == Alignment.CARTESIAN else (b2 / b1) * dx
         half_xi = (dx / 2.0, rise / 2.0)
         half_eta = (0.0, dy / 2.0)
-
-        def anchor(i, j):
-            return (i * dx, j * dy)
-
-    cells = [Cell(index=(i, j), anchor=anchor(i, j), half_xi=half_xi,
-                  half_eta=half_eta)
-             for i in range(nx) for j in range(ny)]
-
-    mesh = Mesh(config=config, cells=cells, interfaces=[])
-    mesh.interfaces.extend(_aligned_family(mesh))
-    mesh.interfaces.extend(_cross_family(mesh))
+    cell0 = Cell(index=(0, 0), anchor=_anchors(config, 0, 0), half_xi=half_xi,
+                 half_eta=half_eta)
+    mesh = Mesh(config=config, cell0=cell0, templates=_face_templates(config, cell0))
     mesh.validate()
     return mesh
 
 
-def _aligned_family(mesh: Mesh) -> list[Interface]:
-    """Conforming top/bottom interfaces (the aligned edges, or horizontal for
-    cartesian)."""
-    cfg = mesh.config
-    nx, ny = cfg.nx, cfg.ny
-    out = []
-    for i in range(nx):
-        for j in range(ny):
-            owner = (i, j)
-            if cfg.alignment == Alignment.LEFT_RIGHT:
-                # reference-top edge = physical left edge; the cell beyond it
-                # is the previous column
-                neighbor = ((i - 1) % nx, j)
-            else:
-                neighbor = (i, (j + 1) % ny)
-            cell = mesh.cell(owner)
-            h_f = 2.0 * math.hypot(*cell.half_xi)
-            out.append(Interface(
-                owner=owner, neighbor=neighbor,
-                owner_edge="top", neighbor_edge="bottom",
-                owner_range=(-1.0, 1.0), neighbor_range=(-1.0, 1.0),
-                normal=tuple(outward_normal(cell, "top")),
-                h_F=h_f))
-    return out
+def _face_templates(config: MeshConfig, cell0: Cell) -> tuple[Interface, ...]:
+    """The interfaces of cell ``(0, 0)``: the aligned one, then the
+    cross-field one or two.
 
-
-def _cross_family(mesh: Mesh) -> list[Interface]:
-    """Right/left interfaces along the cross-field lines, split as needed.
-
-    On each line the owner edges cover ``[k + offset, k + offset + 1)`` and
-    the neighbour edges ``[k, k + 1)`` in units of the edge width, on a
-    circle of circumference n.  A non-integer offset splits every edge into
-    two sub-segments with fractions ``g`` and ``1 - g``.
+    The aligned (top/bottom) edges are conforming.  On each cross-field line
+    the owner (right) edges cover ``[k + offset, k + offset + 1)`` and the
+    neighbour (left) edges of the next line ``[k, k + 1)``, in units of the
+    edge width.  A non-integer offset splits every right edge into two
+    sub-segments with fractions ``1 - g`` and ``g``, against the left edges
+    ``floor(offset)`` and ``floor(offset) + 1`` slots along.
     """
-    cfg = mesh.config
-    nx, ny = cfg.nx, cfg.ny
-    b1, b2 = cfg.b.b1, cfg.b.b2
-
-    if cfg.alignment == Alignment.LEFT_RIGHT:
-        n_lines, n_edges, width = ny, nx, TWO_PI / nx
-        offset = -(b1 / b2) * (nx / ny)
+    nx, ny = config.nx, config.ny
+    b1, b2 = config.b.b1, config.b.b2
+    left_right = config.alignment == Alignment.LEFT_RIGHT
+    if left_right:
+        width, offset = TWO_PI / nx, -(b1 / b2) * (nx / ny)
     else:
-        n_lines, n_edges, width = nx, ny, TWO_PI / ny
-        offset = 0.0 if cfg.alignment == Alignment.CARTESIAN else (b2 / b1) * (ny / nx)
+        width = TWO_PI / ny
+        offset = 0.0 if config.alignment == Alignment.CARTESIAN else (b2 / b1) * (ny / nx)
 
+    def face(owner_edge, neighbor_edge, owner_range, neighbor_range, h_f, line, slot):
+        # left/right: lines are rows and slots run down the columns, so the
+        # reference-top (physical left) neighbour is the previous column
+        di, dj = (-slot, line) if left_right else (line, slot)
+        return Interface(owner=(0, 0), neighbor=(di % nx, dj % ny),
+                         owner_edge=owner_edge, neighbor_edge=neighbor_edge,
+                         owner_range=owner_range, neighbor_range=neighbor_range,
+                         normal=tuple(outward_normal(cell0, owner_edge)), h_F=h_f)
+
+    full = (-1.0, 1.0)
+    out = [face("top", "bottom", full, full, 2.0 * math.hypot(*cell0.half_xi), 0, 1)]
     merge = MERGE_TOL / width
     g = offset % 1.0
-    conforming = g <= merge or 1.0 - g <= merge
-    shift = round(offset) if conforming else math.floor(offset)
-
-    out = []
-    for line in range(n_lines):
-        for k in range(n_edges):
-            if cfg.alignment == Alignment.LEFT_RIGHT:
-                own = ((n_edges - 1 - k) % n_edges, line)
-                nbr_line = (line + 1) % n_lines
-
-                def nbr_of(slot):
-                    return ((n_edges - 1 - slot % n_edges) % n_edges, nbr_line)
-            else:
-                own = (line, k)
-                nbr_line = (line + 1) % n_lines
-
-                def nbr_of(slot):
-                    return (nbr_line, slot % n_edges)
-
-            cell = mesh.cell(own)
-            normal = tuple(outward_normal(cell, "right"))
-            if conforming:
-                slot = k + shift
-                out.append(Interface(
-                    owner=own, neighbor=nbr_of(slot),
-                    owner_edge="right", neighbor_edge="left",
-                    owner_range=(-1.0, 1.0), neighbor_range=(-1.0, 1.0),
-                    normal=normal, h_F=width))
-            else:
-                lo = k + shift  # owner edge spans [lo + g, lo + g + 1)
-                out.append(Interface(
-                    owner=own, neighbor=nbr_of(lo),
-                    owner_edge="right", neighbor_edge="left",
-                    owner_range=(-1.0, 1.0 - 2.0 * g),
-                    neighbor_range=(-1.0 + 2.0 * g, 1.0),
-                    normal=normal, h_F=width * (1.0 - g)))
-                out.append(Interface(
-                    owner=own, neighbor=nbr_of(lo + 1),
-                    owner_edge="right", neighbor_edge="left",
-                    owner_range=(1.0 - 2.0 * g, 1.0),
-                    neighbor_range=(-1.0, -1.0 + 2.0 * g),
-                    normal=normal, h_F=width * g))
-    return out
+    if g <= merge or 1.0 - g <= merge:
+        out.append(face("right", "left", full, full, width, 1, round(offset)))
+    else:
+        lo = math.floor(offset)
+        out += [face("right", "left", (-1.0, 1.0 - 2.0 * g), (-1.0 + 2.0 * g, 1.0),
+                     width * (1.0 - g), 1, lo),
+                face("right", "left", (1.0 - 2.0 * g, 1.0), (-1.0, -1.0 + 2.0 * g),
+                     width * g, 1, lo + 1)]
+    return tuple(out)

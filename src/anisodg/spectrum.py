@@ -24,8 +24,7 @@ from .basis import BasisSpec, dof_parallel, dof_perpendicular
 from .eigensolve import (BandRequest, EigenSolution, band_eig,
                          dense_generalized_eig)
 from .fields import CoefficientField, MagneticField
-from .geometry import (MERGE_TOL, TWO_PI, FieldDirection, Mesh, MeshConfig,
-                       build_mesh)
+from .geometry import FieldDirection, Mesh, MeshConfig, build_mesh
 
 log = logging.getLogger(__name__)
 
@@ -93,16 +92,15 @@ class FourierProjector:
     The moment of basis function ``P_a(xi) P_b(eta)`` against
     ``exp(i(mx+ny))`` factorizes over an affine cell into 1D integrals
     ``int P_a(t) exp(ict) dt = 2 i^a j_a(c)`` with spherical Bessel
-    functions, so the moments of ``cells[0]`` are known in closed form.
+    functions, so the moments of ``mesh.cell0`` are known in closed form.
 
-    Lattice assumption: cell ``i*ny + j`` is ``cells[0]`` translated by
-    ``(i dx, j dy)``, as ``build_mesh`` makes it.  The constructor checks
-    this and raises ``ValueError`` otherwise.  The moment of mode ``(m, n)``
-    against dof ``k`` of cell ``(i, j)`` then factors as
+    A ``Mesh`` is a lattice: cell ``i*ny + j`` is ``cell0`` translated by
+    ``(i dx, j dy)``.  The moment of mode ``(m, n)`` against dof ``k`` of
+    cell ``(i, j)`` therefore factors as
 
         phase0[mode] * local[mode, k] * exp(2 pi i (m i / nx + n j / ny)),
 
-    where ``local`` holds the moments of ``cells[0]`` about its centre and
+    where ``local`` holds the moments of ``cell0`` about its centre and
     ``phase0`` is the unit-modulus phase of that centre, which no amplitude
     depends on and which is therefore dropped.  A block of vectors is
     projected by a 2D DFT over the two cell axes, then one product of
@@ -114,7 +112,6 @@ class FourierProjector:
 
     def __init__(self, mesh: Mesh, spec: BasisSpec,
                  m_max: int = DEFAULT_MODE_BOUND, n_max: int = DEFAULT_MODE_BOUND):
-        _check_lattice(mesh)
         self.mesh = mesh
         self.spec = spec
         self.m_max = m_max
@@ -134,7 +131,7 @@ class FourierProjector:
         n_modes = len(self.modes)
         p_xi, p_eta = spec.p_xi, spec.p_eta
 
-        cell0 = mesh.cells[0]
+        cell0 = mesh.cell0
         hx, he = np.array(cell0.half_xi), np.array(cell0.half_eta)
         det = cell0.jacobian_det
         c_xi = mm * hx[0] + nn * hx[1]
@@ -209,28 +206,6 @@ class FourierProjector:
         return modes[0], float(amps[0])
 
 
-def _check_lattice(mesh: Mesh) -> None:
-    """Raise unless cell ``i*ny + j`` has index ``(i, j)`` and is ``cells[0]``
-    translated by ``(i dx, j dy)``, to within ``MERGE_TOL``."""
-    nx, ny = mesh.config.nx, mesh.config.ny
-    if mesh.n_cells != nx * ny:
-        raise ValueError(f"mesh has {mesh.n_cells} cells, not {nx}x{ny}")
-    ij = np.stack(np.divmod(np.arange(nx * ny), ny), axis=1)
-    index = np.array([c.index for c in mesh.cells])
-    anchors = np.array([c.anchor for c in mesh.cells])
-    maps = np.array([c.half_xi + c.half_eta for c in mesh.cells])
-    shift = anchors - anchors[0] - ij * (TWO_PI / nx, TWO_PI / ny)
-    bad = (np.any(index != ij, axis=1)
-           | np.any(np.abs(shift) > MERGE_TOL, axis=1)
-           | np.any(np.abs(maps - maps[0]) > MERGE_TOL, axis=1))
-    if bad.any():
-        cid = int(np.argmax(bad))
-        raise ValueError(
-            f"cell {cid} {mesh.cells[cid].index} is not cells[0] translated to "
-            f"lattice site {tuple(ij[cid].tolist())}; the Fourier projection "
-            f"needs cell i*ny + j at cells[0].anchor + (i dx, j dy)")
-
-
 @dataclass(frozen=True)
 class Association:
     index: int
@@ -278,7 +253,7 @@ def max_band_mode_error(result: "BandResult") -> tuple[float, int]:
     """Max over band modes of each mode's best-association error.
 
     Every eigenpair is associated to one mode; per mode the association
-    with the largest projection amplitude represents it.  Unassociated
+    that ``mode_error_table`` picks represents it.  Unassociated
     band modes floor the error at 1 and are counted.  This is the quantity
     traced by convergence studies.
     """
@@ -309,12 +284,23 @@ def band_error_report(assoc: list[Association], omega_max_sq: float,
                       missing_modes=missing)
 
 
+#: Amplitudes within this relative distance of a mode's largest one count
+#: as tied with it: the two members of a degenerate pair have amplitudes
+#: that are equal in exact arithmetic and differ by round-off.
+AMPLITUDE_TIE_RTOL = 1e-12
+
+
 def mode_error_table(assoc: list[Association]) -> dict[tuple[int, int], Association]:
-    """Best association per mode (largest projection amplitude wins)."""
-    table: dict[tuple[int, int], Association] = {}
+    """Best association per mode: the largest projection amplitude wins,
+    and among amplitudes tied with it (``AMPLITUDE_TIE_RTOL``) the
+    smallest index."""
+    largest: dict[tuple[int, int], float] = {}
     for row in assoc:
-        cur = table.get(row.mode)
-        if cur is None or row.amplitude > cur.amplitude:
+        largest[row.mode] = max(largest.get(row.mode, 0.0), row.amplitude)
+    table: dict[tuple[int, int], Association] = {}
+    # descending index, so the smallest tied index is written last
+    for row in sorted(assoc, key=lambda r: r.index, reverse=True):
+        if row.amplitude >= (1.0 - AMPLITUDE_TIE_RTOL) * largest[row.mode]:
             table[row.mode] = row
     return table
 

@@ -7,13 +7,118 @@ accumulated one raw quadrature point at a time with no sum factorization
 and no transpose reuse.
 """
 
+import math
+
 import numpy as np
 from numpy.polynomial import legendre as npleg
 from scipy.special import spherical_jn
 
-from anisodg.geometry import edge_point
+from anisodg.geometry import (MERGE_TOL, TWO_PI, Alignment, Cell, Interface,
+                              edge_point, outward_normal)
 
 ORACLE_QUAD = 20
+
+
+def oracle_cells(config):
+    """Every cell of the mesh, built one at a time with its own anchor."""
+    nx, ny = config.nx, config.ny
+    dx, dy = TWO_PI / nx, TWO_PI / ny
+    b1, b2 = config.b.b1, config.b.b2
+    if config.alignment == Alignment.LEFT_RIGHT:
+        half_xi = ((b1 / b2) * dy / 2.0, dy / 2.0)
+        half_eta = (-dx / 2.0, 0.0)
+
+        def anchor(i, j):
+            return ((i + 1) * dx, j * dy)
+    else:
+        rise = 0.0 if config.alignment == Alignment.CARTESIAN else (b2 / b1) * dx
+        half_xi = (dx / 2.0, rise / 2.0)
+        half_eta = (0.0, dy / 2.0)
+
+        def anchor(i, j):
+            return (i * dx, j * dy)
+
+    return [Cell(index=(i, j), anchor=anchor(i, j), half_xi=half_xi,
+                 half_eta=half_eta)
+            for i in range(nx) for j in range(ny)]
+
+
+def oracle_interfaces(config):
+    """Every interface of the mesh, resolved one owner edge at a time.
+
+    The aligned (top/bottom) edges are conforming.  On each cross-field
+    line the owner edges cover ``[k + offset, k + offset + 1)`` and the
+    neighbour edges ``[k, k + 1)`` in units of the edge width, on a circle
+    of circumference n; a non-integer offset splits every edge into two
+    sub-segments with fractions ``g`` and ``1 - g``.
+    """
+    nx, ny = config.nx, config.ny
+    b1, b2 = config.b.b1, config.b.b2
+    cell_of = {c.index: c for c in oracle_cells(config)}
+    out = []
+    for i in range(nx):
+        for j in range(ny):
+            if config.alignment == Alignment.LEFT_RIGHT:
+                # reference-top edge = physical left edge; the cell beyond it
+                # is the previous column
+                neighbor = ((i - 1) % nx, j)
+            else:
+                neighbor = (i, (j + 1) % ny)
+            cell = cell_of[(i, j)]
+            out.append(Interface(
+                owner=(i, j), neighbor=neighbor,
+                owner_edge="top", neighbor_edge="bottom",
+                owner_range=(-1.0, 1.0), neighbor_range=(-1.0, 1.0),
+                normal=tuple(outward_normal(cell, "top")),
+                h_F=2.0 * math.hypot(*cell.half_xi)))
+
+    if config.alignment == Alignment.LEFT_RIGHT:
+        n_lines, n_edges, width = ny, nx, TWO_PI / nx
+        offset = -(b1 / b2) * (nx / ny)
+    else:
+        n_lines, n_edges, width = nx, ny, TWO_PI / ny
+        offset = 0.0 if config.alignment == Alignment.CARTESIAN else (b2 / b1) * (ny / nx)
+    merge = MERGE_TOL / width
+    g = offset % 1.0
+    conforming = g <= merge or 1.0 - g <= merge
+    shift = round(offset) if conforming else math.floor(offset)
+
+    for line in range(n_lines):
+        for k in range(n_edges):
+            nbr_line = (line + 1) % n_lines
+            if config.alignment == Alignment.LEFT_RIGHT:
+                own = ((n_edges - 1 - k) % n_edges, line)
+
+                def nbr_of(slot):
+                    return ((n_edges - 1 - slot % n_edges) % n_edges, nbr_line)
+            else:
+                own = (line, k)
+
+                def nbr_of(slot):
+                    return (nbr_line, slot % n_edges)
+
+            normal = tuple(outward_normal(cell_of[own], "right"))
+            if conforming:
+                out.append(Interface(
+                    owner=own, neighbor=nbr_of(k + shift),
+                    owner_edge="right", neighbor_edge="left",
+                    owner_range=(-1.0, 1.0), neighbor_range=(-1.0, 1.0),
+                    normal=normal, h_F=width))
+                continue
+            lo = k + shift  # owner edge spans [lo + g, lo + g + 1)
+            out.append(Interface(
+                owner=own, neighbor=nbr_of(lo),
+                owner_edge="right", neighbor_edge="left",
+                owner_range=(-1.0, 1.0 - 2.0 * g),
+                neighbor_range=(-1.0 + 2.0 * g, 1.0),
+                normal=normal, h_F=width * (1.0 - g)))
+            out.append(Interface(
+                owner=own, neighbor=nbr_of(lo + 1),
+                owner_edge="right", neighbor_edge="left",
+                owner_range=(1.0 - 2.0 * g, 1.0),
+                neighbor_range=(-1.0, -1.0 + 2.0 * g),
+                normal=normal, h_F=width * g))
+    return out
 
 
 def basis_values(spec, xi, eta):

@@ -15,8 +15,7 @@ from anisodg.assembly import (AssemblyError, SparseSymMatrix,
                               assemble_penalty, build_reduced, face_quadrature)
 from anisodg.basis import BasisSpec
 from anisodg.fields import CoefficientField, Harmonic, MagneticField
-from anisodg.geometry import (Alignment, FieldDirection, Interface, MeshConfig,
-                              build_mesh)
+from anisodg.geometry import Alignment, FieldDirection, MeshConfig, build_mesh
 
 REF_B = FieldDirection(1.165939761, 1.0)
 CONST = CoefficientField.constant(1.0)
@@ -126,8 +125,8 @@ def test_aligned_interfaces_contribute_nothing():
 def test_matched_traces_have_zero_jump():
     mesh = build_mesh(MeshConfig(2, 1, Alignment.CARTESIAN, REF_B))
     spec = BasisSpec(1, 1)
-    itf = next(i for i in mesh.interfaces if i.owner_edge == "right")
-    _, _, _, vals_own, vals_nbr = face_quadrature(mesh, spec, [itf], 5)
+    k = next(k for k, i in enumerate(mesh.interfaces) if i.owner_edge == "right")
+    _, _, _, vals_own, vals_nbr = face_quadrature(mesh, spec, mesh.faces.take([k]), 5)
     # the eta-linear function has identical traces from both sides
     coeff = np.array([1.0, 0.5, 0.0, 0.0])  # 1 + 0.5*P_1(eta)
     assert np.max(np.abs(vals_own @ coeff - vals_nbr @ coeff)) < 1e-14
@@ -284,15 +283,14 @@ def test_build_reduced_rejects_singular_mass():
 
 def test_face_quadrature_detects_broken_interface():
     mesh = build_mesh(MeshConfig(2, 2, Alignment.CARTESIAN, REF_B))
-    good = next(i for i in mesh.interfaces if i.owner_edge == "right")
-    bad = Interface(owner=good.owner, neighbor=good.neighbor,
-                    owner_edge=good.owner_edge, neighbor_edge=good.neighbor_edge,
-                    owner_range=good.owner_range, neighbor_range=(-1.0, 0.0),
-                    normal=good.normal, h_F=good.h_F)
-    # the error names the offending interface, not the first one
+    right = [i.owner_edge == "right" for i in mesh.interfaces]
+    faces = mesh.faces.take(np.array(right))
+    faces.ranges[1, 1] = (-1.0, 0.0)
+    faces.ranges[3, 1] = (0.0, 1.0)
+    # the error names the first offending face, not the first face
     with pytest.raises(AssemblyError,
                        match=r"mapping mismatch on .*neighbor_range=\(-1\.0, 0\.0\)"):
-        face_quadrature(mesh, BasisSpec(1, 1), [good, bad], 4)
+        face_quadrature(mesh, BasisSpec(1, 1), faces, 4)
 
 
 def test_matrix_dump_coordinate_format():

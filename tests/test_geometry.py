@@ -1,10 +1,13 @@
-import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anisodg.geometry import (Alignment, FieldDirection, MeshConfig,
+import bruteforce as bf
+from anisodg.geometry import (MERGE_TOL, Alignment, FieldDirection, MeshConfig,
                               aspect_ratios, build_mesh, choose_alignment,
                               outward_normal)
 
@@ -192,11 +195,12 @@ def test_summary_export():
             "n=(0,1)") in lines
 
 
-def _corrupt(mesh, k, **changes):
-    """Replace interface ``k`` by a copy with ``changes``; returns the copy."""
-    bad = dataclasses.replace(mesh.interfaces[k], **changes)
-    mesh.interfaces[k] = bad
-    return bad
+def _corrupt(mesh, k, **rows):
+    """Overwrite row ``k`` of the named face arrays of ``mesh.faces``;
+    returns face ``k`` as an ``Interface``."""
+    for name, value in rows.items():
+        getattr(mesh.faces, name)[k] = value
+    return mesh.interfaces_of(mesh.faces.take([k]))[0]
 
 
 @pytest.mark.parametrize("alignment,b", [
@@ -205,9 +209,10 @@ def _corrupt(mesh, k, **changes):
 ])
 def test_validate_names_first_mismatched_segment(alignment, b):
     mesh = build_mesh(MeshConfig(3, 4, alignment, b))
-    k = len(mesh.interfaces) - 3          # a cross-field (split) interface
-    lo, hi = mesh.interfaces[k].neighbor_range
-    bad = _corrupt(mesh, k, neighbor_range=(lo + 0.25 * (hi - lo), hi))
+    # a cross-field (split) interface, and after it the last one
+    k = [k for k, itf in enumerate(mesh.interfaces) if itf.owner_edge == "right"][-2]
+    own, (lo, hi) = mesh.faces.ranges[k]
+    bad = _corrupt(mesh, k, ranges=[own, (lo + 0.25 * (hi - lo), hi)])
     later = _corrupt(mesh, k + 1, normal=(0.0, 0.0))
     with pytest.raises(RuntimeError, match="segment mismatch") as err:
         mesh.validate()
@@ -216,7 +221,7 @@ def test_validate_names_first_mismatched_segment(alignment, b):
 
 def test_validate_names_interface_with_wrong_normal():
     mesh = build_mesh(MeshConfig(3, 4, Alignment.BOTTOM_TOP, REF_B))
-    nx, ny = mesh.interfaces[7].normal
+    nx, ny = mesh.faces.normal[7]
     bad = _corrupt(mesh, 7, normal=(ny, nx))
     with pytest.raises(RuntimeError, match="normals not opposite") as err:
         mesh.validate()
@@ -230,8 +235,53 @@ def test_validate_names_undercovered_edge():
     mesh = build_mesh(MeshConfig(3, 4, Alignment.CARTESIAN, REF_B))
     k = [k for k, itf in enumerate(mesh.interfaces) if itf.owner_edge == "right"][5]
     itf = mesh.interfaces[k]
-    _corrupt(mesh, k, owner_range=(-1.0, 0.5), neighbor_range=(-1.0, 0.5))
+    _corrupt(mesh, k, ranges=[(-1.0, 0.5), (-1.0, 0.5)])
     with pytest.raises(RuntimeError,
                        match=rf"edge right of cell \({itf.owner[0]}, "
                              rf"{itf.owner[1]}\) covered 0.75 times"):
         mesh.validate()
+
+
+def test_cell_lookup_rejects_indices_off_the_lattice():
+    mesh = build_mesh(MeshConfig(3, 4, Alignment.BOTTOM_TOP, REF_B))
+    assert mesh.cell_id((2, 3)) == 11 and mesh.cell((1, 2)).index == (1, 2)
+    for index in [(0, 4), (3, 0), (-1, 0), (0, -1)]:
+        with pytest.raises(KeyError):
+            mesh.cell_id(index)
+        with pytest.raises(KeyError):
+            mesh.cell(index)
+
+
+def _bits(cells):
+    return [(c.index, [float.hex(v) for v in c.anchor + c.half_xi + c.half_eta])
+            for c in cells]
+
+
+@st.composite
+def mesh_configs(draw):
+    """Meshes of every alignment whose offset ``(b2/b1)(Ny/Nx)`` (or
+    ``-(b1/b2)(Nx/Ny)``) is an integer, near one on either side of the
+    merge threshold, or any fraction."""
+    alignment = draw(st.sampled_from(list(Alignment)))
+    nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    lead = draw(st.sampled_from([-1.7, -1.0, 0.4, 1.0, 2.3]))
+    # the merge threshold in units of the cross-field edge width
+    merge = MERGE_TOL * (nx if alignment == Alignment.LEFT_RIGHT else ny) / TWO_PI
+    frac = draw(st.sampled_from([0.0, 0.5 * merge, -0.5 * merge, 2.0 * merge,
+                                 -2.0 * merge]) | st.floats(0.0, 1.0))
+    offset = draw(st.integers(-3, 3)) + frac
+    if alignment == Alignment.LEFT_RIGHT:
+        b = FieldDirection(-lead * offset * ny / nx, lead)
+    else:
+        b = FieldDirection(lead, lead * offset * nx / ny)
+    return MeshConfig(nx, ny, alignment, b)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(mesh_configs())
+def test_mesh_matches_per_interface_oracle(cfg):
+    """The lattice mesh expands to exactly the interfaces (as a multiset) and
+    the cells (bit for bit) of the one-edge-at-a-time construction."""
+    mesh = build_mesh(cfg)
+    assert Counter(mesh.interfaces) == Counter(bf.oracle_interfaces(cfg))
+    assert _bits(mesh.cells) == _bits(bf.oracle_cells(cfg))

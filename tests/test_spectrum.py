@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -218,20 +217,6 @@ def test_empty_solution_associates_to_nothing():
     assert associate_modes(empty, proj, exact_spectrum(REF_B, 6, 6)) == []
 
 
-def test_projector_rejects_broken_lattice():
-    mesh = build_mesh(MeshConfig(3, 4, Alignment.BOTTOM_TOP, REF_B))
-    spec = BasisSpec(1, 1)
-    cells = list(mesh.cells)
-    moved = dataclasses.replace(cells[5], anchor=(cells[5].anchor[0] + 1e-6,
-                                                  cells[5].anchor[1]))
-    mesh.cells = cells[:5] + [moved] + cells[6:]
-    with pytest.raises(ValueError, match=r"cell 5 \(1, 1\)"):
-        FourierProjector(mesh, spec)
-    mesh.cells = [cells[0], cells[2], cells[1]] + cells[3:]
-    with pytest.raises(ValueError, match=r"cell 1 \(0, 2\)"):
-        FourierProjector(mesh, spec)
-
-
 def reference_solve(nx=4, ny=4, p=3, **kwargs):
     setup = SolveSetup(
         mesh_config=MeshConfig(nx, ny, Alignment.BOTTOM_TOP, REF_B),
@@ -355,3 +340,9 @@ def test_mode_error_table_picks_max_amplitude():
             Association(1, 0.2, (1, -1), 5.0, 0.09, 1.0, "relative")]
     table = mode_error_table(rows)
     assert table[(1, -1)].index == 1
+    # amplitudes one ulp apart are tied, in either order: the smaller index wins
+    up = math.nextafter(2.0, math.inf)
+    pair = [Association(2, 0.1, (2, 0), 2.0, 0.09, 0.1, "relative"),
+            Association(3, 0.1, (2, 0), up, 0.09, 0.2, "relative")]
+    for rows in (pair, pair[::-1]):
+        assert mode_error_table(rows)[(2, 0)].index == 2
