@@ -1,12 +1,14 @@
 """One complete band solve: assemble, certify completeness, associate modes.
 
 The discontinuous Galerkin discretization reduces to a generalized
-symmetric eigenproblem.  One LDL^T factorization of the shifted pencil
-A - omega_max^2 M certifies the band: its inertia is the number of
-eigenvalues below the edge.  All of them are then computed, by LAPACK's
-generalized solver at this size or by shift-invert Lanczos with the same
-factor on larger meshes.  Each eigenvector is matched to the Fourier mode
-with the largest projection amplitude.
+symmetric eigenproblem.  With constant coefficients it commutes with cell
+translations, so a DFT over the cell lattice splits it into one small
+Hermitian block per wavevector.  The LDL^T inertia of the shifted blocks
+A(k) - omega_max^2 M(k) certifies the band: together they count the
+eigenvalues below the edge.  LAPACK then solves each block.  (Variable
+coefficients take one LDL^T factorization of the global shifted pencil
+and shift-invert Lanczos instead.)  Each eigenvector is matched to the
+Fourier mode with the largest projection amplitude.
 """
 
 from anisodg import BasisSpec, FieldDirection, MeshConfig, SolveSetup, \

@@ -3,7 +3,7 @@
 
 from .basis import BasisSpec, dof_parallel, dof_perpendicular, gauss_rule
 from .eigensolve import BandRequest, CompletenessError, band_eig, \
-    dense_generalized_eig, ldl_inertia
+    bloch_eig, dense_generalized_eig, ldl_inertia
 from .fields import CoefficientField, MagneticField, iota_profile, load_field
 from .geometry import (Alignment, FieldDirection, MeshConfig, aspect_ratios,
                        build_mesh, choose_alignment)
@@ -15,7 +15,7 @@ __all__ = [
     "Alignment", "BandRequest", "BasisSpec", "CoefficientField",
     "CompletenessError", "FieldDirection", "FourierProjector", "MagneticField",
     "MeshConfig", "SolveSetup", "aspect_ratios", "associate_modes",
-    "band_eig", "band_error_report", "build_mesh", "choose_alignment",
+    "band_eig", "band_error_report", "bloch_eig", "build_mesh", "choose_alignment",
     "compare_band_errors", "convergence_study", "dense_generalized_eig",
     "dof_parallel", "dof_perpendicular", "exact_spectrum", "gauss_rule",
     "iota_profile", "ldl_inertia", "load_field", "run_band_solve",

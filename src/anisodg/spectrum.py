@@ -21,8 +21,7 @@ from scipy.special import spherical_jn
 
 from .assembly import SparseSymMatrix, assemble_operator_set, build_reduced
 from .basis import BasisSpec, dof_parallel, dof_perpendicular
-from .eigensolve import (BandRequest, EigenSolution, band_eig,
-                         dense_generalized_eig)
+from .eigensolve import BandRequest, EigenSolution, band_eig, bloch_eig
 from .fields import CoefficientField, MagneticField
 from .geometry import FieldDirection, Mesh, MeshConfig, build_mesh
 
@@ -188,7 +187,8 @@ class FourierProjector:
     def argmax_modes(self, vecs: np.ndarray
                      ) -> tuple[list[tuple[int, int]], np.ndarray]:
         """Best mode and its amplitude for each column of ``vecs``; ties
-        prefer small |m|+|n|, then small m."""
+        prefer small |m|+|n|, then small m.  A column with no projection
+        onto any mode of the box has amplitude 0."""
         block = self._columns(np.asarray(vecs))
         best = np.empty(block.shape[1], dtype=int)
         amps = np.empty(block.shape[1])
@@ -196,13 +196,13 @@ class FourierProjector:
             a = self._project(block[:, s:s + PROJECT_BLOCK])
             best[s:s + PROJECT_BLOCK] = a.argmax(axis=0)
             amps[s:s + PROJECT_BLOCK] = a.max(axis=0)
-        if np.any(amps <= 0.0):
-            raise ValueError("zero projection everywhere; cannot associate")
         return [self.modes[i] for i in best], amps
 
     def argmax_mode(self, vec: np.ndarray) -> tuple[tuple[int, int], float]:
         """Best mode and its amplitude; ties prefer small |m|+|n|, then small m."""
         modes, amps = self.argmax_modes(np.asarray(vec)[:, None])
+        if amps[0] <= 0.0:
+            raise ValueError("zero projection everywhere; cannot associate")
         return modes[0], float(amps[0])
 
 
@@ -219,10 +219,18 @@ class Association:
 
 def associate_modes(solution: EigenSolution, projector: FourierProjector,
                     exact: ExactSpectrum | None = None) -> list[Association]:
-    """Associate each eigenpair with its dominant Fourier mode."""
+    """Associate each eigenpair with its dominant Fourier mode.
+
+    An eigenvector with no projection onto any mode of the box gets no row:
+    on a lattice wider than the box, a wavevector class can hold no box
+    mode, and a Bloch eigenvector is orthogonal to every mode outside its
+    class.
+    """
     modes, amps = projector.argmax_modes(solution.eigenvectors)
     out = []
     for idx, (mode, amp) in enumerate(zip(modes, amps.tolist())):
+        if amp <= 0.0:
+            continue
         w2 = float(solution.eigenvalues[idx])
         if exact is None:
             out.append(Association(idx, w2, mode, amp, None, None, "none"))
@@ -355,21 +363,31 @@ class BandResult:
 def run_band_solve(setup: SolveSetup) -> BandResult:
     """geometry -> assembly -> band eigensolve -> Fourier association.
 
-    With ``full_spectrum`` set (and a dimension inside the dense cap) the
-    whole spectrum is computed and associated instead of just the band;
-    studies use this to track band modes whose discrete eigenvalues sit far
-    outside the band on coarse meshes.
+    Constant coefficients make the pencil commute with cell translations, so
+    it is solved block by block over the lattice wavevectors (``bloch_eig``);
+    variable coefficients go to the certified ``band_eig``.  The band is
+    ``omega^2 <= omega_max_sq * max(band_margin, 1)``.
+
+    With ``full_spectrum`` set the whole spectrum is computed and associated
+    instead of just the band; studies use this to track band modes whose
+    discrete eigenvalues sit far outside the band on coarse meshes.  It
+    needs constant coefficients (a ``ValueError`` otherwise) and at most
+    ``DENSE_CAP`` unknowns.
     """
+    if setup.full_spectrum and not setup.constant_coefficients:
+        raise ValueError("the full spectrum is solved only for constant "
+                         "coefficients")
     mesh = build_mesh(setup.mesh_config)
     b_field = MagneticField(b=setup.mesh_config.b, beta=setup.beta)
     ops = assemble_operator_set(mesh, setup.spec, setup.alpha, b_field,
                                 setup.eta_s, setup.n_quad)
     a, m = build_reduced(ops)
-    if setup.full_spectrum:
-        solution = dense_generalized_eig(a, m)
+    req = None if setup.full_spectrum else BandRequest(
+        lambda_max=setup.omega_max_sq * max(setup.band_margin, 1.0),
+        tolerance=setup.tolerance)
+    if setup.constant_coefficients:
+        solution = bloch_eig(a, m, (setup.mesh_config.nx, setup.mesh_config.ny), req)
     else:
-        lam = setup.omega_max_sq * max(setup.band_margin, 1.0)
-        req = BandRequest(lambda_max=lam, tolerance=setup.tolerance)
         solution = band_eig(a, m, req, seed=setup.seed)
     projector = FourierProjector(mesh, setup.spec, setup.m_max, setup.n_max)
     exact = exact_spectrum(setup.mesh_config.b, setup.m_max, setup.n_max) \
@@ -434,8 +452,10 @@ def convergence_study(setup: SolveSetup, levels: list[tuple[int, int]],
     return rows
 
 
-#: Levels up to this size are solved with the full dense spectrum, so even
-#: badly shifted band modes can be associated and their errors tracked.
+#: Levels up to this size are solved for their full spectrum, so even badly
+#: shifted band modes can be associated and their errors tracked.  The cap
+#: bounds the memory of the ``n x n`` eigenvectors (134 MB at n = 4096); the
+#: lattice-block solve itself is cheap.
 FULL_SPECTRUM_CAP = 4096
 
 

@@ -5,9 +5,12 @@ them inline).
 The heavy eigensolves at DoF=4096 and above are shared module-scoped
 fixtures; on a single core the whole module takes several minutes.
 
-Criterion 2 checks band completeness against two references: the dense
-full spectrum of the same operator (the solver returned every eigenpair
-in the band) and the enumeration of the ``|m|,|n| <= 20`` mode box (every
+Criterion 2 checks band completeness against three references: the full
+spectrum of the same operator and the global LDL^T inertia of
+``A - 0.2 M`` (the solver returned every eigenpair in the band; the full
+spectrum comes from the same lattice blocks as the band, the inertia from
+one factorization of the assembled matrix), and the enumeration of the
+``|m|,|n| <= 20`` mode box (every
 in-band eigenpair belongs to a band mode, and every band mode of the box
 either has its in-band eigenpairs or is pushed above the band edge by
 perpendicular under-resolution).  The raw count of the box is not a
@@ -25,8 +28,10 @@ import pytest
 import scipy.linalg as sla
 
 import bruteforce as bf
-from anisodg.assembly import assemble_operator_set, build_reduced
+from anisodg.assembly import (assemble_mass_phi, assemble_operator_set,
+                              build_reduced)
 from anisodg.basis import BasisSpec
+from anisodg.eigensolve import shifted_inertia
 from anisodg.fields import CoefficientField, Harmonic, MagneticField, \
     iota_profile
 from anisodg.geometry import Alignment, FieldDirection, MeshConfig, build_mesh
@@ -106,6 +111,9 @@ def test_criterion_2_band_completeness(ref_band, ref_aligned_full):
     analytic = analytic_band_count(REF_B, OMEGA_MAX_SQ, MODE_BOUND)
     computed = int(np.sum(solution.eigenvalues <= OMEGA_MAX_SQ))
     inertia = solution.inertia_count
+    mass = assemble_mass_phi(ref_band.mesh, ref_band.setup.spec, CONST)
+    (global_inertia, _, _), _ = shifted_inertia(ref_band.a_matrix, mass,
+                                                OMEGA_MAX_SQ)
     dense_band = dense.eigenvalues[dense.eigenvalues <= OMEGA_MAX_SQ]
     in_band = [row for row in ref_band.assoc
                if row.omega2_computed <= OMEGA_MAX_SQ]
@@ -118,11 +126,14 @@ def test_criterion_2_band_completeness(ref_band, ref_aligned_full):
     failures = []
 
     # 1. solver completeness: the band solve returned the whole band of the
-    # pencil, as certified by inertia and seen in the dense spectrum; the
-    # comparison is absolute because the zero mode has no relative scale
-    if not len(solution) == computed == inertia == len(dense_band):
+    # pencil, as certified by the block inertia, counted by the global
+    # LDL^T inertia and seen in the full spectrum; the comparison is
+    # absolute because the zero mode has no relative scale
+    if not (len(solution) == computed == inertia == global_inertia
+            == len(dense_band)):
         failures.append(f"band count {len(solution)}, in-band {computed}, "
-                        f"inertia {inertia}, dense {len(dense_band)} differ")
+                        f"inertia {inertia}, global LDL^T {global_inertia}, "
+                        f"dense {len(dense_band)} differ")
     elif computed:
         gap = float(np.max(np.abs(solution.eigenvalues - dense_band)))
         if gap > ref_band.setup.tolerance * solution.norm_a:
@@ -155,7 +166,8 @@ def test_criterion_2_band_completeness(ref_band, ref_aligned_full):
     passed = not failures
     pushed_text = ", ".join(f"{mode}: {w2:.4g}" for mode, w2 in pushed_up.items())
     report(2, passed,
-           f"computed band count {computed} (inertia-certified {inertia}), "
+           f"computed band count {computed} (inertia-certified {inertia}, "
+           f"global LDL^T {global_inertia}), "
            f"dense spectrum {len(dense_band)}, vs analytic enumeration "
            f"{analytic}; band modes without an in-band eigenpair: {missing}, "
            f"whose best dense eigenvalues are {{{pushed_text}}}")

@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anisodg import eigensolve
-from anisodg.assembly import assemble_operator_set, build_reduced
+from anisodg.assembly import (SparseSymMatrix, assemble_operator_set,
+                              build_reduced)
 from anisodg.basis import BasisSpec
 from anisodg.eigensolve import (BandRequest, CompletenessError,
-                                _superlu_factor, band_eig,
-                                dense_generalized_eig, ldl_inertia,
+                                _residuals, _superlu_factor, band_eig,
+                                bloch_eig, dense_generalized_eig, ldl_inertia,
                                 shifted_inertia)
-from anisodg.fields import CoefficientField, MagneticField
+from anisodg.fields import CoefficientField, Harmonic, MagneticField
 from anisodg.geometry import Alignment, FieldDirection, MeshConfig, build_mesh
 
 REF_B = FieldDirection(1.165939761, 1.0)
@@ -100,10 +103,9 @@ def test_band_eig_empty_band():
     assert sol.inertia_count == 0
 
 
-def make_small_system(nx=2, ny=2, p=2):
+def make_small_system(nx=2, ny=2, p=2, alpha=CoefficientField.constant(1.0)):
     mesh = build_mesh(MeshConfig(nx, ny, Alignment.BOTTOM_TOP, REF_B))
-    ops = assemble_operator_set(mesh, BasisSpec(p, p),
-                                CoefficientField.constant(1.0),
+    ops = assemble_operator_set(mesh, BasisSpec(p, p), alpha,
                                 MagneticField.uniform(REF_B), 6.0)
     return build_reduced(ops)
 
@@ -213,3 +215,103 @@ def test_band_eig_returns_near_degenerate_pairs_completely(monkeypatch):
     pairs = nonzero.reshape(-1, 2)
     split = np.abs(pairs[:, 1] - pairs[:, 0]) / pairs[:, 1]
     assert np.max(split) < 2e-2
+
+
+# --- Bloch blocks of constant-coefficient pencils ---------------------------
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(alignment=st.sampled_from(list(Alignment)),
+       nx=st.integers(1, 4), ny=st.integers(1, 4),
+       p_xi=st.integers(0, 2), p_eta=st.integers(0, 2),
+       b=st.sampled_from([REF_B, FieldDirection(1.0, 2.0),
+                          FieldDirection(-0.7, 1.3)])
+       | st.builds(FieldDirection, st.floats(0.3, 2.0), st.floats(-2.0, -0.3)),
+       band=st.floats(0.05, 3.0))
+# the derandomized draws split every aligned mesh; this one is conforming
+@example(alignment=Alignment.BOTTOM_TOP, nx=2, ny=2, p_xi=1, p_eta=2,
+         b=FieldDirection(1.0, 2.0), band=1.0)
+@example(alignment=Alignment.BOTTOM_TOP, nx=4, ny=4, p_xi=2, p_eta=2,
+         b=REF_B, band=0.5)
+def test_bloch_blocks_match_global_oracles(alignment, nx, ny, p_xi, p_eta, b, band):
+    """The lattice blocks against the global pencil, on every alignment,
+    on split and conforming meshes, and on lattices with 1 or 2 cells along
+    an axis, whose wavevectors include self-conjugate ones.
+
+    The block spectra together are the dense spectrum, the band count is
+    the global LDL^T inertia, the real vectors are M-orthonormal, and each
+    reported residual bounds the one measured by sparse products.
+    """
+    mesh = build_mesh(MeshConfig(nx, ny, alignment, b))
+    ops = assemble_operator_set(mesh, BasisSpec(p_xi, p_eta),
+                                CoefficientField.constant(1.3),
+                                MagneticField.uniform(b), 6.0)
+    a, m = build_reduced(ops)
+    full = bloch_eig(a, m, (nx, ny))
+    want = dense_generalized_eig(a, m).eigenvalues
+    assert full.method == "dense" and len(full) == a.n
+    assert np.max(np.abs(full.eigenvalues - want)) <= 1e-12 * np.max(np.abs(want))
+
+    sol = bloch_eig(a, m, (nx, ny), BandRequest(lambda_max=band))
+    (n_neg, _, _), _ = shifted_inertia(a, m, band)
+    assert sol.method == "bloch"
+    assert len(sol) == sol.inertia_count == n_neg
+
+    for s in (full, sol):
+        x = s.eigenvectors
+        gram = x.T @ m.to_full() @ x
+        assert np.max(np.abs(gram - np.eye(len(s))), initial=0.0) <= 1e-12
+        measured = _residuals(a, m, s.eigenvalues, x)
+        assert np.all(s.residuals >= measured - 1e-15 * s.norm_a)
+        assert np.all(s.residuals <= 1e-10 * s.norm_a)
+
+
+def test_bloch_rejects_variable_coefficients():
+    alpha = CoefficientField(1.0, (Harmonic(1, 0, 0.2, 0.0),))
+    a, m = make_small_system(2, 2, 1, alpha=alpha)
+    with pytest.raises(CompletenessError,
+                       match=r"M is not invariant under translations of the "
+                             r"2x2 cell lattice: an entry differs from its "
+                             r"translate by \d\.\d+e-\d+ of max\|M\|"):
+        bloch_eig(a, m, (2, 2), BandRequest(lambda_max=0.4))
+
+
+def test_bloch_band_edge_on_a_block_eigenvalue_is_ambiguous():
+    a, m = make_small_system(2, 2, 2)
+    w = bloch_eig(a, m, (2, 2)).eigenvalues
+    edge = float(w[w > 1e-8][0])
+    with pytest.raises(CompletenessError, match="ambiguous"):
+        bloch_eig(a, m, (2, 2), BandRequest(lambda_max=edge))
+
+
+def test_bloch_residuals_of_arbitrary_vectors():
+    """With every wavevector computed the lattice residual is the sparse
+    product's (Parseval); with one computed and the rest bounded through
+    the symbols' norms it is an upper bound."""
+    a, m = make_small_system(3, 2, 2)
+    pencil = eigensolve._LatticePencil(a, m, (3, 2))
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((a.n, 5))
+    w = rng.uniform(0.0, 2.0, 5)
+    measured = _residuals(a, m, w, x)
+    assert np.allclose(pencil.residuals(x, w, range(6)), measured,
+                       rtol=1e-12, atol=0.0)
+    for k in range(6):
+        assert np.all(pencil.residuals(x, w, {k}) >= measured)
+
+
+def test_bloch_reads_duplicate_entries_as_their_sum():
+    """A CSR that stores an entry in two pieces is the matrix of their sum."""
+    a, m = make_small_system(2, 2, 1)
+    full = a.to_full().tocoo()
+    rows = np.append(full.row, full.row[0])
+    cols = np.append(full.col, full.col[0])
+    vals = np.append(full.data, full.data[0] / 2.0)
+    vals[0] /= 2.0
+    order = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(a.n + 1))
+    split = sp.csr_matrix((vals[order], cols[order], indptr), shape=(a.n, a.n))
+    assert split.nnz == full.nnz + 1
+    want = bloch_eig(a, m, (2, 2)).eigenvalues
+    got = bloch_eig(SparseSymMatrix(split), m, (2, 2)).eigenvalues
+    np.testing.assert_array_equal(got, want)

@@ -271,6 +271,29 @@ def test_variable_coefficient_runs_have_no_exact_data():
         result.band_report()
 
 
+def test_full_spectrum_needs_constant_coefficients():
+    """The full spectrum is solved only by the lattice blocks."""
+    from anisodg.fields import Harmonic
+    setup = SolveSetup(
+        mesh_config=MeshConfig(2, 4, Alignment.BOTTOM_TOP, REF_B),
+        spec=BasisSpec(1, 1), alpha=CoefficientField(1.0, (Harmonic(1, 0, 0.2, 0.0),)),
+        beta=CONST, full_spectrum=True)
+    with pytest.raises(ValueError, match="constant coefficients"):
+        run_band_solve(setup)
+
+
+def test_constant_coefficient_solves_use_the_lattice_blocks():
+    band = reference_solve(nx=2, ny=4, p=1)
+    full = reference_solve(nx=2, ny=4, p=1, full_spectrum=True)
+    assert band.solution.method == "bloch"
+    assert band.solution.inertia_count == len(band.solution)
+    assert full.solution.method == "dense"
+    assert len(full.solution) == band.setup.dof()
+    np.testing.assert_array_equal(
+        band.solution.eigenvalues,
+        full.solution.eigenvalues[:len(band.solution)])
+
+
 def test_compare_equal_setups_gives_zero_improvement():
     a = reference_solve(full_spectrum=True)
     rows = compare_band_errors(a, a)
