@@ -33,8 +33,12 @@ over the arrays of the field-crossing faces (``Mesh.faces``), with the
 basis traces evaluated once per face template: it yields the jump trace
 ``[+own, -nbr]`` and the average trace ``[own, nbr] / 2``, the interface
 term pairs the jump with the average and the penalty pairs the jump with
-itself, and each is scattered into the global matrix by a single
-COO-to-CSR conversion.
+itself.
+
+Every matrix is a pattern of ``n_loc x n_loc`` cell blocks.  The element
+blocks are summed by their ``(row cell, column cell)`` key straight into a
+block sparse row (BSR) matrix, and the reduction to ``A`` is one BSR
+product; a symmetric matrix is converted to CSR once, when it is stored.
 """
 
 from __future__ import annotations
@@ -70,10 +74,12 @@ class SparseSymMatrix:
     @classmethod
     def from_product(cls, full: sp.spmatrix) -> "SparseSymMatrix":
         """Symmetrize a (numerically almost symmetric) product and drop
-        entries below ``DROP_TOL`` times its largest entry."""
-        full = full.tocsr()
+        entries below ``DROP_TOL`` times its largest entry.  A BSR product
+        is symmetrized block by block and converted to CSR once.  The stored
+        pattern is exactly symmetric."""
         sym = (full + full.T) * 0.5
         sym.data[np.abs(sym.data) < DROP_TOL * np.max(np.abs(sym.data), initial=0.0)] = 0.0
+        sym = sym.tocsr()
         sym.eliminate_zeros()
         return cls(sym)
 
@@ -105,8 +111,11 @@ class SparseSymMatrix:
         return float(np.max(np.abs(self._csr).sum(axis=1)))
 
     def nnz_percent(self) -> float:
-        """Stored nonzeros as a percentage of the full lower triangle."""
-        return 100.0 * self.lower.nnz / (self.n * (self.n + 1) / 2.0)
+        """Stored nonzeros as a percentage of the full lower triangle.  The
+        pattern is symmetric (see ``from_product``), so the lower triangle
+        holds every nonzero diagonal entry and half of the others."""
+        lower = (self._csr.nnz + np.count_nonzero(self._csr.diagonal())) / 2.0
+        return 100.0 * lower / (self.n * (self.n + 1) / 2.0)
 
     def dump_coordinate(self, stream) -> None:
         """Write 'row col value' (1-based, lower triangle) to a text stream."""
@@ -126,8 +135,8 @@ class OperatorSet:
     """
 
     m_uv: np.ndarray
-    a_upsi: sp.csr_matrix
-    b_upsi: sp.csr_matrix
+    a_upsi: sp.bsr_matrix
+    b_upsi: sp.bsr_matrix
     b_phipsi: SparseSymMatrix
     m_phipsi: SparseSymMatrix
 
@@ -136,12 +145,30 @@ class OperatorSet:
 # shared tables
 
 
-def _scatter(dofs: np.ndarray, blocks: np.ndarray, n: int) -> sp.csr_matrix:
-    """Sum ``blocks[k]`` into the rows and columns ``dofs[k]`` of an n x n matrix."""
-    rows = np.broadcast_to(dofs[:, :, None], blocks.shape)
-    cols = np.broadcast_to(dofs[:, None, :], blocks.shape)
-    return sp.coo_matrix((blocks.ravel(), (rows.ravel(), cols.ravel())),
-                         shape=(n, n)).tocsr()
+def _scatter(cells: np.ndarray, blocks: np.ndarray, n_cells: int) -> sp.bsr_matrix:
+    """Sum the element blocks into an ``n_cells x n_cells`` pattern of cell
+    blocks: ``blocks[e, a, b]`` (``n_loc x n_loc``) couples the row cell
+    ``cells[e, a]`` to the column cell ``cells[e, b]``.
+
+    Blocks with the same ``(row cell, column cell)`` key are summed by one
+    sparse indicator product, and the keys, sorted, are the BSR pattern.
+    """
+    n_loc = blocks.shape[-1]
+    key = (cells[:, :, None] * n_cells + cells[:, None, :]).ravel()
+    keys, slot = np.unique(key, return_inverse=True)
+    indicator = sp.csr_matrix((np.ones(key.size), (slot, np.arange(key.size))),
+                              shape=(keys.size, key.size))
+    data = indicator @ blocks.reshape(key.size, n_loc * n_loc)
+    rows, cols = np.divmod(keys, n_cells)
+    indptr = np.searchsorted(rows, np.arange(n_cells + 1))
+    return sp.bsr_matrix((data.reshape(-1, n_loc, n_loc), cols, indptr),
+                         shape=(n_cells * n_loc, n_cells * n_loc))
+
+
+def _cell_blocks(mesh: Mesh, blocks: np.ndarray) -> sp.bsr_matrix:
+    """The block-diagonal matrix of one ``n_loc x n_loc`` block per cell."""
+    cells = np.arange(mesh.n_cells)[:, None]
+    return _scatter(cells, blocks[:, None, None], mesh.n_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +209,11 @@ def assemble_mass_phi(mesh: Mesh, spec: BasisSpec, alpha: CoefficientField,
     xi, eta, wq, vals, _ = _volume_tables(spec, n_quad)
     w = _volume_weights(mesh, alpha, xi, eta, wq)
     blocks = np.einsum("cq,qi,qj->cij", w, vals, vals)
-    dofs = np.arange(mesh.n_cells * spec.n_loc).reshape(mesh.n_cells, spec.n_loc)
-    return SparseSymMatrix.from_product(_scatter(dofs, blocks, dofs.size))
+    return SparseSymMatrix.from_product(_cell_blocks(mesh, blocks))
 
 
 def assemble_gradient(mesh: Mesh, spec: BasisSpec, B: MagneticField,
-                      n_quad: int | None = None) -> sp.csr_matrix:
+                      n_quad: int | None = None) -> sp.bsr_matrix:
     """Volume blocks G[i, j] = integral of phi_j * (B . grad phi_i).
 
     Row index carries the derivative; the same storage serves the
@@ -200,8 +226,7 @@ def assemble_gradient(mesh: Mesh, spec: BasisSpec, B: MagneticField,
     b_dot_grad = grads @ c  # (q, n_loc)
     w = _volume_weights(mesh, B.beta, xi, eta, wq)
     blocks = np.einsum("cq,qi,qj->cij", w, b_dot_grad, vals)
-    dofs = np.arange(mesh.n_cells * spec.n_loc).reshape(mesh.n_cells, spec.n_loc)
-    return _scatter(dofs, blocks, dofs.size)
+    return _cell_blocks(mesh, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +263,11 @@ def _crossing_traces(mesh: Mesh, spec: BasisSpec, B: MagneticField, n_quad: int)
     """One batched trace pass over the faces that the field crosses.
 
     Faces with ``|b . n| <= ALIGNMENT_TOL |b|`` are field-tangent and
-    skipped, so they contribute exactly zero.  Returns ``(dofs, w, bn_beta,
-    h_F, jump, avg)``: the dofs ``[owner | neighbour]`` ``(F, 2 n_loc)``,
+    skipped, so they contribute exactly zero.  Returns ``(cells, w,
+    bn_beta, h_F, jump, avg)``: the cells ``[owner, neighbour]`` ``(F, 2)``,
     the weights and ``(b . n) beta`` ``(F, q)``, the segment lengths
     ``(F,)``, the jump trace ``[+own, -nbr]`` and the average trace
-    ``[own, nbr] / 2``, both ``(F, q, 2 n_loc)``.
+    ``[own, nbr] / 2``, both ``(F, q, 2, n_loc)``.
     """
     faces = mesh.faces
     bn = B.b.b1 * faces.normal[:, 0] + B.b.b2 * faces.normal[:, 1]
@@ -250,20 +275,25 @@ def _crossing_traces(mesh: Mesh, spec: BasisSpec, B: MagneticField, n_quad: int)
     faces = faces.take(crossing)
     w, x, y, vo, vn = face_quadrature(mesh, spec, faces, n_quad)
     bn_beta = bn[crossing][:, None] * B.beta.eval(x, y)
-    dofs = (faces.cells[:, :, None] * spec.n_loc
-            + np.arange(spec.n_loc)).reshape(len(w), -1)
-    jump = np.concatenate([vo, -vn], axis=-1)
-    avg = np.concatenate([vo, vn], axis=-1) / 2.0
-    return dofs, w, bn_beta, faces.h_F, jump, avg
+    jump = np.stack([vo, -vn], axis=2)
+    avg = np.stack([vo, vn], axis=2) / 2.0
+    return faces.cells, w, bn_beta, faces.h_F, jump, avg
+
+
+def _face_blocks(w: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``sum_q w[f, q] left[f, q, a, i] right[f, q, b, j]`` as the element
+    blocks ``(F, 2, 2, n_loc, n_loc)`` of ``_scatter``, by one batched
+    matrix product."""
+    weighted = (w[:, :, None, None] * left).transpose(0, 2, 3, 1)
+    return np.matmul(weighted[:, :, None], right.transpose(0, 2, 1, 3)[:, None])
 
 
 def assemble_face_terms(mesh: Mesh, spec: BasisSpec, B: MagneticField,
-                        n_quad: int | None = None) -> sp.csr_matrix:
+                        n_quad: int | None = None) -> sp.bsr_matrix:
     """Interface blocks F[i, j] = sum over faces of {phi_j} * (B . [phi_i])."""
     n_quad = n_quad or default_quad_points(spec)
-    dofs, w, bn_beta, _, jump, avg = _crossing_traces(mesh, spec, B, n_quad)
-    blocks = np.einsum("fq,fqi,fqj->fij", w * bn_beta, jump, avg, optimize=True)
-    return _scatter(dofs, blocks, mesh.n_cells * spec.n_loc)
+    cells, w, bn_beta, _, jump, avg = _crossing_traces(mesh, spec, B, n_quad)
+    return _scatter(cells, _face_blocks(w * bn_beta, jump, avg), mesh.n_cells)
 
 
 def assemble_penalty(mesh: Mesh, spec: BasisSpec, B: MagneticField,
@@ -272,10 +302,10 @@ def assemble_penalty(mesh: Mesh, spec: BasisSpec, B: MagneticField,
     if eta_s < 0.0:
         raise ValueError("penalty parameter must be >= 0")
     n_quad = n_quad or default_quad_points(spec)
-    dofs, w, bn_beta, h_f, jump, _ = _crossing_traces(mesh, spec, B, n_quad)
+    cells, w, bn_beta, h_f, jump, _ = _crossing_traces(mesh, spec, B, n_quad)
     w_pen = w * (eta_s / h_f[:, None]) * bn_beta**2
-    blocks = np.einsum("fq,fqi,fqj->fij", w_pen, jump, jump, optimize=True)
-    return SparseSymMatrix.from_product(_scatter(dofs, blocks, mesh.n_cells * spec.n_loc))
+    return SparseSymMatrix.from_product(
+        _scatter(cells, _face_blocks(w_pen, jump, jump), mesh.n_cells))
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +324,18 @@ def assemble_operator_set(mesh: Mesh, spec: BasisSpec, alpha: CoefficientField,
 
 
 def build_reduced(ops: OperatorSet) -> tuple[SparseSymMatrix, SparseSymMatrix]:
-    """Form A = (A_UPsi - B_UPsi) M_UV^{-1} (..)^T + B_PhiPsi and M = M_PhiPsi."""
+    """Form A = (A_UPsi - B_UPsi) M_UV^{-1} (..)^T + B_PhiPsi and M = M_PhiPsi.
+
+    ``C = A_UPsi - B_UPsi`` is kept in cell blocks (the BSR blocks of the
+    assembled couplings): its block columns are scaled by ``1 / M_UV`` in
+    place, after ``C^T`` is taken, so ``A`` is one BSR product.
+    """
     if np.any(ops.m_uv <= 0.0):
         raise AssemblyError("u mass matrix has a non-positive diagonal entry")
-    c = (ops.a_upsi - ops.b_upsi).tocsr()
-    a_full = (c @ sp.diags(1.0 / ops.m_uv)) @ c.T + ops.b_phipsi.to_full()
+    c = (ops.a_upsi - ops.b_upsi).tobsr()
+    c_t = c.T
+    width = c.blocksize[1]
+    c.data *= (1.0 / ops.m_uv)[c.indices[:, None] * width + np.arange(width)][:, None, :]
+    a_full = c @ c_t + ops.b_phipsi.to_full()
+    del c, c_t
     return SparseSymMatrix.from_product(a_full), ops.m_phipsi

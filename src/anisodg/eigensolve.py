@@ -299,39 +299,38 @@ def _lattice_symbols(s: SparseSymMatrix, name: str, nx: int, ny: int,
     Dofs are cell-contiguous and cell ``(i, j)`` has id ``i*ny + j``.  The
     cell-(0, 0) block row holds the coupling blocks ``B[d]`` to the cells
     ``d = (di, dj)``; the symbols are ``S[p, q] = sum_d B[d] exp(2 pi i
-    (p di / nx + q dj / ny))``.  Every stored entry is compared with its
+    (p di / nx + q dj / ny))``.  ``s`` is read by its cell blocks (BSR, one
+    cell key per stored block).  Every stored entry is compared with its
     translate in that block row, and every entry of the block row that a
     cell does not store counts in full.  Raises ``CompletenessError`` if
     some entry differs by more than ``TRANSLATION_TOL * max|s|``.  Returns
     the symbols ``(nx*ny, n_loc, n_loc)`` and the Frobenius norm of the
     defect, which bounds ``||s - C||_2``.
     """
-    coo = s.to_full().tocoo()
-    row_cell, r = np.divmod(coo.row, n_loc)
-    col_cell, c = np.divmod(coo.col, n_loc)
+    blocks = s.to_full().tobsr((n_loc, n_loc))  # sums duplicate entries
+    row_cell = np.repeat(np.arange(nx * ny), np.diff(blocks.indptr))
     ri, rj = np.divmod(row_cell, ny)
-    ci, cj = np.divmod(col_cell, ny)
-    key = ((((ci - ri) % nx) * ny + (cj - rj) % ny) * n_loc + r) * n_loc + c
-    row0 = row_cell == 0
-    blocks = np.zeros(nx * ny * n_loc * n_loc)
-    blocks[key[row0]] = coo.data[row0]
-    diff = np.abs(coo.data - blocks[key])
-    # a block-row entry stored by ``count`` cells is missing from the others
-    missing = nx * ny - np.bincount(key, minlength=blocks.size)
-    if np.any(missing < 0):  # duplicate entries: read their sums
-        return _lattice_symbols(SparseSymMatrix(coo.tocsr()), name, nx, ny, n_loc)
+    ci, cj = np.divmod(blocks.indices, ny)
+    key = ((ci - ri) % nx) * ny + (cj - rj) % ny
+    row0 = slice(0, blocks.indptr[1])
+    row = np.zeros((nx * ny, n_loc, n_loc))
+    row[key[row0]] = blocks.data[row0]
+    # an entry a cell's stored block lacks is a zero there, so it counts in full
+    diff = np.abs(blocks.data - row[key]).ravel()
+    # a block of the row that ``count`` cells store is missing from the others
+    missing = nx * ny - np.bincount(key, minlength=nx * ny)
     worst = max(float(np.max(diff, initial=0.0)),
-                float(np.max(np.abs(blocks[missing > 0]), initial=0.0)))
+                float(np.max(np.abs(row[missing > 0]), initial=0.0)))
     rel = worst / max(s.max_abs(), np.finfo(float).tiny)
     if rel > TRANSLATION_TOL:
         raise CompletenessError(
             f"{name} is not invariant under translations of the {nx}x{ny} "
             f"cell lattice: an entry differs from its translate by {rel:.3e} "
             f"of max|{name}| (tolerance {TRANSLATION_TOL:.0e})")
-    symbols = np.fft.ifft2(blocks.reshape(nx, ny, n_loc, n_loc), axes=(0, 1),
+    symbols = np.fft.ifft2(row.reshape(nx, ny, n_loc, n_loc), axes=(0, 1),
                            norm="forward")
     return (symbols.reshape(nx * ny, n_loc, n_loc),
-            math.sqrt(diff @ diff + missing @ blocks**2))
+            math.sqrt(diff @ diff + missing @ np.sum(row**2, axis=(1, 2))))
 
 
 def _pencil_eigh(a: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,15 +4,19 @@ Deliberately different from the production path: basis functions and Gauss
 rules come from numpy.polynomial.legendre, Jacobians are inverted with
 numpy.linalg, everything is dense, and the interface/volume integrals are
 accumulated one raw quadrature point at a time with no sum factorization
-and no transpose reuse.
+and no transpose reuse.  It also keeps the scalar-entry forms of two steps
+that the library does by cell blocks: the reduction to ``A`` by scalar CSR
+products and the read of the lattice symbols one entry at a time.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.polynomial import legendre as npleg
 from scipy.special import spherical_jn
 
+from anisodg.assembly import SparseSymMatrix
 from anisodg.geometry import (MERGE_TOL, TWO_PI, Alignment, Cell, Interface,
                               edge_point, outward_normal)
 
@@ -264,6 +268,39 @@ def oracle_reduced(mesh, spec, alpha, b_field, eta_s, nq=ORACLE_QUAD):
     c = grad - face
     a = c @ np.linalg.inv(mass_u) @ c.T + pen
     return (a + a.T) / 2.0, mass_phi
+
+
+def scalar_reduced(ops):
+    """The reduced operator of an assembled ``OperatorSet`` by scalar CSR
+    products, ``(C diag(1/M_u)) C^T + P`` with ``C = A_UPsi - B_UPsi``,
+    symmetrized and dropped like the production one."""
+    c = (ops.a_upsi - ops.b_upsi).tocsr()
+    return SparseSymMatrix.from_product(
+        (c @ sp.diags(1.0 / ops.m_uv)) @ c.T + ops.b_phipsi.to_full())
+
+
+def scalar_lattice_defect(s, nx, ny, n_loc):
+    """The translation defect of a sparse matrix read one scalar entry at a
+    time: ``(row, frobenius)``.
+
+    ``row`` is the cell-(0, 0) block row ``(nx*ny, n_loc, n_loc)`` indexed
+    by the lattice offset of the column cell.  Every stored entry is
+    compared with its translate in that row, and every entry of the row is
+    counted in full once for each cell that does not store it;
+    ``frobenius`` is the 2-norm of all these differences.
+    """
+    coo = s.tocoo()
+    coo.sum_duplicates()
+    row_cell, r = np.divmod(coo.row, n_loc)
+    col_cell, c = np.divmod(coo.col, n_loc)
+    ri, rj = np.divmod(row_cell, ny)
+    ci, cj = np.divmod(col_cell, ny)
+    key = ((((ci - ri) % nx) * ny + (cj - rj) % ny) * n_loc + r) * n_loc + c
+    row = np.zeros(nx * ny * n_loc * n_loc)
+    row[key[row_cell == 0]] = coo.data[row_cell == 0]
+    diff = np.abs(coo.data - row[key])
+    missing = nx * ny - np.bincount(key, minlength=row.size)
+    return row.reshape(nx * ny, n_loc, n_loc), math.sqrt(diff @ diff + missing @ row**2)
 
 
 def oracle_moments(mesh, spec, modes):

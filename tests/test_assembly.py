@@ -303,3 +303,47 @@ def test_matrix_dump_coordinate_format():
 def test_nnz_percent_of_lower_triangle():
     a = SparseSymMatrix.from_dense(np.eye(4))
     assert a.nnz_percent() == pytest.approx(100.0 * 4 / 10)
+
+
+@pytest.mark.parametrize("variable", [False, True], ids=["constant", "variable"])
+@pytest.mark.parametrize("alignment", list(Alignment), ids=lambda a: a.value)
+def test_nnz_percent_counts_the_lower_triangle(alignment, variable):
+    """The symmetric-pattern count equals the explicit lower triangle for
+    the reduced operator, the penalty and the mass matrix."""
+    coeff = CoefficientField(1.0, (Harmonic(1, 1, 0.2, 0.1),)) if variable else CONST
+    mesh = build_mesh(MeshConfig(3, 4, alignment, REF_B))
+    ops = assemble_operator_set(mesh, BasisSpec(2, 1), coeff,
+                                MagneticField(REF_B, coeff), 6.0)
+    a, m = build_reduced(ops)
+    for s in (a, ops.b_phipsi, m):
+        assert s.nnz_percent() == 100.0 * s.lower.nnz / (s.n * (s.n + 1) / 2.0)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(alignment=st.sampled_from(list(Alignment)),
+       nx=st.integers(1, 5), ny=st.integers(1, 5),
+       p_xi=st.integers(0, 3), p_eta=st.integers(0, 3),
+       conforming=st.booleans(), b2_negative=st.booleans(),
+       alpha=st.sampled_from([CONST, CoefficientField(1.0, (Harmonic(1, -1, 0.2, 0.1),))]),
+       beta=st.sampled_from([CONST, CoefficientField(1.0, (Harmonic(0, 1, -0.1, 0.2),))]))
+def test_reduction_matches_scalar_product(alignment, nx, ny, p_xi, p_eta,
+                                          conforming, b2_negative, alpha, beta):
+    """The cell-block reduction against scalar CSR products of the same
+    operators: the same stored pattern and the same values to round-off.
+
+    ``b = (ny, nx)`` shifts each cross-field edge by exactly one edge width
+    on both aligned meshes (conforming); the reference direction splits it.
+    """
+    b = FieldDirection(ny, nx) if conforming else REF_B
+    if b2_negative:
+        b = FieldDirection(b.b1, -b.b2)
+    mesh = build_mesh(MeshConfig(nx, ny, alignment, b))
+    ops = assemble_operator_set(mesh, BasisSpec(p_xi, p_eta), alpha,
+                                MagneticField(b, beta), 6.0)
+    got = build_reduced(ops)[0].to_full().sorted_indices()
+    want = bf.scalar_reduced(ops).to_full().sorted_indices()
+    assert got.nnz == want.nnz
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert np.max(np.abs(got.data - want.data), initial=0.0) \
+        <= 1e-14 * np.max(np.abs(want.data), initial=0.0)

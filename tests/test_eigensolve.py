@@ -5,6 +5,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bruteforce as bf
 from anisodg import eigensolve
 from anisodg.assembly import (SparseSymMatrix, assemble_operator_set,
                               build_reduced)
@@ -217,6 +218,36 @@ def test_band_eig_returns_near_degenerate_pairs_completely(monkeypatch):
     assert np.max(split) < 2e-2
 
 
+HARMONICS = st.builds(Harmonic, st.integers(-2, 2), st.integers(-2, 2),
+                      st.floats(-0.3, 0.3), st.floats(-0.3, 0.3))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(alignment=st.sampled_from(list(Alignment)),
+       nx=st.integers(1, 4), ny=st.integers(1, 4),
+       p_xi=st.integers(0, 2), p_eta=st.integers(0, 2),
+       b=st.sampled_from([REF_B, FieldDirection(1.0, 2.0), FieldDirection(-0.7, 1.3)]),
+       alpha=HARMONICS, beta=HARMONICS, band=st.floats(0.05, 3.0))
+def test_band_eig_variable_coefficients_against_dense(alignment, nx, ny, p_xi, p_eta,
+                                                      b, alpha, beta, band):
+    """Variable-coefficient operators on small random meshes: ``A`` is PSD
+    and annihilates the global constant to round-off, and ``band_eig``
+    returns as many eigenvalues as the dense spectrum holds in the band."""
+    mesh = build_mesh(MeshConfig(nx, ny, alignment, b))
+    spec = BasisSpec(p_xi, p_eta)
+    ops = assemble_operator_set(mesh, spec, CoefficientField(1.0, (alpha,)),
+                                MagneticField(b, CoefficientField(1.0, (beta,))), 6.0)
+    a, m = build_reduced(ops)
+    norm = a.norm_inf()
+    ones = np.zeros(a.n)
+    ones[::spec.n_loc] = 1.0
+    assert np.max(np.abs(a.matvec(ones))) <= 1e-12 * norm
+    assert np.linalg.eigvalsh(a.to_dense())[0] >= -1e-12 * norm
+    want = dense_generalized_eig(a, m).eigenvalues
+    sol = band_eig(a, m, BandRequest(lambda_max=band))
+    assert len(sol) == sol.inertia_count == int(np.sum(want <= band))
+
+
 # --- Bloch blocks of constant-coefficient pencils ---------------------------
 
 
@@ -315,3 +346,66 @@ def test_bloch_reads_duplicate_entries_as_their_sum():
     want = bloch_eig(a, m, (2, 2)).eigenvalues
     got = bloch_eig(SparseSymMatrix(split), m, (2, 2)).eigenvalues
     np.testing.assert_array_equal(got, want)
+
+
+def _perturbed(s, entries, size):
+    """``s`` plus ``size`` at the given ``(row, col)`` entries."""
+    rows, cols = np.array(entries).T
+    bump = sp.csr_matrix((np.full(len(rows), size), (rows, cols)), shape=(s.n, s.n))
+    return SparseSymMatrix(s.to_full() + bump)
+
+
+@pytest.mark.parametrize("cell", [0, 5], ids=["row-cell", "other-cell"])
+def test_bloch_sees_a_structural_zero_perturbed_in_one_cell(cell):
+    """Entry ``(0, 1)`` of a cell's own block is a structural zero inside a
+    stored block; set (symmetrically) in one cell only, it breaks the
+    translation invariance, whether that cell is the one whose block row
+    is read or another."""
+    a, m = make_small_system(3, 2, 2)
+    base = cell * 9
+    assert a.to_dense()[base, base + 1] == 0.0
+    bumped = _perturbed(a, [(base, base + 1), (base + 1, base)], 1e-9 * a.max_abs())
+    with pytest.raises(CompletenessError,
+                       match=r"A is not invariant .* by 1\.000e-09 of max\|A\|"):
+        bloch_eig(bumped, m, (3, 2))
+
+
+def test_bloch_sees_a_block_missing_from_one_cell():
+    """A coupling block that one cell does not store at all counts in full."""
+    a, m = make_small_system(3, 2, 2)
+    blocks = a.to_full().tobsr((9, 9))
+    own = blocks.indices[blocks.indptr[5]:blocks.indptr[6]]
+    k = blocks.indptr[5] + int(np.flatnonzero(own != 5)[0])
+    rel = np.max(np.abs(blocks.data[k])) / a.max_abs()
+    blocks.data[k] = 0.0
+    dropped = blocks.tocsr()
+    dropped.eliminate_zeros()
+    with pytest.raises(CompletenessError, match=f"A is not invariant .* by {rel:.3e}"):
+        bloch_eig(SparseSymMatrix(dropped), m, (3, 2))
+
+
+def test_lattice_symbols_match_the_scalar_reading(monkeypatch):
+    """The block-by-block read of the lattice symbols and the translation
+    defect against a read one scalar entry at a time, on matrices with
+    round-off defects, a variable mass matrix, a structural zero set in one
+    cell and an entry stored in two pieces."""
+    monkeypatch.setattr(eigensolve, "TRANSLATION_TOL", np.inf)
+    a, m = make_small_system(3, 2, 2)
+    alpha = CoefficientField(1.0, (Harmonic(1, 1, 0.2, 0.1),))
+    _, m_var = make_small_system(3, 2, 2, alpha)
+    full = a.to_full()
+    # entry (7, 7) stored twice: its value and a second piece of -1
+    start = full.indptr[7]
+    split = sp.csr_matrix((np.insert(full.data, start, -1.0),
+                           np.insert(full.indices, start, 7),
+                           full.indptr + (np.arange(a.n + 1) > 7)), shape=full.shape)
+    assert split.nnz == full.nnz + 1 and split[7, 7] == full[7, 7] - 1.0 != -1.0
+    cases = [a, m, m_var, _perturbed(a, [(45, 46)], 1e-9), SparseSymMatrix(split)]
+    for s in cases:
+        symbols, defect = eigensolve._lattice_symbols(s, "S", 3, 2, 9)
+        row, want = bf.scalar_lattice_defect(s.to_full(), 3, 2, 9)
+        want_symbols = np.fft.ifft2(row.reshape(3, 2, 9, 9), axes=(0, 1), norm="forward")
+        np.testing.assert_allclose(symbols, want_symbols.reshape(6, 9, 9), rtol=0.0,
+                                   atol=1e-15 * s.max_abs())
+        assert defect == pytest.approx(want, rel=1e-12, abs=1e-300)
+
