@@ -7,7 +7,7 @@ Hermitian block per wavevector.  The LDL^T inertia of the shifted blocks
 A(k) - omega_max^2 M(k) certifies the band: together they count the
 eigenvalues below the edge.  LAPACK then solves each block.  (Variable
 coefficients take one LDL^T factorization of the global shifted pencil
-and shift-invert Lanczos instead.)  Each eigenvector is matched to the
+and block shift-invert Lanczos instead.)  Each eigenvector is matched to the
 Fourier mode with the largest projection amplitude.
 """
 

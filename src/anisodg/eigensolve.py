@@ -11,8 +11,11 @@ Two certified solvers serve ``A x = lambda M x``:
   factorization of the pencil shift ``A - lambda_max M`` does two jobs.  By
   Sylvester's law the number of its negative pivots is the number of band
   eigenvalues, which certifies the solve: the returned count must equal it.
-  Its solve is also the shift-invert operator of the Lanczos iteration, so
-  no standard-form reduction and no second factorization is needed.
+  Its solve is also the operator of a block shift-invert Lanczos iteration
+  (``LANCZOS_BLOCK`` right-hand sides per solve, full reorthogonalization
+  in the M inner product), which stops once as many Ritz pairs as the
+  inertia counts have converged, so no standard-form reduction and no
+  second factorization is needed.
 
 ``dense_generalized_eig`` (a global LAPACK ``eigh``) is kept as the test
 oracle of both.
@@ -35,8 +38,17 @@ from .assembly import SparseSymMatrix
 #: have their full spectrum (``n x n`` eigenvectors) computed.
 DENSE_CAP = 8192
 
-#: Below this size band_eig solves densely instead of running Lanczos.
-DENSE_SWITCH = 1200
+#: Width of band_eig's Lanczos block: the band eigenvalues of the
+#: variable-coefficient operators come in near-degenerate ``+-(m, n)`` pairs.
+LANCZOS_BLOCK = 2
+
+#: A Lanczos direction whose M-norm falls below this fraction of its block's
+#: before orthogonalization counts as lost (the block lost rank).
+RANK_FLOOR = 1e-8
+
+#: Lanczos steps without a new negative Ritz value, after which a fresh
+#: random block joins the basis if every negative Ritz pair has converged.
+STALL_STEPS = 16
 
 #: ``bloch_eig`` accepts a pencil only if no stored entry differs from its
 #: translate in the cell-(0, 0) block row by more than this times the
@@ -72,12 +84,17 @@ class EigenSolution:
       these at the band edge themselves.
     * ``"bloch"``: the band of a translation-invariant pencil, from the
       lattice blocks.
-    * ``"dense-band"``, ``"shift-invert"``, ``"empty"``: the band from
-      ``band_eig`` by dense LAPACK, by shift-invert Lanczos, or empty.
+    * ``"shift-invert"``: the band from ``band_eig``'s block shift-invert
+      Lanczos iteration.
+    * ``"dense-band"``: the band from ``band_eig`` by dense LAPACK, used
+      only when the band fills (nearly) the whole space.
+    * ``"empty"``: ``band_eig`` of an empty band.
 
     Band solves set ``inertia_count`` to the LDL^T count they were
     certified against.  ``residuals`` bound ``||A x - lambda M x||`` per
-    pair.
+    pair.  ``solves`` is the number of right-hand sides the Lanczos
+    iteration applied ``K^{-1}`` to and ``subspace`` its final basis size;
+    the dense-band solve reports ``subspace = n`` and the other methods 0.
     """
 
     eigenvalues: np.ndarray
@@ -86,6 +103,8 @@ class EigenSolution:
     method: str
     inertia_count: int | None = None
     norm_a: float = field(default=0.0)
+    solves: int = 0
+    subspace: int = 0
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -124,8 +143,8 @@ def dense_generalized_eig(a, m=None, cap: int = DENSE_CAP) -> EigenSolution:
 def _dense_pencil(a: SparseSymMatrix, m: SparseSymMatrix
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Dense Fortran-ordered ``(A, M)``, which LAPACK may overwrite in place
-    instead of copying."""
-    return a.to_full().toarray(order="F"), m.to_full().toarray(order="F")
+    instead of copying: the transposes of the (symmetric) C-ordered arrays."""
+    return a.to_full().toarray().T, m.to_full().toarray().T
 
 
 def _residuals(a: SparseSymMatrix, m: SparseSymMatrix,
@@ -212,28 +231,33 @@ def shifted_inertia(a, m, shift: float, zero_tol: float = 1e-12):
 
     By Sylvester's law ``(n_neg, n_zero, n_pos)`` counts the eigenvalues of
     the pencil (A, M) below, at and above ``shift``.  K is factored by dense
-    Bunch-Kaufman LDL^T up to ``DENSE_CAP`` unknowns and by static-pivot
-    SuperLU above.
+    Bunch-Kaufman LDL^T up to ``DENSE_CAP`` unknowns (``A`` densified once,
+    ``shift * M`` subtracted in place) and by static-pivot SuperLU above.
+    The solve takes a vector or a block of right-hand sides.
     """
     a, m = _as_pencil(a, m)
-    k = (a.to_full() - shift * m.to_full()).tocsc()
     if a.n <= DENSE_CAP:
-        return _ldl_factor(k.toarray(order="F"), zero_tol)
-    return _superlu_factor(k, zero_tol)
+        # K is symmetric, so its C-ordered array transposed is K in the
+        # Fortran order LAPACK factors in place
+        k = a.to_full().toarray()
+        mass = m.to_full().tocoo()
+        np.subtract.at(k, (mass.row, mass.col), shift * mass.data)
+        return _ldl_factor(k.T, zero_tol)
+    return _superlu_factor((a.to_full() - shift * m.to_full()).tocsc(), zero_tol)
 
 
 def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
     """All eigenpairs of ``A x = lambda M x`` with ``lambda <= lambda_max``.
 
     One factorization of ``K = A - lambda_max M`` serves the certificate
-    and the solve.  Its inertia is the band count.  Up to ``DENSE_SWITCH``
-    unknowns LAPACK solves the pencil for ``lambda <= lambda_max``.  Above
-    it, shift-invert Lanczos at ``sigma = lambda_max`` applies K's solve:
-    every band eigenvalue maps to a negative ``1/(lambda - lambda_max)``
-    and every other one to a positive value, so the inertia count of
-    smallest algebraic values is exactly the band.  The result is accepted
-    only when the returned count matches the inertia and every residual is
-    within tolerance.
+    and the solve.  Its inertia ``n_neg`` is the band count, and its solve
+    drives a block shift-invert Lanczos iteration (``_lanczos``): every
+    band eigenvalue maps to a negative ``mu = 1/(lambda - lambda_max)`` of
+    ``K^{-1} M`` and every other one to a positive value, so the band is
+    exactly the ``n_neg`` negative eigenvalues.  Only a band that fills
+    (nearly) the whole space is solved by dense LAPACK instead.  The result
+    is accepted only when the returned count matches the inertia and every
+    residual is within tolerance.
     """
     a, m = _as_pencil(a, m)
     n = a.n
@@ -248,23 +272,19 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
                              residuals=np.empty(0), method="empty",
                              inertia_count=0, norm_a=norm_a)
 
-    if n <= DENSE_SWITCH or n_neg + 8 >= n - 1:
+    limit = req.tolerance * max(norm_a, np.finfo(float).tiny)
+    if n_neg + 8 >= n - 1:
         if n > DENSE_CAP:
             raise CompletenessError(
                 f"band of {n_neg} eigenvalues needs a subspace near the full "
                 f"dimension {n}, which exceeds the dense cap")
         w, x = sla.eigh(*_dense_pencil(a, m), overwrite_a=True,
                         overwrite_b=True, subset_by_value=(-np.inf, req.lambda_max))
-        method = "dense-band"
+        method, solves, subspace = "dense-band", 0, n
     else:
-        op_inv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
-        v0 = np.random.default_rng(seed).standard_normal(n)
-        try:
-            w, x = spla.eigsh(a.to_full(), k=n_neg, M=m.to_full(),
-                              sigma=req.lambda_max, which="SA", OPinv=op_inv,
-                              v0=v0, ncv=min(n - 1, max(4 * n_neg, 40)))
-        except spla.ArpackError as exc:
-            raise CompletenessError(f"shift-invert Lanczos failed: {exc}") from exc
+        norm_k = norm_a + req.lambda_max * m.norm_inf()
+        w, x, solves, subspace = _lanczos(m, solve, req.lambda_max, n_neg,
+                                          limit / norm_k, seed)
         method = "shift-invert"
 
     found = int(np.sum(w <= req.lambda_max))
@@ -276,7 +296,6 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
     order = np.argsort(w)
     w, x = w[order], x[:, order]
     resid = _residuals(a, m, w, x)
-    limit = req.tolerance * max(norm_a, np.finfo(float).tiny)
     if np.any(resid > limit):
         raise CompletenessError(
             f"residual {resid.max():.3e} exceeds tolerance {limit:.3e}")
@@ -284,8 +303,147 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
         raise CompletenessError(
             f"negative eigenvalue {w.min():.3e} below the PSD tolerance")
     return EigenSolution(eigenvalues=w, eigenvectors=x, residuals=resid,
-                         method=method, inertia_count=n_neg, norm_a=norm_a)
+                         method=method, inertia_count=n_neg, norm_a=norm_a,
+                         solves=solves, subspace=subspace)
 
+
+def _lanczos(m: SparseSymMatrix, solve, shift: float, n_neg: int,
+             limit: float, seed: int):
+    """The ``n_neg`` negative eigenpairs of ``T = K^{-1} M``, ``K = A - shift
+    M`` (``solve`` applies ``K^{-1}``), by block Lanczos with full
+    reorthogonalization in the M inner product; returns the pencil
+    eigenpairs ``(lambda, x)``, the number of right-hand sides solved and
+    the final basis size.
+
+    T is self-adjoint in the M inner product.  Each step applies ``solve``
+    to the whole newest block of the M-orthonormal basis Q and takes the
+    image into the basis (``_Basis.extend``), which fills ``H = Q^T M T Q``.
+    A Ritz pair ``(mu, x = Q y)`` of the applied columns has ``T x - mu x =
+    Q_new R y_last``, ``Q_new`` being the block not yet applied.  With
+    ``lambda = shift + 1/mu`` its pencil residual ``||A x - lambda M x|| =
+    ||K (T x - mu x)|| / |mu|`` is at most ``||K|| ||Q_new R y_last|| /
+    |mu|``; ``limit`` is the residual tolerance over ``||K||``.
+
+    By interlacing at most ``n_neg`` Ritz values are negative (the LDL^T
+    inertia of H counts them).  The iteration stops when exactly ``n_neg``
+    are and all of them meet ``limit``.  When the count has stalled below
+    ``n_neg`` for ``STALL_STEPS`` steps and every negative Ritz pair meets
+    ``limit``, a fresh random block joins the basis beside the Krylov block,
+    so multiplicities above the block width stay reachable.  The basis
+    doubles from ``max(4 n_neg, 32)`` columns up to ``n``; a band still
+    incomplete then raises ``CompletenessError``.
+    """
+    n = m.n
+    basis = _Basis(n, min(n, max(4 * n_neg, 32)), m, np.random.default_rng(seed))
+    basis.add_random(LANCZOS_BLOCK)
+    done = solves = stall = best = 0
+    while done < basis.k:
+        block = slice(done, basis.k)
+        image = solve(basis.mq[:, block])
+        solves += image.shape[1]
+        basis.extend(image, block)
+        done = block.stop
+        count = _negative_count(basis.h[:done, :done])
+        if count > n_neg:
+            raise CompletenessError(
+                f"shift-invert Lanczos failed: {count} negative Ritz values "
+                f"exceed the inertia count {n_neg}")
+        stall = 0 if count > best else stall + 1
+        best = max(best, count)
+        if count < n_neg and stall < STALL_STEPS:
+            continue
+        mu, y = np.linalg.eigh(basis.h[:done, :done])
+        mu, y = mu[:count], y[:, :count]
+        # T x - mu x of each Ritz pair lies in the block not yet applied
+        gap = basis.q[:, done:basis.k] @ (basis.h[done:basis.k, block] @ y[block])
+        if np.any(np.linalg.norm(gap, axis=0) > limit * np.abs(mu)):
+            continue
+        if count == n_neg:
+            return shift + 1.0 / mu, basis.q[:, :done] @ y, solves, basis.k
+        basis.add_random(LANCZOS_BLOCK)
+        stall = 0
+    raise CompletenessError(
+        f"shift-invert Lanczos failed: the band of {n_neg} eigenpairs is not "
+        f"resolved in the whole {n}-dimensional space")
+
+
+def _negative_count(h: np.ndarray) -> int:
+    """Number of negative eigenvalues of the symmetric ``h``, from its
+    Bunch-Kaufman LDL^T: negative 1x1 pivots plus one per 2x2 pivot block,
+    which Bunch-Kaufman pivoting makes indefinite."""
+    ldu, piv, _ = lapack.dsytrf(h, lower=1)
+    return int(np.sum((piv > 0) & (np.diag(ldu) < 0.0)) + np.sum(piv < 0) // 2)
+
+
+class _Basis:
+    """The M-orthonormal Lanczos basis ``q[:, :k]``, its M image ``mq`` and
+    ``h = Q^T M T Q``, growing in place."""
+
+    def __init__(self, n: int, cap: int, m: SparseSymMatrix, rng):
+        self.n, self.m, self.rng = n, m, rng
+        self.q = np.empty((n, cap), order="F")
+        self.mq = np.empty((n, cap), order="F")
+        self.h = np.zeros((cap, cap))
+        self.k = 0
+
+    def _reserve(self, cols: int) -> None:
+        """Room for ``cols`` more columns; the storage doubles, up to ``n``."""
+        cap = self.q.shape[1]
+        if self.k + cols <= cap:
+            return
+        cap = min(self.n, max(2 * cap, self.k + cols))
+        for name in ("q", "mq"):
+            grown = np.empty((self.n, cap), order="F")
+            grown[:, :self.k] = getattr(self, name)[:, :self.k]
+            setattr(self, name, grown)
+        h = np.zeros((cap, cap))
+        h[:self.k, :self.k] = self.h[:self.k, :self.k]
+        self.h = h
+
+    def _append(self, w: np.ndarray) -> np.ndarray:
+        """Append the part of the block ``w`` (overwritten) that is
+        M-orthogonal to the basis, M-orthonormalized by pivoted Cholesky-QR;
+        return the coefficients ``c`` of ``w = Q c`` for the enlarged basis.
+        A direction whose M-norm falls below ``RANK_FLOOR`` of the block's
+        is dropped (the block lost rank)."""
+        k, cols = self.k, w.shape[1]
+        q, mq = self.q[:, :k], self.mq[:, :k]
+        coef = np.zeros((k + cols, cols))
+        for _ in range(2):  # classical Gram-Schmidt, twice
+            c = mq.T @ w
+            w -= q @ c
+            coef[:k] += c
+        mw = self.m.matvec(w)
+        gram = w.T @ mw
+        # ||w||_M^2 before orthogonalization: Q is M-orthonormal
+        scale = float(np.max(np.sum(coef[:k] ** 2, axis=0) + np.diag(gram)))
+        r, perm, rank, _ = lapack.dpstrf(gram, tol=RANK_FLOOR**2 * scale)
+        rank = min(rank, self.n - k)
+        if rank:
+            perm -= 1  # w[:, perm] = q_new triu(r[:rank])
+            inv = np.triu(lapack.dtrtri(r[:rank, :rank])[0])
+            self.q[:, k:k + rank] = w[:, perm[:rank]] @ inv
+            self.mq[:, k:k + rank] = mw[:, perm[:rank]] @ inv
+            coef[k:k + rank, perm] = np.triu(r[:rank])
+            self.k = k + rank
+        return coef[:self.k]
+
+    def add_random(self, cols: int) -> None:
+        """Append ``cols`` random directions (as many as fit in the space)."""
+        cols = min(cols, self.n - self.k)
+        if cols > 0:
+            self._reserve(cols)
+            self._append(self.rng.standard_normal((self.n, cols)))
+
+    def extend(self, image: np.ndarray, block: slice) -> None:
+        """Take ``image = T q[:, block]`` into the basis and its coefficients
+        into ``h``; random directions replace those the image loses."""
+        cols = min(image.shape[1], self.n - self.k)
+        self._reserve(cols)
+        k = self.k
+        coef = self._append(image)
+        self.h[:len(coef), block] = coef
+        self.add_random(cols - (self.k - k))
 
 # ---------------------------------------------------------------------------
 # translation-invariant pencils: one Hermitian block per lattice wavevector

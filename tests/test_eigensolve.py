@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -111,10 +110,9 @@ def make_small_system(nx=2, ny=2, p=2, alpha=CoefficientField.constant(1.0)):
     return build_reduced(ops)
 
 
-def test_band_eig_agrees_with_dense(monkeypatch):
+def test_band_eig_agrees_with_dense():
     a, m = make_small_system(4, 4, 2)  # 144 dof
     req = BandRequest(lambda_max=0.4)
-    monkeypatch.setattr(eigensolve, "DENSE_SWITCH", 0)  # force shift-invert
     sparse_sol = band_eig(a, m, req)
     dense_sol = dense_generalized_eig(a, m)
     keep = dense_sol.eigenvalues <= 0.4
@@ -124,10 +122,9 @@ def test_band_eig_agrees_with_dense(monkeypatch):
         <= 1e-9 * max(1.0, np.abs(dense_sol.eigenvalues[keep]).max())
 
 
-def test_band_eig_invariants_on_operator(monkeypatch):
+def test_band_eig_invariants_on_operator():
     a, m = make_small_system(4, 4, 2)
     req = BandRequest(lambda_max=0.4, tolerance=1e-10)
-    monkeypatch.setattr(eigensolve, "DENSE_SWITCH", 0)
     sol = band_eig(a, m, req)
     # completeness: returned count equals the inertia count
     assert sol.inertia_count == len(sol)
@@ -139,10 +136,9 @@ def test_band_eig_invariants_on_operator(monkeypatch):
     assert np.max(np.abs(gram - np.eye(len(sol)))) < 1e-9
 
 
-def test_band_eig_deterministic(monkeypatch):
+def test_band_eig_deterministic():
     a, m = make_small_system(4, 4, 2)
     req = BandRequest(lambda_max=0.4)
-    monkeypatch.setattr(eigensolve, "DENSE_SWITCH", 0)
     s1 = band_eig(a, m, req, seed=5)
     s2 = band_eig(a, m, req, seed=5)
     assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
@@ -161,7 +157,6 @@ def test_band_eig_whole_spectrum_in_band(diag):
 def test_band_eig_sparse_factor_path(monkeypatch):
     """The SuperLU factor serves both the inertia and shift-invert Lanczos."""
     a, m = make_small_system(4, 4, 2)
-    monkeypatch.setattr(eigensolve, "DENSE_SWITCH", 0)
     monkeypatch.setattr(eigensolve, "DENSE_CAP", 0)
     sol = band_eig(a, m, BandRequest(lambda_max=0.4))
     dense = dense_generalized_eig(a, m).eigenvalues
@@ -174,14 +169,16 @@ def test_band_eig_sparse_factor_path(monkeypatch):
 
 
 def test_band_eig_lanczos_failure_is_incomplete(monkeypatch):
-    """An ARPACK failure is reported as an uncertified band."""
-    def no_convergence(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.empty(0),
-                                       np.empty((0, 0)))
+    """A Lanczos iteration that never resolves the band is reported as an
+    uncertified band: a solve that returns its right-hand side instead of
+    applying K^{-1} makes the operator positive definite, so no Ritz value
+    turns negative and the whole space runs out."""
+    def identity_solve(a, m, shift):
+        inertia, _ = shifted_inertia(a, m, shift)
+        return inertia, lambda b: np.array(b)
 
     a, m = make_small_system(4, 4, 2)
-    monkeypatch.setattr(eigensolve, "DENSE_SWITCH", 0)
-    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    monkeypatch.setattr(eigensolve, "shifted_inertia", identity_solve)
     with pytest.raises(CompletenessError, match="Lanczos failed"):
         band_eig(a, m, BandRequest(lambda_max=0.4))
 
@@ -203,10 +200,9 @@ def test_band_eig_accepts_plain_arrays():
     assert np.max(np.abs(np.sort(sol.eigenvalues) - evals[:12])) < 1e-9
 
 
-def test_band_eig_returns_near_degenerate_pairs_completely(monkeypatch):
+def test_band_eig_returns_near_degenerate_pairs_completely():
     """Both members of each +-(m,n) pair land in the band (even count)."""
     a, m = make_small_system(4, 4, 3)
-    monkeypatch.setattr(eigensolve, "DENSE_SWITCH", 0)
     sol = band_eig(a, m, BandRequest(lambda_max=0.2))
     w = sol.eigenvalues
     nonzero = w[w > 1e-8 * w.max()]
@@ -216,6 +212,104 @@ def test_band_eig_returns_near_degenerate_pairs_completely(monkeypatch):
     pairs = nonzero.reshape(-1, 2)
     split = np.abs(pairs[:, 1] - pairs[:, 0]) / pairs[:, 1]
     assert np.max(split) < 2e-2
+
+
+def _pencil_with_spectrum(evals, seed):
+    """A dense pencil ``(A, M)``, ``M`` SPD and not diagonal, whose
+    generalized eigenvalues are ``evals``."""
+    rng = np.random.default_rng(seed)
+    n = len(evals)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    b = rng.standard_normal((n, n)) / np.sqrt(n)
+    m = np.eye(n) + 0.3 * (b @ b.T)
+    low = np.linalg.cholesky(m)
+    a = low @ (q * evals) @ q.T @ low.T
+    return (a + a.T) / 2.0, m
+
+
+@pytest.mark.parametrize("stall_steps", [eigensolve.STALL_STEPS, 1],
+                         ids=["default", "early-random-block"])
+def test_band_eig_multiplicity_above_block_width(monkeypatch, stall_steps):
+    """A triple and a double eigenvalue in the band of a 300x300 pencil:
+    the Lanczos block of width 2 returns every pair, M-orthonormal, with the
+    inertia count, in far fewer solves than the dimension; also when a
+    random block joins the basis at the first stall."""
+    band = np.array([0.05, 0.2, 0.2, 0.2, 0.45, 0.45, 0.7, 0.9])
+    a, m = _pencil_with_spectrum(np.concatenate([band, np.linspace(2.0, 60.0, 292)]), 41)
+    monkeypatch.setattr(eigensolve, "STALL_STEPS", stall_steps)
+    sol = band_eig(a, m, BandRequest(lambda_max=1.0))
+    assert sol.method == "shift-invert"
+    assert len(sol) == sol.inertia_count == shifted_inertia(a, m, 1.0)[0][0] == 8
+    np.testing.assert_allclose(sol.eigenvalues, band, rtol=0.0, atol=1e-12)
+    gram = sol.eigenvectors.T @ m @ sol.eigenvectors
+    assert np.max(np.abs(gram - np.eye(8))) < 1e-12
+    assert sol.solves <= 100
+
+
+@pytest.mark.parametrize("n", [1, 40])
+def test_band_eig_zero_operator(n):
+    """``A = 0`` puts the whole spectrum at 0 and the residual tolerance at
+    ``tolerance * tiny``; the band is the whole space, solved exactly.  One
+    p = 0 cell (no neighbours, so no jumps) assembles exactly this."""
+    if n == 1:
+        mesh = build_mesh(MeshConfig(1, 1, Alignment.CARTESIAN, REF_B))
+        alpha = CoefficientField(1.0, (Harmonic(1, 1, 0.2, 0.1),))
+        a, m = build_reduced(assemble_operator_set(
+            mesh, BasisSpec(0, 0), alpha, MagneticField(REF_B, alpha), 6.0))
+        assert a.max_abs() == 0.0
+    else:
+        a, m = np.zeros((n, n)), random_spd_pair(n, 5)[1]
+    sol = band_eig(a, m, BandRequest(lambda_max=0.5))
+    assert len(sol) == sol.inertia_count == n
+    assert np.all(sol.eigenvalues == 0.0)
+    assert np.all(sol.residuals == 0.0)
+
+
+def test_band_eig_band_near_the_dimension():
+    """A band of all but 10 of the 36 eigenvalues of a small operator is
+    solved by Lanczos on the whole space, and matches the dense spectrum."""
+    a, m = make_small_system(2, 2, 2)
+    w = dense_generalized_eig(a, m).eigenvalues
+    keep = a.n - 10
+    sol = band_eig(a, m, BandRequest(lambda_max=0.5 * (w[keep - 1] + w[keep])))
+    assert sol.method == "shift-invert"
+    assert len(sol) == sol.inertia_count == keep
+    assert np.max(np.abs(sol.eigenvalues - w[:keep])) <= 1e-12 * w[-1]
+    gram = sol.eigenvectors.T @ m.to_dense() @ sol.eigenvectors
+    assert np.max(np.abs(gram - np.eye(keep))) < 1e-12
+    assert sol.subspace <= a.n
+
+
+def test_solve_counts_are_recorded():
+    """``solves`` counts the right-hand sides applied and ``subspace`` the
+    final basis size; the Bloch and empty solves apply none."""
+    a, m = make_small_system(4, 4, 2)
+    sol = band_eig(a, m, BandRequest(lambda_max=0.4))
+    assert sol.method == "shift-invert"
+    assert 0 < sol.solves <= sol.subspace + eigensolve.LANCZOS_BLOCK
+    assert len(sol) < sol.subspace < a.n
+    for other in (bloch_eig(a, m, (4, 4), BandRequest(lambda_max=0.4)),
+                  band_eig(np.diag([5.0, 6.0]), None, BandRequest(lambda_max=1.0))):
+        assert other.solves == other.subspace == 0
+
+
+def test_shifted_inertia_sums_duplicate_mass_entries():
+    """The dense K sums an M entry that the CSR stores in two pieces."""
+    a, m = make_small_system(2, 2, 1)
+    full = m.to_full()
+    # entry (0, 0) stored as two halves
+    first = full.indptr[0]
+    split = sp.csr_matrix((np.insert(full.data, first, full[0, 0] / 2.0),
+                           np.insert(full.indices, first, 0),
+                           full.indptr + (np.arange(a.n + 1) > 0)), shape=full.shape)
+    split.data[first + 1 + np.flatnonzero(full.indices[:full.indptr[1]] == 0)] /= 2.0
+    assert split.nnz == full.nnz + 1
+    np.testing.assert_allclose(split.toarray(), full.toarray(), rtol=0.0, atol=1e-17)
+    inertia, solve = shifted_inertia(a, SparseSymMatrix(split), 0.4)
+    assert inertia == shifted_inertia(a, m, 0.4)[0]
+    rhs = np.random.default_rng(2).standard_normal(a.n)
+    k = a.to_dense() - 0.4 * m.to_dense()
+    assert np.max(np.abs(k @ solve(rhs) - rhs)) < 1e-10
 
 
 HARMONICS = st.builds(Harmonic, st.integers(-2, 2), st.integers(-2, 2),
