@@ -2,8 +2,7 @@
 2D periodic anisotropic wave eigenproblem."""
 
 from .basis import BasisSpec, dof_parallel, dof_perpendicular, gauss_rule
-from .eigensolve import BandRequest, CompletenessError, band_eig, \
-    bloch_eig, dense_generalized_eig, ldl_inertia
+from .eigensolve import BandRequest, CompletenessError, band_eig, bloch_eig
 from .fields import CoefficientField, MagneticField, iota_profile, load_field
 from .geometry import (Alignment, FieldDirection, MeshConfig, aspect_ratios,
                        build_mesh, choose_alignment)
@@ -16,7 +15,7 @@ __all__ = [
     "CompletenessError", "FieldDirection", "FourierProjector", "MagneticField",
     "MeshConfig", "SolveSetup", "aspect_ratios", "associate_modes",
     "band_eig", "band_error_report", "bloch_eig", "build_mesh", "choose_alignment",
-    "compare_band_errors", "convergence_study", "dense_generalized_eig",
+    "compare_band_errors", "convergence_study",
     "dof_parallel", "dof_perpendicular", "exact_spectrum", "gauss_rule",
-    "iota_profile", "ldl_inertia", "load_field", "run_band_solve",
+    "iota_profile", "load_field", "run_band_solve",
 ]

@@ -1,49 +1,36 @@
-"""Assembly of the mixed-form LDG operator matrices and the reduced system.
+"""Assembly of the mixed-form LDG operators as lattice stencils, and the
+reduced system.
 
-The weak form couples a scalar parallel-gradient variable u with the
-primal variable phi through seven matrices:
+The weak form couples the parallel gradient u with phi through the u mass
+``M_UV`` (exactly diagonal: Legendre basis, affine cells), the volume term
+``A_UPsi`` of ``u * B . grad(psi)``, the interface term ``B_UPsi`` of ``{u}
+* B . [psi]`` (their transposes couple back), the penalty ``B_PhiPsi`` of
+``(eta_S / h_F) (B . [phi]) (B . [psi])`` and the alpha-weighted mass
+``M_PhiPsi``.  Eliminating u gives the symmetric positive semidefinite
 
-* ``M_UV``   mass of u/v, exactly diagonal for the Legendre basis on
-  affine cells and stored as its diagonal,
-* ``A_UPsi`` volume blocks of ``u * B . grad(psi)`` (its transpose is the
-  ``A_PhiV`` coupling; shared storage),
-* ``B_UPsi`` interface blocks of ``{u} * B . [psi]`` (transpose serves
-  ``B_PhiV``),
-* ``B_PhiPsi`` penalty ``(eta_S / h_F) * (B . [phi]) (B . [psi])``,
-* ``M_PhiPsi`` weighted mass blocks with coefficient alpha (diagonal for
-  a constant alpha).
+    A = C M_UV^{-1} C^T + B_PhiPsi,    C = A_UPsi - B_UPsi,
 
-Eliminating u yields the reduced symmetric positive semidefinite operator
+and ``A Phi = omega^2 M_PhiPsi Phi``.  Each interface sub-segment has its
+own Gauss rule, mapped into both adjacent reference edges, so conforming and
+split interfaces are alike; field-tangent edges are skipped (exactly zero).
 
-    A = (A_UPsi - B_UPsi) M_UV^{-1} (A_UPsi - B_UPsi)^T + B_PhiPsi
-
-and the generalized eigenproblem ``A Phi = omega^2 M_PhiPsi Phi``.
-
-Conforming and non-conforming interfaces are treated identically: each
-sub-segment integrates with its own Gauss rule, mapped into both adjacent
-reference edge coordinates.  Contributions on field-tangent edges
-(``|b . n| <= 1e-14 |b|``) are skipped, so they are exactly zero.
-
-Every term is assembled in one batched pass, without a Python loop that
-evaluates bases or coefficients per cell or per interface.  The mesh is a
-lattice: all cells are translates of ``mesh.cell0``, so the volume terms
-share one set of basis tables and map their quadrature points with
-``Mesh.map_points``.  The interface and penalty terms share one trace pass
-over the arrays of the field-crossing faces (``Mesh.faces``), with the
-basis traces evaluated once per face template: it yields the jump trace
-``[+own, -nbr]`` and the average trace ``[own, nbr] / 2``, the interface
-term pairs the jump with the average and the penalty pairs the jump with
-itself.
-
-Every matrix is a pattern of ``n_loc x n_loc`` cell blocks.  The element
-blocks are summed by their ``(row cell, column cell)`` key straight into a
-block sparse row (BSR) matrix, and the reduction to ``A`` is one BSR
-product; a symmetric matrix is converted to CSR once, when it is stored.
+The mesh is a lattice of one cell and each operator couples a cell to a few
+fixed cell offsets, so each is a ``Stencil``: ``blocks[c, s]`` couples row
+cell ``c`` to cell ``c + offsets[s]``.  With a constant coefficient all cells
+carry the same blocks (``cells = 1``), integrated on ``mesh.cell0`` and one
+face per template (``Mesh.templates``); else on every cell and face, in one
+batched pass.  The interface and penalty terms pair the jump trace ``[+own,
+-nbr]`` with the average ``[own, nbr] / 2`` or with itself.  Symmetric
+operators (``SymStencil``) are symmetrized over offsets ``d, -d`` and dropped
+below ``DROP_TOL`` on their blocks.  ``build_reduced`` forms ``A`` by one
+batched product per pair of offsets of ``C``.  A stencil's scalar CSR is
+expanded on first use only; constant-coefficient solves read its symbols.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,6 +41,9 @@ from .geometry import ALIGNMENT_TOL, Faces, Mesh, _sides_apart
 
 #: Assembled entries below this times the matrix max are dropped.
 DROP_TOL = 1e-15
+
+#: The offset of a cell to itself, the only one of the volume terms.
+_ORIGIN = np.zeros((1, 2), dtype=int)
 
 
 class AssemblyError(RuntimeError):
@@ -69,53 +59,43 @@ class SparseSymMatrix:
     """Sparse symmetric matrix stored as its full CSR."""
 
     def __init__(self, full: sp.spmatrix):
-        self._csr = full.tocsr()
+        self._full = full.tocsr()
+        self.n = self._full.shape[0]
 
     @classmethod
     def from_product(cls, full: sp.spmatrix) -> "SparseSymMatrix":
-        """Symmetrize a (numerically almost symmetric) product and drop
-        entries below ``DROP_TOL`` times its largest entry.  A BSR product
-        is symmetrized block by block and converted to CSR once.  The stored
-        pattern is exactly symmetric."""
+        """Symmetrize a (numerically almost symmetric) matrix and drop entries
+        below ``DROP_TOL`` times its largest; the pattern is symmetric."""
         sym = (full + full.T) * 0.5
         sym.data[np.abs(sym.data) < DROP_TOL * np.max(np.abs(sym.data), initial=0.0)] = 0.0
         sym = sym.tocsr()
         sym.eliminate_zeros()
         return cls(sym)
 
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "SparseSymMatrix":
-        return cls.from_product(sp.csr_matrix(a))
-
-    @property
-    def n(self) -> int:
-        return self._csr.shape[0]
+    def to_full(self) -> sp.csr_matrix:
+        return self._full
 
     @property
     def lower(self) -> sp.csr_matrix:
-        return sp.tril(self._csr, format="csr")
-
-    def to_full(self) -> sp.csr_matrix:
-        return self._csr
+        return sp.tril(self.to_full(), format="csr")
 
     def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
+        return self.to_full().toarray()
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._csr @ x
+        return self.to_full() @ x
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self._csr.data), initial=0.0))
+        return float(np.max(np.abs(self.to_full().data), initial=0.0))
 
     def norm_inf(self) -> float:
-        return float(np.max(np.abs(self._csr).sum(axis=1)))
+        return float(np.max(np.abs(self.to_full()).sum(axis=1)))
 
     def nnz_percent(self) -> float:
-        """Stored nonzeros as a percentage of the full lower triangle.  The
-        pattern is symmetric (see ``from_product``), so the lower triangle
-        holds every nonzero diagonal entry and half of the others."""
-        lower = (self._csr.nnz + np.count_nonzero(self._csr.diagonal())) / 2.0
-        return 100.0 * lower / (self.n * (self.n + 1) / 2.0)
+        """Stored nonzeros as a percentage of the full lower triangle, which
+        (the pattern being symmetric) holds the diagonal and half the rest."""
+        full = self.to_full()
+        return _lower_percent(full.nnz, np.count_nonzero(full.diagonal()), self.n)
 
     def dump_coordinate(self, stream) -> None:
         """Write 'row col value' (1-based, lower triangle) to a text stream."""
@@ -125,59 +105,138 @@ class SparseSymMatrix:
             stream.write(f"{r + 1} {c + 1} {v:.17g}\n")
 
 
-@dataclass
-class OperatorSet:
-    """The assembled matrices of the mixed LDG system.
-
-    ``m_uv`` is the diagonal of the (exactly diagonal) u mass matrix.  The
-    ``A_PhiV`` and ``B_PhiV`` couplings are the exact transposes of
-    ``a_upsi`` and ``b_upsi`` and are not stored.
-    """
-
-    m_uv: np.ndarray
-    a_upsi: sp.bsr_matrix
-    b_upsi: sp.bsr_matrix
-    b_phipsi: SparseSymMatrix
-    m_phipsi: SparseSymMatrix
+def _lower_percent(nnz: int, nnz_diagonal: int, n: int) -> float:
+    return 100.0 * (nnz + nnz_diagonal) / 2.0 / (n * (n + 1) / 2.0)
 
 
 # ---------------------------------------------------------------------------
-# shared tables
+# lattice stencils
 
 
-def _scatter(cells: np.ndarray, blocks: np.ndarray, n_cells: int) -> sp.bsr_matrix:
-    """Sum the element blocks into an ``n_cells x n_cells`` pattern of cell
-    blocks: ``blocks[e, a, b]`` (``n_loc x n_loc``) couples the row cell
-    ``cells[e, a]`` to the column cell ``cells[e, b]``.
+def _keys(offsets: np.ndarray, lattice: tuple[int, int]) -> np.ndarray:
+    """``(o_x mod nx) * ny + (o_y mod ny)``: equal for offsets that alias."""
+    return offsets[:, 0] % lattice[0] * lattice[1] + offsets[:, 1] % lattice[1]
 
-    Blocks with the same ``(row cell, column cell)`` key are summed by one
-    sparse indicator product, and the keys, sorted, are the BSR pattern.
+
+def _residues(offsets: np.ndarray, lattice: tuple[int, int], closed: bool = False):
+    """The sorted residues ``(K, 2)`` of ``offsets`` (and with ``closed`` of
+    their negations) modulo the lattice, and the slot of each offset."""
+    key = _keys(offsets, lattice)
+    keys = np.unique(np.concatenate([key, _keys(-offsets, lattice)]) if closed else key)
+    return np.stack(np.divmod(keys, lattice[1]), axis=1), np.searchsorted(keys, key)
+
+
+class Stencil:
+    """An operator on the ``nx x ny`` cell lattice as cell blocks at fixed offsets.
+
+    Cell ``(i, j)`` has id ``i*ny + j`` and contiguous dofs.  ``blocks[c, s]``
+    couples row cell ``c`` to cell ``c + offsets[s]`` (modulo the lattice).
+    ``blocks`` has one row cell if all cells carry the same blocks (the
+    operator commutes with lattice translations), else ``nx*ny``.  Offsets
+    are stored as sorted residues; the blocks of aliasing offsets are summed.
     """
-    n_loc = blocks.shape[-1]
-    key = (cells[:, :, None] * n_cells + cells[:, None, :]).ravel()
-    keys, slot = np.unique(key, return_inverse=True)
-    indicator = sp.csr_matrix((np.ones(key.size), (slot, np.arange(key.size))),
-                              shape=(keys.size, key.size))
-    data = indicator @ blocks.reshape(key.size, n_loc * n_loc)
-    rows, cols = np.divmod(keys, n_cells)
-    indptr = np.searchsorted(rows, np.arange(n_cells + 1))
-    return sp.bsr_matrix((data.reshape(-1, n_loc, n_loc), cols, indptr),
-                         shape=(n_cells * n_loc, n_cells * n_loc))
+
+    def __init__(self, offsets: np.ndarray, blocks: np.ndarray,
+                 lattice: tuple[int, int], closed: bool = False):
+        self.lattice = lattice = tuple(lattice)
+        self.n_cells, self.n_loc = lattice[0] * lattice[1], blocks.shape[-1]
+        self.n = self.n_cells * self.n_loc
+        self.offsets, slot = _residues(np.asarray(offsets), lattice, closed)
+        if np.array_equal(slot, np.arange(len(self.offsets))):
+            self.blocks = blocks
+        else:
+            shape = (len(blocks), len(self.offsets)) + blocks.shape[2:]
+            self.blocks = np.zeros(shape)
+            for s, k in enumerate(slot):
+                self.blocks[:, k] += blocks[:, s]
+
+    def column_cells(self) -> np.ndarray:
+        """``(n_cells, S)``: the cell that each row cell reaches by each offset."""
+        nx, ny = self.lattice
+        i, j = np.divmod(np.arange(self.n_cells), ny)
+        return ((i[:, None] + self.offsets[:, 0]) % nx * ny
+                + (j[:, None] + self.offsets[:, 1]) % ny)
+
+    def expand(self) -> sp.csr_matrix:
+        """The scalar CSR matrix, built anew."""
+        cols = self.column_cells()
+        order = np.argsort(cols, axis=1)  # sorted block columns: a sorted CSR
+        blocks = np.broadcast_to(self.blocks, (self.n_cells,) + self.blocks.shape[1:])
+        blocks = blocks[np.arange(self.n_cells)[:, None], order]
+        full = sp.bsr_matrix((blocks.reshape(-1, self.n_loc, self.n_loc),
+                              np.take_along_axis(cols, order, axis=1).ravel(),
+                              np.arange(self.n_cells + 1) * len(self.offsets)),
+                             shape=(self.n, self.n)).tocsr()
+        full.eliminate_zeros()
+        return full
+
+    def symbols(self) -> np.ndarray:
+        """``(nx*ny, n_loc, n_loc)``: at wavevector ``(p, q)`` (index ``p*ny +
+        q``), ``sum_s blocks[0, s] exp(2 pi i (p o_x / nx + q o_y / ny))``."""
+        if self.blocks.shape[0] != 1:
+            raise ValueError("a stencil that varies from cell to cell has no symbols")
+        (nx, ny), (ox, oy) = self.lattice, self.offsets.T
+        p, q = np.divmod(np.arange(nx * ny), ny)
+        turns = np.outer(p, ox) % nx / nx + np.outer(q, oy) % ny / ny
+        phase = np.exp(2j * np.pi * turns)
+        return (phase @ self.blocks[0].reshape(len(self.offsets), -1)).reshape(
+            -1, self.n_loc, self.n_loc)
 
 
-def _cell_blocks(mesh: Mesh, blocks: np.ndarray) -> sp.bsr_matrix:
-    """The block-diagonal matrix of one ``n_loc x n_loc`` block per cell."""
-    cells = np.arange(mesh.n_cells)[:, None]
-    return _scatter(cells, blocks[:, None, None], mesh.n_cells)
+class SymStencil(Stencil, SparseSymMatrix):
+    """A symmetric stencil: ``(B[c, d] + B[c + d, -d]^T) / 2``, dropped like
+    ``from_product``; its metadata are read from the blocks."""
+
+    def __init__(self, offsets: np.ndarray, blocks: np.ndarray,
+                 lattice: tuple[int, int]):
+        super().__init__(offsets, blocks, lattice, closed=True)
+        neg = _residues(-self.offsets, self.lattice)[1]  # the offsets are closed
+        rows = 0 if self.blocks.shape[0] == 1 else self.column_cells()
+        sym = (self.blocks + self.blocks[rows, neg].swapaxes(-1, -2)) * 0.5
+        size = np.abs(sym)
+        sym[size < DROP_TOL * np.max(size, initial=0.0)] = 0.0
+        self.blocks = sym
+
+    @cached_property
+    def _full(self) -> sp.csr_matrix:
+        """The scalar CSR matrix of ``to_full``, expanded on first use and kept."""
+        return self.expand()
+
+    def max_abs(self) -> float:
+        return float(np.max(np.abs(self.blocks), initial=0.0))
+
+    def norm_inf(self) -> float:
+        return float(np.max(np.abs(self.blocks).sum(axis=(1, 3))))
+
+    def nnz_percent(self) -> float:
+        copies = self.n_cells // self.blocks.shape[0]
+        own = np.diagonal(self.blocks[:, ~self.offsets.any(axis=1)], axis1=2, axis2=3)
+        return _lower_percent(copies * np.count_nonzero(self.blocks),
+                              copies * np.count_nonzero(own), self.n)
+
+
+@dataclass
+class OperatorSet:
+    """The assembled stencils; ``c`` is ``A_UPsi - B_UPsi`` (its transpose
+    the ``A_PhiV - B_PhiV`` coupling)."""
+
+    m_uv: SymStencil
+    c: Stencil
+    b_phipsi: SymStencil
+    m_phipsi: SymStencil
+
+
+def _lattice(mesh: Mesh) -> tuple[int, int]:
+    return mesh.config.nx, mesh.config.ny
 
 
 # ---------------------------------------------------------------------------
 # volume terms
 
 
-def _volume_tables(spec: BasisSpec, n_quad: int):
+def _volume_tables(spec: BasisSpec, n_quad: int | None):
     """Quadrature nodes and basis tables shared by all (congruent) cells."""
-    rule = gauss_rule(n_quad)
+    rule = gauss_rule(n_quad or default_quad_points(spec))
     xi, eta = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
     xi, eta = xi.ravel(), eta.ravel()
     wq = np.outer(rule.weights, rule.weights).ravel()
@@ -186,47 +245,46 @@ def _volume_tables(spec: BasisSpec, n_quad: int):
 
 
 def _volume_weights(mesh: Mesh, coeff: CoefficientField, xi, eta, wq):
-    """Quadrature weights ``(n_cells, q)`` including ``det J`` and a coefficient."""
-    x, y = mesh.map_points(np.arange(mesh.n_cells), xi, eta)
+    """Quadrature weights ``(cells, q)`` including ``det J`` and a coefficient:
+    of ``cell0`` alone for a constant coefficient, else of every cell."""
+    cells = np.arange(1 if coeff.is_constant else mesh.n_cells)
+    x, y = mesh.map_points(cells, xi, eta)
     return wq * mesh.cell0.jacobian_det * coeff.eval(x, y)
 
 
-def assemble_mass_u(mesh: Mesh, spec: BasisSpec) -> np.ndarray:
-    """The unweighted mass matrix, which is exactly diagonal, as its ``(n,)``
-    diagonal: ``det J * 2/(2a+1) * 2/(2b+1)`` for the Legendre mode ``(a, b)``."""
-    norms_xi = 2.0 / (2 * np.arange(spec.p_xi + 1) + 1)
-    norms_eta = 2.0 / (2 * np.arange(spec.p_eta + 1) + 1)
-    local = mesh.cell0.jacobian_det * np.outer(norms_xi, norms_eta).ravel()
-    return np.tile(local, mesh.n_cells)
+def assemble_mass_u(mesh: Mesh, spec: BasisSpec) -> SymStencil:
+    """The unweighted mass matrix, which is exactly diagonal."""
+    return assemble_mass_phi(mesh, spec, CoefficientField.constant(1.0))
 
 
 def assemble_mass_phi(mesh: Mesh, spec: BasisSpec, alpha: CoefficientField,
-                      n_quad: int | None = None) -> SparseSymMatrix:
-    """Mass matrix weighted by the coefficient alpha(x); block diagonal."""
+                      n_quad: int | None = None) -> SymStencil:
+    """Mass matrix weighted by the coefficient alpha(x); block diagonal, and
+    for a constant alpha ``alpha * det J * 2/(2a+1) * 2/(2b+1)`` on the
+    diagonal for the Legendre mode ``(a, b)``."""
     if alpha.is_constant:
-        return SparseSymMatrix(sp.diags(alpha.mean * assemble_mass_u(mesh, spec)))
-    n_quad = n_quad or default_quad_points(spec)
-    xi, eta, wq, vals, _ = _volume_tables(spec, n_quad)
-    w = _volume_weights(mesh, alpha, xi, eta, wq)
-    blocks = np.einsum("cq,qi,qj->cij", w, vals, vals)
-    return SparseSymMatrix.from_product(_cell_blocks(mesh, blocks))
+        norms_xi = 2.0 / (2 * np.arange(spec.p_xi + 1) + 1)
+        norms_eta = 2.0 / (2 * np.arange(spec.p_eta + 1) + 1)
+        blocks = np.diag(alpha.mean * (mesh.cell0.jacobian_det
+                                       * np.outer(norms_xi, norms_eta).ravel()))[None]
+    else:
+        xi, eta, wq, vals, _ = _volume_tables(spec, n_quad)
+        w = _volume_weights(mesh, alpha, xi, eta, wq)
+        blocks = np.einsum("cq,qi,qj->cij", w, vals, vals)
+    return SymStencil(_ORIGIN, blocks[:, None], _lattice(mesh))
 
 
 def assemble_gradient(mesh: Mesh, spec: BasisSpec, B: MagneticField,
-                      n_quad: int | None = None) -> sp.bsr_matrix:
-    """Volume blocks G[i, j] = integral of phi_j * (B . grad phi_i).
-
-    Row index carries the derivative; the same storage serves the
-    transposed coupling.
-    """
-    n_quad = n_quad or default_quad_points(spec)
+                      n_quad: int | None = None) -> Stencil:
+    """Volume blocks G[i, j] = integral of phi_j * (B . grad phi_i); the row
+    carries the derivative, and the transpose serves the transposed coupling."""
     xi, eta, wq, vals, grads = _volume_tables(spec, n_quad)
     # b expressed in reference-gradient components: (J^{-1} b) . grad_ref
     c = np.linalg.solve(mesh.cell0.jacobian, B.b.as_array())
     b_dot_grad = grads @ c  # (q, n_loc)
     w = _volume_weights(mesh, B.beta, xi, eta, wq)
     blocks = np.einsum("cq,qi,qj->cij", w, b_dot_grad, vals)
-    return _cell_blocks(mesh, blocks)
+    return Stencil(_ORIGIN, blocks[:, None], _lattice(mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +294,11 @@ def assemble_gradient(mesh: Mesh, spec: BasisSpec, B: MagneticField,
 def face_quadrature(mesh: Mesh, spec: BasisSpec, faces: Faces, n_quad: int):
     """Traces and weights on the faces ``faces`` (rows of ``mesh.faces``).
 
-    Returns ``(w, x, y, vals_own, vals_nbr)``: weights and owner-side
-    physical points of shape ``(F, q)`` and traces of shape
-    ``(F, q, n_loc)``.  ``w`` includes the physical surface measure
-    ``h_F/2``, and the traces are evaluated at matching points of both
-    reference edges, once per template.  Raises, naming the first offending
-    face, if the two sides of a face do not map onto the same physical
-    segment.
+    Returns ``(w, x, y, vals_own, vals_nbr)``: weights (with the measure
+    ``h_F/2``) and owner-side points ``(F, q)``, and the traces ``(F, q,
+    n_loc)`` at matching points of both reference edges, evaluated once per
+    template.  Raises, naming the first offending face, if the two sides of
+    a face do not map onto the same physical segment.
     """
     rule = gauss_rule(n_quad)
     s = (rule.nodes + 1.0) / 2.0
@@ -259,53 +315,71 @@ def face_quadrature(mesh: Mesh, spec: BasisSpec, faces: Faces, n_quad: int):
     return w, x[:, 0], y[:, 0], vals[:, 0], vals[:, 1]
 
 
-def _crossing_traces(mesh: Mesh, spec: BasisSpec, B: MagneticField, n_quad: int):
-    """One batched trace pass over the faces that the field crosses.
+def _crossing_traces(mesh: Mesh, spec: BasisSpec, B: MagneticField,
+                     n_quad: int | None):
+    """One batched trace pass over the faces the field crosses (``|b . n| >
+    ALIGNMENT_TOL |b|``): of cell ``(0, 0)`` for a constant beta, else of all.
 
-    Faces with ``|b . n| <= ALIGNMENT_TOL |b|`` are field-tangent and
-    skipped, so they contribute exactly zero.  Returns ``(cells, w,
-    bn_beta, h_F, jump, avg)``: the cells ``[owner, neighbour]`` ``(F, 2)``,
-    the weights and ``(b . n) beta`` ``(F, q)``, the segment lengths
-    ``(F,)``, the jump trace ``[+own, -nbr]`` and the average trace
-    ``[own, nbr] / 2``, both ``(F, q, 2, n_loc)``.
+    Returns ``(offsets, w, bn_beta, h_F, jump, avg)``: the neighbour offsets
+    ``(T, 2)`` of the crossing templates, then for the faces (cell-major) the
+    weights and ``(b . n) beta`` ``(F, q)``, the lengths ``(F,)``, the jump
+    ``[+own, -nbr]`` and the average ``[own, nbr] / 2``, ``(F, q, 2, n_loc)``.
     """
-    faces = mesh.faces
-    bn = B.b.b1 * faces.normal[:, 0] + B.b.b2 * faces.normal[:, 1]
-    crossing = np.abs(bn) > ALIGNMENT_TOL * B.b.norm
-    faces = faces.take(crossing)
-    w, x, y, vo, vn = face_quadrature(mesh, spec, faces, n_quad)
-    bn_beta = bn[crossing][:, None] * B.beta.eval(x, y)
+    normal = np.array([t.normal for t in mesh.templates])
+    bn = B.b.b1 * normal[:, 0] + B.b.b2 * normal[:, 1]
+    crossing = np.flatnonzero(np.abs(bn) > ALIGNMENT_TOL * B.b.norm)
+    cells = 1 if B.beta.is_constant else mesh.n_cells
+    rows = np.arange(cells)[:, None] * len(mesh.templates) + crossing
+    faces = mesh.faces.take(rows.ravel())
+    w, x, y, vo, vn = face_quadrature(mesh, spec, faces,
+                                      n_quad or default_quad_points(spec))
+    bn_beta = np.tile(bn[crossing], cells)[:, None] * B.beta.eval(x, y)
     jump = np.stack([vo, -vn], axis=2)
     avg = np.stack([vo, vn], axis=2) / 2.0
-    return faces.cells, w, bn_beta, faces.h_F, jump, avg
+    offsets = np.array([t.neighbor for t in mesh.templates])[crossing]
+    return offsets, w, bn_beta, faces.h_F, jump, avg
 
 
-def _face_blocks(w: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``sum_q w[f, q] left[f, q, a, i] right[f, q, b, j]`` as the element
-    blocks ``(F, 2, 2, n_loc, n_loc)`` of ``_scatter``, by one batched
-    matrix product."""
+def _face_stencil(mesh: Mesh, offsets: np.ndarray, w: np.ndarray,
+                  left: np.ndarray, right: np.ndarray):
+    """``(offsets, blocks)`` of ``sum_q w[f, q] left[f, q, a, i] right[f, q,
+    b, j]`` over the faces of ``_crossing_traces``.
+
+    Element block ``(a, b)`` couples side ``a`` (0 the owner ``c``, 1 the
+    neighbour ``c + d``) to side ``b``: (0, 0) and (0, 1) go to offsets 0
+    and ``d`` of ``c``, (1, 0) and (1, 1) to ``-d`` and 0 of ``c + d``, by
+    rolling the lattice (the identity for a one-cell stencil).
+    """
     weighted = (w[:, :, None, None] * left).transpose(0, 2, 3, 1)
-    return np.matmul(weighted[:, :, None], right.transpose(0, 2, 1, 3)[:, None])
+    e = np.matmul(weighted[:, :, None], right.transpose(0, 2, 1, 3)[:, None])
+    n_loc = e.shape[-1]
+    grid = _lattice(mesh) if len(e) > len(offsets) else (1, 1)
+    e = e.reshape(grid + (len(offsets), 2, 2, n_loc, n_loc))
+    blocks = [np.zeros(grid + (n_loc, n_loc))]
+    for t, d in enumerate(offsets):
+        nbr = np.roll(e[:, :, t, 1], tuple(d), axis=(0, 1))
+        blocks[0] += e[:, :, t, 0, 0] + nbr[:, :, 1]
+        blocks += [e[:, :, t, 0, 1], nbr[:, :, 0]]
+    stencil = np.concatenate([_ORIGIN] + [np.stack([d, -d]) for d in offsets])
+    return stencil, np.stack(blocks, axis=2).reshape(-1, len(blocks), n_loc, n_loc)
 
 
 def assemble_face_terms(mesh: Mesh, spec: BasisSpec, B: MagneticField,
-                        n_quad: int | None = None) -> sp.bsr_matrix:
+                        n_quad: int | None = None) -> Stencil:
     """Interface blocks F[i, j] = sum over faces of {phi_j} * (B . [phi_i])."""
-    n_quad = n_quad or default_quad_points(spec)
-    cells, w, bn_beta, _, jump, avg = _crossing_traces(mesh, spec, B, n_quad)
-    return _scatter(cells, _face_blocks(w * bn_beta, jump, avg), mesh.n_cells)
+    offsets, w, bn_beta, _, jump, avg = _crossing_traces(mesh, spec, B, n_quad)
+    return Stencil(*_face_stencil(mesh, offsets, w * bn_beta, jump, avg),
+                   _lattice(mesh))
 
 
 def assemble_penalty(mesh: Mesh, spec: BasisSpec, B: MagneticField,
-                     eta_s: float, n_quad: int | None = None) -> SparseSymMatrix:
+                     eta_s: float, n_quad: int | None = None) -> SymStencil:
     """Penalty (eta_S / h_F) * (B . [phi]) (B . [psi]), symmetric PSD."""
     if eta_s < 0.0:
         raise ValueError("penalty parameter must be >= 0")
-    n_quad = n_quad or default_quad_points(spec)
-    cells, w, bn_beta, h_f, jump, _ = _crossing_traces(mesh, spec, B, n_quad)
+    offsets, w, bn_beta, h_f, jump, _ = _crossing_traces(mesh, spec, B, n_quad)
     w_pen = w * (eta_s / h_f[:, None]) * bn_beta**2
-    return SparseSymMatrix.from_product(
-        _scatter(cells, _face_blocks(w_pen, jump, jump), mesh.n_cells))
+    return SymStencil(*_face_stencil(mesh, offsets, w_pen, jump, jump), _lattice(mesh))
 
 
 # ---------------------------------------------------------------------------
@@ -315,27 +389,40 @@ def assemble_penalty(mesh: Mesh, spec: BasisSpec, B: MagneticField,
 def assemble_operator_set(mesh: Mesh, spec: BasisSpec, alpha: CoefficientField,
                           B: MagneticField, eta_s: float,
                           n_quad: int | None = None) -> OperatorSet:
+    grad = assemble_gradient(mesh, spec, B, n_quad)
+    face = assemble_face_terms(mesh, spec, B, n_quad)
+    c = Stencil(np.concatenate([grad.offsets, face.offsets]),
+                np.concatenate([grad.blocks, -face.blocks], axis=1), grad.lattice)
     return OperatorSet(
-        m_uv=assemble_mass_u(mesh, spec),
-        a_upsi=assemble_gradient(mesh, spec, B, n_quad),
-        b_upsi=assemble_face_terms(mesh, spec, B, n_quad),
+        m_uv=assemble_mass_u(mesh, spec), c=c,
         b_phipsi=assemble_penalty(mesh, spec, B, eta_s, n_quad),
         m_phipsi=assemble_mass_phi(mesh, spec, alpha, n_quad))
 
 
-def build_reduced(ops: OperatorSet) -> tuple[SparseSymMatrix, SparseSymMatrix]:
-    """Form A = (A_UPsi - B_UPsi) M_UV^{-1} (..)^T + B_PhiPsi and M = M_PhiPsi.
+def build_reduced(ops: OperatorSet) -> tuple[SymStencil, SymStencil]:
+    """Form A = C M_UV^{-1} C^T + B_PhiPsi and M = M_PhiPsi as stencils.
 
-    ``C = A_UPsi - B_UPsi`` is kept in cell blocks (the BSR blocks of the
-    assembled couplings): its block columns are scaled by ``1 / M_UV`` in
-    place, after ``C^T`` is taken, so ``A`` is one BSR product.
+    Cell ``c`` reaches u cell ``c + o_s`` by C's offset ``s``, as does
+    ``c + o_s - o_t`` by ``t``; so each pair ``(s, t)`` adds ``C[c, s]
+    M_UV^{-1} C[c + o_s - o_t, t]^T`` at offset ``o_s - o_t`` of A, one
+    batched product (C rolled over the lattice if it varies by cell).
     """
-    if np.any(ops.m_uv <= 0.0):
+    m_uv = np.diagonal(ops.m_uv.blocks[0, 0])
+    if np.any(m_uv <= 0.0):
         raise AssemblyError("u mass matrix has a non-positive diagonal entry")
-    c = (ops.a_upsi - ops.b_upsi).tobsr()
-    c_t = c.T
-    width = c.blocksize[1]
-    c.data *= (1.0 / ops.m_uv)[c.indices[:, None] * width + np.arange(width)][:, None, :]
-    a_full = c @ c_t + ops.b_phipsi.to_full()
-    del c, c_t
-    return SparseSymMatrix.from_product(a_full), ops.m_phipsi
+    c, pen = ops.c, ops.b_phipsi
+    cells, s_count, n_loc, _ = c.blocks.shape
+    grid = (c.lattice if cells > 1 else (1, 1)) + c.blocks.shape[1:]
+    right = np.ascontiguousarray(c.blocks.swapaxes(-1, -2)).reshape(grid)
+    left = c.blocks * (1.0 / m_uv)
+    shifts = (c.offsets[:, None] - c.offsets[None, :]).reshape(-1, 2)
+    offsets, slot = _residues(np.concatenate([shifts, pen.offsets]), c.lattice,
+                              closed=True)
+    blocks = np.zeros((len(offsets), max(cells, len(pen.blocks)), n_loc, n_loc))
+    for k, d in enumerate(shifts):
+        shifted = np.roll(right[:, :, k % s_count], tuple(-d), axis=(0, 1))
+        blocks[slot[k]] += np.matmul(left[:, k // s_count],
+                                     shifted.reshape(cells, n_loc, n_loc))
+    for k, at in enumerate(slot[len(shifts):]):
+        blocks[at] += pen.blocks[:, k]
+    return SymStencil(offsets, blocks.swapaxes(0, 1), c.lattice), ops.m_phipsi

@@ -3,22 +3,18 @@
 Two certified solvers serve ``A x = lambda M x``:
 
 * ``bloch_eig`` solves a pencil that commutes with cell translations (the
-  constant-coefficient operators).  A 2D DFT over the cell lattice splits it
-  exactly into one small Hermitian pencil per wavevector, each solved by
-  LAPACK; it returns the whole spectrum or the band ``lambda <= lambda_max``,
-  whose count is certified by the summed LDL^T inertia of the blocks.
-* ``band_eig`` returns the band of any pencil (variable coefficients).  One
-  factorization of the pencil shift ``A - lambda_max M`` does two jobs.  By
-  Sylvester's law the number of its negative pivots is the number of band
-  eigenvalues, which certifies the solve: the returned count must equal it.
-  Its solve is also the operator of a block shift-invert Lanczos iteration
-  (``LANCZOS_BLOCK`` right-hand sides per solve, full reorthogonalization
-  in the M inner product), which stops once as many Ritz pairs as the
-  inertia counts have converged, so no standard-form reduction and no
-  second factorization is needed.
-
-``dense_generalized_eig`` (a global LAPACK ``eigh``) is kept as the test
-oracle of both.
+  constant-coefficient operators, one-cell stencils).  Its Bloch symbols
+  ``A(k) = sum_s A[s] exp(i k . o_s)``, read from the stencils, split it
+  exactly into one small Hermitian pencil per lattice wavevector, each
+  solved by LAPACK; the band ``lambda <= lambda_max`` is certified by the
+  summed LDL^T inertia of the blocks.  No global matrix is formed.
+* ``band_eig`` returns the band of any pencil (variable coefficients, their
+  stencils expanded to CSR once).  One factorization of ``A - lambda_max M``
+  does two jobs: by Sylvester's law its negative pivots count the band,
+  which the returned count must equal, and its solve drives a block
+  shift-invert Lanczos iteration (``LANCZOS_BLOCK`` right-hand sides per
+  solve, full reorthogonalization in the M inner product) that stops once
+  that many Ritz pairs have converged.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .assembly import SparseSymMatrix
+from .assembly import SparseSymMatrix, Stencil, SymStencil
 
 #: Problems at most this large may be handled by dense LAPACK paths, and
 #: have their full spectrum (``n x n`` eigenvectors) computed.
@@ -49,11 +45,6 @@ RANK_FLOOR = 1e-8
 #: Lanczos steps without a new negative Ritz value, after which a fresh
 #: random block joins the basis if every negative Ritz pair has converged.
 STALL_STEPS = 16
-
-#: ``bloch_eig`` accepts a pencil only if no stored entry differs from its
-#: translate in the cell-(0, 0) block row by more than this times the
-#: matrix's largest entry.
-TRANSLATION_TOL = 1e-12
 
 
 class CompletenessError(RuntimeError):
@@ -79,9 +70,8 @@ class EigenSolution:
     ``method`` says which solve produced them:
 
     * ``"dense"``: every eigenpair of the pencil (the full spectrum, from
-      ``bloch_eig`` without a band request or the ``dense_generalized_eig``
-      oracle); ``inertia_count`` is None.  Readers that want the band cut
-      these at the band edge themselves.
+      ``bloch_eig`` without a band request); ``inertia_count`` is None.
+      Readers that want the band cut these at the band edge themselves.
     * ``"bloch"``: the band of a translation-invariant pencil, from the
       lattice blocks.
     * ``"shift-invert"``: the band from ``band_eig``'s block shift-invert
@@ -111,33 +101,17 @@ class EigenSolution:
 
 
 def _as_sym(a) -> SparseSymMatrix:
+    if isinstance(a, Stencil):  # the solve's own expansion, not kept on ``a``
+        return SparseSymMatrix(a.expand())
     if isinstance(a, SparseSymMatrix):
         return a
-    if sp.issparse(a):
-        return SparseSymMatrix.from_product(a)
-    return SparseSymMatrix.from_dense(np.asarray(a, dtype=float))
+    return SparseSymMatrix.from_product(sp.csr_matrix(a, dtype=float))
 
 
 def _as_pencil(a, m) -> tuple[SparseSymMatrix, SparseSymMatrix]:
     """``(A, M)`` as symmetric sparse matrices; ``M = None`` is the identity."""
     a = _as_sym(a)
     return a, _as_sym(sp.identity(a.n, format="csr") if m is None else m)
-
-
-def dense_generalized_eig(a, m=None, cap: int = DENSE_CAP) -> EigenSolution:
-    """Full spectrum of the symmetric pencil (A, M) via one global LAPACK
-    ``eigh``; the tests' oracle for ``bloch_eig`` and ``band_eig``.
-
-    The generalized problem is reduced with a Cholesky factorization of M
-    inside the LAPACK driver; eigenvectors come back M-orthonormal.
-    """
-    a, m = _as_pencil(a, m)
-    if a.n > cap:
-        raise ValueError(f"dense solve of dimension {a.n} exceeds cap {cap}")
-    w, v = sla.eigh(*_dense_pencil(a, m), overwrite_a=True, overwrite_b=True)
-    return EigenSolution(eigenvalues=w, eigenvectors=v,
-                         residuals=_residuals(a, m, w, v), method="dense",
-                         norm_a=a.norm_inf())
 
 
 def _dense_pencil(a: SparseSymMatrix, m: SparseSymMatrix
@@ -152,19 +126,6 @@ def _residuals(a: SparseSymMatrix, m: SparseSymMatrix,
     if v.size == 0:
         return np.empty(0)
     return np.linalg.norm(a.matvec(v) - m.matvec(v) * w[None, :], axis=0)
-
-
-def ldl_inertia(s, zero_tol: float = 1e-12) -> tuple[int, int, int]:
-    """Inertia (n_neg, n_zero, n_pos) of a symmetric matrix.
-
-    Uses the dense Bunch-Kaufman LDL^T factorization; pivot-block
-    eigenvalues within ``zero_tol * max|S|`` of zero count as zero.
-    """
-    if sp.issparse(s):
-        s = s.toarray()
-    elif isinstance(s, SparseSymMatrix):
-        s = s.to_dense()
-    return _ldl_factor(np.array(s, dtype=float, order="F"), zero_tol)[0]
 
 
 def _count_signs(pivots: np.ndarray, tol: float) -> tuple[int, int, int]:
@@ -445,50 +406,9 @@ class _Basis:
         self.h[:len(coef), block] = coef
         self.add_random(cols - (self.k - k))
 
+
 # ---------------------------------------------------------------------------
 # translation-invariant pencils: one Hermitian block per lattice wavevector
-
-
-def _lattice_symbols(s: SparseSymMatrix, name: str, nx: int, ny: int,
-                     n_loc: int) -> tuple[np.ndarray, float]:
-    """Lattice symbols of the matrix ``s`` (called ``name`` in errors), and
-    how far ``s`` is from the block-circulant matrix ``C`` they define.
-
-    Dofs are cell-contiguous and cell ``(i, j)`` has id ``i*ny + j``.  The
-    cell-(0, 0) block row holds the coupling blocks ``B[d]`` to the cells
-    ``d = (di, dj)``; the symbols are ``S[p, q] = sum_d B[d] exp(2 pi i
-    (p di / nx + q dj / ny))``.  ``s`` is read by its cell blocks (BSR, one
-    cell key per stored block).  Every stored entry is compared with its
-    translate in that block row, and every entry of the block row that a
-    cell does not store counts in full.  Raises ``CompletenessError`` if
-    some entry differs by more than ``TRANSLATION_TOL * max|s|``.  Returns
-    the symbols ``(nx*ny, n_loc, n_loc)`` and the Frobenius norm of the
-    defect, which bounds ``||s - C||_2``.
-    """
-    blocks = s.to_full().tobsr((n_loc, n_loc))  # sums duplicate entries
-    row_cell = np.repeat(np.arange(nx * ny), np.diff(blocks.indptr))
-    ri, rj = np.divmod(row_cell, ny)
-    ci, cj = np.divmod(blocks.indices, ny)
-    key = ((ci - ri) % nx) * ny + (cj - rj) % ny
-    row0 = slice(0, blocks.indptr[1])
-    row = np.zeros((nx * ny, n_loc, n_loc))
-    row[key[row0]] = blocks.data[row0]
-    # an entry a cell's stored block lacks is a zero there, so it counts in full
-    diff = np.abs(blocks.data - row[key]).ravel()
-    # a block of the row that ``count`` cells store is missing from the others
-    missing = nx * ny - np.bincount(key, minlength=nx * ny)
-    worst = max(float(np.max(diff, initial=0.0)),
-                float(np.max(np.abs(row[missing > 0]), initial=0.0)))
-    rel = worst / max(s.max_abs(), np.finfo(float).tiny)
-    if rel > TRANSLATION_TOL:
-        raise CompletenessError(
-            f"{name} is not invariant under translations of the {nx}x{ny} "
-            f"cell lattice: an entry differs from its translate by {rel:.3e} "
-            f"of max|{name}| (tolerance {TRANSLATION_TOL:.0e})")
-    symbols = np.fft.ifft2(row.reshape(nx, ny, n_loc, n_loc), axes=(0, 1),
-                           norm="forward")
-    return (symbols.reshape(nx * ny, n_loc, n_loc),
-            math.sqrt(diff @ diff + missing @ np.sum(row**2, axis=(1, 2))))
 
 
 def _pencil_eigh(a: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -512,19 +432,18 @@ def _lattice_phase(k: int, n: int) -> np.ndarray:
 class _LatticePencil:
     """A translation-invariant pencil as its symbols on an ``nx x ny`` lattice.
 
-    Wavevector ``k = (p, q)`` has flat index ``p*ny + q``.  Keeps the
-    Frobenius norms of the defects of A and M from the block-circulant
-    pencil of the symbols (see ``_lattice_symbols``).
+    Wavevector ``k = (p, q)`` has flat index ``p*ny + q``.  Raises
+    ``CompletenessError`` if the stencil of A or M varies from cell to cell.
     """
 
-    def __init__(self, a: SparseSymMatrix, m: SparseSymMatrix,
-                 lattice: tuple[int, int]):
-        self.nx, self.ny = nx, ny = lattice
-        self.n_loc, rest = divmod(a.n, nx * ny)
-        if rest or m.n != a.n:
-            raise ValueError(f"{a.n} dofs do not split into {nx}x{ny} cells")
-        self.a_hat, self.defect_a = _lattice_symbols(a, "A", nx, ny, self.n_loc)
-        self.m_hat, self.defect_m = _lattice_symbols(m, "M", nx, ny, self.n_loc)
+    def __init__(self, a: SymStencil, m: SymStencil):
+        self.nx, self.ny = nx, ny = a.lattice
+        for name, s in (("A", a), ("M", m)):
+            if s.blocks.shape[0] != 1:
+                raise CompletenessError(
+                    f"{name} is not invariant under translations of the {nx}x{ny} "
+                    f"cell lattice: its stencil varies from cell to cell")
+        self.a_hat, self.m_hat = a.symbols(), m.symbols()
         self.fro_a = np.linalg.norm(self.a_hat, axis=(1, 2))
         self.fro_m = np.linalg.norm(self.m_hat, axis=(1, 2))
         p, q = np.divmod(np.arange(nx * ny), ny)
@@ -555,9 +474,9 @@ class _LatticePencil:
         by Parseval its residual against the block-circulant pencil is
         ``sqrt(sum_k ||(A(k) - w M(k)) c(k)||^2)``.  The terms of ``ks`` are
         computed; the others are bounded through the symbols' Frobenius
-        norms.  The defects of A and M add ``(e_A + |w| e_M) ||x_c||``.
+        norms.
         """
-        nx, ny, n_loc = self.nx, self.ny, self.n_loc
+        nx, ny, n_loc = self.nx, self.ny, self.a_hat.shape[-1]
         cols = x.shape[1]
         coeff = np.fft.fft2(x.T.reshape(cols, nx, ny, n_loc), axes=(1, 2),
                             norm="ortho").reshape(cols, nx * ny, n_loc)
@@ -571,22 +490,20 @@ class _LatticePencil:
         energy[:, ks] = 0.0
         scale = self.fro_a + np.abs(w)[:, None] * self.fro_m
         outside = np.sum(scale**2 * energy, axis=1)
-        return (np.sqrt(inside + outside) + (self.defect_a + np.abs(w) * self.defect_m)
-                * np.linalg.norm(x, axis=0))
+        return np.sqrt(inside + outside)
 
 
-def bloch_eig(a, m, lattice: tuple[int, int],
+def bloch_eig(a: SymStencil, m: SymStencil,
               req: BandRequest | None = None) -> EigenSolution:
     """Eigenpairs of a pencil that commutes with translations of a cell lattice.
 
-    ``lattice = (nx, ny)``; dofs are cell-contiguous and cell ``(i, j)`` has
-    index ``i*ny + j``.  Each wavevector ``k = (p, q)`` has the Bloch waves
-    ``v exp(2 pi i (p i / nx + q j / ny)) / sqrt(nx ny)``, on which the pencil
-    acts as its ``n_loc x n_loc`` Hermitian symbols ``(A(k), M(k))``; LAPACK
-    solves one block per class ``{k, -k}``.  A class pair gives two real
-    M-orthonormal eigenvectors per block eigenpair, ``sqrt(2)`` times the
-    real and imaginary part of its Bloch wave; a self-conjugate class
-    (``2k = 0``) has a real block and gives its own vectors.
+    ``a`` and ``m`` are one-cell stencils on the lattice ``(nx, ny)`` (a
+    stencil that varies by cell raises ``CompletenessError``).  On the Bloch
+    waves ``v exp(2 pi i (p i / nx + q j / ny)) / sqrt(nx ny)`` of cell ``(i,
+    j)`` and wavevector ``k = (p, q)`` the pencil acts as its symbols ``(A(k),
+    M(k))``, and LAPACK solves one block per class ``{k, -k}``: a pair gives
+    ``sqrt(2)`` times the real and imaginary parts of each Bloch wave, a
+    self-conjugate class (``2k = 0``) a real block and its own vectors.
 
     Without ``req`` every eigenpair is returned (method ``"dense"``).  With
     it the band ``lambda <= lambda_max`` is returned (method ``"bloch"``),
@@ -594,19 +511,13 @@ def bloch_eig(a, m, lattice: tuple[int, int],
     of the blocks ``A(k) - lambda_max M(k)`` (which by Sylvester's law under
     the unitary lattice DFT is the inertia of ``A - lambda_max M``), no
     pivot may sit on the edge, and the residuals and the PSD floor must hold.
-
-    The symbols are read from the assembled matrices' cell-(0, 0) block
-    row; a ``CompletenessError`` names the defect if some entry differs from
-    its translate by more than ``TRANSLATION_TOL``.  Residuals are upper
-    bounds (to round-off) on ``||A x - lambda M x||`` of the returned global
-    vectors: their lattice DFT is applied to each wavevector's symbols, the
-    wavevectors outside the vector's class through the symbols' Frobenius
-    norms, and the measured defect from the assembled A and M is added.
+    Residuals bound ``||A x - lambda M x||`` of the returned vectors: their
+    lattice DFT meets each wavevector's symbols, those outside the vector's
+    class through the symbols' Frobenius norms.
     """
-    a, m = _as_pencil(a, m)
     if req is None and a.n > DENSE_CAP:
         raise ValueError(f"full spectrum of dimension {a.n} exceeds cap {DENSE_CAP}")
-    pencil = _LatticePencil(a, m, lattice)
+    pencil = _LatticePencil(a, m)
     # class representatives k <= -k; the self-conjugate ones are real
     ks = np.arange(len(pencil.conj))
     real = np.flatnonzero(pencil.conj == ks)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import spherical_jn
 
-from .assembly import SparseSymMatrix, assemble_operator_set, build_reduced
+from .assembly import SymStencil, assemble_operator_set, build_reduced
 from .basis import BasisSpec, dof_parallel, dof_perpendicular
 from .eigensolve import BandRequest, EigenSolution, band_eig, bloch_eig
 from .fields import CoefficientField, MagneticField
@@ -351,7 +351,8 @@ class BandResult:
     solution: EigenSolution
     assoc: list[Association]
     exact: ExactSpectrum | None
-    a_matrix: SparseSymMatrix
+    #: The stencil of A; its scalar CSR is expanded (once) only when read.
+    a_matrix: SymStencil
     nnz_percent: float
 
     def band_report(self) -> BandReport:
@@ -386,7 +387,7 @@ def run_band_solve(setup: SolveSetup) -> BandResult:
         lambda_max=setup.omega_max_sq * max(setup.band_margin, 1.0),
         tolerance=setup.tolerance)
     if setup.constant_coefficients:
-        solution = bloch_eig(a, m, (setup.mesh_config.nx, setup.mesh_config.ny), req)
+        solution = bloch_eig(a, m, req)
     else:
         solution = band_eig(a, m, req, seed=setup.seed)
     projector = FourierProjector(mesh, setup.spec, setup.m_max, setup.n_max)

@@ -4,19 +4,23 @@ Deliberately different from the production path: basis functions and Gauss
 rules come from numpy.polynomial.legendre, Jacobians are inverted with
 numpy.linalg, everything is dense, and the interface/volume integrals are
 accumulated one raw quadrature point at a time with no sum factorization
-and no transpose reuse.  It also keeps the scalar-entry forms of two steps
-that the library does by cell blocks: the reduction to ``A`` by scalar CSR
-products and the read of the lattice symbols one entry at a time.
+and no transpose reuse.  It also keeps the global scalar forms of what the
+library does on lattice stencils (the reduction to ``A`` by scalar CSR
+products), and the global dense solvers that serve as the tests' oracles
+(``dense_generalized_eig`` and ``ldl_inertia``).
 """
 
 import math
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 from numpy.polynomial import legendre as npleg
 from scipy.special import spherical_jn
 
 from anisodg.assembly import SparseSymMatrix
+from anisodg.eigensolve import (DENSE_CAP, EigenSolution, _as_pencil,
+                                _dense_pencil, _ldl_factor, _residuals)
 from anisodg.geometry import (MERGE_TOL, TWO_PI, Alignment, Cell, Interface,
                               edge_point, outward_normal)
 
@@ -271,36 +275,42 @@ def oracle_reduced(mesh, spec, alpha, b_field, eta_s, nq=ORACLE_QUAD):
 
 
 def scalar_reduced(ops):
-    """The reduced operator of an assembled ``OperatorSet`` by scalar CSR
-    products, ``(C diag(1/M_u)) C^T + P`` with ``C = A_UPsi - B_UPsi``,
-    symmetrized and dropped like the production one."""
-    c = (ops.a_upsi - ops.b_upsi).tocsr()
+    """The reduced operator of an assembled ``OperatorSet`` as one global
+    scalar product of the expanded stencils, ``C diag(1/M_u) C^T + P``,
+    symmetrized and dropped like the library's."""
+    c = ops.c.expand()
     return SparseSymMatrix.from_product(
-        (c @ sp.diags(1.0 / ops.m_uv)) @ c.T + ops.b_phipsi.to_full())
+        (c @ sp.diags(1.0 / ops.m_uv.to_full().diagonal())) @ c.T
+        + ops.b_phipsi.to_full())
 
 
-def scalar_lattice_defect(s, nx, ny, n_loc):
-    """The translation defect of a sparse matrix read one scalar entry at a
-    time: ``(row, frobenius)``.
+def dense_generalized_eig(a, m=None, cap: int = DENSE_CAP) -> EigenSolution:
+    """Full spectrum of the symmetric pencil (A, M) via one global LAPACK
+    ``eigh``; the oracle for ``bloch_eig`` and ``band_eig``.
 
-    ``row`` is the cell-(0, 0) block row ``(nx*ny, n_loc, n_loc)`` indexed
-    by the lattice offset of the column cell.  Every stored entry is
-    compared with its translate in that row, and every entry of the row is
-    counted in full once for each cell that does not store it;
-    ``frobenius`` is the 2-norm of all these differences.
+    The generalized problem is reduced with a Cholesky factorization of M
+    inside LAPACK's generalized solver; eigenvectors come back M-orthonormal.
     """
-    coo = s.tocoo()
-    coo.sum_duplicates()
-    row_cell, r = np.divmod(coo.row, n_loc)
-    col_cell, c = np.divmod(coo.col, n_loc)
-    ri, rj = np.divmod(row_cell, ny)
-    ci, cj = np.divmod(col_cell, ny)
-    key = ((((ci - ri) % nx) * ny + (cj - rj) % ny) * n_loc + r) * n_loc + c
-    row = np.zeros(nx * ny * n_loc * n_loc)
-    row[key[row_cell == 0]] = coo.data[row_cell == 0]
-    diff = np.abs(coo.data - row[key])
-    missing = nx * ny - np.bincount(key, minlength=row.size)
-    return row.reshape(nx * ny, n_loc, n_loc), math.sqrt(diff @ diff + missing @ row**2)
+    a, m = _as_pencil(a, m)
+    if a.n > cap:
+        raise ValueError(f"dense solve of dimension {a.n} exceeds cap {cap}")
+    w, v = sla.eigh(*_dense_pencil(a, m), overwrite_a=True, overwrite_b=True)
+    return EigenSolution(eigenvalues=w, eigenvectors=v,
+                         residuals=_residuals(a, m, w, v), method="dense",
+                         norm_a=a.norm_inf())
+
+
+def ldl_inertia(s, zero_tol: float = 1e-12) -> tuple[int, int, int]:
+    """Inertia (n_neg, n_zero, n_pos) of a symmetric matrix.
+
+    Uses the dense Bunch-Kaufman LDL^T factorization; pivot-block
+    eigenvalues within ``zero_tol * max|S|`` of zero count as zero.
+    """
+    if sp.issparse(s):
+        s = s.toarray()
+    elif isinstance(s, SparseSymMatrix):
+        s = s.to_dense()
+    return _ldl_factor(np.array(s, dtype=float, order="F"), zero_tol)[0]
 
 
 def oracle_moments(mesh, spec, modes):

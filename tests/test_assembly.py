@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +13,10 @@ from anisodg.assembly import (AssemblyError, SparseSymMatrix,
                               assemble_face_terms,
                               assemble_gradient, assemble_mass_phi,
                               assemble_mass_u, assemble_operator_set,
-                              assemble_penalty, build_reduced, face_quadrature)
+                              assemble_penalty, build_reduced,
+                              default_quad_points, face_quadrature)
 from anisodg.basis import BasisSpec
+from anisodg.eigensolve import bloch_eig
 from anisodg.fields import CoefficientField, Harmonic, MagneticField
 from anisodg.geometry import Alignment, FieldDirection, MeshConfig, build_mesh
 
@@ -29,14 +32,16 @@ def constant_vector(mesh, spec):
 
 def test_mass_single_cell_p0_is_area():
     mesh = build_mesh(MeshConfig(1, 1, Alignment.CARTESIAN, REF_B))
-    m = assemble_mass_u(mesh, BasisSpec(0, 0))
-    assert m[0] == pytest.approx(4 * math.pi**2, rel=1e-14)
+    m = assemble_mass_u(mesh, BasisSpec(0, 0)).to_dense()
+    assert m[0, 0] == pytest.approx(4 * math.pi**2, rel=1e-14)
 
 
 def test_mass_legendre_diagonal_formula():
     spec = BasisSpec(2, 3)
     mesh = build_mesh(MeshConfig(4, 2, Alignment.BOTTOM_TOP, REF_B))
-    m = assemble_mass_u(mesh, spec)
+    m = assemble_mass_u(mesh, spec).to_dense()
+    assert np.count_nonzero(m - np.diag(np.diag(m))) == 0
+    m = np.diag(m)
     det = mesh.cells[0].jacobian_det
     expect = np.zeros(spec.n_loc)
     for a in range(spec.p_xi + 1):
@@ -50,11 +55,11 @@ def test_mass_legendre_diagonal_formula():
 def test_mass_phi_scaling():
     mesh = build_mesh(MeshConfig(2, 2, Alignment.CARTESIAN, REF_B))
     spec = BasisSpec(1, 1)
-    base = assemble_mass_u(mesh, spec)
+    base = assemble_mass_u(mesh, spec).to_dense()
     same = assemble_mass_phi(mesh, spec, CONST)
     twice = assemble_mass_phi(mesh, spec, CoefficientField.constant(2.0))
-    assert np.array_equal(same.to_dense(), np.diag(base))
-    assert np.allclose(twice.to_dense(), 2.0 * np.diag(base), rtol=1e-15)
+    assert np.array_equal(same.to_dense(), base)
+    assert np.allclose(twice.to_dense(), 2.0 * base, rtol=1e-15)
 
 
 def test_gradient_constant_trial_cancels_with_faces():
@@ -62,8 +67,8 @@ def test_gradient_constant_trial_cancels_with_faces():
     mesh = build_mesh(MeshConfig(2, 2, Alignment.BOTTOM_TOP, REF_B))
     spec = BasisSpec(2, 2)
     field = MagneticField(REF_B, CoefficientField(1.0, (Harmonic(1, 0, 0.2, 0.1),)))
-    g = assemble_gradient(mesh, spec, field).toarray()
-    f = assemble_face_terms(mesh, spec, field).toarray()
+    g = assemble_gradient(mesh, spec, field).expand().toarray()
+    f = assemble_face_terms(mesh, spec, field).expand().toarray()
     ones = constant_vector(mesh, spec)
     resid = (g - f).T @ ones  # rows: every psi against the constant trial
     assert np.max(np.abs(resid)) < 1e-12 * max(np.abs(g).max(), 1.0)
@@ -73,7 +78,7 @@ def test_gradient_xi_constant_rows_vanish_when_aligned():
     mesh = build_mesh(MeshConfig(4, 4, Alignment.BOTTOM_TOP, FieldDirection(1.0, 2.0)))
     spec = BasisSpec(2, 2)
     g = assemble_gradient(mesh, spec, MagneticField.uniform(FieldDirection(1.0, 2.0)))
-    g = g.toarray()
+    g = g.expand().toarray()
     scale = np.abs(g).max()
     for cid in range(mesh.n_cells):
         for b in range(spec.p_eta + 1):
@@ -86,7 +91,7 @@ def test_face_terms_cartesian_p0_hand_value():
     b = FieldDirection(0.8, -0.3)
     mesh = build_mesh(MeshConfig(2, 2, Alignment.CARTESIAN, b))
     spec = BasisSpec(0, 0)
-    f = assemble_face_terms(mesh, spec, MagneticField.uniform(b)).toarray()
+    f = assemble_face_terms(mesh, spec, MagneticField.uniform(b)).expand().toarray()
     for itf in mesh.interfaces:
         bn = b.b1 * itf.normal[0] + b.b2 * itf.normal[1]
         o = mesh.cell_id(itf.owner)
@@ -108,7 +113,7 @@ def test_aligned_interfaces_contribute_nothing():
     spec = BasisSpec(1, 1)
     beta = CoefficientField(1.0, (Harmonic(1, 1, 0.5, 0.0),))
     field = MagneticField(b, beta)
-    got = assemble_face_terms(mesh, spec, field, n_quad=20).toarray()
+    got = assemble_face_terms(mesh, spec, field, n_quad=20).expand().toarray()
 
     class VerticalOnly:
         config = mesh.config
@@ -179,13 +184,13 @@ def test_oracle_equivalence(mesh_name, cfg, coeff_name, alpha, beta, spec):
     field = MagneticField(cfg.b, beta)
     nq = 20 if coeff_name != "constant" else None
     pairs = [
-        (np.diag(assemble_mass_u(mesh, spec)),
+        (assemble_mass_u(mesh, spec).to_dense(),
          bf.oracle_mass(mesh, spec, None)),
         (assemble_mass_phi(mesh, spec, alpha, nq).to_dense(),
          bf.oracle_mass(mesh, spec, lambda x, y: float(alpha.eval(x, y)))),
-        (assemble_gradient(mesh, spec, field, nq).toarray(),
+        (assemble_gradient(mesh, spec, field, nq).expand().toarray(),
          bf.oracle_gradient(mesh, spec, field)),
-        (assemble_face_terms(mesh, spec, field, nq).toarray(),
+        (assemble_face_terms(mesh, spec, field, nq).expand().toarray(),
          bf.oracle_face_terms(mesh, spec, field)),
         (assemble_penalty(mesh, spec, field, 6.0, nq).to_dense(),
          bf.oracle_penalty(mesh, spec, field, 6.0)),
@@ -241,9 +246,9 @@ def test_interface_and_gradient_match_oracle(alignment, nx, ny, p_xi, p_eta, b1,
     face_want = bf.oracle_face_terms(mesh, spec, field)
     penalty_want = bf.oracle_penalty(mesh, spec, field, 6.0)
     pairs = [
-        (assemble_gradient(mesh, spec, field, 20).toarray(),
+        (assemble_gradient(mesh, spec, field, 20).expand().toarray(),
          bf.oracle_gradient(mesh, spec, field)),
-        (assemble_face_terms(mesh, spec, field, 20).toarray(), face_want),
+        (assemble_face_terms(mesh, spec, field, 20).expand().toarray(), face_want),
         (assemble_penalty(mesh, spec, field, 6.0, 20).to_dense(), penalty_want),
     ]
     scale = max(np.abs(face_want).max(), np.abs(penalty_want).max(), 1.0)
@@ -276,7 +281,7 @@ def test_build_reduced_rejects_singular_mass():
     mesh = build_mesh(MeshConfig(1, 1, Alignment.CARTESIAN, REF_B))
     spec = BasisSpec(0, 0)
     ops = assemble_operator_set(mesh, spec, CONST, MagneticField.uniform(REF_B), 6.0)
-    ops.m_uv[0] = 0.0
+    ops.m_uv.blocks[0, 0, 0, 0] = 0.0
     with pytest.raises(AssemblyError):
         build_reduced(ops)
 
@@ -294,14 +299,14 @@ def test_face_quadrature_detects_broken_interface():
 
 
 def test_matrix_dump_coordinate_format():
-    a = SparseSymMatrix.from_dense(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    a = SparseSymMatrix.from_product(sp.csr_matrix([[2.0, 0.5], [0.5, 1.0]]))
     buf = io.StringIO()
     a.dump_coordinate(buf)
     assert buf.getvalue() == "1 1 2\n2 1 0.5\n2 2 1\n"
 
 
 def test_nnz_percent_of_lower_triangle():
-    a = SparseSymMatrix.from_dense(np.eye(4))
+    a = SparseSymMatrix.from_product(sp.identity(4))
     assert a.nnz_percent() == pytest.approx(100.0 * 4 / 10)
 
 
@@ -319,17 +324,63 @@ def test_nnz_percent_counts_the_lower_triangle(alignment, variable):
         assert s.nnz_percent() == 100.0 * s.lower.nnz / (s.n * (s.n + 1) / 2.0)
 
 
+VAR_ALPHA = CoefficientField(1.0, (Harmonic(1, -1, 0.2, 0.1),))
+VAR_BETA = CoefficientField(1.0, (Harmonic(0, 1, -0.1, 0.2),))
+
+
+@pytest.mark.parametrize("b,c_offsets,a_offsets", [(REF_B, 5, 13),
+                                                     (FieldDirection(1.0, 0.5), 3, 5)],
+                         ids=["split", "conforming"])
+def test_stencil_offsets_and_cells(b, c_offsets, a_offsets):
+    """On an aligned 8x16 mesh C couples each cell to 5 cell offsets and A to
+    13 when the cross-field edges split, 3 and 5 when they conform.  Constant
+    coefficients store one cell's blocks, variable ones every cell's."""
+    mesh = build_mesh(MeshConfig(8, 16, Alignment.BOTTOM_TOP, b))
+    for coeff, cells in ((CONST, 1), (VAR_BETA, mesh.n_cells)):
+        ops = assemble_operator_set(mesh, BasisSpec(2, 1), coeff,
+                                    MagneticField(b, coeff), 6.0)
+        a, m = build_reduced(ops)
+        assert len(ops.c.offsets) == c_offsets and len(a.offsets) == a_offsets
+        assert ops.c.blocks.shape[:2] == (cells, c_offsets)
+        assert a.blocks.shape[:2] == (cells, a_offsets)
+        assert m.blocks.shape[:2] == (cells, 1)
+
+
+def _same_pattern_and_values(got, want, scale):
+    got, want = got.sorted_indices(), want.sorted_indices()
+    assert got.nnz == want.nnz
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    assert np.max(np.abs(got.data - want.data), initial=0.0) <= 1e-14 * scale
+
+
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(alignment=st.sampled_from(list(Alignment)),
        nx=st.integers(1, 5), ny=st.integers(1, 5),
        p_xi=st.integers(0, 3), p_eta=st.integers(0, 3),
        conforming=st.booleans(), b2_negative=st.booleans(),
-       alpha=st.sampled_from([CONST, CoefficientField(1.0, (Harmonic(1, -1, 0.2, 0.1),))]),
-       beta=st.sampled_from([CONST, CoefficientField(1.0, (Harmonic(0, 1, -0.1, 0.2),))]))
+       alpha=st.sampled_from([CONST, VAR_ALPHA]), beta=st.sampled_from([CONST, VAR_BETA]))
+# lattices two cells wide, where an offset +o and its negation -o alias, on
+# every alignment, with constant and variable coefficients
+@example(alignment=Alignment.BOTTOM_TOP, nx=2, ny=2, p_xi=2, p_eta=1, conforming=False,
+         b2_negative=False, alpha=CONST, beta=CONST)
+@example(alignment=Alignment.LEFT_RIGHT, nx=2, ny=3, p_xi=1, p_eta=2, conforming=False,
+         b2_negative=True, alpha=CONST, beta=CONST)
+@example(alignment=Alignment.CARTESIAN, nx=2, ny=2, p_xi=1, p_eta=1, conforming=True,
+         b2_negative=False, alpha=CONST, beta=CONST)
+@example(alignment=Alignment.BOTTOM_TOP, nx=3, ny=2, p_xi=1, p_eta=2, conforming=True,
+         b2_negative=True, alpha=CONST, beta=VAR_BETA)
+@example(alignment=Alignment.LEFT_RIGHT, nx=2, ny=2, p_xi=2, p_eta=2, conforming=False,
+         b2_negative=False, alpha=VAR_ALPHA, beta=VAR_BETA)
 def test_reduction_matches_scalar_product(alignment, nx, ny, p_xi, p_eta,
                                           conforming, b2_negative, alpha, beta):
-    """The cell-block reduction against scalar CSR products of the same
-    operators: the same stored pattern and the same values to round-off.
+    """The stencils of ``A`` and ``M`` against global scalar oracles: the
+    CSR expansion of ``A`` against ``C diag(1/M_u) C^T + P`` formed by
+    scalar CSR products of the expanded ``C`` and ``P``, and that of ``M``
+    against the brute-force mass matrix at the same quadrature rule, with
+    the same stored pattern and the same values to round-off.  For constant
+    coefficients the Bloch spectrum of the stencils is the dense spectrum
+    of the global pencil.
 
     ``b = (ny, nx)`` shifts each cross-field edge by exactly one edge width
     on both aligned meshes (conforming); the reference direction splits it.
@@ -338,12 +389,18 @@ def test_reduction_matches_scalar_product(alignment, nx, ny, p_xi, p_eta,
     if b2_negative:
         b = FieldDirection(b.b1, -b.b2)
     mesh = build_mesh(MeshConfig(nx, ny, alignment, b))
-    ops = assemble_operator_set(mesh, BasisSpec(p_xi, p_eta), alpha,
-                                MagneticField(b, beta), 6.0)
-    got = build_reduced(ops)[0].to_full().sorted_indices()
-    want = bf.scalar_reduced(ops).to_full().sorted_indices()
-    assert got.nnz == want.nnz
-    np.testing.assert_array_equal(got.indptr, want.indptr)
-    np.testing.assert_array_equal(got.indices, want.indices)
-    assert np.max(np.abs(got.data - want.data), initial=0.0) \
-        <= 1e-14 * np.max(np.abs(want.data), initial=0.0)
+    spec = BasisSpec(p_xi, p_eta)
+    nq = default_quad_points(spec)
+    ops = assemble_operator_set(mesh, spec, alpha, MagneticField(b, beta), 6.0)
+    a, m = build_reduced(ops)
+    a_want = bf.scalar_reduced(ops)
+    m_want = SparseSymMatrix.from_product(sp.csr_matrix(
+        bf.oracle_mass(mesh, spec, lambda x, y: float(alpha.eval(x, y)), nq)))
+    _same_pattern_and_values(a.to_full(), a_want.to_full(), a_want.max_abs())
+    _same_pattern_and_values(m.to_full(), m_want.to_full(), m_want.max_abs())
+    assert a.norm_inf() == pytest.approx(a_want.norm_inf(), rel=1e-14)
+    assert a.nnz_percent() == a_want.nnz_percent()
+    if alpha.is_constant and beta.is_constant:
+        got = bloch_eig(a, m).eigenvalues
+        want = bf.dense_generalized_eig(a_want, m_want).eigenvalues
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
