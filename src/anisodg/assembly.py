@@ -23,8 +23,8 @@ batched pass.  The interface and penalty terms pair the jump trace ``[+own,
 -nbr]`` with the average ``[own, nbr] / 2`` or with itself.  Symmetric
 operators (``SymStencil``) are symmetrized over offsets ``d, -d`` and dropped
 below ``DROP_TOL`` on their blocks.  ``build_reduced`` forms ``A`` by one
-batched product per pair of offsets of ``C``.  A stencil's scalar CSR is
-expanded on first use only; constant-coefficient solves read its symbols.
+batched product per pair of offsets of ``C``.  Variable-coefficient solves
+expand stencils to CSR; constant-coefficient ones read only their symbols.
 """
 
 from __future__ import annotations
