@@ -23,8 +23,8 @@ batched pass.  The interface and penalty terms pair the jump trace ``[+own,
 -nbr]`` with the average ``[own, nbr] / 2`` or with itself.  Symmetric
 operators (``SymStencil``) are symmetrized over offsets ``d, -d`` and dropped
 below ``DROP_TOL`` on their blocks.  ``build_reduced`` forms ``A`` by one
-batched product per pair of offsets of ``C``.  Variable-coefficient solves
-expand stencils to CSR; constant-coefficient ones read only their symbols.
+batched product per pair of offsets of ``C``.  Solves read the blocks:
+their products, dense forms and (constant coefficients) symbols.
 """
 
 from __future__ import annotations
@@ -169,6 +169,22 @@ class Stencil:
                              shape=(self.n, self.n)).tocsr()
         full.eliminate_zeros()
         return full
+
+    def to_dense(self) -> np.ndarray:
+        """The dense matrix, scattered from the blocks."""
+        dense = np.zeros((self.n_cells, self.n_loc, self.n_cells, self.n_loc))
+        rows = np.arange(self.n_cells)[:, None]
+        dense[rows, :, self.column_cells(), :] = self.blocks
+        return dense.reshape(self.n, self.n)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """The product with a vector or a block of columns: per offset one
+        batched product of the blocks with ``x`` at the cells it reaches."""
+        cols = x.reshape(self.n_cells, self.n_loc, -1)
+        y = np.zeros(cols.shape)
+        for s, cells in enumerate(self.column_cells().T):
+            y += np.matmul(self.blocks[:, s], np.take(cols, cells, axis=0))
+        return y.reshape(x.shape)
 
     def symbols(self) -> np.ndarray:
         """``(nx*ny, n_loc, n_loc)``: at wavevector ``(p, q)`` (index ``p*ny +

@@ -8,25 +8,32 @@ Two certified solvers serve ``A x = lambda M x``:
   exactly into one small Hermitian pencil per lattice wavevector, each
   solved by LAPACK; the band ``lambda <= lambda_max`` is certified by the
   summed LDL^T inertia of the blocks.  No global matrix is formed.
-* ``band_eig`` returns the band of any pencil (variable coefficients, their
-  stencils expanded to CSR once).  One factorization of ``A - lambda_max M``
-  does two jobs: by Sylvester's law its negative pivots count the band,
-  which the returned count must equal, and its solve drives a block
-  shift-invert Lanczos iteration (``LANCZOS_BLOCK`` right-hand sides per
-  solve, full reorthogonalization in the M inner product) that stops once
-  that many Ritz pairs have converged.
+* ``band_eig`` returns the band of any pencil (variable coefficients).  One
+  factorization of ``K = A - lambda_max M`` (``shifted_inertia``) does two
+  jobs: by Sylvester's law its negative pivots count the band, which the
+  returned count must equal, and its solve drives a block shift-invert
+  Lanczos iteration (``LANCZOS_BLOCK`` right-hand sides per solve, full
+  reorthogonalization in the M inner product) that stops once that many
+  Ritz pairs have converged.  A pencil of stencils is factored straight
+  from their blocks: ordered in lattice rows, ``R`` rows to a block, K is
+  periodic block-tridiagonal, and a block LDL^T (``_LatticeLDL``) sums the
+  Bunch-Kaufman inertias of its Schur blocks (Haynsworth).  Products with
+  a stencil run on its blocks too, so no CSR matrix is formed.  Every
+  factor must pass a backward-error check of its solve before its inertia
+  is used (``BACKWARD_TOL``).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .assembly import SparseSymMatrix, Stencil, SymStencil
 
@@ -45,6 +52,15 @@ RANK_FLOOR = 1e-8
 #: Lanczos steps without a new negative Ritz value, after which a fresh
 #: random block joins the basis if every negative Ritz pair has converged.
 STALL_STEPS = 16
+
+#: Largest normwise backward error ``||r - K z|| / (||K|| ||z|| + ||r||)``
+#: of a factor's solve of ``K z = r`` for which its inertia is trusted.
+BACKWARD_TOL = 1e-10
+
+#: Triangular solves of fewer right-hand sides run one column at a time
+#: (``dtrsv``, which streams the triangle faster than ``dtrsm``); wider ones
+#: from the right on C-ordered rows, which BLAS runs faster.
+NARROW = 16
 
 
 class CompletenessError(RuntimeError):
@@ -85,6 +101,10 @@ class EigenSolution:
     pair.  ``solves`` is the number of right-hand sides the Lanczos
     iteration applied ``K^{-1}`` to and ``subspace`` its final basis size;
     the dense-band solve reports ``subspace = n`` and the other methods 0.
+    ``factor`` is the kind of ``band_eig``'s factorization of ``K = A -
+    lambda_max M`` (``"lattice"``, ``"dense"`` or ``"superlu"``, see
+    ``shifted_inertia``) and ``factor_entries`` the matrix entries it
+    stores; the Bloch and full dense solves leave them None and 0.
     """
 
     eigenvalues: np.ndarray
@@ -95,13 +115,17 @@ class EigenSolution:
     norm_a: float = field(default=0.0)
     solves: int = 0
     subspace: int = 0
+    factor: str | None = None
+    factor_entries: int = 0
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
 
 
 def _as_sym(a) -> SparseSymMatrix:
-    if isinstance(a, Stencil):  # the solve's own expansion, not kept on ``a``
+    if isinstance(a, SymStencil):
+        return a
+    if isinstance(a, Stencil):  # not known to be symmetric
         return SparseSymMatrix(a.expand())
     if isinstance(a, SparseSymMatrix):
         return a
@@ -109,16 +133,22 @@ def _as_sym(a) -> SparseSymMatrix:
 
 
 def _as_pencil(a, m) -> tuple[SparseSymMatrix, SparseSymMatrix]:
-    """``(A, M)`` as symmetric sparse matrices; ``M = None`` is the identity."""
+    """``(A, M)`` as symmetric stencils or sparse matrices; ``M = None`` is
+    the identity."""
     a = _as_sym(a)
     return a, _as_sym(sp.identity(a.n, format="csr") if m is None else m)
+
+
+def _csr(a: SparseSymMatrix) -> sp.csr_matrix:
+    """The CSR of ``a``; a stencil's is expanded for the caller, not kept."""
+    return a.expand() if isinstance(a, Stencil) else a.to_full()
 
 
 def _dense_pencil(a: SparseSymMatrix, m: SparseSymMatrix
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Dense Fortran-ordered ``(A, M)``, which LAPACK may overwrite in place
     instead of copying: the transposes of the (symmetric) C-ordered arrays."""
-    return a.to_full().toarray().T, m.to_full().toarray().T
+    return a.to_dense().T, m.to_dense().T
 
 
 def _residuals(a: SparseSymMatrix, m: SparseSymMatrix,
@@ -132,6 +162,20 @@ def _count_signs(pivots: np.ndarray, tol: float) -> tuple[int, int, int]:
     n_zero = int(np.sum(np.abs(pivots) <= tol))
     n_neg = int(np.sum(pivots < -tol))
     return n_neg, n_zero, len(pivots) - n_neg - n_zero
+
+
+@dataclass(frozen=True)
+class Factor:
+    """A factorization of ``K``: its kind (``"lattice"``, ``"dense"`` or
+    ``"superlu"``) and the matrix entries it stores; calling it solves ``K x
+    = b`` for a vector or a block of right-hand sides."""
+
+    kind: str
+    entries: int
+    solve: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        return self.solve(b)
 
 
 def _ldl_factor(k: np.ndarray, zero_tol: float):
@@ -164,6 +208,13 @@ def _ldl_factor(k: np.ndarray, zero_tol: float):
             lambda b: trs(lu, piv, b, lower=1)[0])
 
 
+def _dense_factor(k: np.ndarray, zero_tol: float):
+    """``_ldl_factor`` of the symmetric C-ordered ``k``, overwritten: its
+    transpose is ``k`` in the Fortran order LAPACK factors in place."""
+    inertia, solve = _ldl_factor(k.T, zero_tol)
+    return inertia, Factor("dense", k.size, solve)
+
+
 def _superlu_factor(k: sp.csc_matrix, zero_tol: float):
     """Inertia of a sparse symmetric matrix and a solve with it, from one
     static-pivot (diagonal) SuperLU factorization.
@@ -183,35 +234,353 @@ def _superlu_factor(k: sp.csc_matrix, zero_tol: float):
     if not np.all(np.isfinite(d)):
         raise CompletenessError("static-pivot factorization broke down")
     scale = max(float(np.max(np.abs(k.data), initial=0.0)), np.finfo(float).tiny)
-    return _count_signs(d, zero_tol * scale), lu.solve
+    return (_count_signs(d, zero_tol * scale),
+            Factor("superlu", lu.L.nnz + lu.U.nnz, lu.solve))
+
+
+# ---------------------------------------------------------------------------
+# stencil pencils: a periodic block LDL^T over lattice rows
+
+
+def _shifted_stencil(a: Stencil, m: Stencil, shift: float) -> Stencil:
+    """``K = A - shift M`` as one stencil on the union of their offsets."""
+    cells = max(len(a.blocks), len(m.blocks))
+    blocks = [np.broadcast_to(s.blocks, (cells,) + s.blocks.shape[1:])
+              for s in (a, m)]
+    return Stencil(np.concatenate([a.offsets, m.offsets]),
+                   np.concatenate([blocks[0], -shift * blocks[1]], axis=1),
+                   a.lattice)
+
+
+def _centered(d: np.ndarray, n: int) -> np.ndarray:
+    """The residues of ``d`` modulo ``n`` in ``(-n/2, n/2]``."""
+    d = d % n
+    return np.where(d > n // 2, d - n, d)
+
+
+@dataclass(frozen=True)
+class _Blocking:
+    """The lattice cells in the order ``order``, cut into consecutive blocks
+    of ``sizes`` cells; the last block is the border."""
+
+    order: np.ndarray
+    sizes: tuple[int, ...]
+    n_loc: int
+
+    def _widths(self) -> tuple[int, int]:
+        return self.sizes[0] * self.n_loc, self.sizes[-1] * self.n_loc
+
+    @property
+    def flops(self) -> float:
+        """Flops of the block elimination (of one block: Bunch-Kaufman), the
+        triangular solves counted twice: OpenBLAS runs them at less than
+        half the rate of the products (17 against 47 GFlop/s at 288 x 576,
+        one thread of a Xeon)."""
+        b, c = self._widths()
+        if len(self.sizes) == 1:
+            return c**3 / 3
+        # Bunch-Kaufman, the triangular solve for the border coupling and
+        # the border update; with a next block also the solve for its
+        # coupling, its update and its border coupling's
+        last = b**3 / 3 + 2 * b * b * c + 2 * b * c * c
+        inner = last + 4 * b**3 + 2 * b * b * c
+        return (len(self.sizes) - 2) * inner + last + c**3 / 3
+
+    @property
+    def entries(self) -> int:
+        """Stored entries: the factored blocks and the L blocks."""
+        b, c = self._widths()
+        steps = len(self.sizes) - 1
+        return steps * b * b + max(steps - 1, 0) * b * b + steps * b * c + c * c
+
+
+def _row_blocking(k: Stencil, axis: int, shear: int, rows: int) -> _Blocking:
+    """The lattice rows along ``axis`` with ``shear``, ``rows`` to a block
+    and the remainder in the last.
+
+    Such a row holds the cells ``(u, v)`` (``u`` the coordinate on ``axis``)
+    of one ``(u - shear v) mod n_u``, ordered by ``v``; ``shear n_v = 0 (mod
+    n_u)`` makes it a translation invariant, so an offset ``(du, dv)``
+    crosses ``du - shear dv`` rows (modulo ``n_u``).
+    """
+    n_u, n_v = k.lattice[axis], k.lattice[1 - axis]
+    row, v = np.divmod(np.arange(k.n_cells), n_v)
+    u = (row + shear * v) % n_u
+    cells = u * k.lattice[1] + v if axis == 0 else v * k.lattice[1] + u
+    count = max(n_u // rows, 1)
+    sizes = (rows * n_v,) * (count - 1) + ((n_u - (count - 1) * rows) * n_v,)
+    return _Blocking(cells, sizes, k.n_loc)
+
+
+def _blockings(k: Stencil):
+    """The candidate layouts of ``k``: one block, then per axis and
+    admissible shear the lattice rows in blocks of ``R`` rows, ``R`` the
+    stencil's reach across rows.  A block then couples only to its two
+    neighbours, and the blocks form a periodic block-tridiagonal matrix."""
+    yield _Blocking(np.arange(k.n_cells), (k.n_cells,), k.n_loc)
+    for axis in (0, 1):
+        n_u, n_v = k.lattice[axis], k.lattice[1 - axis]
+        du, dv = k.offsets[:, axis], k.offsets[:, 1 - axis]
+        for shear in range(n_u):
+            if shear * n_v % n_u == 0:
+                reach = max(int(np.max(np.abs(_centered(du - shear * dv, n_u)))), 1)
+                if n_u // reach > 1:
+                    yield _row_blocking(k, axis, shear, reach)
+
+
+def _scatter(k: Stencil, blocking: _Blocking):
+    """The dense blocks of ``K`` in ``blocking``: the diagonal blocks, and
+    per block ``j`` but the border its coupling ``K[j, next + border]``
+    above the diagonal (columns of the next block first; the block before
+    the border couples to the border only).  All are C-ordered views of a
+    few arrays, which the factorization overwrites."""
+    steps, nl = len(blocking.sizes) - 1, k.n_loc
+    size, border_size = blocking.sizes[0], blocking.sizes[-1]
+    pos = np.empty(k.n_cells, dtype=int)
+    pos[blocking.order] = np.arange(k.n_cells)
+    block = np.minimum(pos // size, steps)
+    local = pos - block * size
+    cols = k.column_cells()
+    row, row_at = (np.broadcast_to(x[:, None], cols.shape) for x in (block, local))
+    col, col_at = block[cols], local[cols]
+    values = np.broadcast_to(k.blocks, cols.shape + (nl, nl))
+
+    diag = np.zeros((steps, size, nl, size, nl))
+    border = np.zeros((border_size, nl, border_size, nl))
+    inner = np.zeros((max(steps - 1, 0), size, nl, size + border_size, nl))
+    last = np.zeros((size, nl, border_size, nl))
+    at = (row == col) & (row < steps)
+    diag[row[at], row_at[at], :, col_at[at], :] = values[at]
+    at = (row == col) & (row == steps)
+    border[row_at[at], :, col_at[at], :] = values[at]
+    at = (row < col) & (row == steps - 1)
+    last[row_at[at], :, col_at[at], :] = values[at]
+    at = (row < col) & (row < steps - 1)  # the border's columns after the next's
+    inner[row[at], row_at[at], :, col_at[at] + size * (col[at] == steps), :] = values[at]
+
+    b, c = size * nl, border_size * nl
+    upper = [x.reshape(b, b + c) for x in inner]
+    if steps:
+        upper.append(last.reshape(b, c))
+    return [d.reshape(b, b) for d in diag] + [border.reshape(c, c)], upper
+
+
+def _triangular(low: np.ndarray, y: np.ndarray, trans: int) -> None:
+    """``y <- op(L)^{-1} y`` in place, ``L`` the unit lower triangle of
+    ``low`` and ``y`` C-ordered rows: a wide ``y`` as the right-hand solve of
+    its transpose, whose rows are contiguous; a narrow one by columns."""
+    if y.shape[1] < NARROW:
+        for col in y.T:
+            col[:] = blas.dtrsv(low, col, lower=1, trans=trans, diag=1)
+    else:
+        blas.dtrsm(1.0, low, y.T, side=1, lower=1, trans_a=1 - trans, diag=1,
+                   overwrite_b=1)
+
+
+class _BunchKaufman:
+    """``S = P L D L^T P^T`` of a dense symmetric block, by LAPACK ``dsytrf``
+    (overwriting ``s``) converted by ``dsyconv``, so that a solve is two
+    Level-3 triangular solves around ``D^{-1}``, as in LAPACK's ``dsytrs2``:
+    ``back(scale(forward(g)))``.  ``pivots`` are the eigenvalues of D."""
+
+    def __init__(self, s: np.ndarray):
+        n = len(s)
+        lwork = int(lapack.dsytrf_lwork(n, lower=1)[0])
+        ldu, ipiv, info = lapack.dsytrf(s.T, lower=1, lwork=lwork, overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"dsytrf: illegal value in argument {-info}")
+        self.low, off, _ = lapack.dsyconv(ldu, ipiv, lower=1, overwrite_a=1)
+        d, off = np.diag(self.low).copy(), off[:-1]
+        self.pivots = sla.eigvalsh_tridiagonal(d, off)
+        # D^{-1}: 1 / d on the 1x1 pivots, [[p0, q], [q, p1]] on the 2x2
+        # ones, inverted scaled by their off-diagonal as in dsytrs2
+        self.one, two = np.flatnonzero(ipiv > 0), np.flatnonzero(ipiv < 0)[::2]
+        self.inv, self.two = 1.0 / d[self.one, None], two
+        dk1, dk = d[two, None] / off[two, None], d[two + 1, None] / off[two, None]
+        scale = off[two, None] * (dk1 * dk - 1.0)
+        self.p0, self.p1, self.q = dk / scale, dk1 / scale, -1.0 / scale
+        # P^T b: LAPACK's row interchanges, in order
+        perm, piv, j = list(range(n)), ipiv.tolist(), 0
+        while j < n:
+            step = 1 if piv[j] > 0 else 2
+            other = abs(piv[j + step - 1]) - 1
+            perm[j + step - 1], perm[other] = perm[other], perm[j + step - 1]
+            j += step
+        self.perm = np.array(perm)
+
+    def forward(self, g: np.ndarray) -> np.ndarray:
+        """``L^{-1} P^T g`` for a block of columns ``g``."""
+        y = np.take(g, self.perm, axis=0)
+        _triangular(self.low, y, 0)
+        return y
+
+    def scale(self, y: np.ndarray) -> np.ndarray:
+        """``D^{-1} y``."""
+        z, two = np.empty(y.shape), self.two
+        z[self.one] = self.inv * y[self.one]
+        u, v = y[two], y[two + 1]
+        z[two], z[two + 1] = self.p0 * u + self.q * v, self.q * u + self.p1 * v
+        return z
+
+    def back(self, z: np.ndarray) -> np.ndarray:
+        """``P L^{-T} z``, overwriting ``z``."""
+        _triangular(self.low, z, 1)
+        out = np.empty(z.shape)
+        out[self.perm] = z
+        return out
+
+    def solve(self, g: np.ndarray) -> np.ndarray:
+        """``S^{-1} g`` for a block of columns ``g``."""
+        return self.back(self.scale(self.forward(g)))
+
+
+class _LatticeLDL:
+    """The LDL^T of a stencil ``K`` that ``blocking`` makes periodic
+    block-tridiagonal, and its solve.
+
+    Block ``j`` but the border is eliminated in turn: Bunch-Kaufman ``S_j =
+    P L D L^T P^T`` of its Schur block, then ``W = L^{-1} P^T K[j, i]`` for
+    the next block and the border ``i`` (one triangular solve) updates the
+    next block, the next block's border coupling and the border by ``- W^T
+    D^{-1} W``.  ``V = D^{-1} W`` is stored: ``V^T`` is the factor's
+    off-diagonal block, ``P L`` its diagonal one.  By Haynsworth's inertia
+    additivity the inertias of the ``D`` and of the final border sum to
+    K's.  A pivot within ``tol`` of zero in any block but the border means
+    the elimination broke down, and raises.
+    """
+
+    def __init__(self, k: Stencil, blocking: _Blocking, zero_tol: float):
+        self.order, self.n_loc = blocking.order, k.n_loc
+        diag, self.upper = _scatter(k, blocking)
+        tol = zero_tol * max(float(np.max(np.abs(k.blocks))), np.finfo(float).tiny)
+        border, width = diag[-1], len(diag[-1])
+        self.factors = []
+        for j, up in enumerate(self.upper):
+            factor = _BunchKaufman(diag[j])
+            if np.any(np.abs(factor.pivots) <= tol):
+                raise CompletenessError(
+                    f"lattice LDL^T broke down: a pivot of block {j} of "
+                    f"{len(diag)} is within tolerance of zero; inertia "
+                    f"unavailable")
+            w = factor.forward(up)
+            up[:] = factor.scale(w)
+            nxt = up.shape[1] - width
+            if nxt:
+                update = w[:, :nxt].T @ up
+                diag[j + 1] -= update[:, :nxt]
+                self.upper[j + 1][:, -width:] -= update[:, nxt:]
+            border -= w[:, nxt:].T @ up[:, nxt:]
+            self.factors.append(factor)
+        self.factors.append(_BunchKaufman(border))
+        self.inertia = tuple(map(sum, zip(*(_count_signs(p.pivots, tol)
+                                            for p in self.factors))))
+        self.ends = np.cumsum([len(d) for d in diag])[:-1]
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        cols = b.reshape(len(self.order), self.n_loc, -1)
+        parts = np.split(cols[self.order].reshape(-1, cols.shape[-1]), self.ends)
+        width = len(parts[-1])
+        # the products with V are taken as row products, which OpenBLAS
+        # streams up to twice as fast for few right-hand sides (8.8 against
+        # 4.9 GB/s for two at 800 x 1600, one thread of a Xeon)
+        for j, (v, factor) in enumerate(zip(self.upper, self.factors)):
+            parts[j] = factor.forward(parts[j])
+            update = (parts[j].T @ v).T
+            nxt = v.shape[1] - width
+            if nxt:
+                parts[j + 1] -= update[:nxt]
+            parts[-1] -= update[nxt:]
+        parts[-1] = self.factors[-1].solve(parts[-1])
+        for j in reversed(range(len(self.upper))):
+            v, factor = self.upper[j], self.factors[j]
+            below = parts[-1] if v.shape[1] == width else np.concatenate(
+                [parts[j + 1], parts[-1]])
+            parts[j] = factor.back(factor.scale(parts[j]) - (below.T @ v.T).T)
+        out = np.empty(cols.shape)
+        out[self.order] = np.concatenate(parts).reshape(cols.shape)
+        return out.reshape(b.shape)
+
+
+def _lattice_factor(a: SymStencil, m: SymStencil, shift: float, zero_tol: float):
+    """Inertia of ``K = A - shift M`` and a solve with it, from the cheapest
+    blocking of K over lattice rows; None if its factor would store more
+    than ``DENSE_CAP**2`` entries.  A single block is factored densely."""
+    k = _shifted_stencil(a, m, shift)
+    blocking = min(_blockings(k), key=lambda blocks: blocks.flops)
+    if blocking.entries > DENSE_CAP**2:
+        return None
+    if len(blocking.sizes) == 1:
+        return _dense_factor(k.to_dense(), zero_tol)
+    ldl = _LatticeLDL(k, blocking, zero_tol)
+    return ldl.inertia, Factor("lattice", blocking.entries, ldl)
+
+
+def _factor(a: SparseSymMatrix, m: SparseSymMatrix, shift: float,
+            zero_tol: float):
+    """The inertia of ``K = A - shift M`` and its ``Factor``, on the path
+    that ``shifted_inertia`` describes."""
+    if (isinstance(a, SymStencil) and isinstance(m, SymStencil)
+            and a.lattice == m.lattice and a.n_loc == m.n_loc):
+        factor = _lattice_factor(a, m, shift, zero_tol)
+        if factor is not None:
+            return factor
+    elif a.n <= DENSE_CAP:
+        k = _csr(a).toarray()
+        mass = _csr(m).tocoo()
+        np.subtract.at(k, (mass.row, mass.col), shift * mass.data)
+        return _dense_factor(k, zero_tol)
+    return _superlu_factor((_csr(a) - shift * _csr(m)).tocsc(), zero_tol)
+
+
+def _check_backward_error(a: SparseSymMatrix, m: SparseSymMatrix, shift: float,
+                          solve) -> None:
+    """Raise unless ``solve`` inverts ``K = A - shift M`` to a normwise
+    backward error ``||r - K z|| / (||K|| ||z|| + ||r||)`` (infinity norms)
+    of at most ``BACKWARD_TOL``, for one fixed random ``r``."""
+    r = np.random.default_rng(0).standard_normal(a.n)
+    z = solve(r)
+    residual = r - (a.matvec(z) - shift * m.matvec(z))
+    norm_k = a.norm_inf() + abs(shift) * m.norm_inf()
+    scale = norm_k * np.max(np.abs(z), initial=0.0) + np.max(np.abs(r), initial=0.0)
+    error = np.max(np.abs(residual), initial=0.0) / max(scale, np.finfo(float).tiny)
+    if not error <= BACKWARD_TOL:
+        raise CompletenessError(
+            f"the factorization of A - {shift:.6g} M solves with backward "
+            f"error {error:.2e} > {BACKWARD_TOL:.0e}; inertia unavailable")
 
 
 def shifted_inertia(a, m, shift: float, zero_tol: float = 1e-12):
-    """Inertia of ``K = A - shift * M`` and a solve with K, from one
-    factorization.
+    """Inertia of ``K = A - shift * M`` and a solve with K (a ``Factor``),
+    from one factorization.
 
     By Sylvester's law ``(n_neg, n_zero, n_pos)`` counts the eigenvalues of
-    the pencil (A, M) below, at and above ``shift``.  K is factored by dense
-    Bunch-Kaufman LDL^T up to ``DENSE_CAP`` unknowns (``A`` densified once,
-    ``shift * M`` subtracted in place) and by static-pivot SuperLU above.
-    The solve takes a vector or a block of right-hand sides.
+    the pencil (A, M) below, at and above ``shift``.  A pencil of two
+    stencils is factored by a periodic block LDL^T over lattice rows
+    (``_LatticeLDL``), read straight from the stencil blocks, in the layout
+    of fewest flops (``_Blocking.flops``); the layout of one block is dense
+    Bunch-Kaufman, and a layout that would store more than
+    ``DENSE_CAP**2`` entries is replaced by static-pivot SuperLU.  Other
+    pencils are factored by dense Bunch-Kaufman LDL^T up to ``DENSE_CAP``
+    unknowns and by static-pivot SuperLU above.  A factor without pivots
+    on the shift must solve ``K z = r`` for a fixed random ``r`` to a
+    backward error of ``BACKWARD_TOL``, else the inertia is unavailable
+    (``CompletenessError``).  The solve takes a vector or a block of
+    right-hand sides.
     """
     a, m = _as_pencil(a, m)
-    if a.n <= DENSE_CAP:
-        # K is symmetric, so its C-ordered array transposed is K in the
-        # Fortran order LAPACK factors in place
-        k = a.to_full().toarray()
-        mass = m.to_full().tocoo()
-        np.subtract.at(k, (mass.row, mass.col), shift * mass.data)
-        return _ldl_factor(k.T, zero_tol)
-    return _superlu_factor((a.to_full() - shift * m.to_full()).tocsc(), zero_tol)
+    inertia, factor = _factor(a, m, shift, zero_tol)
+    if inertia[1] == 0:
+        _check_backward_error(a, m, shift, factor)
+    return inertia, factor
 
 
 def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
     """All eigenpairs of ``A x = lambda M x`` with ``lambda <= lambda_max``.
 
-    One factorization of ``K = A - lambda_max M`` serves the certificate
-    and the solve.  Its inertia ``n_neg`` is the band count, and its solve
+    One factorization of ``K = A - lambda_max M`` (``shifted_inertia``: the
+    lattice LDL^T for stencils, else dense Bunch-Kaufman or SuperLU; its
+    kind and size are recorded in the solution) serves the certificate and
+    the solve.  Its inertia ``n_neg`` is the band count, and its solve
     drives a block shift-invert Lanczos iteration (``_lanczos``): every
     band eigenvalue maps to a negative ``mu = 1/(lambda - lambda_max)`` of
     ``K^{-1} M`` and every other one to a positive value, so the band is
@@ -231,7 +600,8 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
     if n_neg == 0:
         return EigenSolution(eigenvalues=np.empty(0), eigenvectors=np.empty((n, 0)),
                              residuals=np.empty(0), method="empty",
-                             inertia_count=0, norm_a=norm_a)
+                             inertia_count=0, norm_a=norm_a, factor=solve.kind,
+                             factor_entries=solve.entries)
 
     limit = req.tolerance * max(norm_a, np.finfo(float).tiny)
     if n_neg + 8 >= n - 1:
@@ -265,7 +635,8 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
             f"negative eigenvalue {w.min():.3e} below the PSD tolerance")
     return EigenSolution(eigenvalues=w, eigenvectors=x, residuals=resid,
                          method=method, inertia_count=n_neg, norm_a=norm_a,
-                         solves=solves, subspace=subspace)
+                         solves=solves, subspace=subspace, factor=solve.kind,
+                         factor_entries=solve.entries)
 
 
 def _lanczos(m: SparseSymMatrix, solve, shift: float, n_neg: int,

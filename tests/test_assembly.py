@@ -346,6 +346,28 @@ def test_stencil_offsets_and_cells(b, c_offsets, a_offsets):
         assert m.blocks.shape[:2] == (cells, 1)
 
 
+@pytest.mark.parametrize("nx,ny", [(1, 1), (1, 3), (2, 2), (2, 5), (3, 4), (4, 8)])
+@pytest.mark.parametrize("alignment", list(Alignment))
+@pytest.mark.parametrize("coeff", [CONST, VAR_BETA], ids=["constant", "variable"])
+def test_stencil_matvec_and_dense_match_the_expansion(nx, ny, alignment, coeff):
+    """``matvec`` (one batched product per offset, rolled over the lattice)
+    and ``to_dense`` (scattered from the blocks) against the CSR expansion,
+    on every operator, for a vector and a block; 1- and 2-cell-wide
+    lattices store aliasing offsets summed."""
+    mesh = build_mesh(MeshConfig(nx, ny, alignment, REF_B))
+    ops = assemble_operator_set(mesh, BasisSpec(2, 1), coeff,
+                                MagneticField(REF_B, coeff), 6.0)
+    a, m = build_reduced(ops)
+    x = np.random.default_rng(nx * ny).standard_normal((a.n, 3))
+    for stencil in (a, m, ops.c, ops.b_phipsi, ops.m_uv):
+        full = stencil.expand()
+        np.testing.assert_array_equal(stencil.to_dense(), full.toarray())
+        scale = np.max(np.abs(full).sum(axis=1)) * np.max(np.abs(x))
+        for v in (x, x[:, 0]):
+            assert stencil.matvec(v).shape == v.shape
+            assert np.max(np.abs(stencil.matvec(v) - full @ v)) <= 1e-14 * scale
+
+
 def _same_pattern_and_values(got, want, scale):
     got, want = got.sorted_indices(), want.sorted_indices()
     assert got.nnz == want.nnz

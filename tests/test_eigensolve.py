@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anisodg import eigensolve
-from anisodg.assembly import (SparseSymMatrix, SymStencil,
+from anisodg.assembly import (SparseSymMatrix, Stencil, SymStencil,
                               assemble_operator_set, build_reduced)
 from anisodg.basis import BasisSpec
 from anisodg.eigensolve import (BandRequest, CompletenessError,
                                 _residuals, _superlu_factor, band_eig,
                                 bloch_eig, shifted_inertia)
-from anisodg.fields import CoefficientField, Harmonic, MagneticField
-from anisodg.geometry import Alignment, FieldDirection, MeshConfig, build_mesh
+from anisodg.fields import CoefficientField, Harmonic, MagneticField, iota_profile
+from anisodg.geometry import (Alignment, FieldDirection, MeshConfig, build_mesh,
+                              choose_alignment)
 from bruteforce import dense_generalized_eig, ldl_inertia
 
 REF_B = FieldDirection(1.165939761, 1.0)
@@ -437,3 +439,195 @@ def test_bloch_reads_duplicate_entries_as_their_sum():
     want = bloch_eig(a, m).eigenvalues
     got = bloch_eig(split, m).eigenvalues
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13 * np.max(want))
+
+
+# --- the lattice LDL^T of stencil pencils -----------------------------------
+
+#: Criterion 8's coefficients: 1 + 0.2 cos(x) cos(y) and 1 + 0.1 cos(y).
+STELLARATOR_ALPHA = CoefficientField(1.0, (Harmonic(1, 1, 0.1, 0.0),
+                                           Harmonic(1, -1, 0.1, 0.0)))
+STELLARATOR_BETA = CoefficientField(1.0, (Harmonic(0, 1, 0.1, 0.0),))
+
+
+def flux_surface_system(nx, ny, p, s=0.5, alignment=Alignment.BOTTOM_TOP):
+    b = iota_profile(s)
+    mesh = build_mesh(MeshConfig(nx, ny, alignment, b))
+    return build_reduced(assemble_operator_set(
+        mesh, BasisSpec(p, p), STELLARATOR_ALPHA,
+        MagneticField(b, STELLARATOR_BETA), 6.0))
+
+
+def cheapest_blocking(a, m, shift):
+    k = eigensolve._shifted_stencil(a, m, shift)
+    return min(eigensolve._blockings(k), key=lambda blocks: blocks.flops)
+
+
+def backward_error(k, z, r):
+    """``||r - K z|| / (||K|| ||z|| + ||r||)`` in the infinity norms."""
+    norm_k = np.max(np.abs(k).sum(axis=1))
+    return np.max(np.abs(r - k @ z)) / (norm_k * np.max(np.abs(z)) + np.max(np.abs(r)))
+
+
+def test_lattice_layouts_of_the_benchmark_meshes():
+    """58x16 p2 (``variable_sparse``) takes rows of constant i, two to a
+    block of 288 unknowns; criterion 8's coarse 8x32 p4 rows sheared by 4,
+    two to a block; the 4x8 p3 flux surfaces of ``flux_sweep`` one block."""
+    a, m = flux_surface_system(58, 16, 2)
+    blocking = cheapest_blocking(a, m, 0.27)
+    assert np.array_equal(blocking.order, np.arange(58 * 16))
+    assert blocking.sizes == (32,) * 29
+    assert blocking.sizes[0] * a.n_loc == 288
+
+    a, m = flux_surface_system(8, 32, 4)
+    blocking = cheapest_blocking(a, m, 0.27)
+    assert blocking.sizes == (16,) * 16
+    i, j = np.divmod(blocking.order.reshape(32, 8), 32)
+    label = (j - 4 * i) % 32  # one row of 8 cells per label, in label order
+    assert np.all(label == np.arange(32)[:, None])
+    assert np.all(i == np.arange(8))
+
+    for s in (0.05, 0.5, 0.95):
+        a, m = flux_surface_system(4, 8, 3, s, choose_alignment(iota_profile(s)))
+        assert cheapest_blocking(a, m, 0.27).sizes == (32,)
+
+
+def test_one_block_factors_the_dense_k_of_the_csr():
+    """The one-block layout factors the same K, bit for bit, that the dense
+    path forms from the CSR matrices: ``A`` densified, ``shift * M``
+    subtracted at M's stored entries."""
+    a, m = flux_surface_system(4, 8, 3, 0.3, choose_alignment(iota_profile(0.3)))
+    k = a.expand().toarray()
+    mass = m.expand().tocoo()
+    np.subtract.at(k, (mass.row, mass.col), 0.27 * mass.data)
+    assert np.array_equal(eigensolve._shifted_stencil(a, m, 0.27).to_dense(), k)
+    inertia, factor = shifted_inertia(a, m, 0.27)
+    assert factor.kind == "dense" and factor.entries == a.n**2
+    assert inertia == ldl_inertia(k)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(alignment=st.sampled_from(list(Alignment)),
+       nx=st.integers(1, 9), ny=st.integers(1, 9), p=st.integers(0, 1),
+       b=st.sampled_from([REF_B, FieldDirection(1.0, 2.0), FieldDirection(-0.7, 1.3)]),
+       alpha=HARMONICS, beta=HARMONICS, shift=st.floats(0.05, 3.0),
+       axis=st.integers(0, 1), shear=st.integers(0, 8), extra=st.integers(0, 1))
+# three blocks, the last with a remainder row; two blocks; one block
+@example(alignment=Alignment.BOTTOM_TOP, nx=7, ny=2, p=1, b=REF_B,
+         alpha=Harmonic(1, 1, 0.2, 0.1), beta=Harmonic(0, 1, 0.1, 0.0),
+         shift=0.7, axis=0, shear=0, extra=0)
+@example(alignment=Alignment.LEFT_RIGHT, nx=2, ny=6, p=1, b=FieldDirection(1.0, 2.0),
+         alpha=Harmonic(1, -1, 0.2, 0.0), beta=Harmonic(1, 0, 0.0, 0.1),
+         shift=1.3, axis=1, shear=0, extra=1)
+@example(alignment=Alignment.CARTESIAN, nx=3, ny=3, p=2, b=REF_B,
+         alpha=Harmonic(0, 1, 0.1, 0.2), beta=Harmonic(1, 1, 0.1, 0.0),
+         shift=0.4, axis=0, shear=0, extra=4)
+@example(alignment=Alignment.LEFT_RIGHT, nx=2, ny=7, p=1, b=FieldDirection(1.0, 2.0),
+         alpha=Harmonic(1, 1, 0.2, 0.1), beta=Harmonic(0, 1, 0.1, 0.0),
+         shift=0.9, axis=1, shear=0, extra=0)
+# rows sheared by 2 on a 2x4 lattice: (j - 2 i) mod 4
+@example(alignment=Alignment.BOTTOM_TOP, nx=2, ny=4, p=2, b=REF_B,
+         alpha=Harmonic(1, 1, 0.2, 0.1), beta=Harmonic(0, 1, 0.1, 0.0),
+         shift=0.5, axis=1, shear=1, extra=0)
+def test_lattice_ldl_against_dense_inertia(alignment, nx, ny, p, b, alpha, beta,
+                                           shift, axis, shear, extra):
+    """Every row layout, on both axes and every admissible shear, with
+    ``extra`` more rows to a block than the stencil's reach: the lattice
+    LDL^T has the Bunch-Kaufman inertia of the expanded K, and its solve
+    inverts K to a backward error of 1e-10."""
+    mesh = build_mesh(MeshConfig(nx, ny, alignment, b))
+    ops = assemble_operator_set(mesh, BasisSpec(p, p), CoefficientField(1.0, (alpha,)),
+                                MagneticField(b, CoefficientField(1.0, (beta,))), 6.0)
+    a, m = build_reduced(ops)
+    k = eigensolve._shifted_stencil(a, m, shift)
+    n_u, n_v = k.lattice[axis], k.lattice[1 - axis]
+    shears = [s for s in range(n_u) if s * n_v % n_u == 0]
+    shear = shears[shear % len(shears)]
+    du, dv = k.offsets[:, axis], k.offsets[:, 1 - axis]
+    crossed = eigensolve._centered(du - shear * dv, n_u)
+    rows = min(max(int(np.max(np.abs(crossed))), 1) + extra, n_u)
+    blocking = eigensolve._row_blocking(k, axis, shear, rows)
+    assert sorted(blocking.order) == list(range(k.n_cells))
+    assert sum(blocking.sizes) == k.n_cells
+
+    dense = k.expand().toarray()
+    ldl = eigensolve._LatticeLDL(k, blocking, 1e-12)
+    assert ldl.inertia == ldl_inertia(dense)
+    # a block wide enough for the Level-3 triangular solves, a narrow one
+    # and a vector
+    r = np.random.default_rng(3).standard_normal((k.n, eigensolve.NARROW))
+    for rhs in (r, r[:, :2], r[:, 0]):
+        assert backward_error(dense, ldl(rhs), rhs) <= 1e-10
+
+
+def test_lattice_factor_serves_band_eig():
+    """A variable-coefficient band solve on the lattice factor: the kind and
+    size of the factor are recorded, the count is the dense spectrum's."""
+    a, m = flux_surface_system(10, 6, 2)
+    blocking = cheapest_blocking(a, m, 0.3)
+    assert len(blocking.sizes) > 2
+    sol = band_eig(a, m, BandRequest(lambda_max=0.3))
+    want = dense_generalized_eig(a, m).eigenvalues
+    assert sol.factor == "lattice" and sol.factor_entries == blocking.entries
+    assert len(sol) == sol.inertia_count == int(np.sum(want <= 0.3))
+    assert np.max(np.abs(sol.eigenvalues - want[want <= 0.3])) <= 1e-10
+
+
+def test_variable_band_solve_expands_no_csr(monkeypatch):
+    """Stencil pencils are factored, multiplied and densified from their
+    blocks: on the lattice and the one-block path no CSR is formed."""
+    def no_csr(self):
+        raise AssertionError("a stencil was expanded to CSR")
+
+    systems = [flux_surface_system(10, 6, 2), flux_surface_system(4, 4, 2)]
+    monkeypatch.setattr(Stencil, "expand", no_csr)
+    for (a, m), kind in zip(systems, ("lattice", "dense")):
+        sol = band_eig(a, m, BandRequest(lambda_max=0.3))
+        assert sol.factor == kind and len(sol) == sol.inertia_count > 0
+
+
+def test_factor_kinds_are_recorded(monkeypatch):
+    """One block is recorded as dense with ``n^2`` entries, a stencil over
+    the entry budget falls back to SuperLU, and non-band solves record no
+    factor."""
+    a, m = make_small_system(4, 4, 2)
+    req = BandRequest(lambda_max=0.4)
+    dense = band_eig(a, m, req)
+    assert dense.factor == "dense" and dense.factor_entries == a.n**2
+    assert bloch_eig(a, m, req).factor is None
+    monkeypatch.setattr(eigensolve, "DENSE_CAP", 0)
+    sparse = band_eig(a, m, req)
+    assert sparse.factor == "superlu" and sparse.factor_entries > 0
+    np.testing.assert_allclose(sparse.eigenvalues, dense.eigenvalues, rtol=0.0,
+                               atol=1e-12)
+
+
+def test_lattice_pivot_on_the_shift_is_a_breakdown():
+    """A shift at an eigenvalue of the first block's own pencil makes its
+    Schur block singular: the elimination must raise, never count."""
+    a, m = flux_surface_system(10, 6, 2)
+    blocking = cheapest_blocking(a, m, 0.3)
+    first = blocking.order[:blocking.sizes[0]]
+    dofs = (first[:, None] * a.n_loc + np.arange(a.n_loc)).ravel()
+    block = np.ix_(dofs, dofs)
+    shift = sla.eigh(a.to_dense()[block], m.to_dense()[block],
+                     eigvals_only=True)[3]
+    assert cheapest_blocking(a, m, shift).sizes == blocking.sizes
+    with pytest.raises(CompletenessError, match="broke down.*inertia unavailable"):
+        shifted_inertia(a, m, shift)
+
+
+def test_backward_error_guard_rejects_a_growing_static_pivot(monkeypatch):
+    """Static-pivot SuperLU takes the tiny diagonal of a leaf before its
+    hub: the hub's pivot loses its O(1) part to the 1e11 element growth, so
+    the factor solves K z = r with a backward error far above the bound,
+    and the inertia is unavailable.  Bunch-Kaufman pivots it away."""
+    k = np.diag([1e-11, 3.0, 3.0, 3.0, 3.0, 3.0])
+    k[0, 1] = k[1, 0] = 1.0
+    k[1, 2:] = k[2:, 1] = 1.0
+    monkeypatch.setattr(eigensolve, "DENSE_CAP", 0)
+    with pytest.raises(CompletenessError, match="backward error.*inertia unavailable"):
+        shifted_inertia(k, None, 0.0)
+    monkeypatch.undo()
+    inertia, solve = shifted_inertia(k, None, 0.0)
+    assert inertia == ldl_inertia(k) == (1, 0, 5)
+    assert solve.kind == "dense"
