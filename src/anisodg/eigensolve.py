@@ -288,7 +288,8 @@ class _Blocking:
 
     @property
     def entries(self) -> int:
-        """Stored entries: the factored blocks and the L blocks."""
+        """Stored entries: the factored diagonal blocks and border, and the
+        off-diagonal blocks ``V``."""
         b, c = self._widths()
         steps = len(self.sizes) - 1
         return steps * b * b + max(steps - 1, 0) * b * b + steps * b * c + c * c
@@ -394,11 +395,13 @@ class _BunchKaufman:
         self.pivots = sla.eigvalsh_tridiagonal(d, off)
         # D^{-1}: 1 / d on the 1x1 pivots, [[p0, q], [q, p1]] on the 2x2
         # ones, inverted scaled by their off-diagonal as in dsytrs2
-        self.one, two = np.flatnonzero(ipiv > 0), np.flatnonzero(ipiv < 0)[::2]
-        self.inv, self.two = 1.0 / d[self.one, None], two
-        dk1, dk = d[two, None] / off[two, None], d[two + 1, None] / off[two, None]
-        scale = off[two, None] * (dk1 * dk - 1.0)
-        self.p0, self.p1, self.q = dk / scale, dk1 / scale, -1.0 / scale
+        one, two = np.flatnonzero(ipiv > 0), np.flatnonzero(ipiv < 0)[::2]
+        dk1, dk = d[two] / off[two], d[two + 1] / off[two]
+        scale = off[two] * (dk1 * dk - 1.0)
+        inv = np.empty(n)
+        inv[one] = 1.0 / d[one]
+        inv[two], inv[two + 1] = dk / scale, dk1 / scale
+        self.inv, self.two, self.q = inv[:, None], two, -1.0 / scale[:, None]
         # P^T b: LAPACK's row interchanges, in order
         perm, piv, j = list(range(n)), ipiv.tolist(), 0
         while j < n:
@@ -415,11 +418,10 @@ class _BunchKaufman:
         return y
 
     def scale(self, y: np.ndarray) -> np.ndarray:
-        """``D^{-1} y``."""
-        z, two = np.empty(y.shape), self.two
-        z[self.one] = self.inv * y[self.one]
-        u, v = y[two], y[two + 1]
-        z[two], z[two + 1] = self.p0 * u + self.q * v, self.q * u + self.p1 * v
+        """``D^{-1} y`` for a block of columns ``y``."""
+        z, two = self.inv * y, self.two
+        z[two] += self.q * y[two + 1]
+        z[two + 1] += self.q * y[two]
         return z
 
     def back(self, z: np.ndarray) -> np.ndarray:
