@@ -350,7 +350,7 @@ def test_stencil_offsets_and_cells(b, c_offsets, a_offsets):
 @pytest.mark.parametrize("alignment", list(Alignment))
 @pytest.mark.parametrize("coeff", [CONST, VAR_BETA], ids=["constant", "variable"])
 def test_stencil_matvec_and_dense_match_the_expansion(nx, ny, alignment, coeff):
-    """``matvec`` (one batched product per offset, rolled over the lattice)
+    """``matvec`` (one batched product per offset, gathered over the lattice)
     and ``to_dense`` (scattered from the blocks) against the CSR expansion,
     on every operator, for a vector and a block; 1- and 2-cell-wide
     lattices store aliasing offsets summed."""
