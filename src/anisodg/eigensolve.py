@@ -105,6 +105,10 @@ class EigenSolution:
     lambda_max M`` (``"lattice"``, ``"dense"`` or ``"superlu"``, see
     ``shifted_inertia``) and ``factor_entries`` the matrix entries it
     stores; the Bloch and full dense solves leave them None and 0.
+    ``wavevectors`` is set by ``bloch_eig`` alone: for each column, the flat
+    index ``p*ny + q`` of the representative of the lattice wavevector class
+    ``{k, -k}`` whose Bloch waves the column is built from, so its lattice
+    DFT vanishes outside ``k`` and ``-k``.  It is None for every other solve.
     """
 
     eigenvalues: np.ndarray
@@ -117,6 +121,7 @@ class EigenSolution:
     subspace: int = 0
     factor: str | None = None
     factor_entries: int = 0
+    wavevectors: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -924,9 +929,12 @@ def bloch_eig(a: SymStencil, m: SymStencil,
                                            {k, int(pencil.conj[k])})
 
     w = col_w[order]
+    col_k = np.concatenate([np.full(mult * len(w), k) for k, w, _, mult in classes])
+    wavevectors = col_k[order]
     if req is None:
         return EigenSolution(eigenvalues=w, eigenvectors=x, residuals=resid,
-                             method="dense", norm_a=norm_a)
+                             method="dense", norm_a=norm_a,
+                             wavevectors=wavevectors)
     limit = req.tolerance * max(norm_a, np.finfo(float).tiny)
     if np.any(resid > limit):
         raise CompletenessError(
@@ -935,7 +943,8 @@ def bloch_eig(a: SymStencil, m: SymStencil,
         raise CompletenessError(
             f"negative eigenvalue {w.min():.3e} below the PSD tolerance")
     return EigenSolution(eigenvalues=w, eigenvectors=x, residuals=resid,
-                         method="bloch", inertia_count=inertia, norm_a=norm_a)
+                         method="bloch", inertia_count=inertia, norm_a=norm_a,
+                         wavevectors=wavevectors)
 
 
 def _block_inertia(pencil: _LatticePencil, classes, shift: float) -> int:

@@ -107,6 +107,13 @@ class FourierProjector:
     ``(m mod nx, n mod ny)``; no ``modes x n`` matrix is formed.  ``modes``
     is stored in the tie order of ``argmax_mode``, so the first maximum is
     the documented winner.
+
+    A column whose wavevector class ``{k, -k}`` is known (a Bloch
+    eigenvector, ``EigenSolution.wavevectors``) has a lattice DFT that
+    vanishes outside ``k`` and ``-k``.  Its coefficient at ``k`` is then one
+    phase contraction over the cells, the one at ``-k`` its conjugate (the
+    column is real), and only the modes of those two residue classes get an
+    amplitude; every other amplitude is exactly 0.
     """
 
     def __init__(self, mesh: Mesh, spec: BasisSpec,
@@ -122,6 +129,7 @@ class FourierProjector:
         residue = (mn[:, 0] % nx) * ny + mn[:, 1] % ny
         self._classes = [(int(r) // ny, int(r) % ny, np.flatnonzero(residue == r))
                          for r in np.unique(residue)]
+        self._residue_rows = {p * ny + q: rows for p, q, rows in self._classes}
 
     def _build_local(self) -> np.ndarray:
         mesh, spec = self.mesh, self.spec
@@ -170,32 +178,80 @@ class FourierProjector:
             out[rows] = np.abs(self._local[rows] @ what[:, p, q, :].T)
         return out
 
-    def amplitudes(self, vecs: np.ndarray) -> np.ndarray:
+    def _project_classes(self, block: np.ndarray, wavevectors: np.ndarray):
+        """``(cols, rows, amps)`` per wavevector class of the columns of
+        ``block``: the columns in that class, the modes of its two residue
+        classes in ``modes`` order, and their ``(rows, cols)`` amplitudes."""
+        nx, ny, n_loc = self.mesh.config.nx, self.mesh.config.ny, self.spec.n_loc
+        classes, inverse = np.unique(np.asarray(wavevectors), return_inverse=True)
+        p, q = np.divmod(classes, ny)
+        # the phases exp(2 pi i (p i / nx + q j / ny)) of _project's DFT, by axis
+        phase_x = np.exp(2j * np.pi * (np.outer(p, np.arange(nx)) % nx) / nx)
+        phase_y = np.exp(2j * np.pi * (np.outer(q, np.arange(ny)) % ny) / ny)
+        coeff = np.empty((block.shape[1], n_loc), dtype=complex)
+        for s in range(0, block.shape[1], PROJECT_BLOCK):
+            k = inverse[s:s + PROJECT_BLOCK]
+            cells = block[:, s:s + PROJECT_BLOCK].T.reshape(-1, nx, ny, n_loc)
+            # over j, then over i: two short sums round off about as little
+            # as the FFT's, where one sum over all cells would not
+            over_j = (phase_y[k, None, None] @ cells)[:, :, 0]
+            coeff[s:s + PROJECT_BLOCK] = (phase_x[k, None] @ over_j)[:, 0]
+        empty = np.empty(0, dtype=int)
+        for c, (pc, qc) in enumerate(zip(p.tolist(), q.tolist())):
+            cols = np.flatnonzero(inverse == c)
+            at_k = coeff[cols].T
+            rows = self._residue_rows.get(pc * ny + qc, empty)
+            amps = np.abs(self._local[rows] @ at_k)
+            conj = (-pc) % nx * ny + (-qc) % ny
+            if conj != pc * ny + qc:
+                rows_c = self._residue_rows.get(conj, empty)
+                both = np.concatenate([rows, rows_c])
+                order = np.argsort(both)
+                rows = both[order]
+                amps = np.vstack([amps, np.abs(self._local[rows_c] @ at_k.conj())])[order]
+            yield cols, rows, amps
+
+    def amplitudes(self, vecs: np.ndarray,
+                   wavevectors: np.ndarray | None = None) -> np.ndarray:
         """|projection| onto each mode: ``(modes,)`` for a coefficient vector,
-        ``(modes, k)`` for the ``k`` columns of a block."""
+        ``(modes, k)`` for the ``k`` columns of a block.  With the columns'
+        ``wavevectors`` (see the class docstring) only the modes of their
+        classes are projected and the rest read exactly 0."""
         vecs = np.asarray(vecs)
         block = self._columns(vecs)
-        out = np.empty((len(self.modes), block.shape[1]))
-        for s in range(0, block.shape[1], PROJECT_BLOCK):
-            out[:, s:s + PROJECT_BLOCK] = self._project(block[:, s:s + PROJECT_BLOCK])
+        out = np.zeros((len(self.modes), block.shape[1]))
+        if wavevectors is None:
+            for s in range(0, block.shape[1], PROJECT_BLOCK):
+                out[:, s:s + PROJECT_BLOCK] = self._project(block[:, s:s + PROJECT_BLOCK])
+        else:
+            for cols, rows, amps in self._project_classes(block, wavevectors):
+                out[np.ix_(rows, cols)] = amps
         return out.reshape((len(self.modes),) + vecs.shape[1:])
 
     def amplitude_table(self, vec: np.ndarray) -> dict[tuple[int, int], float]:
         amps = self.amplitudes(vec)
         return {mode: float(a) for mode, a in zip(self.modes, amps)}
 
-    def argmax_modes(self, vecs: np.ndarray
+    def argmax_modes(self, vecs: np.ndarray, wavevectors: np.ndarray | None = None
                      ) -> tuple[list[tuple[int, int]], np.ndarray]:
         """Best mode and its amplitude for each column of ``vecs``; ties
         prefer small |m|+|n|, then small m.  A column with no projection
-        onto any mode of the box has amplitude 0."""
+        onto any mode of the box has amplitude 0.  With the columns'
+        ``wavevectors`` only the modes of their classes compete, and a
+        class that holds no mode of the box gives amplitude 0."""
         block = self._columns(np.asarray(vecs))
-        best = np.empty(block.shape[1], dtype=int)
-        amps = np.empty(block.shape[1])
-        for s in range(0, block.shape[1], PROJECT_BLOCK):
-            a = self._project(block[:, s:s + PROJECT_BLOCK])
-            best[s:s + PROJECT_BLOCK] = a.argmax(axis=0)
-            amps[s:s + PROJECT_BLOCK] = a.max(axis=0)
+        best = np.zeros(block.shape[1], dtype=int)
+        amps = np.zeros(block.shape[1])
+        if wavevectors is None:
+            for s in range(0, block.shape[1], PROJECT_BLOCK):
+                a = self._project(block[:, s:s + PROJECT_BLOCK])
+                best[s:s + PROJECT_BLOCK] = a.argmax(axis=0)
+                amps[s:s + PROJECT_BLOCK] = a.max(axis=0)
+        else:
+            for cols, rows, a in self._project_classes(block, wavevectors):
+                if len(rows):
+                    best[cols] = rows[a.argmax(axis=0)]
+                    amps[cols] = a.max(axis=0)
         return [self.modes[i] for i in best], amps
 
     def argmax_mode(self, vec: np.ndarray) -> tuple[tuple[int, int], float]:
@@ -221,12 +277,13 @@ def associate_modes(solution: EigenSolution, projector: FourierProjector,
                     exact: ExactSpectrum | None = None) -> list[Association]:
     """Associate each eigenpair with its dominant Fourier mode.
 
-    An eigenvector with no projection onto any mode of the box gets no row:
-    on a lattice wider than the box, a wavevector class can hold no box
-    mode, and a Bloch eigenvector is orthogonal to every mode outside its
-    class.
+    An eigenvector with no projection onto any mode of the box gets no row.
+    A Bloch eigenvector (``solution.wavevectors`` set) is projected only
+    onto the modes of its own wavevector class ``{k, -k}``, being orthogonal
+    to every other mode; on a lattice wider than the box a class can hold no
+    box mode, and its vectors get no row.
     """
-    modes, amps = projector.argmax_modes(solution.eigenvectors)
+    modes, amps = projector.argmax_modes(solution.eigenvectors, solution.wavevectors)
     out = []
     for idx, (mode, amp) in enumerate(zip(modes, amps.tolist())):
         if amp <= 0.0:

@@ -10,7 +10,8 @@ from anisodg.fields import CoefficientField
 from anisodg.geometry import Alignment, FieldDirection, MeshConfig, build_mesh
 from anisodg.spectrum import (PROJECT_BLOCK, ConvergenceRow, FourierProjector,
                               SolveSetup, associate_modes, band_error_report,
-                              canonical_mode, compare_band_errors,
+                              canonical_mode, canonical_modes,
+                              compare_band_errors,
                               convergence_study, exact_spectrum,
                               least_squares_slope, mode_error_table,
                               run_band_solve)
@@ -217,6 +218,142 @@ def test_empty_solution_associates_to_nothing():
     assert associate_modes(empty, proj, exact_spectrum(REF_B, 6, 6)) == []
 
 
+def lattice_classes(vecs, nx, ny, n_loc):
+    """Each column's wavevector class ``{k, -k}`` (flat indices ``p*ny + q``)
+    read from its lattice DFT, and the DFT energy outside that class
+    relative to the column's total."""
+    coeff = np.fft.fft2(vecs.T.reshape(-1, nx, ny, n_loc), axes=(1, 2))
+    energy = np.sum(np.abs(coeff) ** 2, axis=3).reshape(-1, nx * ny)
+    k = energy.argmax(axis=1)
+    p, q = np.divmod(k, ny)
+    conj = (-p) % nx * ny + (-q) % ny
+    inside = energy[np.arange(len(k)), k] + np.where(
+        conj != k, energy[np.arange(len(k)), conj], 0.0)
+    classes = [{int(a), int(b)} for a, b in zip(k, conj)]
+    return classes, 1.0 - inside / energy.sum(axis=1)
+
+
+def mode_residues(modes, nx, ny):
+    return np.array([(m % nx) * ny + n % ny for m, n in modes])
+
+
+def test_bloch_labels_stay_in_their_wavevector_class():
+    """A Bloch eigenvector's label lies in its own class ``{k, -k}``.  On the
+    48x2 lattice the classes ``p = 21..27`` hold no mode of the ``|m|, |n| <=
+    20`` box, so their 56 vectors get no row; the FFT over all modes would
+    label 48 of them from round-off amplitudes (at most 8.3e-16)."""
+    nx, ny = 48, 2
+    result = run_band_solve(SolveSetup(
+        mesh_config=MeshConfig(nx, ny, Alignment.CARTESIAN, REF_B),
+        spec=BasisSpec(1, 1), alpha=CONST, beta=CONST, full_spectrum=True))
+    vecs = result.solution.eigenvectors
+    classes, outside = lattice_classes(vecs, nx, ny, 4)
+    assert outside.max() < 1e-24
+    box = set(mode_residues(canonical_modes(20, 20), nx, ny).tolist())
+    boxless = {i for i, cls in enumerate(classes) if not cls & box}
+    assert len(boxless) == 56
+    assert {r.index for r in result.assoc} == set(range(vecs.shape[1])) - boxless
+    for row in result.assoc:
+        assert (row.mode[0] % nx) * ny + row.mode[1] % ny in classes[row.index]
+
+
+CLASS_SOLVES = {
+    "bottom-top-4x4-band": (MeshConfig(4, 4, Alignment.BOTTOM_TOP, REF_B),
+                            BasisSpec(3, 3), False),
+    "bottom-top-4x4-full": (MeshConfig(4, 4, Alignment.BOTTOM_TOP, REF_B),
+                            BasisSpec(2, 2), True),
+    "left-right-3x5-band": (MeshConfig(3, 5, Alignment.LEFT_RIGHT,
+                                       FieldDirection(0.6, 1.3)), BasisSpec(2, 3), False),
+    "left-right-3x5-full": (MeshConfig(3, 5, Alignment.LEFT_RIGHT,
+                                       FieldDirection(0.6, 1.3)), BasisSpec(2, 3), True),
+    "cartesian-6x4-band": (MeshConfig(6, 4, Alignment.CARTESIAN, REF_B),
+                           BasisSpec(2, 2), False),
+    "cartesian-3x2-full": (MeshConfig(3, 2, Alignment.CARTESIAN, REF_B),
+                           BasisSpec(2, 1), True),
+    "bottom-top-1x4-full": (MeshConfig(1, 4, Alignment.BOTTOM_TOP, REF_B),
+                            BasisSpec(2, 2), True),
+    "left-right-4x1-band": (MeshConfig(4, 1, Alignment.LEFT_RIGHT,
+                                       FieldDirection(1.0, 1.7)), BasisSpec(3, 1), False),
+    "cartesian-1x1-full": (MeshConfig(1, 1, Alignment.CARTESIAN, REF_B),
+                           BasisSpec(3, 3), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_SOLVES))
+def test_class_restricted_projection_matches_the_fft(name):
+    """Projecting a Bloch solution onto its wavevector classes only gives
+    the FFT amplitudes at the in-class modes, exactly 0 elsewhere, and the
+    same labels wherever the FFT winner is not round-off.  The 7x5 box is
+    wider than every lattice, so several modes share each residue class;
+    on the 1-wide lattices ``k = -k`` along that axis."""
+    config, spec, full = CLASS_SOLVES[name]
+    result = run_band_solve(SolveSetup(
+        mesh_config=config, spec=spec, alpha=CONST, beta=CONST,
+        full_spectrum=full, m_max=7, n_max=5))
+    sol = result.solution
+    assert sol.method == ("dense" if full else "bloch")
+    assert sol.wavevectors.shape == (len(sol),)
+    nx, ny = config.nx, config.ny
+    classes, outside = lattice_classes(sol.eigenvectors, nx, ny, spec.n_loc)
+    assert outside.max() < 1e-24
+    assert all(int(k) in cls for k, cls in zip(sol.wavevectors, classes))
+
+    proj = FourierProjector(result.mesh, spec, 7, 5)
+    residues = mode_residues(proj.modes, nx, ny)
+    in_class = np.array([[r in cls for cls in classes] for r in residues])
+    fft = proj.amplitudes(sol.eigenvectors)
+    got = proj.amplitudes(sol.eigenvectors, sol.wavevectors)
+    assert np.all(got[~in_class] == 0.0)
+    assert np.max(np.abs(got - fft)[in_class]) <= 1e-12 * np.max(fft)
+
+    fft_modes, fft_amps = proj.argmax_modes(sol.eigenvectors)
+    modes, amps = proj.argmax_modes(sol.eigenvectors, sol.wavevectors)
+    assert np.array_equal(amps, got.max(axis=0))
+    resolved = fft_amps > 1e-12
+    assert resolved.any()
+    assert [m for m, ok in zip(modes, resolved) if ok] == \
+        [m for m, ok in zip(fft_modes, resolved) if ok]
+    assert [(r.index, r.mode, r.amplitude) for r in result.assoc] == \
+        [(i, m, a) for i, (m, a) in enumerate(zip(modes, amps.tolist())) if a > 0.0]
+
+
+def test_class_tie_across_conjugate_residues_follows_mode_order(monkeypatch):
+    """On the 3x1 lattice the class {1, 2} holds the modes m = 1 (residue k)
+    and m = 2 (residue -k).  With the moments of (2, 0) set to the conjugates
+    of those of (1, 2), a Bloch wave projects onto both with bit-identical
+    amplitudes, and (2, 0), first in tie order, wins."""
+    mesh = build_mesh(MeshConfig(3, 1, Alignment.CARTESIAN, REF_B))
+    spec = BasisSpec(1, 1)
+    proj = FourierProjector(mesh, spec, 3, 3)
+    a, b = proj.modes.index((1, 2)), proj.modes.index((2, 0))
+    assert b < a
+    local = np.zeros_like(proj._local)
+    local[a] = proj._local[a]
+    local[b] = proj._local[a].conj()
+    monkeypatch.setattr(proj, "_local", local)
+    v = np.array([1.0, 1j]) @ np.random.default_rng(3).standard_normal((2, spec.n_loc))
+    vec = np.real(np.exp(2j * np.pi * np.arange(3) / 3)[:, None] * v).ravel()
+    amps = proj.amplitudes(vec, np.array([1]))
+    assert amps[a] == amps[b] == amps.max() > 0.0
+    assert proj.argmax_modes(vec[:, None], np.array([1])) == ([(2, 0)], [amps[b]])
+
+
+def test_variable_coefficient_association_projects_onto_every_mode():
+    """``band_eig`` vectors have no wavevector: they keep the FFT path."""
+    from anisodg.fields import Harmonic
+    result = run_band_solve(SolveSetup(
+        mesh_config=MeshConfig(2, 4, Alignment.BOTTOM_TOP, REF_B),
+        spec=BasisSpec(2, 2), alpha=CONST, m_max=7, n_max=5,
+        beta=CoefficientField(1.0, (Harmonic(0, 1, 0.1, 0.0),))))
+    sol = result.solution
+    assert sol.method not in ("bloch", "dense") and len(sol) > 1
+    assert sol.wavevectors is None
+    proj = FourierProjector(result.mesh, result.setup.spec, 7, 5)
+    fft = proj.amplitudes(sol.eigenvectors)
+    assert [(r.index, r.mode, r.amplitude) for r in result.assoc] == \
+        [(i, proj.modes[j], fft[j, i]) for i, j in enumerate(fft.argmax(axis=0))]
+
+
 def reference_solve(nx=4, ny=4, p=3, **kwargs):
     setup = SolveSetup(
         mesh_config=MeshConfig(nx, ny, Alignment.BOTTOM_TOP, REF_B),
@@ -292,6 +429,9 @@ def test_constant_coefficient_solves_use_the_lattice_blocks():
     np.testing.assert_array_equal(
         band.solution.eigenvalues,
         full.solution.eigenvalues[:len(band.solution)])
+    np.testing.assert_array_equal(
+        band.solution.wavevectors,
+        full.solution.wavevectors[:len(band.solution)])
 
 
 def test_compare_equal_setups_gives_zero_improvement():
