@@ -39,7 +39,8 @@ from .basis import BasisSpec, gauss_rule, tensor_basis_eval
 from .fields import CoefficientField, MagneticField
 from .geometry import ALIGNMENT_TOL, Faces, Mesh, _sides_apart
 
-#: Assembled entries below this times the matrix max are dropped.
+#: Assembled entries below this times the matrix max (for a ``SymStencil``,
+#: the largest block entry before aliasing offsets are summed) are dropped.
 DROP_TOL = 1e-15
 
 #: The offset of a cell to itself, the only one of the volume terms.
@@ -209,8 +210,11 @@ class SymStencil(Stencil, SparseSymMatrix):
         neg = _residues(-self.offsets, self.lattice)[1]  # the offsets are closed
         rows = 0 if self.blocks.shape[0] == 1 else self.column_cells()
         sym = (self.blocks + self.blocks[rows, neg].swapaxes(-1, -2)) * 0.5
+        # relative to the largest entry before the blocks of aliasing offsets
+        # were summed: a sum that cancels to rounding must not set the scale
         size = np.abs(sym)
-        sym[size < DROP_TOL * np.max(size, initial=0.0)] = 0.0
+        sym[size < DROP_TOL * max(np.max(size, initial=0.0),
+                                  np.max(np.abs(blocks), initial=0.0))] = 0.0
         self.blocks = sym
 
     @cached_property

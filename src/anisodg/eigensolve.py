@@ -97,8 +97,11 @@ class EigenSolution:
     * ``"empty"``: ``band_eig`` of an empty band.
 
     Band solves set ``inertia_count`` to the LDL^T count they were
-    certified against.  ``residuals`` bound ``||A x - lambda M x||`` per
-    pair.  ``solves`` is the number of right-hand sides the Lanczos
+    certified against.  ``residuals`` hold ``||A x - lambda M x||_2`` per
+    pair: ``band_eig`` measures it by products with A and M in floating
+    point; ``bloch_eig`` bounds it for the stored vectors from each block,
+    rounding included (``_LatticePencil.bounds``), so no exact residual
+    exceeds it.  ``solves`` is the number of right-hand sides the Lanczos
     iteration applied ``K^{-1}`` to and ``subspace`` its final basis size;
     the dense-band solve reports ``subspace = n`` and the other methods 0.
     ``factor`` is the kind of ``band_eig``'s factorization of ``K = A -
@@ -812,6 +815,9 @@ class _LatticePencil:
 
     Wavevector ``k = (p, q)`` has flat index ``p*ny + q``.  Raises
     ``CompletenessError`` if the stencil of A or M varies from cell to cell.
+    ``a_abs`` and ``m_abs`` are the stencils' blocks summed in modulus over
+    the offsets, ``|A|`` and ``|M|`` folded onto one cell; ``gamma`` is the
+    rounding constant of ``bounds``.
     """
 
     def __init__(self, a: SymStencil, m: SymStencil):
@@ -822,8 +828,9 @@ class _LatticePencil:
                     f"{name} is not invariant under translations of the {nx}x{ny} "
                     f"cell lattice: its stencil varies from cell to cell")
         self.a_hat, self.m_hat = a.symbols(), m.symbols()
-        self.fro_a = np.linalg.norm(self.a_hat, axis=(1, 2))
-        self.fro_m = np.linalg.norm(self.m_hat, axis=(1, 2))
+        self.a_abs, self.m_abs = (np.abs(s.blocks[0]).sum(axis=0) for s in (a, m))
+        offsets = max(len(a.offsets), len(m.offsets))
+        self.gamma = (133 + offsets + 1.5 * a.n_loc) * (np.finfo(float).eps / 2)
         p, q = np.divmod(np.arange(nx * ny), ny)
         self.conj = ((-p) % nx) * ny + (-q) % ny
 
@@ -843,32 +850,65 @@ class _LatticePencil:
         out[:, 1::2] = math.sqrt(2.0) * wave.imag
         return out
 
-    def residuals(self, x: np.ndarray, w: np.ndarray, ks) -> np.ndarray:
-        """Upper bounds on ``||A x_c - w_c M x_c||`` for the columns of ``x``,
-        tight for columns that are (up to round-off) combinations of the
-        wavevectors ``ks``.
+    def bounds(self, k: int, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Upper bounds on ``||A x - w_j M x||_2`` for the stored columns
+        ``x`` that ``real_waves(k, v)`` makes of each block eigenpair ``(w_j,
+        v_j)`` (the two columns of a pair share one), read on the block
+        alone: the symbol residual ``||A(k) v_j - w_j M(k) v_j||`` plus the
+        rounding term ``gamma G_j``, ``G_j = ||(|A| + |w_j| |M|) |v_j|||``
+        with ``|A|`` and ``|M|`` folded onto a cell (``a_abs``, ``m_abs``).
 
-        The unitary lattice DFT of a column has coefficients ``c(k)``, and
-        by Parseval its residual against the block-circulant pencil is
-        ``sqrt(sum_k ||(A(k) - w M(k)) c(k)||^2)``.  The terms of ``ks`` are
-        computed; the others are bounded through the symbols' Frobenius
-        norms.
+        *Symbol residual.*  Let ``x`` be the exact real wave of ``v``: exact
+        phases ``phi_c = exp(i k . c)`` over the ``N = nx ny`` cells ``c``,
+        exact arithmetic.  On the Bloch wave ``phi_c v / sqrt(N)`` the
+        pencil acts as ``(A(k), M(k))``, so its residual is ``phi_c r /
+        sqrt(N)``, ``r = A(k) v - w M(k) v``, of norm ``||r||``.  A
+        self-conjugate ``k`` has ``phi_c = +-1`` and ``x`` is that wave.
+        Otherwise ``x`` is ``sqrt(2)`` times its real or imaginary part, and
+        so is the residual of ``x``; as ``sum_c phi_c^2 = 0`` for ``2k !=
+        0``, ``sum_c |sqrt(2) Re(phi_c z)|^2 / N = |z|^2 + Re(z^2 sum_c
+        phi_c^2) / N = |z|^2`` (likewise ``Im``): the residual of either
+        column is exactly ``||r||``, and ``||x|| = ||v||``.
+
+        *Rounding term.*  With ``u`` the unit roundoff, ``n = n_loc`` and
+        ``S`` the larger offset count of A and M, each error below is bounded
+        entrywise by a multiple of ``(|A| + |w| |M|) |v|`` (in every cell,
+        over ``sqrt(N)``, for the global vectors), hence in norm by that
+        multiple of ``G``; constants are first order, rounded up (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, SIAM 2002, Lemma
+        3.5 and (3.4) for complex products and sums):
+
+        * the symbols (``Stencil.symbols``): the turns ``(p o_x mod nx) / nx
+          + (q o_y mod ny) / ny < 2`` within ``2u`` relative, times ``2
+          fl(pi)`` (``0.36u``) in one rounding, so angles within ``3.36u * 4
+          pi < 42.3u``; cosine and sine within an ulp: phases within
+          ``44u``; the complex sum over the offsets ``(S + 2)u``;
+        * the block products with ``v`` (complex sums of ``n`` terms)
+          ``(n + 2)u``, the scaling by ``w`` and the difference ``2u``;
+        * the norm of ``r``: ``(n + 3)u / 2`` of ``||r||``, which is at most
+          ``G``;
+        * the real waves (``real_waves``): the phase of each lattice axis,
+          ``2 pi m / n`` with ``m < n`` by two products and numpy's rounded
+          reciprocal of ``n``, within ``3.36u * 2 pi + sqrt(2)u < 22.6u``;
+          their product ``2 * 22.6u + 2 sqrt(2)u``, the scaling by ``1 /
+          sqrt(N)`` ``3u``, the product with ``v`` ``2 sqrt(2)u`` and with
+          ``sqrt(2)`` ``2u``: each entry of ``x^ - x`` within ``56u sqrt(2)
+          |v| / sqrt(N)`` (a real or imaginary part is at most the modulus),
+          so ``||(A - w M)(x^ - x)|| <= 79.2u G``;
+        * the sum of the bound ``1u``, and ``1u`` for the second-order terms.
+
+        In all ``gamma = (133 + S + 1.5 n) u``.  The same terms bound
+        ``||r||`` from above by the residual of ``x^`` plus ``gamma G``, so
+        the bound exceeds it by at most ``2 gamma G``.  As ``|A|`` is
+        symmetric, ``G <= (||A||_inf + |w| ||M||_inf) ||v||``.
         """
-        nx, ny, n_loc = self.nx, self.ny, self.a_hat.shape[-1]
-        cols = x.shape[1]
-        coeff = np.fft.fft2(x.T.reshape(cols, nx, ny, n_loc), axes=(1, 2),
-                            norm="ortho").reshape(cols, nx * ny, n_loc)
-        ks = sorted(ks)
-        inside = np.zeros(cols)
-        for k in ks:
-            c = coeff[:, k]
-            r = c @ self.a_hat[k].T - w[:, None] * (c @ self.m_hat[k].T)
-            inside += np.sum(np.abs(r)**2, axis=1)
-        energy = np.sum(np.abs(coeff)**2, axis=2)
-        energy[:, ks] = 0.0
-        scale = self.fro_a + np.abs(w)[:, None] * self.fro_m
-        outside = np.sum(scale**2 * energy, axis=1)
-        return np.sqrt(inside + outside)
+        a, m = self.a_hat[k], self.m_hat[k]
+        if self.conj[k] == k:
+            a, m = a.real, m.real
+        size = np.abs(v)
+        scale = self.a_abs @ size + np.abs(w) * (self.m_abs @ size)
+        return (np.linalg.norm(a @ v - (m @ v) * w, axis=0)
+                + self.gamma * np.linalg.norm(scale, axis=0))
 
 
 def bloch_eig(a: SymStencil, m: SymStencil,
@@ -889,9 +929,10 @@ def bloch_eig(a: SymStencil, m: SymStencil,
     of the blocks ``A(k) - lambda_max M(k)`` (which by Sylvester's law under
     the unitary lattice DFT is the inertia of ``A - lambda_max M``), no
     pivot may sit on the edge, and the residuals and the PSD floor must hold.
-    Residuals bound ``||A x - lambda M x||`` of the returned vectors: their
-    lattice DFT meets each wavevector's symbols, those outside the vector's
-    class through the symbols' Frobenius norms.
+    Residuals bound ``||A x - lambda M x||`` of the stored vectors, rounding
+    included, from each block alone (``_LatticePencil.bounds``): the symbol
+    residual of the block eigenpair, which is exactly that of the exact real
+    wave, plus an a-priori rounding term.
     """
     if req is None and a.n > DENSE_CAP:
         raise ValueError(f"full spectrum of dimension {a.n} exceeds cap {DENSE_CAP}")
@@ -924,9 +965,8 @@ def bloch_eig(a: SymStencil, m: SymStencil,
         cols = dest[start:start + mult * len(w)]
         start += len(cols)
         if len(cols):
-            x[:, cols] = block = pencil.real_waves(k, v)
-            resid[cols] = pencil.residuals(block, np.repeat(w, mult),
-                                           {k, int(pencil.conj[k])})
+            x[:, cols] = pencil.real_waves(k, v)
+            resid[cols] = np.repeat(pencil.bounds(k, w, v), mult)
 
     w = col_w[order]
     col_k = np.concatenate([np.full(mult * len(w), k) for k, w, _, mult in classes])

@@ -239,6 +239,12 @@ class FourierProjector:
         onto any mode of the box has amplitude 0.  With the columns'
         ``wavevectors`` only the modes of their classes compete, and a
         class that holds no mode of the box gives amplitude 0."""
+        best, amps = self._argmax(vecs, wavevectors)
+        return [self.modes[i] for i in best], amps
+
+    def _argmax(self, vecs: np.ndarray, wavevectors: np.ndarray | None
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """``argmax_modes`` with the modes as indices into ``modes``."""
         block = self._columns(np.asarray(vecs))
         best = np.zeros(block.shape[1], dtype=int)
         amps = np.zeros(block.shape[1])
@@ -252,7 +258,7 @@ class FourierProjector:
                 if len(rows):
                     best[cols] = rows[a.argmax(axis=0)]
                     amps[cols] = a.max(axis=0)
-        return [self.modes[i] for i in best], amps
+        return best, amps
 
     def argmax_mode(self, vec: np.ndarray) -> tuple[tuple[int, int], float]:
         """Best mode and its amplitude; ties prefer small |m|+|n|, then small m."""
@@ -283,22 +289,23 @@ def associate_modes(solution: EigenSolution, projector: FourierProjector,
     to every other mode; on a lattice wider than the box a class can hold no
     box mode, and its vectors get no row.
     """
-    modes, amps = projector.argmax_modes(solution.eigenvectors, solution.wavevectors)
-    out = []
-    for idx, (mode, amp) in enumerate(zip(modes, amps.tolist())):
-        if amp <= 0.0:
-            continue
-        w2 = float(solution.eigenvalues[idx])
-        if exact is None:
-            out.append(Association(idx, w2, mode, amp, None, None, "none"))
-            continue
-        w2_exact = exact.omega2(*mode)
-        if w2_exact == 0.0:
-            out.append(Association(idx, w2, mode, amp, w2_exact, abs(w2), "absolute"))
-        else:
-            out.append(Association(idx, w2, mode, amp, w2_exact,
-                                   abs(w2 - w2_exact) / w2_exact, "relative"))
-    return out
+    best, amps = projector._argmax(solution.eigenvectors, solution.wavevectors)
+    index = np.flatnonzero(amps > 0.0)
+    best, w2 = best[index], solution.eigenvalues[index]
+    modes = [projector.modes[i] for i in best.tolist()]
+    columns = (index.tolist(), w2.tolist(), modes, amps[index].tolist())
+    if exact is None:
+        return [Association(idx, w, mode, amp, None, None, "none")
+                for idx, w, mode, amp in zip(*columns)]
+    # each distinct mode looked up once; the errors by the scalar IEEE ops
+    distinct, at = np.unique(best, return_inverse=True)
+    w2_exact = np.array([exact.omega2(*projector.modes[i]) for i in distinct])[at]
+    zero = w2_exact == 0.0
+    error = np.where(zero, np.abs(w2),
+                     np.abs(w2 - w2_exact) / np.where(zero, 1.0, w2_exact))
+    kinds = np.where(zero, "absolute", "relative")
+    return [Association(*row) for row in zip(*columns, w2_exact.tolist(),
+                                             error.tolist(), kinds.tolist())]
 
 
 @dataclass

@@ -7,7 +7,8 @@ accumulated one raw quadrature point at a time with no sum factorization
 and no transpose reuse.  It also keeps the global scalar forms of what the
 library does on lattice stencils (the reduction to ``A`` by scalar CSR
 products), and the global dense solvers that serve as the tests' oracles
-(``dense_generalized_eig`` and ``ldl_inertia``).
+(``dense_generalized_eig`` and ``ldl_inertia``), and pencil residuals in
+extended precision (``extended_residuals``).
 """
 
 import math
@@ -311,6 +312,24 @@ def ldl_inertia(s, zero_tol: float = 1e-12) -> tuple[int, int, int]:
     elif isinstance(s, SparseSymMatrix):
         s = s.to_dense()
     return _ldl_factor(np.array(s, dtype=float, order="F"), zero_tol)[0]
+
+
+def extended_residuals(a, m, w, x) -> np.ndarray:
+    """``||A x_j - w_j M x_j||_2`` of the columns of ``x`` for a pencil of
+    stencils, in ``np.longdouble``: each cell block's products summed one
+    offset at a time, so the stored ``x`` and ``w`` are taken exactly and
+    the result carries the extended precision's rounding alone."""
+    cols = np.asarray(x, dtype=np.longdouble).reshape(a.n_cells, a.n_loc, -1)
+
+    def product(s):
+        out = np.zeros(cols.shape, dtype=np.longdouble)
+        for blocks, cells in zip(s.blocks.astype(np.longdouble).swapaxes(0, 1),
+                                 s.column_cells().T):
+            out += np.matmul(blocks, cols[cells])
+        return out
+
+    r = product(a) - product(m) * np.asarray(w, dtype=np.longdouble)
+    return np.sqrt(np.sum(r.reshape(a.n, -1) ** 2, axis=0))
 
 
 def oracle_moments(mesh, spec, modes):

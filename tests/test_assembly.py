@@ -16,7 +16,7 @@ from anisodg.assembly import (AssemblyError, SparseSymMatrix,
                               assemble_penalty, build_reduced,
                               default_quad_points, face_quadrature)
 from anisodg.basis import BasisSpec
-from anisodg.eigensolve import bloch_eig
+from anisodg.eigensolve import BandRequest, bloch_eig
 from anisodg.fields import CoefficientField, Harmonic, MagneticField
 from anisodg.geometry import Alignment, FieldDirection, MeshConfig, build_mesh
 
@@ -275,6 +275,24 @@ def test_reduced_operator_properties():
     # PSD within roundoff
     evals = sla.eigvalsh(a.to_dense())
     assert evals[0] >= -1e-10 * a.max_abs()
+
+
+@pytest.mark.parametrize("alignment, b", [
+    (Alignment.CARTESIAN, FieldDirection(1.0, 2.0)),
+    (Alignment.BOTTOM_TOP, FieldDirection(-0.7, 1.3)),
+    (Alignment.LEFT_RIGHT, REF_B)])
+def test_cancelling_aliases_leave_no_rounding(alignment, b):
+    """On a 1x1 lattice every offset aliases the cell itself, so the p = 0
+    penalty is a sum of jump pieces that cancel.  Their rounding is dropped
+    against the pieces, not against the sum: the one-dof A is exactly 0 (the
+    constant mode), and its band solve certifies it."""
+    mesh = build_mesh(MeshConfig(1, 1, alignment, b))
+    ops = assemble_operator_set(mesh, BasisSpec(0, 0), CoefficientField.constant(1.3),
+                                MagneticField.uniform(b), 6.0)
+    a, m = build_reduced(ops)
+    assert not np.any(ops.b_phipsi.blocks) and not np.any(a.blocks)
+    sol = bloch_eig(a, m, BandRequest(lambda_max=1.0))
+    assert list(sol.eigenvalues) == [0.0] and sol.inertia_count == 1
 
 
 def test_build_reduced_rejects_singular_mass():

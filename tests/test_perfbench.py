@@ -18,7 +18,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["ref_band", "variable_sparse"])
+@pytest.mark.parametrize("workload", ["ref_band", "variable_sparse", "flux_sweep",
+                                      "convergence_study"])
 def test_traced_benchmark_passes(workload):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(

@@ -8,8 +8,9 @@ from anisodg.basis import BasisSpec
 from anisodg.eigensolve import EigenSolution
 from anisodg.fields import CoefficientField
 from anisodg.geometry import Alignment, FieldDirection, MeshConfig, build_mesh
-from anisodg.spectrum import (PROJECT_BLOCK, ConvergenceRow, FourierProjector,
-                              SolveSetup, associate_modes, band_error_report,
+from anisodg.spectrum import (PROJECT_BLOCK, Association, ConvergenceRow,
+                              FourierProjector, SolveSetup, associate_modes,
+                              band_error_report,
                               canonical_mode, canonical_modes,
                               compare_band_errors,
                               convergence_study, exact_spectrum,
@@ -178,6 +179,44 @@ def test_batched_association_matches_per_column_argmax():
         mode, amp = proj.argmax_mode(vecs[:, row.index])
         assert row.mode == mode
         assert row.amplitude == pytest.approx(amp, rel=1e-12)
+
+
+def per_row_associations(solution, proj, exact):
+    """The association rows built one eigenvector at a time: the reference
+    for ``associate_modes``, which looks each mode up once and forms the
+    errors as arrays."""
+    modes, amps = proj.argmax_modes(solution.eigenvectors, solution.wavevectors)
+    out = []
+    for idx, (mode, amp) in enumerate(zip(modes, amps.tolist())):
+        if amp <= 0.0:
+            continue
+        w2 = float(solution.eigenvalues[idx])
+        if exact is None:
+            out.append(Association(idx, w2, mode, amp, None, None, "none"))
+            continue
+        w2_exact = exact.omega2(*mode)
+        if w2_exact == 0.0:
+            out.append(Association(idx, w2, mode, amp, w2_exact, abs(w2), "absolute"))
+        else:
+            out.append(Association(idx, w2, mode, amp, w2_exact,
+                                   abs(w2 - w2_exact) / w2_exact, "relative"))
+    return out
+
+
+@pytest.mark.parametrize("with_exact", [True, False])
+def test_association_rows_match_the_per_row_reference(with_exact):
+    """A full spectrum (the zero mode's absolute error, relative errors, and
+    a class that holds no box mode) associates to the very rows, bit for
+    bit, of the per-eigenvector reference."""
+    result = reference_solve(nx=4, ny=16, p=1, full_spectrum=True, m_max=6, n_max=6)
+    proj = FourierProjector(result.mesh, result.setup.spec, 6, 6)
+    exact = exact_spectrum(REF_B, 6, 6) if with_exact else None
+    got = associate_modes(result.solution, proj, exact)
+    want = per_row_associations(result.solution, proj, exact)
+    assert got == want
+    assert len(got) < len(result.solution)
+    if with_exact:
+        assert {row.error_kind for row in got} == {"absolute", "relative"}
 
 
 def test_exact_tie_prefers_small_order_then_small_m():
