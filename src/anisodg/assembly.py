@@ -210,11 +210,13 @@ class SymStencil(Stencil, SparseSymMatrix):
         neg = _residues(-self.offsets, self.lattice)[1]  # the offsets are closed
         rows = 0 if self.blocks.shape[0] == 1 else self.column_cells()
         sym = (self.blocks + self.blocks[rows, neg].swapaxes(-1, -2)) * 0.5
-        # relative to the largest entry before the blocks of aliasing offsets
-        # were summed: a sum that cancels to rounding must not set the scale
         size = np.abs(sym)
-        sym[size < DROP_TOL * max(np.max(size, initial=0.0),
-                                  np.max(np.abs(blocks), initial=0.0))] = 0.0
+        scale = np.max(size, initial=0.0)
+        if self.blocks is not blocks:
+            # offsets were merged: their blocks before the sum set the scale,
+            # which a sum that cancels to rounding would lower
+            scale = max(scale, np.max(np.abs(blocks), initial=0.0))
+        sym[size < DROP_TOL * scale] = 0.0
         self.blocks = sym
 
     @cached_property
