@@ -870,9 +870,11 @@ class _LatticePencil:
         phi_c^2) / N = |z|^2`` (likewise ``Im``): the residual of either
         column is exactly ``||r||``, and ``||x|| = ||v||``.
 
-        *Rounding term.*  With ``u`` the unit roundoff, ``n = n_loc`` and
-        ``S`` the larger offset count of A and M, each error below is bounded
-        entrywise by a multiple of ``(|A| + |w| |M|) |v|`` (in every cell,
+        *Rounding term.*  The residual of the stored column ``x^`` is at
+        most ``||r|| + ||(A - w M)(x^ - x)||``, and ``||r||`` at most the
+        computed symbol residual plus its errors.  With ``u`` the unit
+        roundoff, ``n = n_loc`` and ``S`` the larger offset count of A and
+        M, each error below is bounded entrywise by a multiple of ``(|A| + |w| |M|) |v|`` (in every cell,
         over ``sqrt(N)``, for the global vectors), hence in norm by that
         multiple of ``G``; constants are first order, rounded up (Higham,
         *Accuracy and Stability of Numerical Algorithms*, SIAM 2002, Lemma
