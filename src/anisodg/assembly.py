@@ -30,7 +30,7 @@ their products, dense forms and (constant coefficients) symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -153,10 +153,18 @@ class Stencil:
 
     def column_cells(self) -> np.ndarray:
         """``(n_cells, S)``: the cell that each row cell reaches by each offset."""
+        return self._column_cells
+
+    @cached_property
+    def _column_cells(self) -> np.ndarray:
+        """``column_cells``, built on first use: the offsets and the lattice
+        never change after construction.  Read-only, as it is shared."""
         nx, ny = self.lattice
         i, j = np.divmod(np.arange(self.n_cells), ny)
-        return ((i[:, None] + self.offsets[:, 0]) % nx * ny
-                + (j[:, None] + self.offsets[:, 1]) % ny)
+        cells = ((i[:, None] + self.offsets[:, 0]) % nx * ny
+                 + (j[:, None] + self.offsets[:, 1]) % ny)
+        cells.flags.writeable = False
+        return cells
 
     def expand(self) -> sp.csr_matrix:
         """The scalar CSR matrix, built anew."""
@@ -256,14 +264,22 @@ def _lattice(mesh: Mesh) -> tuple[int, int]:
 # volume terms
 
 
+@lru_cache(maxsize=32)
 def _volume_tables(spec: BasisSpec, n_quad: int | None):
-    """Quadrature nodes and basis tables shared by all (congruent) cells."""
+    """Quadrature nodes and basis tables shared by all (congruent) cells.
+
+    They depend on neither the mesh nor the coefficients, so they are
+    memoized per ``(spec, n_quad)`` and shared by every assembly: the arrays
+    are read-only."""
     rule = gauss_rule(n_quad or default_quad_points(spec))
     xi, eta = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
     xi, eta = xi.ravel(), eta.ravel()
     wq = np.outer(rule.weights, rule.weights).ravel()
     vals, grads = tensor_basis_eval(spec, xi, eta)
-    return xi, eta, wq, vals, grads
+    tables = xi, eta, wq, vals, grads
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _volume_weights(mesh: Mesh, coeff: CoefficientField, xi, eta, wq):
@@ -389,17 +405,27 @@ def _face_stencil(mesh: Mesh, offsets: np.ndarray, w: np.ndarray,
 def assemble_face_terms(mesh: Mesh, spec: BasisSpec, B: MagneticField,
                         n_quad: int | None = None) -> Stencil:
     """Interface blocks F[i, j] = sum over faces of {phi_j} * (B . [phi_i])."""
-    offsets, w, bn_beta, _, jump, avg = _crossing_traces(mesh, spec, B, n_quad)
-    return Stencil(*_face_stencil(mesh, offsets, w * bn_beta, jump, avg),
-                   _lattice(mesh))
+    return _face_terms(mesh, _crossing_traces(mesh, spec, B, n_quad))
 
 
 def assemble_penalty(mesh: Mesh, spec: BasisSpec, B: MagneticField,
                      eta_s: float, n_quad: int | None = None) -> SymStencil:
     """Penalty (eta_S / h_F) * (B . [phi]) (B . [psi]), symmetric PSD."""
+    return _penalty(mesh, _crossing_traces(mesh, spec, B, n_quad), eta_s)
+
+
+def _face_terms(mesh: Mesh, traces) -> Stencil:
+    """``assemble_face_terms`` from the ``_crossing_traces`` it needs."""
+    offsets, w, bn_beta, _, jump, avg = traces
+    return Stencil(*_face_stencil(mesh, offsets, w * bn_beta, jump, avg),
+                   _lattice(mesh))
+
+
+def _penalty(mesh: Mesh, traces, eta_s: float) -> SymStencil:
+    """``assemble_penalty`` from the ``_crossing_traces`` it needs."""
     if eta_s < 0.0:
         raise ValueError("penalty parameter must be >= 0")
-    offsets, w, bn_beta, h_f, jump, _ = _crossing_traces(mesh, spec, B, n_quad)
+    offsets, w, bn_beta, h_f, jump, _ = traces
     w_pen = w * (eta_s / h_f[:, None]) * bn_beta**2
     return SymStencil(*_face_stencil(mesh, offsets, w_pen, jump, jump), _lattice(mesh))
 
@@ -411,13 +437,16 @@ def assemble_penalty(mesh: Mesh, spec: BasisSpec, B: MagneticField,
 def assemble_operator_set(mesh: Mesh, spec: BasisSpec, alpha: CoefficientField,
                           B: MagneticField, eta_s: float,
                           n_quad: int | None = None) -> OperatorSet:
+    """The four stencils of the weak form; the interface and penalty terms
+    share one ``_crossing_traces`` pass."""
     grad = assemble_gradient(mesh, spec, B, n_quad)
-    face = assemble_face_terms(mesh, spec, B, n_quad)
+    traces = _crossing_traces(mesh, spec, B, n_quad)
+    face = _face_terms(mesh, traces)
     c = Stencil(np.concatenate([grad.offsets, face.offsets]),
                 np.concatenate([grad.blocks, -face.blocks], axis=1), grad.lattice)
     return OperatorSet(
         m_uv=assemble_mass_u(mesh, spec), c=c,
-        b_phipsi=assemble_penalty(mesh, spec, B, eta_s, n_quad),
+        b_phipsi=_penalty(mesh, traces, eta_s),
         m_phipsi=assemble_mass_phi(mesh, spec, alpha, n_quad))
 
 

@@ -10,6 +10,7 @@ field-aligned direction, so ``p_xi`` controls the parallel resolution and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,13 +71,23 @@ class QuadratureRule:
 def gauss_rule(n: int) -> QuadratureRule:
     """Gauss-Legendre rule with n points on [-1, 1] (exact to degree 2n-1).
 
-    Newton iteration on the roots of P_n, started from the Chebyshev-based
-    guess; converges to ~1e-15 in a handful of steps.
+    The rule of each ``n`` is computed once and shared: its arrays are
+    read-only.
     """
     if n < 1:
         raise ValueError("need at least one quadrature point")
+    return _gauss_rule(n)
+
+
+@lru_cache(maxsize=32)
+def _gauss_rule(n: int) -> QuadratureRule:
+    """The rule of ``gauss_rule``, memoized per ``n``.
+
+    Newton iteration on the roots of P_n, started from the Chebyshev-based
+    guess; converges to ~1e-15 in a handful of steps.
+    """
     if n == 1:
-        return QuadratureRule(nodes=np.zeros(1), weights=np.full(1, 2.0))
+        return _read_only(QuadratureRule(nodes=np.zeros(1), weights=np.full(1, 2.0)))
     k = np.arange(n)
     x = -np.cos(np.pi * (k + 0.75) / (n + 0.5))
     for _ in range(100):
@@ -91,7 +102,13 @@ def gauss_rule(n: int) -> QuadratureRule:
     _, ders = legendre_basis_eval(n, x)
     w = 2.0 / ((1.0 - x**2) * ders[n] ** 2)
     w = (w + w[::-1]) / 2.0
-    return QuadratureRule(nodes=x, weights=w)
+    return _read_only(QuadratureRule(nodes=x, weights=w))
+
+
+def _read_only(rule: QuadratureRule) -> QuadratureRule:
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
 
 
 def tensor_gauss_rule(n: int) -> QuadratureRule:

@@ -124,6 +124,10 @@ class RunConfig:
         return load_field(path)
 
     def setup(self, b: FieldDirection | None = None) -> SolveSetup:
+        return self._setup(b, self.coefficient)
+
+    def _setup(self, b: FieldDirection | None, coefficient) -> SolveSetup:
+        """``setup``, with ``coefficient`` giving the field of a file name."""
         if self.omega_max_sq <= 0.0:
             raise ConfigError("omega_max_sq must be > 0")
         if self.m_max < 0 or self.n_max < 0:
@@ -131,8 +135,8 @@ class RunConfig:
         return SolveSetup(
             mesh_config=self.mesh_config(b),
             spec=self.basis_spec(),
-            alpha=self.coefficient(self.alpha_file),
-            beta=self.coefficient(self.beta_file),
+            alpha=coefficient(self.alpha_file),
+            beta=coefficient(self.beta_file),
             eta_s=self.eta_s,
             omega_max_sq=self.omega_max_sq,
             m_max=self.m_max, n_max=self.n_max,
@@ -316,20 +320,31 @@ def cmd_sweep(config: RunConfig) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad {THREADS_ENV} {threads!r} (expected an integer)") from exc
 
-    def solve_one(s: float):
+    # each distinct field file is read and checked once per sweep, before
+    # any solve starts
+    fields: dict[str, CoefficientField] = {}
+
+    def coefficient(path: str) -> CoefficientField:
+        if path not in fields:
+            fields[path] = config.coefficient(path)
+        return fields[path]
+
+    setups = []
+    for s in s_values:
         # an "{s}" placeholder in the field file names selects
         # per-surface coefficient files; otherwise the files are shared
         surface_config = dataclasses.replace(
             config,
             alpha_file=config.alpha_file.replace("{s}", repr(s)),
             beta_file=config.beta_file.replace("{s}", repr(s)))
-        return s, run_band_solve(surface_config.setup(iota_profile(s)))
+        setups.append(surface_config._setup(iota_profile(s), coefficient))
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve_one, s_values))
+            solved = list(pool.map(run_band_solve, setups))
     else:
-        results = [solve_one(s) for s in s_values]
+        solved = [run_band_solve(setup) for setup in setups]
+    results = zip(s_values, solved)
 
     out = Path(config.output_dir)
     combined = []

@@ -543,14 +543,14 @@ def _factor(a: SparseSymMatrix, m: SparseSymMatrix, shift: float,
 
 
 def _check_backward_error(a: SparseSymMatrix, m: SparseSymMatrix, shift: float,
-                          solve) -> None:
+                          solve, norm_k: float) -> None:
     """Raise unless ``solve`` inverts ``K = A - shift M`` to a normwise
-    backward error ``||r - K z|| / (||K|| ||z|| + ||r||)`` (infinity norms)
-    of at most ``BACKWARD_TOL``, for one fixed random ``r``."""
+    backward error ``||r - K z|| / (||K|| ||z|| + ||r||)`` (infinity norms,
+    ``norm_k = ||A|| + |shift| ||M||`` bounding ``||K||``) of at most
+    ``BACKWARD_TOL``, for one fixed random ``r``."""
     r = np.random.default_rng(0).standard_normal(a.n)
     z = solve(r)
     residual = r - (a.matvec(z) - shift * m.matvec(z))
-    norm_k = a.norm_inf() + abs(shift) * m.norm_inf()
     scale = norm_k * np.max(np.abs(z), initial=0.0) + np.max(np.abs(r), initial=0.0)
     error = np.max(np.abs(residual), initial=0.0) / max(scale, np.finfo(float).tiny)
     if not error <= BACKWARD_TOL:
@@ -578,9 +578,17 @@ def shifted_inertia(a, m, shift: float, zero_tol: float = 1e-12):
     right-hand sides.
     """
     a, m = _as_pencil(a, m)
+    return _shifted_inertia(a, m, shift, a.norm_inf() + abs(shift) * m.norm_inf(),
+                            zero_tol)
+
+
+def _shifted_inertia(a: SparseSymMatrix, m: SparseSymMatrix, shift: float,
+                     norm_k: float, zero_tol: float = 1e-12):
+    """``shifted_inertia`` of a pencil whose ``norm_k = ||A||_inf + |shift|
+    ||M||_inf`` the caller has computed."""
     inertia, factor = _factor(a, m, shift, zero_tol)
     if inertia[1] == 0:
-        _check_backward_error(a, m, shift, factor)
+        _check_backward_error(a, m, shift, factor, norm_k)
     return inertia, factor
 
 
@@ -601,12 +609,13 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
     """
     a, m = _as_pencil(a, m)
     n = a.n
-    (n_neg, n_zero, _), solve = shifted_inertia(a, m, req.lambda_max)
+    norm_a = a.norm_inf()
+    norm_k = norm_a + req.lambda_max * m.norm_inf()
+    (n_neg, n_zero, _), solve = _shifted_inertia(a, m, req.lambda_max, norm_k)
     if n_zero:
         raise CompletenessError(
             f"{n_zero} pivot(s) within tolerance of lambda_max="
             f"{req.lambda_max:.6g}; band boundary is ambiguous")
-    norm_a = a.norm_inf()
     if n_neg == 0:
         return EigenSolution(eigenvalues=np.empty(0), eigenvectors=np.empty((n, 0)),
                              residuals=np.empty(0), method="empty",
@@ -623,7 +632,6 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
                         overwrite_b=True, subset_by_value=(-np.inf, req.lambda_max))
         method, solves, subspace = "dense-band", 0, n
     else:
-        norm_k = norm_a + req.lambda_max * m.norm_inf()
         w, x, solves, subspace = _lanczos(m, solve, req.lambda_max, n_neg,
                                           limit / norm_k, seed)
         method = "shift-invert"

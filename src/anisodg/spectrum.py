@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import spherical_jn
@@ -85,6 +86,13 @@ def _tie_order(mode: tuple[int, int]) -> tuple[int, int, int]:
     return abs(mode[0]) + abs(mode[1]), mode[0], mode[1]
 
 
+@lru_cache(maxsize=16)
+def _box_modes(m_max: int, n_max: int) -> tuple[tuple[int, int], ...]:
+    """The canonical modes of the search box in ``_tie_order``; memoized per
+    box, which every projector of a study or sweep shares."""
+    return tuple(sorted(canonical_modes(m_max, n_max), key=_tie_order))
+
+
 class FourierProjector:
     """Projections of DG coefficient vectors onto Fourier modes.
 
@@ -122,7 +130,7 @@ class FourierProjector:
         self.spec = spec
         self.m_max = m_max
         self.n_max = n_max
-        self.modes = sorted(canonical_modes(m_max, n_max), key=_tie_order)
+        self.modes = _box_modes(m_max, n_max)
         self._local = self._build_local()
         nx, ny = mesh.config.nx, mesh.config.ny
         mn = np.array(self.modes)
@@ -146,13 +154,11 @@ class FourierProjector:
 
         def segment_factors(p, c):
             # (p+1, n_modes): 2 * i^a * j_a(c)
-            out = np.empty((p + 1, len(c)), dtype=complex)
-            for a in range(p + 1):
-                out[a] = 2.0 * (1j ** a) * spherical_jn(a, np.abs(c))
-                odd = a % 2 == 1
-                if odd:  # j_a is odd/even with the parity of a
-                    out[a] = np.where(c < 0, -out[a], out[a])
-            return out
+            a = np.arange(p + 1)[:, None]
+            powers = np.array([1j ** k for k in range(p + 1)])[:, None]
+            out = 2.0 * powers * spherical_jn(a, np.abs(c))
+            # j_a is odd/even with the parity of a
+            return np.where((a % 2 == 1) & (c < 0), -out, out)
 
         f_xi = segment_factors(p_xi, c_xi)       # (p_xi+1, modes)
         f_eta = segment_factors(p_eta, c_eta)    # (p_eta+1, modes)

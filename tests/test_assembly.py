@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce as bf
-from anisodg.assembly import (AssemblyError, SparseSymMatrix,
+from anisodg import assembly
+from anisodg.assembly import (AssemblyError, SparseSymMatrix, Stencil,
                               assemble_face_terms,
                               assemble_gradient, assemble_mass_phi,
                               assemble_mass_u, assemble_operator_set,
@@ -362,6 +363,61 @@ def test_stencil_offsets_and_cells(b, c_offsets, a_offsets):
         assert ops.c.blocks.shape[:2] == (cells, c_offsets)
         assert a.blocks.shape[:2] == (cells, a_offsets)
         assert m.blocks.shape[:2] == (cells, 1)
+
+
+def test_column_cells_are_built_once_per_stencil():
+    """``column_cells`` is kept on the stencil, read-only, and equals the
+    cell ``c + offsets[s]`` reached from each row cell ``c``."""
+    nx, ny = 3, 4
+    mesh = build_mesh(MeshConfig(nx, ny, Alignment.BOTTOM_TOP, REF_B))
+    ops = assemble_operator_set(mesh, BasisSpec(1, 1), CONST,
+                                MagneticField(REF_B, VAR_BETA), 6.0)
+    a, _ = build_reduced(ops)
+    for stencil in (a, ops.c):
+        cells = stencil.column_cells()
+        assert stencil.column_cells() is cells
+        with pytest.raises(ValueError):
+            cells[0, 0] = 1
+        want = [[(i + ox) % nx * ny + (j + oy) % ny for ox, oy in stencil.offsets]
+                for i in range(nx) for j in range(ny)]
+        np.testing.assert_array_equal(cells, want)
+
+
+def test_volume_tables_are_shared_and_read_only():
+    spec = BasisSpec(2, 1)
+    tables = assembly._volume_tables(spec, None)
+    assert assembly._volume_tables(spec, None) is tables
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
+@pytest.mark.parametrize("alignment", list(Alignment), ids=lambda a: a.value)
+@pytest.mark.parametrize("beta", [CONST, VAR_BETA], ids=["constant", "variable"])
+def test_operator_set_shares_one_trace_pass(alignment, beta, monkeypatch):
+    """``assemble_operator_set`` builds its interface and penalty terms from
+    a single crossing-trace pass, to the very bits of the standalone
+    ``assemble_face_terms`` and ``assemble_penalty``."""
+    mesh = build_mesh(MeshConfig(3, 4, alignment, REF_B))
+    spec, field = BasisSpec(2, 1), MagneticField(REF_B, beta)
+    calls = []
+    quadrature = assembly.face_quadrature
+
+    def counted(*args):
+        calls.append(args)
+        return quadrature(*args)
+
+    monkeypatch.setattr(assembly, "face_quadrature", counted)
+    ops = assemble_operator_set(mesh, spec, VAR_ALPHA, field, 6.0)
+    assert len(calls) == 1
+    grad = assemble_gradient(mesh, spec, field)
+    face = assemble_face_terms(mesh, spec, field)
+    penalty = assemble_penalty(mesh, spec, field, 6.0)
+    c = Stencil(np.concatenate([grad.offsets, face.offsets]),
+                np.concatenate([grad.blocks, -face.blocks], axis=1), grad.lattice)
+    for got, want in ((ops.c, c), (ops.b_phipsi, penalty)):
+        np.testing.assert_array_equal(got.offsets, want.offsets)
+        np.testing.assert_array_equal(got.blocks, want.blocks)
 
 
 @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 3), (2, 2), (2, 5), (3, 4), (4, 8)])

@@ -57,6 +57,16 @@ def test_gauss_rule_classics():
         gauss_rule(0)
 
 
+@pytest.mark.parametrize("n", [1, 5])
+def test_gauss_rule_is_shared_and_read_only(n):
+    """Each rule is computed once; no caller can change what others read."""
+    rule = gauss_rule(n)
+    assert gauss_rule(n) is rule
+    for table in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+
 def test_gauss_rule_degree_8_monomial():
     rule = gauss_rule(5)
     assert abs(np.sum(rule.weights * rule.nodes**8) - 2.0 / 9.0) < 1e-14

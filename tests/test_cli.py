@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
+from anisodg import cli
 from anisodg.assembly import assemble_operator_set
 from anisodg.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, RunConfig,
                          build_config, main, parse_config_file)
@@ -249,6 +250,36 @@ def test_sweep_per_surface_field_files(tmp_path):
     rows0 = read_csv(tmp_path / "spectrum_s0.csv")
     rows1 = read_csv(tmp_path / "spectrum_s1.csv")
     assert rows0 and rows1
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_reads_each_field_file_once(tmp_path, monkeypatch, threads):
+    """A shared field file is read and checked once per sweep, however many
+    surfaces and keys name it; an "{s}" file once per surface."""
+    monkeypatch.setenv("ANISODG_NUM_THREADS", threads)
+    shared = tmp_path / "shared.fld"
+    shared.write_text("mean 1.0\n0 1 0.1 0.0\n")
+    for s in ("0.0", "0.5", "1.0"):
+        (tmp_path / f"beta_{s}.fld").write_text("mean 1.0\n")
+    loaded = []
+    load_field = cli.load_field
+
+    def counted(path):
+        loaded.append(path)
+        return load_field(path)
+
+    monkeypatch.setattr(cli, "load_field", counted)
+    sweep = ["sweep", "--nx", "2", "--ny", "2", "--p_xi", "1", "--p_eta", "1",
+             "--alignment", "aligned_bottom_top", "--m_max", "2", "--n_max", "2",
+             "--s_values", "0,0.5,1", "--alpha_file", str(shared)]
+    assert main(sweep + ["--beta_file", str(shared),
+                         "--output_dir", str(tmp_path / "shared")]) == EXIT_OK
+    assert loaded == [str(shared)]
+    loaded.clear()
+    assert main(sweep + ["--beta_file", str(tmp_path / "beta_{s}.fld"),
+                         "--output_dir", str(tmp_path / "per_surface")]) == EXIT_OK
+    assert loaded == [str(shared)] + [str(tmp_path / f"beta_{s}.fld")
+                                      for s in ("0.0", "0.5", "1.0")]
 
 
 def test_flux_label_overrides_direction(tmp_path):

@@ -173,12 +173,14 @@ def test_band_eig_lanczos_failure_is_incomplete(monkeypatch):
     uncertified band: a solve that returns its right-hand side instead of
     applying K^{-1} makes the operator positive definite, so no Ritz value
     turns negative and the whole space runs out."""
-    def identity_solve(a, m, shift):
-        inertia, _ = shifted_inertia(a, m, shift)
+    factor = eigensolve._shifted_inertia
+
+    def identity_solve(a, m, shift, norm_k):
+        inertia, _ = factor(a, m, shift, norm_k)
         return inertia, lambda b: np.array(b)
 
     a, m = make_small_system(4, 4, 2)
-    monkeypatch.setattr(eigensolve, "shifted_inertia", identity_solve)
+    monkeypatch.setattr(eigensolve, "_shifted_inertia", identity_solve)
     with pytest.raises(CompletenessError, match="Lanczos failed"):
         band_eig(a, m, BandRequest(lambda_max=0.4))
 

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import spherical_jn
 
 import bruteforce as bf
+from anisodg import assembly, basis, spectrum
 from anisodg.basis import BasisSpec
 from anisodg.eigensolve import EigenSolution
-from anisodg.fields import CoefficientField
+from anisodg.fields import CoefficientField, Harmonic
 from anisodg.geometry import Alignment, FieldDirection, MeshConfig, build_mesh
 from anisodg.spectrum import (PROJECT_BLOCK, Association, ConvergenceRow,
                               FourierProjector, SolveSetup, associate_modes,
@@ -81,6 +83,36 @@ def test_projector_constant_vector():
     assert peak == pytest.approx(4 * math.pi**2, rel=1e-12)
     others = max(v for k, v in table.items() if k != (0, 0))
     assert others <= 1e-10 * peak
+
+
+def local_moments_per_degree(mesh, spec, modes):
+    """``FourierProjector._local`` with one Bessel call per degree: the
+    reference for its one broadcast call per axis."""
+    mm, nn = np.array(modes, dtype=float).T
+    cell0 = mesh.cell0
+    hx, he = np.array(cell0.half_xi), np.array(cell0.half_eta)
+
+    def factors(p, c):
+        out = np.empty((p + 1, len(c)), dtype=complex)
+        for a in range(p + 1):
+            out[a] = 2.0 * (1j ** a) * spherical_jn(a, np.abs(c))
+            if a % 2 == 1:
+                out[a] = np.where(c < 0, -out[a], out[a])
+        return out
+
+    f_xi = factors(spec.p_xi, mm * hx[0] + nn * hx[1])
+    f_eta = factors(spec.p_eta, mm * he[0] + nn * he[1])
+    return cell0.jacobian_det * np.einsum("am,bm->mab", f_xi, f_eta).reshape(
+        len(modes), spec.n_loc)
+
+
+@pytest.mark.parametrize("p_xi,p_eta", [(0, 2), (3, 3)])
+def test_local_moments_match_the_per_degree_loop(p_xi, p_eta):
+    mesh = build_mesh(MeshConfig(4, 8, Alignment.BOTTOM_TOP, REF_B))
+    spec = BasisSpec(p_xi, p_eta)
+    proj = FourierProjector(mesh, spec)
+    np.testing.assert_array_equal(proj._local,
+                                  local_moments_per_degree(mesh, spec, proj.modes))
 
 
 def test_projector_moments_match_quadrature_oracle():
@@ -445,6 +477,29 @@ def test_variable_coefficient_runs_have_no_exact_data():
     assert all(r.error_kind == "none" for r in result.assoc)
     with pytest.raises(ValueError):
         result.band_report()
+
+
+def test_memoized_tables_keep_every_solve_bit_identical():
+    """From cold caches, a solve, one of another spec and mode box, and the
+    first again: the memoized Gauss rules, volume tables and box modes
+    change no bit of the eigenpairs, residuals or association rows."""
+    for cache in (basis._gauss_rule, assembly._volume_tables, spectrum._box_modes):
+        cache.cache_clear()
+    field = CoefficientField(1.0, (Harmonic(1, 1, 0.1, 0.0),))
+
+    def solve(p, box):
+        return run_band_solve(SolveSetup(
+            mesh_config=MeshConfig(2, 8, Alignment.BOTTOM_TOP, REF_B),
+            spec=BasisSpec(p, p), alpha=field, beta=field, m_max=box, n_max=box))
+
+    first = solve(2, 20)
+    solve(1, 6)
+    again = solve(2, 20)
+    assert first.solution.method == "shift-invert" and len(first.solution)
+    for name in ("eigenvalues", "eigenvectors", "residuals"):
+        np.testing.assert_array_equal(getattr(again.solution, name),
+                                      getattr(first.solution, name))
+    assert again.assoc == first.assoc
 
 
 def test_full_spectrum_needs_constant_coefficients():
