@@ -87,10 +87,28 @@ def _tie_order(mode: tuple[int, int]) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=16)
-def _box_modes(m_max: int, n_max: int) -> tuple[tuple[int, int], ...]:
-    """The canonical modes of the search box in ``_tie_order``; memoized per
-    box, which every projector of a study or sweep shares."""
-    return tuple(sorted(canonical_modes(m_max, n_max), key=_tie_order))
+def _box_modes(m_max: int, n_max: int):
+    """The canonical modes of the search box in ``_tie_order``, as a tuple
+    and as a read-only ``(modes, 2)`` array; memoized per box, which every
+    projector of a study or sweep shares."""
+    modes = tuple(sorted(canonical_modes(m_max, n_max), key=_tie_order))
+    mn = np.array(modes)
+    mn.flags.writeable = False
+    return modes, mn
+
+
+@lru_cache(maxsize=16)
+def _residue_classes(m_max: int, n_max: int, nx: int, ny: int):
+    """``(p, q, rows)`` per residue class ``(m mod nx, n mod ny) = (p, q)``
+    of the box's modes, ``rows`` (read-only) indexing ``_box_modes``;
+    memoized per box and lattice."""
+    mn = _box_modes(m_max, n_max)[1]
+    residue = (mn[:, 0] % nx) * ny + mn[:, 1] % ny
+    classes = tuple((int(r) // ny, int(r) % ny, np.flatnonzero(residue == r))
+                    for r in np.unique(residue))
+    for _, _, rows in classes:
+        rows.flags.writeable = False
+    return classes
 
 
 class FourierProjector:
@@ -130,19 +148,15 @@ class FourierProjector:
         self.spec = spec
         self.m_max = m_max
         self.n_max = n_max
-        self.modes = _box_modes(m_max, n_max)
+        self.modes, self._mn = _box_modes(m_max, n_max)
         self._local = self._build_local()
         nx, ny = mesh.config.nx, mesh.config.ny
-        mn = np.array(self.modes)
-        residue = (mn[:, 0] % nx) * ny + mn[:, 1] % ny
-        self._classes = [(int(r) // ny, int(r) % ny, np.flatnonzero(residue == r))
-                         for r in np.unique(residue)]
+        self._classes = _residue_classes(m_max, n_max, nx, ny)
         self._residue_rows = {p * ny + q: rows for p, q, rows in self._classes}
 
     def _build_local(self) -> np.ndarray:
         mesh, spec = self.mesh, self.spec
-        mm = np.array([mn[0] for mn in self.modes], dtype=float)
-        nn = np.array([mn[1] for mn in self.modes], dtype=float)
+        mm, nn = self._mn.T.astype(float)
         n_modes = len(self.modes)
         p_xi, p_eta = spec.p_xi, spec.p_eta
 

@@ -481,9 +481,11 @@ def test_variable_coefficient_runs_have_no_exact_data():
 
 def test_memoized_tables_keep_every_solve_bit_identical():
     """From cold caches, a solve, one of another spec and mode box, and the
-    first again: the memoized Gauss rules, volume tables and box modes
-    change no bit of the eigenpairs, residuals or association rows."""
-    for cache in (basis._gauss_rule, assembly._volume_tables, spectrum._box_modes):
+    first again: the memoized Gauss rules, volume tables, box modes and
+    residue classes change no bit of the eigenpairs, residuals or
+    association rows."""
+    for cache in (basis._gauss_rule, assembly._volume_tables, spectrum._box_modes,
+                  spectrum._residue_classes):
         cache.cache_clear()
     field = CoefficientField(1.0, (Harmonic(1, 1, 0.1, 0.0),))
 
@@ -500,6 +502,10 @@ def test_memoized_tables_keep_every_solve_bit_identical():
         np.testing.assert_array_equal(getattr(again.solution, name),
                                       getattr(first.solution, name))
     assert again.assoc == first.assoc
+    with pytest.raises(ValueError):
+        spectrum._box_modes(20, 20)[1][0, 0] = 1
+    with pytest.raises(ValueError):
+        spectrum._residue_classes(20, 20, 2, 8)[0][2][0] = 1
 
 
 def test_full_spectrum_needs_constant_coefficients():
