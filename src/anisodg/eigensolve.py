@@ -7,7 +7,8 @@ Two certified solvers serve ``A x = lambda M x``:
   ``A(k) = sum_s A[s] exp(i k . o_s)``, read from the stencils, split it
   exactly into one small Hermitian pencil per lattice wavevector, each
   solved by LAPACK; the band ``lambda <= lambda_max`` is certified by the
-  summed LDL^T inertia of the blocks.  No global matrix is formed.
+  summed LDL^T inertia of the blocks, taken first, and only the blocks that
+  hold band eigenvalues are solved.  No global matrix is formed.
 * ``band_eig`` returns the band of any pencil (variable coefficients).  One
   factorization of ``K = A - lambda_max M`` (``shifted_inertia``) does two
   jobs: by Sylvester's law its negative pivots count the band, which the
@@ -186,32 +187,43 @@ class Factor:
         return self.solve(b)
 
 
-def _ldl_factor(k: np.ndarray, zero_tol: float):
+def _ldl_routines(k: np.ndarray):
+    """The kind (``"sy"`` real, ``"he"`` complex), LAPACK's Bunch-Kaufman
+    factorization and solve, and the factorization's workspace size for
+    matrices of the dtype and size of ``k`` (the last axis of a stack)."""
+    kind = "he" if np.iscomplexobj(k) else "sy"
+    trf, trs, trf_lwork = lapack.get_lapack_funcs(
+        (f"{kind}trf", f"{kind}trs", f"{kind}trf_lwork"), (k,))
+    return kind, trf, trs, int(trf_lwork(k.shape[-1], lower=1)[0].real)
+
+
+def _ldl_factor(k: np.ndarray, zero_tol: float, routines=None):
     """Inertia of a dense symmetric (real) or Hermitian (complex) matrix and
     a solve with it, from one Bunch-Kaufman LDL^T factorization that
-    overwrites ``k``.
+    overwrites ``k``.  A caller factoring many matrices of one dtype and
+    size passes their ``_ldl_routines`` in ``routines``.
 
     D has 1x1 and 2x2 pivot blocks; in LAPACK's lower storage the negative
     ``ipiv`` entries come in pairs, one pair per 2x2 block.  D is then a
     Hermitian tridiagonal matrix that splits at its zero off-diagonals; it
-    has the eigenvalues of the real one with the off-diagonal moduli, and
-    those within ``zero_tol * max|K|`` of zero count as zero.
+    has the eigenvalues of the real one with the off-diagonal moduli (its
+    diagonal when every pivot is 1x1), and those within ``zero_tol *
+    max|K|`` of zero count as zero.
     """
-    n = k.shape[0]
-    if np.iscomplexobj(k):
-        kind, scale = "he", float(np.max(np.abs(k)))
+    kind, trf, trs, lwork = routines or _ldl_routines(k)
+    if kind == "he":
+        scale = float(np.max(np.abs(k)))
     else:
-        kind, scale = "sy", max(float(np.max(k)), -float(np.min(k)))
-    trf, trs, trf_lwork = lapack.get_lapack_funcs(
-        (f"{kind}trf", f"{kind}trs", f"{kind}trf_lwork"), (k,))
-    lwork = int(trf_lwork(n, lower=1)[0].real)
+        scale = max(float(np.max(k)), -float(np.min(k)))
     lu, piv, info = trf(k, lower=1, lwork=lwork, overwrite_a=1)
     if info < 0:
         raise ValueError(f"{kind}trf: illegal value in argument {-info}")
+    pivots = np.diag(lu).real
     starts = np.flatnonzero(piv < 0)[::2]
-    off = np.zeros(max(n - 1, 0))
-    off[starts] = np.abs(lu[starts + 1, starts])
-    pivots = sla.eigvalsh_tridiagonal(np.diag(lu).real.copy(), off)
+    if len(starts):
+        off = np.zeros(len(pivots) - 1)
+        off[starts] = np.abs(lu[starts + 1, starts])
+        pivots = sla.eigvalsh_tridiagonal(pivots.copy(), off)
     return (_count_signs(pivots, zero_tol * max(scale, np.finfo(float).tiny)),
             lambda b: trs(lu, piv, b, lower=1)[0])
 
@@ -935,14 +947,18 @@ def bloch_eig(a: SymStencil, m: SymStencil,
 
     Without ``req`` every eigenpair is returned (method ``"dense"``).  With
     it the band ``lambda <= lambda_max`` is returned (method ``"bloch"``),
-    certified like ``band_eig``'s: the count must equal the summed inertia
-    of the blocks ``A(k) - lambda_max M(k)`` (which by Sylvester's law under
-    the unitary lattice DFT is the inertia of ``A - lambda_max M``), no
-    pivot may sit on the edge, and the residuals and the PSD floor must hold.
-    Residuals bound ``||A x - lambda M x||`` of the stored vectors, rounding
-    included, from each block alone (``_LatticePencil.bounds``): the symbol
-    residual of the block eigenpair, which is exactly that of the exact real
-    wave, plus an a-priori rounding term.
+    certified like ``band_eig``'s, and the certificate comes first: the LDL^T
+    inertia of each class's block ``A(k) - lambda_max M(k)``
+    (``_class_inertia``) counts its band eigenvalues, and the counts sum to
+    the inertia of ``A - lambda_max M`` (Sylvester's law under the unitary
+    lattice DFT).  No pivot may sit on the edge.  Only the classes with a
+    positive count are then solved, each of which must return its count;
+    the others hold no band pair.  The residuals and the PSD floor must
+    hold too.  Residuals bound ``||A x - lambda M x||`` of the stored
+    vectors, rounding included, from each block alone
+    (``_LatticePencil.bounds``): the symbol residual of the block eigenpair,
+    which is exactly that of the exact real wave, plus an a-priori rounding
+    term.
     """
     if req is None and a.n > DENSE_CAP:
         raise ValueError(f"full spectrum of dimension {a.n} exceeds cap {DENSE_CAP}")
@@ -951,20 +967,32 @@ def bloch_eig(a: SymStencil, m: SymStencil,
     ks = np.arange(len(pencil.conj))
     real = np.flatnonzero(pencil.conj == ks)
     pair = np.flatnonzero(pencil.conj > ks)
+    inertia = None
+    if req is not None:
+        neg_real, neg_pair = _class_inertia(pencil, real, pair, req.lambda_max)
+        inertia = int(np.sum(neg_real) + 2 * np.sum(neg_pair))
+        counts = np.concatenate([neg_real[neg_real > 0], neg_pair[neg_pair > 0]])
+        real, pair = real[neg_real > 0], pair[neg_pair > 0]
     w_real, v_real = _pencil_eigh(pencil.a_hat[real].real, pencil.m_hat[real].real)
     w_pair, v_pair = _pencil_eigh(pencil.a_hat[pair], pencil.m_hat[pair])
     classes = [(int(k), w, v, 1) for k, w, v in zip(real, w_real, v_real)]
     classes += [(int(k), w, v, 2) for k, w, v in zip(pair, w_pair, v_pair)]
     norm_a = a.norm_inf()
 
-    inertia = None
     if req is not None:
-        inertia = _block_inertia(pencil, classes, req.lambda_max)
+        for (k, w, _, _), neg in zip(classes, counts):
+            found = int(np.sum(w <= req.lambda_max))
+            if found != neg:
+                raise CompletenessError(
+                    f"found {found} eigenvalues <= {req.lambda_max:.6g} in the "
+                    f"block of wavevector {divmod(k, pencil.ny)} but its "
+                    f"inertia count demands {neg}")
         classes = [(k, w[w <= req.lambda_max], v[:, w <= req.lambda_max], mult)
                    for k, w, v, mult in classes]
 
     # global ascending order, the two vectors of a pair next to each other
-    col_w = np.concatenate([np.repeat(w, mult) for _, w, _, mult in classes])
+    col_w = np.concatenate([np.repeat(w, mult) for _, w, _, mult in classes]
+                           or [np.empty(0)])
     order = np.argsort(col_w, kind="stable")
     dest = np.empty_like(order)
     dest[order] = np.arange(len(order))
@@ -979,7 +1007,8 @@ def bloch_eig(a: SymStencil, m: SymStencil,
             resid[cols] = np.repeat(pencil.bounds(k, w, v), mult)
 
     w = col_w[order]
-    col_k = np.concatenate([np.full(mult * len(w), k) for k, w, _, mult in classes])
+    col_k = np.concatenate([np.full(mult * len(w), k) for k, w, _, mult in classes]
+                           or [np.empty(0, dtype=int)])
     wavevectors = col_k[order]
     if req is None:
         return EigenSolution(eigenvalues=w, eigenvectors=x, residuals=resid,
@@ -997,28 +1026,28 @@ def bloch_eig(a: SymStencil, m: SymStencil,
                          wavevectors=wavevectors)
 
 
-def _block_inertia(pencil: _LatticePencil, classes, shift: float) -> int:
-    """Number of eigenvalues below ``shift``: the summed Bunch-Kaufman
-    inertia of ``A(k) - shift M(k)`` over all wavevectors (a class pair
-    twice, its two blocks being complex conjugates).  Each block's count of
-    ``classes`` eigenvalues must match its own inertia, and no pivot may sit
-    on the shift."""
-    total = n_zero = 0
-    for k, w, _, mult in classes:
-        shifted = pencil.a_hat[k] - shift * pencil.m_hat[k]
-        if mult == 1:
-            shifted = shifted.real
-        (neg, zero, _), _ = _ldl_factor(np.array(shifted, order="F"), 1e-12)
-        found = int(np.sum(w <= shift))
-        if found != neg and not zero:
-            raise CompletenessError(
-                f"found {found} eigenvalues <= {shift:.6g} in the block of "
-                f"wavevector {divmod(k, pencil.ny)} but its inertia count "
-                f"demands {neg}")
-        total += mult * neg
-        n_zero += mult * zero
+def _class_inertia(pencil: _LatticePencil, real: np.ndarray, pair: np.ndarray,
+                   shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """The number of eigenvalues below ``shift`` in each class of ``real``
+    and of ``pair`` (representatives of self-conjugate classes and of class
+    pairs): the negative Bunch-Kaufman inertia of the block ``A(k) - shift
+    M(k)``, real for a self-conjugate ``k``.  A pair's two blocks are
+    complex conjugates, so the inertia of ``A - shift M`` is the sum of the
+    counts, a pair's twice.  ``bloch_eig`` takes the counts before it solves
+    any block, and solves only the classes whose count is positive.  No
+    pivot may sit on the shift.  The blocks are formed in one batch, and
+    LAPACK's routines are looked up once per group."""
+    reps = np.concatenate([real, pair])
+    shifted = pencil.a_hat[reps] - shift * pencil.m_hat[reps]
+    counts, n_zero = [], 0
+    for blocks, mult in ((shifted[:len(real)].real, 1), (shifted[len(real):], 2)):
+        routines = _ldl_routines(blocks)
+        inertia = np.array([_ldl_factor(np.array(b, order="F"), 1e-12, routines)[0]
+                            for b in blocks], dtype=int).reshape(-1, 3)
+        counts.append(inertia[:, 0])
+        n_zero += mult * int(np.sum(inertia[:, 1]))
     if n_zero:
         raise CompletenessError(
             f"{n_zero} pivot(s) within tolerance of lambda_max={shift:.6g}; "
             f"band boundary is ambiguous")
-    return total
+    return counts[0], counts[1]

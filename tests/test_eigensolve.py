@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -14,7 +16,8 @@ from anisodg.eigensolve import (BandRequest, CompletenessError, _superlu_factor,
 from anisodg.fields import CoefficientField, Harmonic, MagneticField, iota_profile
 from anisodg.geometry import (Alignment, FieldDirection, MeshConfig, build_mesh,
                               choose_alignment)
-from bruteforce import dense_generalized_eig, extended_residuals, ldl_inertia
+from bruteforce import (bloch_band_reference, dense_generalized_eig, extended_residuals,
+                        ldl_inertia)
 
 REF_B = FieldDirection(1.165939761, 1.0)
 
@@ -346,6 +349,99 @@ def test_band_eig_variable_coefficients_against_dense(alignment, nx, ny, p_xi, p
 
 # --- Bloch blocks of constant-coefficient pencils ---------------------------
 
+#: Fixed coverage for the two Bloch property tests below: the cases their
+#: derandomized draws reached before ``bloch_eig`` certified each class
+#: first, as ``(alignment, nx, ny, p_xi, p_eta, b1, b2, band or seed)``.
+#: Hypothesis mixes the literal constants of the loaded library modules into
+#: its draws, even derandomized, so the draws move whenever such a constant
+#: changes; only ``@example``s stay put.
+BLOCK_DRAWS = [
+    ("CARTESIAN", 1, 1, 0, 0, 1.165939761, 1.0, 0.05),
+    ("BOTTOM_TOP", 1, 1, 0, 0, 1.165939761, 1.0, 0.05),
+    ("BOTTOM_TOP", 2, 3, 1, 0, 1.165939761, 1.0, 1.266436324886049),
+    ("CARTESIAN", 3, 1, 0, 0, 1.165939761, 1.0, 0.05),
+    ("CARTESIAN", 3, 3, 2, 0, 1.5, -1.7925020721468274, 2.3307092618569616),
+    ("LEFT_RIGHT", 4, 3, 2, 0, -0.7, 1.3, 1.05),
+    ("CARTESIAN", 4, 2, 2, 2, 0.5095615971161517, -0.772095274879435, 0.41072789371078566),
+    ("BOTTOM_TOP", 2, 2, 2, 2, 0.5822067535127284, -1.5, 1.2577055935442174),
+    ("LEFT_RIGHT", 2, 1, 0, 0, 1.886501888988656, -0.5974563224830662, 1.4217529796628738),
+    ("CARTESIAN", 3, 3, 1, 0, -0.7, 1.3, 2.0),
+    ("LEFT_RIGHT", 4, 2, 2, 0, 1.9831878883779892, -1.0, 2.863661161994266),
+    ("LEFT_RIGHT", 4, 2, 0, 0, 1.9831878883779892, -1.0, 2.863661161994266),
+    ("LEFT_RIGHT", 4, 2, 0, 2, 1.9831878883779892, -1.0, 2.863661161994266),
+    ("LEFT_RIGHT", 2, 2, 0, 2, 1.9831878883779892, -1.0, 2.863661161994266),
+    ("LEFT_RIGHT", 2, 2, 0, 2, 1.9831878883779892, -1.0, 0.05),
+    ("LEFT_RIGHT", 2, 1, 0, 2, 1.9831878883779892, -1.0, 0.05),
+    ("LEFT_RIGHT", 1, 1, 0, 2, 1.9831878883779892, -1.0, 0.05),
+    ("BOTTOM_TOP", 2, 1, 0, 0, -0.7, 1.3, 1.165939761),
+    ("BOTTOM_TOP", 2, 2, 0, 0, -0.7, 1.3, 1.165939761),
+    ("BOTTOM_TOP", 1, 1, 0, 0, -0.7, 1.3, 1.165939761),
+    ("BOTTOM_TOP", 1, 1, 1, 0, -0.7, 1.3, 1.165939761),
+    ("BOTTOM_TOP", 1, 1, 1, 1, -0.7, 1.3, 1.165939761),
+    ("BOTTOM_TOP", 4, 3, 2, 2, -0.7, 1.3, 2.6119581067977995),
+    ("BOTTOM_TOP", 4, 2, 2, 2, -0.7, 1.3, 2.6119581067977995),
+    ("BOTTOM_TOP", 4, 2, 0, 2, -0.7, 1.3, 2.6119581067977995),
+    ("BOTTOM_TOP", 4, 4, 2, 2, -0.7, 1.3, 2.6119581067977995),
+    ("BOTTOM_TOP", 4, 4, 2, 0, -0.7, 1.3, 2.6119581067977995),
+    ("BOTTOM_TOP", 1, 4, 2, 0, -0.7, 1.3, 2.6119581067977995),
+    ("BOTTOM_TOP", 2, 4, 2, 0, -0.7, 1.3, 2.6119581067977995),
+    ("CARTESIAN", 4, 3, 1, 1, 0.40337066275718764, -1.606013334612467, 0.9354733654905539),
+    ("CARTESIAN", 4, 3, 0, 1, 0.40337066275718764, -1.606013334612467, 0.9354733654905539),
+    ("CARTESIAN", 3, 3, 0, 1, 0.40337066275718764, -1.606013334612467, 0.9354733654905539),
+    ("CARTESIAN", 3, 3, 0, 1, 0.3, -1.606013334612467, 0.9354733654905539),
+    ("CARTESIAN", 3, 3, 0, 1, 0.3, -2.0, 0.9354733654905539),
+    ("CARTESIAN", 3, 3, 0, 0, 0.3, -2.0, 0.9354733654905539),
+    ("CARTESIAN", 3, 1, 0, 0, 0.3, -2.0, 0.9354733654905539),
+    ("LEFT_RIGHT", 2, 1, 2, 1, -0.7, 1.3, 2.592560424094202),
+    ("LEFT_RIGHT", 1, 1, 2, 1, -0.7, 1.3, 2.592560424094202),
+    ("LEFT_RIGHT", 1, 1, 2, 2, -0.7, 1.3, 2.592560424094202),
+    ("LEFT_RIGHT", 1, 2, 2, 2, -0.7, 1.3, 2.592560424094202),
+]
+
+BOUND_DRAWS = [
+    ("CARTESIAN", 1, 1, 0, 0, 1.165939761, 1.0, 0),
+    ("LEFT_RIGHT", 1, 1, 0, 0, 1.165939761, 1.0, 0),
+    ("LEFT_RIGHT", 4, 3, 1, 1, 1.0, 2.0, 17),
+    ("CARTESIAN", 2, 1, 0, 0, 1.165939761, 1.0, 0),
+    ("CARTESIAN", 2, 4, 0, 0, -0.7, 1.3, 17974),
+    ("LEFT_RIGHT", 1, 3, 2, 1, -0.7, 1.3, 509),
+    ("LEFT_RIGHT", 1, 4, 0, 2, 1.165939761, 1.0, 65536),
+    ("BOTTOM_TOP", 3, 3, 2, 2, 1.0, 2.0, 600),
+    ("LEFT_RIGHT", 4, 1, 2, 1, 1.0, 2.0, 527),
+    ("BOTTOM_TOP", 2, 2, 0, 0, 1.0, 2.0, 182),
+    ("CARTESIAN", 3, 3, 2, 2, 1.165939761, 1.0, 65536),
+    ("CARTESIAN", 3, 3, 2, 2, 1.165939761, 1.0, 2),
+    ("CARTESIAN", 2, 3, 2, 2, 1.165939761, 1.0, 2),
+    ("CARTESIAN", 2, 3, 2, 2, 1.165939761, 1.0, 3),
+    ("CARTESIAN", 2, 2, 2, 2, 1.165939761, 1.0, 2),
+    ("CARTESIAN", 2, 1, 1, 1, 1.0, 2.0, 23194),
+    ("CARTESIAN", 1, 1, 1, 1, 1.0, 2.0, 23194),
+    ("CARTESIAN", 1, 1, 1, 1, 1.0, 2.0, 1),
+    ("LEFT_RIGHT", 2, 4, 1, 0, 1.165939761, 1.0, 2756),
+    ("LEFT_RIGHT", 2, 4, 1, 0, 1.165939761, 1.0, 2),
+    ("LEFT_RIGHT", 2, 4, 1, 2, 1.165939761, 1.0, 2),
+    ("LEFT_RIGHT", 1, 4, 1, 2, 1.165939761, 1.0, 2),
+    ("LEFT_RIGHT", 2, 4, 1, 2, 1.165939761, 1.0, 4),
+    ("LEFT_RIGHT", 2, 4, 1, 0, 1.165939761, 1.0, 4),
+    ("LEFT_RIGHT", 2, 4, 1, 0, 1.165939761, 1.0, 1),
+    ("LEFT_RIGHT", 2, 1, 0, 1, 1.165939761, 1.0, 53508),
+    ("LEFT_RIGHT", 2, 1, 0, 1, 1.165939761, 1.0, 0),
+    ("LEFT_RIGHT", 1, 1, 0, 1, 1.165939761, 1.0, 0),
+    ("LEFT_RIGHT", 2, 3, 0, 1, -0.7, 1.3, 19),
+    ("LEFT_RIGHT", 1, 3, 0, 1, -0.7, 1.3, 19),
+]
+
+
+def pinned(draws, last):
+    """The rows of ``draws`` as ``@example``s, their last entry named
+    ``last``."""
+    def apply(test):
+        for alignment, nx, ny, p_xi, p_eta, b1, b2, value in draws:
+            test = example(alignment=Alignment[alignment], nx=nx, ny=ny, p_xi=p_xi,
+                           p_eta=p_eta, b=FieldDirection(b1, b2), **{last: value})(test)
+        return test
+    return apply
+
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(alignment=st.sampled_from(list(Alignment)),
@@ -355,6 +451,7 @@ def test_band_eig_variable_coefficients_against_dense(alignment, nx, ny, p_xi, p
                           FieldDirection(-0.7, 1.3)])
        | st.builds(FieldDirection, st.floats(0.3, 2.0), st.floats(-2.0, -0.3)),
        band=st.floats(0.05, 3.0))
+@pinned(BLOCK_DRAWS, "band")
 # the derandomized draws split every aligned mesh; this one is conforming
 @example(alignment=Alignment.BOTTOM_TOP, nx=2, ny=2, p_xi=1, p_eta=2,
          b=FieldDirection(1.0, 2.0), band=1.0)
@@ -415,12 +512,106 @@ def test_bloch_band_edge_on_a_block_eigenvalue_is_ambiguous():
         bloch_eig(a, m, BandRequest(lambda_max=edge))
 
 
+def constant_pencil(alignment, nx, ny, p):
+    mesh = build_mesh(MeshConfig(nx, ny, alignment, REF_B))
+    return build_reduced(assemble_operator_set(
+        mesh, BasisSpec(p, p), CoefficientField.constant(1.0),
+        MagneticField.uniform(REF_B), 6.0))
+
+
+#: ``(alignment, nx, ny, p, lambda_max, kinds)``: ``kinds`` are the kinds of
+#: wavevector class that hold band pairs.  The 1x1, 1x2 and 2x2 lattices have only
+#: self-conjugate classes; the last is the benchmark's ``ref_band`` solve.
+BAND_CASES = [(alignment, nx, ny, 2, 1.0, {"real"})
+              for alignment in Alignment for nx, ny in ((1, 1), (1, 2), (2, 2))]
+BAND_CASES += [(Alignment.LEFT_RIGHT, 1, 4, 2, 1.0, {"real", "pair"}),
+               (Alignment.CARTESIAN, 3, 2, 3, 1.0, {"real", "pair"}),
+               (Alignment.BOTTOM_TOP, 8, 8, 4, 0.2, {"real", "pair"})]
+
+
+def assert_bloch_band_matches_the_reference(a, m, band):
+    req = BandRequest(lambda_max=band)
+    sol, ref = bloch_eig(a, m, req), bloch_band_reference(a, m, req)
+    for name in ("eigenvalues", "eigenvectors", "residuals", "wavevectors"):
+        assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
+    assert (sol.inertia_count, sol.method) == (ref.inertia_count, ref.method)
+    return sol
+
+
+@pytest.mark.parametrize("alignment, nx, ny, p, band, kinds", BAND_CASES,
+                         ids=[f"{c[0].value}-{c[1]}x{c[2]}-p{c[3]}" for c in BAND_CASES])
+def test_bloch_band_matches_the_all_classes_reference(alignment, nx, ny, p, band,
+                                                      kinds):
+    """Certifying first and solving only the classes with band pairs gives,
+    bit for bit, what solving every class and cutting the band did."""
+    a, m = constant_pencil(alignment, nx, ny, p)
+    sol = assert_bloch_band_matches_the_reference(a, m, band)
+    conj = eigensolve._LatticePencil(a, m).conj
+    held = np.unique(sol.wavevectors)
+    assert {"real" if conj[k] == k else "pair" for k in held} == kinds
+
+
+def test_bloch_band_of_no_class_or_of_every_class_matches_the_reference():
+    """Every eigenvalue of the pencil ``(M, M)`` is 1: below the edge no
+    class holds a band pair and the band is empty; above it every class
+    does."""
+    _, m = make_small_system(2, 3, 1)
+    for band, count in ((0.5, 0), (2.0, m.n)):
+        sol = assert_bloch_band_matches_the_reference(m, m, band)
+        assert len(sol) == sol.inertia_count == count
+
+
+def test_bloch_band_solves_only_the_classes_that_hold_band_pairs(monkeypatch):
+    """``ref_band``'s pencil (8x8 p4, band edge 0.2) has 34 wavevector
+    classes.  The band solve hands ``_pencil_eigh`` the 7 whose block holds
+    an eigenvalue below the edge; the full spectrum hands it all 34."""
+    a, m = constant_pencil(Alignment.BOTTOM_TOP, 8, 8, 4)
+    pencil = eigensolve._LatticePencil(a, m)
+    reps = np.flatnonzero(pencil.conj >= np.arange(len(pencil.conj)))
+    holding = [k for k in reps if sla.eigh(
+        pencil.a_hat[k], pencil.m_hat[k], eigvals_only=True)[0] <= 0.2]
+    rows, pencil_eigh = [], eigensolve._pencil_eigh
+
+    def spy(a_k, m_k):
+        rows.append(len(a_k))
+        return pencil_eigh(a_k, m_k)
+
+    monkeypatch.setattr(eigensolve, "_pencil_eigh", spy)
+    sol = bloch_eig(a, m, BandRequest(lambda_max=0.2))
+    assert (len(reps), len(holding)) == (34, 7)
+    assert sum(rows) == len(holding) == len(np.unique(sol.wavevectors))
+    rows.clear()
+    full = bloch_eig(a, m)
+    assert sum(rows) == len(reps) == len(np.unique(full.wavevectors))
+
+
+def test_bloch_band_short_of_a_block_inertia_is_incomplete(monkeypatch):
+    """A block solve that loses an eigenpair leaves its class short of its
+    inertia count, which raises."""
+    a, m = make_small_system(2, 2, 2)
+    pencil = eigensolve._LatticePencil(a, m)
+    neg = int(np.sum(sla.eigh(pencil.a_hat[0].real, pencil.m_hat[0].real,
+                              eigvals_only=True) <= 0.4))
+    pencil_eigh = eigensolve._pencil_eigh
+
+    def drop_lowest(a_k, m_k):
+        w, v = pencil_eigh(a_k, m_k)
+        return w[:, 1:], v[:, :, 1:]
+
+    monkeypatch.setattr(eigensolve, "_pencil_eigh", drop_lowest)
+    message = (f"found {neg - 1} eigenvalues <= 0.4 in the block of wavevector "
+               f"(0, 0) but its inertia count demands {neg}")
+    with pytest.raises(CompletenessError, match=re.escape(message)):
+        bloch_eig(a, m, BandRequest(lambda_max=0.4))
+
+
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)
 @given(alignment=st.sampled_from(list(Alignment)),
        nx=st.integers(1, 4), ny=st.integers(1, 4),
        p_xi=st.integers(0, 2), p_eta=st.integers(0, 2),
        b=st.sampled_from([REF_B, FieldDirection(1.0, 2.0), FieldDirection(-0.7, 1.3)]),
        seed=st.integers(0, 2**16))
+@pinned(BOUND_DRAWS, "seed")
 def test_bloch_bounds_enclose_the_extended_residuals(alignment, nx, ny, p_xi, p_eta,
                                                      b, seed):
     """Per wavevector class, for the block's eigenpairs and for random block
