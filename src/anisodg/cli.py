@@ -19,6 +19,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dc_fields
+from functools import cache
 from pathlib import Path
 
 from .assembly import AssemblyError
@@ -385,7 +386,11 @@ COMMANDS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every option
+    defaults to None, no action accumulates, and each ``parse_args`` returns
+    a fresh namespace, so one parser serves every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="anisodg",
         description="Band spectra of the 2D periodic anisotropic wave "

@@ -8,7 +8,8 @@ Two certified solvers serve ``A x = lambda M x``:
   exactly into one small Hermitian pencil per lattice wavevector, each
   solved by LAPACK; the band ``lambda <= lambda_max`` is certified by the
   summed LDL^T inertia of the blocks, taken first, and only the blocks that
-  hold band eigenvalues are solved.  No global matrix is formed.
+  hold band eigenvalues are solved.  No global matrix is formed, and the
+  global eigenvectors only when they are read.
 * ``band_eig`` returns the band of any pencil (variable coefficients).  One
   factorization of ``K = A - lambda_max M`` (``shifted_inertia``) does two
   jobs: by Sylvester's law its negative pivots count the band, which the
@@ -109,10 +110,20 @@ class EigenSolution:
     lambda_max M`` (``"lattice"``, ``"dense"`` or ``"superlu"``, see
     ``shifted_inertia``) and ``factor_entries`` the matrix entries it
     stores; the Bloch and full dense solves leave them None and 0.
-    ``wavevectors`` is set by ``bloch_eig`` alone: for each column, the flat
-    index ``p*ny + q`` of the representative of the lattice wavevector class
-    ``{k, -k}`` whose Bloch waves the column is built from, so its lattice
-    DFT vanishes outside ``k`` and ``-k``.  It is None for every other solve.
+    ``wavevectors`` and ``coefficients`` are set by ``bloch_eig`` alone and
+    are None for every other solve.  ``wavevectors`` holds, for each column,
+    the flat index ``p*ny + q`` of the representative of the lattice
+    wavevector class ``{k, -k}`` whose Bloch waves the column is built from,
+    so its lattice DFT vanishes outside ``k`` and ``-k``.  ``coefficients``
+    is the ``(columns, n_loc)`` complex array of those DFTs at ``k``: row
+    ``j`` is ``sum_c exp(2 pi i (p c_x / nx + q c_y / ny)) x_j[c]`` over the
+    cells ``c`` of column ``x_j``, read off its block eigenvector rather
+    than summed (its DFT at ``-k`` is the conjugate, the column being real).
+
+    ``bloch_eig`` passes ``eigenvectors`` as a callable that forms them: the
+    ``n x len`` array is built on the first read of ``eigenvectors`` and
+    kept, so a solve whose vectors only get labelled (by ``coefficients``)
+    never forms it.
     """
 
     eigenvalues: np.ndarray
@@ -126,6 +137,18 @@ class EigenSolution:
     factor: str | None = None
     factor_entries: int = 0
     wavevectors: np.ndarray | None = None
+    coefficients: np.ndarray | None = None
+
+    def __post_init__(self):
+        if callable(self.eigenvectors):
+            self._form = vars(self).pop("eigenvectors")
+
+    def __getattr__(self, name):
+        # reached only while the deferred eigenvectors are unformed
+        if name == "eigenvectors" and "_form" in vars(self):
+            self.eigenvectors = vars(self).pop("_form")()
+            return self.eigenvectors
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -830,27 +853,12 @@ def _lattice_phase(k: int, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * (k * np.arange(n) % n) / n)
 
 
-class _LatticePencil:
-    """A translation-invariant pencil as its symbols on an ``nx x ny`` lattice.
+class _Lattice:
+    """The wavevectors of an ``nx x ny`` cell lattice: ``k = (p, q)`` has
+    flat index ``p*ny + q``, and ``conj[k]`` is the index of ``-k``."""
 
-    Wavevector ``k = (p, q)`` has flat index ``p*ny + q``.  Raises
-    ``CompletenessError`` if the stencil of A or M varies from cell to cell.
-    ``a_abs`` and ``m_abs`` are the stencils' blocks summed in modulus over
-    the offsets, ``|A|`` and ``|M|`` folded onto one cell; ``gamma`` is the
-    rounding constant of ``bounds``.
-    """
-
-    def __init__(self, a: SymStencil, m: SymStencil):
-        self.nx, self.ny = nx, ny = a.lattice
-        for name, s in (("A", a), ("M", m)):
-            if s.blocks.shape[0] != 1:
-                raise CompletenessError(
-                    f"{name} is not invariant under translations of the {nx}x{ny} "
-                    f"cell lattice: its stencil varies from cell to cell")
-        self.a_hat, self.m_hat = a.symbols(), m.symbols()
-        self.a_abs, self.m_abs = (np.abs(s.blocks[0]).sum(axis=0) for s in (a, m))
-        offsets = max(len(a.offsets), len(m.offsets))
-        self.gamma = (133 + offsets + 1.5 * a.n_loc) * (np.finfo(float).eps / 2)
+    def __init__(self, nx: int, ny: int):
+        self.nx, self.ny = nx, ny
         p, q = np.divmod(np.arange(nx * ny), ny)
         self.conj = ((-p) % nx) * ny + (-q) % ny
 
@@ -869,6 +877,29 @@ class _LatticePencil:
         out[:, 0::2] = math.sqrt(2.0) * wave.real
         out[:, 1::2] = math.sqrt(2.0) * wave.imag
         return out
+
+
+class _LatticePencil(_Lattice):
+    """A translation-invariant pencil as its symbols on an ``nx x ny`` lattice.
+
+    Raises ``CompletenessError`` if the stencil of A or M varies from cell
+    to cell.  ``a_abs`` and ``m_abs`` are the stencils' blocks summed in
+    modulus over the offsets, ``|A|`` and ``|M|`` folded onto one cell;
+    ``gamma`` is the rounding constant of ``bounds``.
+    """
+
+    def __init__(self, a: SymStencil, m: SymStencil):
+        super().__init__(*a.lattice)
+        for name, s in (("A", a), ("M", m)):
+            if s.blocks.shape[0] != 1:
+                raise CompletenessError(
+                    f"{name} is not invariant under translations of the "
+                    f"{self.nx}x{self.ny} cell lattice: its stencil varies from "
+                    f"cell to cell")
+        self.a_hat, self.m_hat = a.symbols(), m.symbols()
+        self.a_abs, self.m_abs = (np.abs(s.blocks[0]).sum(axis=0) for s in (a, m))
+        offsets = max(len(a.offsets), len(m.offsets))
+        self.gamma = (133 + offsets + 1.5 * a.n_loc) * (np.finfo(float).eps / 2)
 
     def bounds(self, k: int, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Upper bounds on ``||A x - w_j M x||_2`` for the stored columns
@@ -959,6 +990,14 @@ def bloch_eig(a: SymStencil, m: SymStencil,
     (``_LatticePencil.bounds``): the symbol residual of the block eigenpair,
     which is exactly that of the exact real wave, plus an a-priori rounding
     term.
+
+    The solution keeps its pairs in block form.  Each column's lattice DFT
+    at its own wavevector (``EigenSolution.coefficients``) is read off its
+    block eigenvector ``v``: ``sqrt(N) v`` for a self-conjugate class, and
+    ``sqrt(N/2) conj(v)`` and ``i sqrt(N/2) conj(v)`` for the real-part and
+    imaginary-part columns of a pair (``N = nx ny``).  The ``n``-long
+    global columns are formed from the block vectors only when
+    ``eigenvectors`` is first read (``_BlochWaves``).
     """
     if req is None and a.n > DENSE_CAP:
         raise ValueError(f"full spectrum of dimension {a.n} exceeds cap {DENSE_CAP}")
@@ -996,15 +1035,24 @@ def bloch_eig(a: SymStencil, m: SymStencil,
     order = np.argsort(col_w, kind="stable")
     dest = np.empty_like(order)
     dest[order] = np.arange(len(order))
-    x = np.empty((a.n, len(order)), order="F")
     resid = np.empty(len(order))
+    coeff = np.empty((len(order), a.n_loc), dtype=complex)
+    cells = pencil.nx * pencil.ny
+    placed = []
     start = 0
     for k, w, v, mult in classes:
         cols = dest[start:start + mult * len(w)]
         start += len(cols)
         if len(cols):
-            x[:, cols] = pencil.real_waves(k, v)
+            placed.append((k, v, cols))
             resid[cols] = np.repeat(pencil.bounds(k, w, v), mult)
+            # the DFT at k of the columns that real_waves(k, v) makes
+            if mult == 1:
+                coeff[cols] = math.sqrt(cells) * v.T
+            else:
+                coeff[cols[0::2]] = math.sqrt(cells / 2) * v.T.conj()
+                coeff[cols[1::2]] = 1j * coeff[cols[0::2]]
+    x = _BlochWaves((pencil.nx, pencil.ny), a.n, placed)
 
     w = col_w[order]
     col_k = np.concatenate([np.full(mult * len(w), k) for k, w, _, mult in classes]
@@ -1013,7 +1061,7 @@ def bloch_eig(a: SymStencil, m: SymStencil,
     if req is None:
         return EigenSolution(eigenvalues=w, eigenvectors=x, residuals=resid,
                              method="dense", norm_a=norm_a,
-                             wavevectors=wavevectors)
+                             wavevectors=wavevectors, coefficients=coeff)
     limit = req.tolerance * max(norm_a, np.finfo(float).tiny)
     if np.any(resid > limit):
         raise CompletenessError(
@@ -1023,7 +1071,27 @@ def bloch_eig(a: SymStencil, m: SymStencil,
             f"negative eigenvalue {w.min():.3e} below the PSD tolerance")
     return EigenSolution(eigenvalues=w, eigenvectors=x, residuals=resid,
                          method="bloch", inertia_count=inertia, norm_a=norm_a,
-                         wavevectors=wavevectors)
+                         wavevectors=wavevectors, coefficients=coeff)
+
+
+@dataclass(frozen=True)
+class _BlochWaves:
+    """The eigenvectors of a ``bloch_eig`` solution, formed when called:
+    per class ``k``, ``_Lattice.real_waves`` of its block eigenvectors ``v``
+    in the columns ``cols`` of the ``n``-row array, on the lattice of
+    ``shape``."""
+
+    shape: tuple[int, int]
+    n: int
+    classes: list[tuple[int, np.ndarray, np.ndarray]]
+
+    def __call__(self) -> np.ndarray:
+        lattice = _Lattice(*self.shape)
+        x = np.empty((self.n, sum(len(cols) for _, _, cols in self.classes)),
+                     order="F")
+        for k, v, cols in self.classes:
+            x[:, cols] = lattice.real_waves(k, v)
+        return x
 
 
 def _class_inertia(pencil: _LatticePencil, real: np.ndarray, pair: np.ndarray,

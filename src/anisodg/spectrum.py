@@ -136,10 +136,14 @@ class FourierProjector:
 
     A column whose wavevector class ``{k, -k}`` is known (a Bloch
     eigenvector, ``EigenSolution.wavevectors``) has a lattice DFT that
-    vanishes outside ``k`` and ``-k``.  Its coefficient at ``k`` is then one
-    phase contraction over the cells, the one at ``-k`` its conjugate (the
-    column is real), and only the modes of those two residue classes get an
-    amplitude; every other amplitude is exactly 0.
+    vanishes outside ``k`` and ``-k``.  Only the modes of those two residue
+    classes then get an amplitude, from its DFT coefficient at ``k`` and
+    the conjugate at ``-k`` (the column is real); every other amplitude is
+    exactly 0.  One routine turns the coefficients into amplitudes, and they
+    come from one of two sources: ``amplitudes`` and ``argmax_modes`` take
+    them by one phase contraction of each column over the cells, and
+    ``associate_modes`` reads a Bloch solution's own
+    ``EigenSolution.coefficients``, taken from its block eigenvectors.
     """
 
     def __init__(self, mesh: Mesh, spec: BasisSpec,
@@ -198,10 +202,9 @@ class FourierProjector:
             out[rows] = np.abs(self._local[rows] @ what[:, p, q, :].T)
         return out
 
-    def _project_classes(self, block: np.ndarray, wavevectors: np.ndarray):
-        """``(cols, rows, amps)`` per wavevector class of the columns of
-        ``block``: the columns in that class, the modes of its two residue
-        classes in ``modes`` order, and their ``(rows, cols)`` amplitudes."""
+    def _coefficients(self, block: np.ndarray, wavevectors: np.ndarray) -> np.ndarray:
+        """``(cols, n_loc)``: the lattice DFT of each column of ``block`` at
+        its own wavevector, by a phase contraction over the cells."""
         nx, ny, n_loc = self.mesh.config.nx, self.mesh.config.ny, self.spec.n_loc
         classes, inverse = np.unique(np.asarray(wavevectors), return_inverse=True)
         p, q = np.divmod(classes, ny)
@@ -216,6 +219,16 @@ class FourierProjector:
             # as the FFT's, where one sum over all cells would not
             over_j = (phase_y[k, None, None] @ cells)[:, :, 0]
             coeff[s:s + PROJECT_BLOCK] = (phase_x[k, None] @ over_j)[:, 0]
+        return coeff
+
+    def _project_classes(self, coeff: np.ndarray, wavevectors: np.ndarray):
+        """``(cols, rows, amps)`` per wavevector class of the columns whose
+        DFT at their own wavevector is ``coeff``: the columns in that class,
+        the modes of its two residue classes in ``modes`` order, and their
+        ``(rows, cols)`` amplitudes."""
+        nx, ny = self.mesh.config.nx, self.mesh.config.ny
+        classes, inverse = np.unique(np.asarray(wavevectors), return_inverse=True)
+        p, q = np.divmod(classes, ny)
         empty = np.empty(0, dtype=int)
         for c, (pc, qc) in enumerate(zip(p.tolist(), q.tolist())):
             cols = np.flatnonzero(inverse == c)
@@ -244,7 +257,8 @@ class FourierProjector:
             for s in range(0, block.shape[1], PROJECT_BLOCK):
                 out[:, s:s + PROJECT_BLOCK] = self._project(block[:, s:s + PROJECT_BLOCK])
         else:
-            for cols, rows, amps in self._project_classes(block, wavevectors):
+            coeff = self._coefficients(block, wavevectors)
+            for cols, rows, amps in self._project_classes(coeff, wavevectors):
                 out[np.ix_(rows, cols)] = amps
         return out.reshape((len(self.modes),) + vecs.shape[1:])
 
@@ -266,18 +280,27 @@ class FourierProjector:
                 ) -> tuple[np.ndarray, np.ndarray]:
         """``argmax_modes`` with the modes as indices into ``modes``."""
         block = self._columns(np.asarray(vecs))
+        if wavevectors is not None:
+            return self._argmax_classes(self._coefficients(block, wavevectors),
+                                        wavevectors)
         best = np.zeros(block.shape[1], dtype=int)
         amps = np.zeros(block.shape[1])
-        if wavevectors is None:
-            for s in range(0, block.shape[1], PROJECT_BLOCK):
-                a = self._project(block[:, s:s + PROJECT_BLOCK])
-                best[s:s + PROJECT_BLOCK] = a.argmax(axis=0)
-                amps[s:s + PROJECT_BLOCK] = a.max(axis=0)
-        else:
-            for cols, rows, a in self._project_classes(block, wavevectors):
-                if len(rows):
-                    best[cols] = rows[a.argmax(axis=0)]
-                    amps[cols] = a.max(axis=0)
+        for s in range(0, block.shape[1], PROJECT_BLOCK):
+            a = self._project(block[:, s:s + PROJECT_BLOCK])
+            best[s:s + PROJECT_BLOCK] = a.argmax(axis=0)
+            amps[s:s + PROJECT_BLOCK] = a.max(axis=0)
+        return best, amps
+
+    def _argmax_classes(self, coeff: np.ndarray, wavevectors: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """``_argmax`` of the columns whose DFT at their own wavevector is
+        ``coeff``."""
+        best = np.zeros(len(coeff), dtype=int)
+        amps = np.zeros(len(coeff))
+        for cols, rows, a in self._project_classes(coeff, wavevectors):
+            if len(rows):
+                best[cols] = rows[a.argmax(axis=0)]
+                amps[cols] = a.max(axis=0)
         return best, amps
 
     def argmax_mode(self, vec: np.ndarray) -> tuple[tuple[int, int], float]:
@@ -307,9 +330,16 @@ def associate_modes(solution: EigenSolution, projector: FourierProjector,
     A Bloch eigenvector (``solution.wavevectors`` set) is projected only
     onto the modes of its own wavevector class ``{k, -k}``, being orthogonal
     to every other mode; on a lattice wider than the box a class can hold no
-    box mode, and its vectors get no row.
+    box mode, and its vectors get no row.  Those projections are read from
+    ``solution.coefficients`` when the solution carries them (``bloch_eig``
+    does), so its global eigenvectors are never formed; otherwise they are
+    contracted from the eigenvectors.
     """
-    best, amps = projector._argmax(solution.eigenvectors, solution.wavevectors)
+    if solution.coefficients is not None:
+        best, amps = projector._argmax_classes(solution.coefficients,
+                                               solution.wavevectors)
+    else:
+        best, amps = projector._argmax(solution.eigenvectors, solution.wavevectors)
     index = np.flatnonzero(amps > 0.0)
     best, w2 = best[index], solution.eigenvalues[index]
     modes = [projector.modes[i] for i in best.tolist()]
@@ -538,9 +568,11 @@ def convergence_study(setup: SolveSetup, levels: list[tuple[int, int]],
 
 
 #: Levels up to this size are solved for their full spectrum, so even badly
-#: shifted band modes can be associated and their errors tracked.  The cap
-#: bounds the memory of the ``n x n`` eigenvectors (134 MB at n = 4096); the
-#: lattice-block solve itself is cheap.
+#: shifted band modes can be associated and their errors tracked.  Studies
+#: form no ``n x n`` eigenvectors (association reads the block-form
+#: ``EigenSolution.coefficients``) and the lattice-block solve is cheap, so
+#: the cap does not bound their memory; it fixes which levels get the full
+#: spectrum, and with them the studies' results.
 FULL_SPECTRUM_CAP = 4096
 
 

@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,3 +299,27 @@ def test_flux_label_overrides_direction(tmp_path):
     # here, so left/right would win only for steep directions)
     assert config.mesh_config().alignment.value in (
         "aligned_bottom_top", "aligned_left_right")
+
+
+def test_one_parser_serves_every_command(tmp_path):
+    """The parser is built once per process.  Two different commands run in
+    one process through it write the very files that fresh interpreters
+    write."""
+    assert cli._build_parser() is cli._build_parser()
+    commands = {"solve": ["solve", *TINY],
+                "convergence": ["convergence", *TINY, "--levels", "2x2,4x4"]}
+    for name, argv in commands.items():
+        assert main([*argv, "--output_dir", str(tmp_path / "here" / name)]) == EXIT_OK
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    for name, argv in commands.items():
+        fresh = tmp_path / "fresh" / name
+        proc = subprocess.run([sys.executable, "-m", "anisodg.cli", *argv,
+                               "--output_dir", str(fresh)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        here = tmp_path / "here" / name
+        assert sorted(p.name for p in here.iterdir()) == sorted(p.name for p in fresh.iterdir())
+        for path in here.iterdir():
+            assert path.read_bytes() == (fresh / path.name).read_bytes(), path.name

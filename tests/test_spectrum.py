@@ -5,10 +5,11 @@ import pytest
 from scipy.special import spherical_jn
 
 import bruteforce as bf
-from anisodg import assembly, basis, spectrum
+from anisodg import assembly, basis, cli, eigensolve, spectrum
+from anisodg.assembly import assemble_operator_set, build_reduced
 from anisodg.basis import BasisSpec
-from anisodg.eigensolve import EigenSolution
-from anisodg.fields import CoefficientField, Harmonic
+from anisodg.eigensolve import BandRequest, EigenSolution
+from anisodg.fields import CoefficientField, Harmonic, MagneticField
 from anisodg.geometry import Alignment, FieldDirection, MeshConfig, build_mesh
 from anisodg.spectrum import (PROJECT_BLOCK, Association, ConvergenceRow,
                               FourierProjector, SolveSetup, associate_modes,
@@ -216,8 +217,10 @@ def test_batched_association_matches_per_column_argmax():
 def per_row_associations(solution, proj, exact):
     """The association rows built one eigenvector at a time: the reference
     for ``associate_modes``, which looks each mode up once and forms the
-    errors as arrays."""
-    modes, amps = proj.argmax_modes(solution.eigenvectors, solution.wavevectors)
+    errors as arrays.  The labels and amplitudes come from the source that
+    ``associate_modes`` reads, the Bloch solution's coefficients."""
+    best, amps = proj._argmax_classes(solution.coefficients, solution.wavevectors)
+    modes = [proj.modes[i] for i in best]
     out = []
     for idx, (mode, amp) in enumerate(zip(modes, amps.tolist())):
         if amp <= 0.0:
@@ -354,7 +357,9 @@ CLASS_SOLVES = {
 def test_class_restricted_projection_matches_the_fft(name):
     """Projecting a Bloch solution onto its wavevector classes only gives
     the FFT amplitudes at the in-class modes, exactly 0 elsewhere, and the
-    same labels wherever the FFT winner is not round-off.  The 7x5 box is
+    same labels wherever the FFT winner is not round-off; so do the
+    solution's own coefficients, from which its association rows are read
+    bit for bit.  The 7x5 box is
     wider than every lattice, so several modes share each residue class;
     on the 1-wide lattices ``k = -k`` along that axis."""
     config, spec, full = CLASS_SOLVES[name]
@@ -384,8 +389,15 @@ def test_class_restricted_projection_matches_the_fft(name):
     assert resolved.any()
     assert [m for m, ok in zip(modes, resolved) if ok] == \
         [m for m, ok in zip(fft_modes, resolved) if ok]
+    # the association reads the solution's own coefficients
+    best, coeff_amps = proj._argmax_classes(sol.coefficients, sol.wavevectors)
+    coeff_modes = [proj.modes[i] for i in best]
+    assert np.max(np.abs(coeff_amps - amps)) <= 1e-12 * np.max(fft)
+    assert [m for m, ok in zip(coeff_modes, resolved) if ok] == \
+        [m for m, ok in zip(fft_modes, resolved) if ok]
     assert [(r.index, r.mode, r.amplitude) for r in result.assoc] == \
-        [(i, m, a) for i, (m, a) in enumerate(zip(modes, amps.tolist())) if a > 0.0]
+        [(i, m, a) for i, (m, a) in enumerate(zip(coeff_modes, coeff_amps.tolist()))
+         if a > 0.0]
 
 
 def test_class_tie_across_conjugate_residues_follows_mode_order(monkeypatch):
@@ -532,6 +544,53 @@ def test_constant_coefficient_solves_use_the_lattice_blocks():
     np.testing.assert_array_equal(
         band.solution.wavevectors,
         full.solution.wavevectors[:len(band.solution)])
+
+
+@pytest.fixture
+def formed_waves(monkeypatch):
+    """The wavevectors of every ``real_waves`` call, the step that forms a
+    Bloch solution's global eigenvectors."""
+    calls, real_waves = [], eigensolve._Lattice.real_waves
+
+    def spy(self, k, v):
+        calls.append(k)
+        return real_waves(self, k, v)
+
+    monkeypatch.setattr(eigensolve._Lattice, "real_waves", spy)
+    return calls
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["band", "full"])
+def test_bloch_eigenvectors_are_formed_on_the_first_read(formed_waves, full):
+    """``ref_band``'s solve (8x8 p4) is solved and associated without forming
+    a global eigenvector.  The first read of ``eigenvectors`` forms them,
+    bit for bit those of the all-classes reference, and keeps them."""
+    config, spec = MeshConfig(8, 8, Alignment.BOTTOM_TOP, REF_B), BasisSpec(4, 4)
+    result = run_band_solve(SolveSetup(mesh_config=config, spec=spec, alpha=CONST,
+                                       beta=CONST, full_spectrum=full))
+    sol = result.solution
+    assert result.assoc and formed_waves == []
+    vecs = sol.eigenvectors
+    assert sorted(formed_waves) == np.unique(sol.wavevectors).tolist()
+    assert sol.eigenvectors is vecs
+    a, m = build_reduced(assemble_operator_set(
+        build_mesh(config), spec, CONST, MagneticField.uniform(REF_B), 6.0))
+    # above the top of the spectrum the reference holds all of it
+    edge = 2.0 * float(sol.eigenvalues[-1]) if full else 0.2
+    ref = bf.bloch_band_reference(a, m, BandRequest(lambda_max=edge))
+    assert np.array_equal(vecs, ref.eigenvectors)
+    assert np.array_equal(sol.eigenvalues, ref.eigenvalues)
+
+
+def test_convergence_study_forms_no_eigenvector(formed_waves, tmp_path):
+    """A CLI convergence study solves its levels for their full spectrum and
+    labels every pair from the block coefficients alone."""
+    code = cli.main(["convergence", "--nx", "2", "--ny", "8", "--p_xi", "3",
+                     "--p_eta", "3", "--levels", "2x8,4x16",
+                     "--output_dir", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    assert (tmp_path / "convergence.csv").read_text().count("\n") == 3
+    assert formed_waves == []
 
 
 def test_compare_equal_setups_gives_zero_improvement():
