@@ -56,60 +56,6 @@ def default_quad_points(spec: BasisSpec) -> int:
     return max(spec.p_xi, spec.p_eta) + 3
 
 
-class SparseSymMatrix:
-    """Sparse symmetric matrix stored as its full CSR."""
-
-    def __init__(self, full: sp.spmatrix):
-        self._full = full.tocsr()
-        self.n = self._full.shape[0]
-
-    @classmethod
-    def from_product(cls, full: sp.spmatrix) -> "SparseSymMatrix":
-        """Symmetrize a (numerically almost symmetric) matrix and drop entries
-        below ``DROP_TOL`` times its largest; the pattern is symmetric."""
-        sym = (full + full.T) * 0.5
-        sym.data[np.abs(sym.data) < DROP_TOL * np.max(np.abs(sym.data), initial=0.0)] = 0.0
-        sym = sym.tocsr()
-        sym.eliminate_zeros()
-        return cls(sym)
-
-    def to_full(self) -> sp.csr_matrix:
-        return self._full
-
-    @property
-    def lower(self) -> sp.csr_matrix:
-        return sp.tril(self.to_full(), format="csr")
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_full().toarray()
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.to_full() @ x
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.to_full().data), initial=0.0))
-
-    def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.to_full()).sum(axis=1)))
-
-    def nnz_percent(self) -> float:
-        """Stored nonzeros as a percentage of the full lower triangle, which
-        (the pattern being symmetric) holds the diagonal and half the rest."""
-        full = self.to_full()
-        return _lower_percent(full.nnz, np.count_nonzero(full.diagonal()), self.n)
-
-    def dump_coordinate(self, stream) -> None:
-        """Write 'row col value' (1-based, lower triangle) to a text stream."""
-        coo = self.lower.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            stream.write(f"{r + 1} {c + 1} {v:.17g}\n")
-
-
-def _lower_percent(nnz: int, nnz_diagonal: int, n: int) -> float:
-    return 100.0 * (nnz + nnz_diagonal) / 2.0 / (n * (n + 1) / 2.0)
-
-
 # ---------------------------------------------------------------------------
 # lattice stencils
 
@@ -208,9 +154,14 @@ class Stencil:
             -1, self.n_loc, self.n_loc)
 
 
-class SymStencil(Stencil, SparseSymMatrix):
-    """A symmetric stencil: ``(B[c, d] + B[c + d, -d]^T) / 2``, dropped like
-    ``from_product``; its metadata are read from the blocks."""
+def _lower_percent(nnz: int, nnz_diagonal: int, n: int) -> float:
+    return 100.0 * (nnz + nnz_diagonal) / 2.0 / (n * (n + 1) / 2.0)
+
+
+class SymStencil(Stencil):
+    """A symmetric stencil: ``(B[c, d] + B[c + d, -d]^T) / 2``, with entries
+    below ``DROP_TOL`` of the largest dropped; its metadata are read from
+    the blocks."""
 
     def __init__(self, offsets: np.ndarray, blocks: np.ndarray,
                  lattice: tuple[int, int]):
@@ -227,10 +178,9 @@ class SymStencil(Stencil, SparseSymMatrix):
         sym[size < DROP_TOL * scale] = 0.0
         self.blocks = sym
 
-    @cached_property
-    def _full(self) -> sp.csr_matrix:
-        """The scalar CSR matrix of ``to_full``, expanded on first use and kept."""
-        return self.expand()
+    @property
+    def lower(self) -> sp.csr_matrix:
+        return sp.tril(self.expand(), format="csr")
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.blocks), initial=0.0))
@@ -243,6 +193,13 @@ class SymStencil(Stencil, SparseSymMatrix):
         own = np.diagonal(self.blocks[:, ~self.offsets.any(axis=1)], axis1=2, axis2=3)
         return _lower_percent(copies * np.count_nonzero(self.blocks),
                               copies * np.count_nonzero(own), self.n)
+
+    def dump_coordinate(self, stream) -> None:
+        """Write 'row col value' (1-based, lower triangle) to a text stream."""
+        coo = self.lower.tocoo()
+        order = np.lexsort((coo.col, coo.row))
+        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
+            stream.write(f"{r + 1} {c + 1} {v:.17g}\n")
 
 
 @dataclass

@@ -16,13 +16,18 @@ Two certified solvers serve ``A x = lambda M x``:
   returned count must equal, and its solve drives a block shift-invert
   Lanczos iteration (``LANCZOS_BLOCK`` right-hand sides per solve, full
   reorthogonalization in the M inner product) that stops once that many
-  Ritz pairs have converged.  A pencil of stencils is factored straight
-  from their blocks: ordered in lattice rows, ``R`` rows to a block, K is
-  periodic block-tridiagonal, and a block LDL^T (``_LatticeLDL``) sums the
-  Bunch-Kaufman inertias of its Schur blocks (Haynsworth).  Products with
-  a stencil run on its blocks too, so no CSR matrix is formed.  Every
-  factor must pass a backward-error check of its solve before its inertia
-  is used (``BACKWARD_TOL``).
+  Ritz pairs have converged.  K is factored straight from the stencil
+  blocks: ordered in lattice rows, ``R`` rows to a block, K is periodic
+  block-tridiagonal, and a block LDL^T (``_LatticeLDL``) sums the
+  Bunch-Kaufman inertias of its Schur blocks (Haynsworth); a layout of one
+  block is dense Bunch-Kaufman.  Products with a stencil run on its blocks
+  too, so no CSR matrix is formed.  Every factor must pass a
+  backward-error check of its solve before its inertia is used
+  (``BACKWARD_TOL``).
+
+Every pencil is a pair of ``SymStencil`` on one lattice: a dense array or a
+scipy sparse matrix is taken as the one-cell stencil of the 1x1 lattice
+(``_as_sym``), which the factorization takes as one block.
 """
 
 from __future__ import annotations
@@ -34,14 +39,17 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
-from .assembly import SparseSymMatrix, Stencil, SymStencil
+from .assembly import _ORIGIN, Stencil, SymStencil
 
 #: Problems at most this large may be handled by dense LAPACK paths, and
 #: have their full spectrum (``n x n`` eigenvectors) computed.
 DENSE_CAP = 8192
+
+#: The most matrix entries a factor of ``K = A - shift M`` may store
+#: (``2**28`` float64 entries are 2 GiB); a larger layout is refused.
+FACTOR_BUDGET = 2**28
 
 #: Width of band_eig's Lanczos block: the band eigenvalues of the
 #: variable-coefficient operators come in near-degenerate ``+-(m, n)`` pairs.
@@ -107,9 +115,9 @@ class EigenSolution:
     iteration applied ``K^{-1}`` to and ``subspace`` its final basis size;
     the dense-band solve reports ``subspace = n`` and the other methods 0.
     ``factor`` is the kind of ``band_eig``'s factorization of ``K = A -
-    lambda_max M`` (``"lattice"``, ``"dense"`` or ``"superlu"``, see
-    ``shifted_inertia``) and ``factor_entries`` the matrix entries it
-    stores; the Bloch and full dense solves leave them None and 0.
+    lambda_max M`` (``"lattice"`` or, for a layout of one block,
+    ``"dense"``; see ``shifted_inertia``) and ``factor_entries`` the matrix
+    entries it stores; the Bloch and full dense solves leave them None and 0.
     ``wavevectors`` and ``coefficients`` are set by ``bloch_eig`` alone and
     are None for every other solve.  ``wavevectors`` holds, for each column,
     the flat index ``p*ny + q`` of the representative of the lattice
@@ -154,36 +162,41 @@ class EigenSolution:
         return len(self.eigenvalues)
 
 
-def _as_sym(a) -> SparseSymMatrix:
+def _as_sym(a) -> SymStencil:
+    """``a`` as a symmetric stencil: a dense array or a scipy sparse matrix
+    (its duplicate entries summed) as the one-cell stencil of the 1x1
+    lattice, symmetrized and dropped like every ``SymStencil``.  A plain
+    ``Stencil`` is not known to be symmetric, and raises ``TypeError``."""
     if isinstance(a, SymStencil):
         return a
-    if isinstance(a, Stencil):  # not known to be symmetric
-        return SparseSymMatrix(a.expand())
-    if isinstance(a, SparseSymMatrix):
-        return a
-    return SparseSymMatrix.from_product(sp.csr_matrix(a, dtype=float))
+    if isinstance(a, Stencil):
+        raise TypeError("a Stencil is not known to be symmetric; pass a SymStencil")
+    k = np.asarray(a.toarray() if sp.issparse(a) else a, dtype=float)
+    return SymStencil(_ORIGIN, k[None, None], (1, 1))
 
 
-def _as_pencil(a, m) -> tuple[SparseSymMatrix, SparseSymMatrix]:
-    """``(A, M)`` as symmetric stencils or sparse matrices; ``M = None`` is
-    the identity."""
+def _as_pencil(a, m) -> tuple[SymStencil, SymStencil]:
+    """``(A, M)`` as symmetric stencils on one lattice; ``M = None`` is the
+    identity block at offset ``(0, 0)`` of A's lattice.  Stencils on
+    different lattices, or of different cell sizes, raise ``ValueError``."""
     a = _as_sym(a)
-    return a, _as_sym(sp.identity(a.n, format="csr") if m is None else m)
+    if m is None:
+        return a, SymStencil(_ORIGIN, np.eye(a.n_loc)[None, None], a.lattice)
+    m = _as_sym(m)
+    if (a.lattice, a.n_loc) != (m.lattice, m.n_loc):
+        raise ValueError(
+            f"A ({a.lattice[0]}x{a.lattice[1]} lattice, {a.n_loc} dofs a cell) "
+            f"and M ({m.lattice[0]}x{m.lattice[1]}, {m.n_loc}) are not one pencil")
+    return a, m
 
 
-def _csr(a: SparseSymMatrix) -> sp.csr_matrix:
-    """The CSR of ``a``; a stencil's is expanded for the caller, not kept."""
-    return a.expand() if isinstance(a, Stencil) else a.to_full()
-
-
-def _dense_pencil(a: SparseSymMatrix, m: SparseSymMatrix
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def _dense_pencil(a: SymStencil, m: SymStencil) -> tuple[np.ndarray, np.ndarray]:
     """Dense Fortran-ordered ``(A, M)``, which LAPACK may overwrite in place
     instead of copying: the transposes of the (symmetric) C-ordered arrays."""
     return a.to_dense().T, m.to_dense().T
 
 
-def _residuals(a: SparseSymMatrix, m: SparseSymMatrix,
+def _residuals(a: SymStencil, m: SymStencil,
                w: np.ndarray, v: np.ndarray) -> np.ndarray:
     if v.size == 0:
         return np.empty(0)
@@ -198,9 +211,10 @@ def _count_signs(pivots: np.ndarray, tol: float) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class Factor:
-    """A factorization of ``K``: its kind (``"lattice"``, ``"dense"`` or
-    ``"superlu"``) and the matrix entries it stores; calling it solves ``K x
-    = b`` for a vector or a block of right-hand sides."""
+    """A factorization of ``K``: its kind (``"lattice"``, the periodic block
+    LDL^T, or ``"dense"``, Bunch-Kaufman of one block) and the matrix
+    entries it stores; calling it solves ``K x = b`` for a vector or a block
+    of right-hand sides."""
 
     kind: str
     entries: int
@@ -256,29 +270,6 @@ def _dense_factor(k: np.ndarray, zero_tol: float):
     transpose is ``k`` in the Fortran order LAPACK factors in place."""
     inertia, solve = _ldl_factor(k.T, zero_tol)
     return inertia, Factor("dense", k.size, solve)
-
-
-def _superlu_factor(k: sp.csc_matrix, zero_tol: float):
-    """Inertia of a sparse symmetric matrix and a solve with it, from one
-    static-pivot (diagonal) SuperLU factorization.
-
-    With symmetric mode and a zero diagonal-pivot threshold the row and
-    column permutations coincide, the factorization is a congruence, and
-    the signs of diag(U) give the inertia.  Raises if SuperLU had to pivot
-    off the diagonal.
-    """
-    lu = spla.splu(k, permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise CompletenessError(
-            "static-pivot factorization failed (row pivoting occurred); "
-            "inertia count unavailable at this size")
-    d = lu.U.diagonal()
-    if not np.all(np.isfinite(d)):
-        raise CompletenessError("static-pivot factorization broke down")
-    scale = max(float(np.max(np.abs(k.data), initial=0.0)), np.finfo(float).tiny)
-    return (_count_signs(d, zero_tol * scale),
-            Factor("superlu", lu.L.nnz + lu.U.nnz, lu.solve))
 
 
 # ---------------------------------------------------------------------------
@@ -547,37 +538,25 @@ class _LatticeLDL:
 
 
 def _lattice_factor(a: SymStencil, m: SymStencil, shift: float, zero_tol: float):
-    """Inertia of ``K = A - shift M`` and a solve with it, from the cheapest
-    blocking of K over lattice rows; None if its factor would store more
-    than ``DENSE_CAP**2`` entries.  A single block is factored densely."""
+    """Inertia of ``K = A - shift M`` and a solve with it, from the blocking
+    of K over lattice rows of fewest flops (``_Blocking.flops``).  A layout
+    of one block is factored by dense Bunch-Kaufman, any other by
+    ``_LatticeLDL``.  A layout whose factor would store more than
+    ``FACTOR_BUDGET`` entries raises ``CompletenessError``."""
     k = _shifted_stencil(a, m, shift)
     blocking = min(_blockings(k), key=lambda blocks: blocks.flops)
-    if blocking.entries > DENSE_CAP**2:
-        return None
+    if blocking.entries > FACTOR_BUDGET:
+        raise CompletenessError(
+            f"the factor of A - {shift:.6g} M would store {blocking.entries} "
+            f"entries ({8 * blocking.entries} bytes), over the budget of "
+            f"{FACTOR_BUDGET}; inertia unavailable")
     if len(blocking.sizes) == 1:
         return _dense_factor(k.to_dense(), zero_tol)
     ldl = _LatticeLDL(k, blocking, zero_tol)
     return ldl.inertia, Factor("lattice", blocking.entries, ldl)
 
 
-def _factor(a: SparseSymMatrix, m: SparseSymMatrix, shift: float,
-            zero_tol: float):
-    """The inertia of ``K = A - shift M`` and its ``Factor``, on the path
-    that ``shifted_inertia`` describes."""
-    if (isinstance(a, SymStencil) and isinstance(m, SymStencil)
-            and a.lattice == m.lattice and a.n_loc == m.n_loc):
-        factor = _lattice_factor(a, m, shift, zero_tol)
-        if factor is not None:
-            return factor
-    elif a.n <= DENSE_CAP:
-        k = _csr(a).toarray()
-        mass = _csr(m).tocoo()
-        np.subtract.at(k, (mass.row, mass.col), shift * mass.data)
-        return _dense_factor(k, zero_tol)
-    return _superlu_factor((_csr(a) - shift * _csr(m)).tocsc(), zero_tol)
-
-
-def _check_backward_error(a: SparseSymMatrix, m: SparseSymMatrix, shift: float,
+def _check_backward_error(a: SymStencil, m: SymStencil, shift: float,
                           solve, norm_k: float) -> None:
     """Raise unless ``solve`` inverts ``K = A - shift M`` to a normwise
     backward error ``||r - K z|| / (||K|| ||z|| + ||r||)`` (infinity norms,
@@ -599,29 +578,28 @@ def shifted_inertia(a, m, shift: float, zero_tol: float = 1e-12):
     from one factorization.
 
     By Sylvester's law ``(n_neg, n_zero, n_pos)`` counts the eigenvalues of
-    the pencil (A, M) below, at and above ``shift``.  A pencil of two
-    stencils is factored by a periodic block LDL^T over lattice rows
-    (``_LatticeLDL``), read straight from the stencil blocks, in the layout
-    of fewest flops (``_Blocking.flops``); the layout of one block is dense
-    Bunch-Kaufman, and a layout that would store more than
-    ``DENSE_CAP**2`` entries is replaced by static-pivot SuperLU.  Other
-    pencils are factored by dense Bunch-Kaufman LDL^T up to ``DENSE_CAP``
-    unknowns and by static-pivot SuperLU above.  A factor without pivots
-    on the shift must solve ``K z = r`` for a fixed random ``r`` to a
-    backward error of ``BACKWARD_TOL``, else the inertia is unavailable
-    (``CompletenessError``).  The solve takes a vector or a block of
-    right-hand sides.
+    the pencil (A, M) below, at and above ``shift``.  A and M are symmetric
+    stencils on one lattice, or matrices (``_as_pencil``).  K is factored
+    by a periodic block LDL^T over lattice rows (``_LatticeLDL``), read
+    straight from the stencil blocks, in the layout of fewest flops
+    (``_Blocking.flops``); the layout of one block, which a matrix always
+    takes, is dense Bunch-Kaufman.  A layout that would store more than
+    ``FACTOR_BUDGET`` entries is refused (``CompletenessError``).  A factor
+    without pivots on the shift must solve ``K z = r`` for a fixed random
+    ``r`` to a backward error of ``BACKWARD_TOL``, else the inertia is
+    unavailable (``CompletenessError``).  The solve takes a vector or a
+    block of right-hand sides.
     """
     a, m = _as_pencil(a, m)
     return _shifted_inertia(a, m, shift, a.norm_inf() + abs(shift) * m.norm_inf(),
                             zero_tol)
 
 
-def _shifted_inertia(a: SparseSymMatrix, m: SparseSymMatrix, shift: float,
+def _shifted_inertia(a: SymStencil, m: SymStencil, shift: float,
                      norm_k: float, zero_tol: float = 1e-12):
     """``shifted_inertia`` of a pencil whose ``norm_k = ||A||_inf + |shift|
     ||M||_inf`` the caller has computed."""
-    inertia, factor = _factor(a, m, shift, zero_tol)
+    inertia, factor = _lattice_factor(a, m, shift, zero_tol)
     if inertia[1] == 0:
         _check_backward_error(a, m, shift, factor, norm_k)
     return inertia, factor
@@ -630,8 +608,9 @@ def _shifted_inertia(a: SparseSymMatrix, m: SparseSymMatrix, shift: float,
 def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
     """All eigenpairs of ``A x = lambda M x`` with ``lambda <= lambda_max``.
 
-    One factorization of ``K = A - lambda_max M`` (``shifted_inertia``: the
-    lattice LDL^T for stencils, else dense Bunch-Kaufman or SuperLU; its
+    A and M are symmetric stencils on one lattice, or matrices.  One
+    factorization of ``K = A - lambda_max M`` (``shifted_inertia``: the
+    lattice LDL^T, or dense Bunch-Kaufman for a layout of one block; its
     kind and size are recorded in the solution) serves the certificate and
     the solve.  Its inertia ``n_neg`` is the band count, and its solve
     drives a block shift-invert Lanczos iteration (``_lanczos``): every
@@ -692,7 +671,7 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
                          factor_entries=solve.entries)
 
 
-def _lanczos(m: SparseSymMatrix, solve, shift: float, n_neg: int,
+def _lanczos(m: SymStencil, solve, shift: float, n_neg: int,
              limit: float, seed: int):
     """The ``n_neg`` negative eigenpairs of ``T = K^{-1} M``, ``K = A - shift
     M`` (``solve`` applies ``K^{-1}``), by block Lanczos with full
@@ -764,7 +743,7 @@ class _Basis:
     """The M-orthonormal Lanczos basis ``q[:, :k]``, its M image ``mq`` and
     ``h = Q^T M T Q``, growing in place."""
 
-    def __init__(self, n: int, cap: int, m: SparseSymMatrix, rng):
+    def __init__(self, n: int, cap: int, m: SymStencil, rng):
         self.n, self.m, self.rng = n, m, rng
         self.q = np.empty((n, cap), order="F")
         self.mq = np.empty((n, cap), order="F")

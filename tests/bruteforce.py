@@ -20,9 +20,8 @@ import scipy.sparse as sp
 from numpy.polynomial import legendre as npleg
 from scipy.special import spherical_jn
 
-from anisodg.assembly import SparseSymMatrix
 from anisodg.eigensolve import (DENSE_CAP, CompletenessError, EigenSolution,
-                                _as_pencil, _dense_pencil, _LatticePencil,
+                                _as_pencil, _as_sym, _dense_pencil, _LatticePencil,
                                 _ldl_factor, _pencil_eigh, _residuals)
 from anisodg.geometry import (MERGE_TOL, TWO_PI, Alignment, Cell, Interface,
                               edge_point, outward_normal)
@@ -280,11 +279,11 @@ def oracle_reduced(mesh, spec, alpha, b_field, eta_s, nq=ORACLE_QUAD):
 def scalar_reduced(ops):
     """The reduced operator of an assembled ``OperatorSet`` as one global
     scalar product of the expanded stencils, ``C diag(1/M_u) C^T + P``,
-    symmetrized and dropped like the library's."""
+    taken as the one-cell stencil of the 1x1 lattice, which symmetrizes and
+    drops it like the library's."""
     c = ops.c.expand()
-    return SparseSymMatrix.from_product(
-        (c @ sp.diags(1.0 / ops.m_uv.to_full().diagonal())) @ c.T
-        + ops.b_phipsi.to_full())
+    return _as_sym((c @ sp.diags(1.0 / ops.m_uv.expand().diagonal())) @ c.T
+                   + ops.b_phipsi.expand())
 
 
 def dense_generalized_eig(a, m=None, cap: int = DENSE_CAP) -> EigenSolution:
@@ -366,8 +365,6 @@ def ldl_inertia(s, zero_tol: float = 1e-12) -> tuple[int, int, int]:
     """
     if sp.issparse(s):
         s = s.toarray()
-    elif isinstance(s, SparseSymMatrix):
-        s = s.to_dense()
     return _ldl_factor(np.array(s, dtype=float, order="F"), zero_tol)[0]
 
 

@@ -116,7 +116,7 @@ def test_criterion_2_band_completeness(ref_band, ref_aligned_full):
     ops = assemble_operator_set(ref_band.mesh, setup.spec, CONST,
                                 MagneticField(setup.mesh_config.b, CONST), ETA_S)
     (global_inertia, _, _), _ = shifted_inertia(
-        bf.scalar_reduced(ops), ops.m_phipsi.to_full(), OMEGA_MAX_SQ)
+        bf.scalar_reduced(ops), ops.m_phipsi.expand(), OMEGA_MAX_SQ)
     dense_band = dense.eigenvalues[dense.eigenvalues <= OMEGA_MAX_SQ]
     in_band = [row for row in ref_band.assoc
                if row.omega2_computed <= OMEGA_MAX_SQ]
@@ -248,7 +248,8 @@ def test_criterion_6_symmetry_and_psd(ref_band):
             ops = assemble_operator_set(mesh, spec, alpha,
                                         MagneticField(cfg.b, beta), ETA_S)
             a, _ = build_reduced(ops)
-            asym = a.to_full() - a.to_full().T
+            full = a.expand()
+            asym = full - full.T
             worst_sym = max(worst_sym, 0.0 if asym.nnz == 0
                             else float(np.max(np.abs(asym.data))))
             scale = a.max_abs()
@@ -260,7 +261,8 @@ def test_criterion_6_symmetry_and_psd(ref_band):
                              float(np.max(np.abs(a.matvec(ones)))) / scale)
     # the big reference operator as well
     a_ref = ref_band.a_matrix
-    asym = a_ref.to_full() - a_ref.to_full().T
+    full = a_ref.expand()
+    asym = full - full.T
     worst_sym = max(worst_sym, 0.0 if asym.nnz == 0
                     else float(np.max(np.abs(asym.data))))
     ones = np.zeros(a_ref.n)

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from anisodg import assembly
-from anisodg.assembly import (AssemblyError, SparseSymMatrix, Stencil,
-                              assemble_face_terms,
+from anisodg.assembly import (AssemblyError, Stencil, assemble_face_terms,
                               assemble_gradient, assemble_mass_phi,
                               assemble_mass_u, assemble_operator_set,
                               assemble_penalty, build_reduced,
                               default_quad_points, face_quadrature)
 from anisodg.basis import BasisSpec
-from anisodg.eigensolve import BandRequest, bloch_eig
+from anisodg.eigensolve import BandRequest, _as_sym, bloch_eig
 from anisodg.fields import CoefficientField, Harmonic, MagneticField
 from anisodg.geometry import Alignment, FieldDirection, MeshConfig, build_mesh
 from pinning import pinned
@@ -323,7 +322,8 @@ def test_reduced_operator_properties():
     a, m = build_reduced(ops)
 
     # exact symmetry of the stored operator
-    asym = a.to_full() - a.to_full().T
+    full = a.expand()
+    asym = full - full.T
     assert asym.nnz == 0 or np.max(np.abs(asym.data)) == 0.0
 
     # nullspace: the global constant
@@ -375,14 +375,14 @@ def test_face_quadrature_detects_broken_interface():
 
 
 def test_matrix_dump_coordinate_format():
-    a = SparseSymMatrix.from_product(sp.csr_matrix([[2.0, 0.5], [0.5, 1.0]]))
+    a = _as_sym(sp.csr_matrix([[2.0, 0.5], [0.5, 1.0]]))
     buf = io.StringIO()
     a.dump_coordinate(buf)
     assert buf.getvalue() == "1 1 2\n2 1 0.5\n2 2 1\n"
 
 
 def test_nnz_percent_of_lower_triangle():
-    a = SparseSymMatrix.from_product(sp.identity(4))
+    a = _as_sym(sp.identity(4))
     assert a.nnz_percent() == pytest.approx(100.0 * 4 / 10)
 
 
@@ -595,10 +595,9 @@ def test_reduction_matches_scalar_product(alignment, nx, ny, p_xi, p_eta,
     ops = assemble_operator_set(mesh, spec, alpha, MagneticField(b, beta), 6.0)
     a, m = build_reduced(ops)
     a_want = bf.scalar_reduced(ops)
-    m_want = SparseSymMatrix.from_product(sp.csr_matrix(
-        bf.oracle_mass(mesh, spec, lambda x, y: float(alpha.eval(x, y)), nq)))
-    _same_pattern_and_values(a.to_full(), a_want.to_full(), a_want.max_abs())
-    _same_pattern_and_values(m.to_full(), m_want.to_full(), m_want.max_abs())
+    m_want = _as_sym(bf.oracle_mass(mesh, spec, lambda x, y: float(alpha.eval(x, y)), nq))
+    _same_pattern_and_values(a.expand(), a_want.expand(), a_want.max_abs())
+    _same_pattern_and_values(m.expand(), m_want.expand(), m_want.max_abs())
     assert a.norm_inf() == pytest.approx(a_want.norm_inf(), rel=1e-14)
     assert a.nnz_percent() == a_want.nnz_percent()
     if alpha.is_constant and beta.is_constant:

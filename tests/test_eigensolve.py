@@ -1,4 +1,9 @@
+import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +12,13 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import anisodg
 from anisodg import eigensolve
-from anisodg.assembly import (SparseSymMatrix, Stencil, SymStencil,
-                              assemble_operator_set, build_reduced)
+from anisodg.assembly import Stencil, SymStencil, assemble_operator_set, build_reduced
 from anisodg.basis import BasisSpec
-from anisodg.eigensolve import (BandRequest, CompletenessError, _superlu_factor,
-                                band_eig, bloch_eig, shifted_inertia)
+from anisodg.cli import EXIT_SOLVER, main
+from anisodg.eigensolve import (BandRequest, CompletenessError, Factor, band_eig,
+                                bloch_eig, shifted_inertia)
 from anisodg.fields import CoefficientField, Harmonic, MagneticField, iota_profile
 from anisodg.geometry import (Alignment, FieldDirection, MeshConfig, build_mesh,
                               choose_alignment)
@@ -68,29 +74,21 @@ def test_ldl_inertia_random_matches_eigenvalue_signs():
     assert ldl_inertia(a) == want
 
 
-def test_superlu_inertia_matches_dense():
-    rng = np.random.default_rng(29)
-    n = 400
-    a = sp.random(n, n, density=0.01, random_state=3)
-    a = (a + a.T).tocsc() + sp.diags(rng.standard_normal(n)).tocsc()
-    dense = ldl_inertia(a.toarray())
-    assert _superlu_factor(a, 1e-12)[0] == dense
-
-
-def test_shifted_inertia_on_operator(monkeypatch):
-    """Dense and SuperLU inertia of A - 0.2 M both count the generalized
-    eigenvalues below 0.2, and the factor's solve inverts A - 0.2 M."""
-    a, m = make_small_system(4, 4, 2)
-    want = int(np.sum(dense_generalized_eig(a, m).eigenvalues <= 0.2))
-    k = a.to_full() - 0.2 * m.to_full()
+def test_shifted_inertia_on_operator():
+    """The lattice layout of a stencil pencil and the one-block layout of its
+    expanded matrices have one inertia, which counts the generalized
+    eigenvalues below 0.3, and both solves invert A - 0.3 M."""
+    a, m = flux_surface_system(10, 6, 2)
+    want = int(np.sum(dense_generalized_eig(a, m).eigenvalues <= 0.3))
+    k = (a.expand() - 0.3 * m.expand()).toarray()
     rhs = np.random.default_rng(7).standard_normal(a.n)
-    dense, dense_solve = shifted_inertia(a, m, 0.2)
-    monkeypatch.setattr(eigensolve, "DENSE_CAP", 0)
-    sparse, sparse_solve = shifted_inertia(a, m, 0.2)
-    assert dense == sparse
-    assert dense[0] == want
-    for solve in (dense_solve, sparse_solve):
-        assert np.max(np.abs(k @ solve(rhs) - rhs)) < 1e-10
+    lattice, lattice_solve = shifted_inertia(a, m, 0.3)
+    dense, dense_solve = shifted_inertia(a.expand(), m.expand(), 0.3)
+    assert (lattice_solve.kind, dense_solve.kind) == ("lattice", "dense")
+    assert lattice == dense
+    assert lattice[0] == want
+    for solve in (lattice_solve, dense_solve):
+        assert backward_error(k, solve(rhs), rhs) <= 1e-10
 
 
 def test_band_eig_diag_example():
@@ -156,20 +154,6 @@ def test_band_eig_whole_spectrum_in_band(diag):
     assert sol.method == "dense-band"
     assert sol.inertia_count == len(diag)
     assert np.allclose(sol.eigenvalues, diag)
-
-
-def test_band_eig_sparse_factor_path(monkeypatch):
-    """The SuperLU factor serves both the inertia and shift-invert Lanczos."""
-    a, m = make_small_system(4, 4, 2)
-    monkeypatch.setattr(eigensolve, "DENSE_CAP", 0)
-    sol = band_eig(a, m, BandRequest(lambda_max=0.4))
-    dense = dense_generalized_eig(a, m).eigenvalues
-    want = dense[dense <= 0.4]
-    assert sol.method == "shift-invert"
-    assert len(sol) == sol.inertia_count == len(want)
-    assert np.max(np.abs(sol.eigenvalues - want)) <= 1e-9
-    gram = sol.eigenvectors.T @ m.to_dense() @ sol.eigenvectors
-    assert np.max(np.abs(gram - np.eye(len(sol)))) < 1e-9
 
 
 def test_band_eig_lanczos_failure_is_incomplete(monkeypatch):
@@ -302,7 +286,7 @@ def test_solve_counts_are_recorded():
 def test_shifted_inertia_sums_duplicate_mass_entries():
     """The dense K sums an M entry that the CSR stores in two pieces."""
     a, m = make_small_system(2, 2, 1)
-    full = m.to_full()
+    full = m.expand()
     # entry (0, 0) stored as two halves
     first = full.indptr[0]
     split = sp.csr_matrix((np.insert(full.data, first, full[0, 0] / 2.0),
@@ -311,7 +295,7 @@ def test_shifted_inertia_sums_duplicate_mass_entries():
     split.data[first + 1 + np.flatnonzero(full.indices[:full.indptr[1]] == 0)] /= 2.0
     assert split.nnz == full.nnz + 1
     np.testing.assert_allclose(split.toarray(), full.toarray(), rtol=0.0, atol=1e-17)
-    inertia, solve = shifted_inertia(a, SparseSymMatrix(split), 0.4)
+    inertia, solve = shifted_inertia(a.expand(), split, 0.4)
     assert inertia == shifted_inertia(a, m, 0.4)[0]
     rhs = np.random.default_rng(2).standard_normal(a.n)
     k = a.to_dense() - 0.4 * m.to_dense()
@@ -582,7 +566,7 @@ def test_bloch_blocks_match_global_oracles(alignment, nx, ny, p_xi, p_eta, b, ba
 
     for s in (full, sol):
         x = s.eigenvectors
-        gram = x.T @ m.to_full() @ x
+        gram = x.T @ m.expand() @ x
         assert np.max(np.abs(gram - np.eye(len(s))), initial=0.0) <= 1e-12
         measured = extended_residuals(a, m, s.eigenvalues, x)
         assert np.all(s.residuals >= measured)
@@ -1148,31 +1132,49 @@ def test_lattice_factor_serves_band_eig():
 
 def test_variable_band_solve_expands_no_csr(monkeypatch):
     """Stencil pencils are factored, multiplied and densified from their
-    blocks: on the lattice and the one-block path no CSR is formed."""
+    blocks: on the lattice and the one-block path no CSR is formed.  Nor is
+    one for a matrix pencil, a dense array or a scipy CSR matrix, which is
+    wrapped as a one-cell stencil."""
     def no_csr(self):
         raise AssertionError("a stencil was expanded to CSR")
 
     systems = [flux_surface_system(10, 6, 2), flux_surface_system(4, 4, 2)]
+    band = np.array([0.05, 0.2, 0.2, 0.2, 0.45, 0.45, 0.7, 0.9])
+    a, m = _pencil_with_spectrum(np.concatenate([band, np.linspace(2.0, 60.0, 292)]), 41)
     monkeypatch.setattr(Stencil, "expand", no_csr)
-    for (a, m), kind in zip(systems, ("lattice", "dense")):
-        sol = band_eig(a, m, BandRequest(lambda_max=0.3))
+    for (a_s, m_s), kind in zip(systems, ("lattice", "dense")):
+        sol = band_eig(a_s, m_s, BandRequest(lambda_max=0.3))
         assert sol.factor == kind and len(sol) == sol.inertia_count > 0
+    sol = band_eig(a, None, BandRequest(lambda_max=1.0))
+    assert sol.factor == "dense" and len(sol) == sol.inertia_count > 0
+    inertia, solve = shifted_inertia(sp.csr_matrix(a), sp.csr_matrix(m), 1.0)
+    assert inertia == (8, 0, 292) and solve.kind == "dense"
 
 
-def test_factor_kinds_are_recorded(monkeypatch):
-    """One block is recorded as dense with ``n^2`` entries, a stencil over
-    the entry budget falls back to SuperLU, and non-band solves record no
-    factor."""
+def test_factor_kinds_are_recorded(monkeypatch, tmp_path, caplog):
+    """One block is recorded as dense with ``n^2`` entries, and non-band
+    solves record no factor.  A layout over the entry budget is refused,
+    naming its entries, and the CLI reports that as a solver failure."""
     a, m = make_small_system(4, 4, 2)
     req = BandRequest(lambda_max=0.4)
     dense = band_eig(a, m, req)
     assert dense.factor == "dense" and dense.factor_entries == a.n**2
     assert bloch_eig(a, m, req).factor is None
-    monkeypatch.setattr(eigensolve, "DENSE_CAP", 0)
-    sparse = band_eig(a, m, req)
-    assert sparse.factor == "superlu" and sparse.factor_entries > 0
-    np.testing.assert_allclose(sparse.eigenvalues, dense.eigenvalues, rtol=0.0,
-                               atol=1e-12)
+    monkeypatch.setattr(eigensolve, "FACTOR_BUDGET", a.n**2)
+    assert band_eig(a, m, req).factor_entries == a.n**2
+    monkeypatch.setattr(eigensolve, "FACTOR_BUDGET", a.n**2 - 1)
+    message = f"would store {a.n**2} entries ({8 * a.n**2} bytes)"
+    with pytest.raises(CompletenessError, match=re.escape(message)):
+        band_eig(a, m, req)
+    fld = tmp_path / "alpha.fld"
+    fld.write_text("mean 1.0\n1 1 0.2 0.0\n")
+    monkeypatch.setattr(eigensolve, "FACTOR_BUDGET", 0)
+    with caplog.at_level(logging.ERROR, logger="anisodg"):
+        code = main(["solve", "--nx", "2", "--ny", "2", "--p_xi", "1", "--p_eta", "1",
+                     "--alpha_file", str(fld), "--output_dir", str(tmp_path)])
+    assert code == EXIT_SOLVER
+    assert any("solver failure" in rec.message and "entries" in rec.message
+               for rec in caplog.records)
 
 
 def test_lattice_pivot_on_the_shift_is_a_breakdown():
@@ -1190,18 +1192,66 @@ def test_lattice_pivot_on_the_shift_is_a_breakdown():
         shifted_inertia(a, m, shift)
 
 
-def test_backward_error_guard_rejects_a_growing_static_pivot(monkeypatch):
-    """Static-pivot SuperLU takes the tiny diagonal of a leaf before its
-    hub: the hub's pivot loses its O(1) part to the 1e11 element growth, so
-    the factor solves K z = r with a backward error far above the bound,
-    and the inertia is unavailable.  Bunch-Kaufman pivots it away."""
+def test_backward_error_guard_rejects_a_growing_static_pivot():
+    """A static (diagonal) pivot order would take the tiny diagonal of a
+    leaf before its hub, and the hub's pivot would lose its O(1) part to the
+    1e11 element growth.  Bunch-Kaufman pivots it away: the one-block factor
+    passes the backward-error check with the exact inertia."""
     k = np.diag([1e-11, 3.0, 3.0, 3.0, 3.0, 3.0])
     k[0, 1] = k[1, 0] = 1.0
     k[1, 2:] = k[2:, 1] = 1.0
-    monkeypatch.setattr(eigensolve, "DENSE_CAP", 0)
-    with pytest.raises(CompletenessError, match="backward error.*inertia unavailable"):
-        shifted_inertia(k, None, 0.0)
-    monkeypatch.undo()
     inertia, solve = shifted_inertia(k, None, 0.0)
     assert inertia == ldl_inertia(k) == (1, 0, 5)
     assert solve.kind == "dense"
+
+
+@pytest.mark.parametrize("system, kind", [((10, 6, 2), "lattice"), ((4, 4, 2), "dense")],
+                         ids=["lattice", "one-block"])
+def test_backward_error_guard_rejects_an_inaccurate_solve(monkeypatch, system, kind):
+    """A factor whose solve is off by a relative 1e-6, entry by entry, fails
+    the backward-error check, on the lattice layout and on the one-block
+    one: its inertia is unavailable."""
+    a, m = flux_surface_system(*system)
+    lattice_factor = eigensolve._lattice_factor
+    noise = 1e-6 * np.random.default_rng(1).standard_normal(a.n)
+    kinds = []
+
+    def inaccurate(*args):
+        # the guard solves for one vector
+        inertia, factor = lattice_factor(*args)
+        kinds.append(factor.kind)
+        return inertia, Factor(factor.kind, factor.entries,
+                               lambda b: factor(b) * (1.0 + noise))
+
+    monkeypatch.setattr(eigensolve, "_lattice_factor", inaccurate)
+    with pytest.raises(CompletenessError, match="backward error.*inertia unavailable"):
+        shifted_inertia(a, m, 0.3)
+    assert kinds == [kind]
+
+
+def test_pencils_are_symmetric_stencils_on_one_lattice():
+    """A and M on different lattices, or a stencil beside a matrix, are no
+    pencil; a plain ``Stencil`` is not known to be symmetric."""
+    a, m = make_small_system(2, 2, 1)
+    other = make_small_system(2, 3, 1)[1]
+    for mass in (other, m.expand()):
+        with pytest.raises(ValueError, match="are not one pencil"):
+            shifted_inertia(a, mass, 0.4)
+    with pytest.raises(ValueError, match="are not one pencil"):
+        band_eig(a.expand(), m, BandRequest(lambda_max=0.4))
+    plain = Stencil(a.offsets, a.blocks, a.lattice)
+    with pytest.raises(TypeError, match="not known to be symmetric"):
+        shifted_inertia(plain, m, 0.4)
+
+
+def test_importing_the_package_loads_no_sparse_linalg():
+    """No solve uses ``scipy.sparse.linalg`` (SuperLU, ARPACK), and importing
+    the package does not load it."""
+    src = Path(anisodg.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    code = "import sys, anisodg; print('scipy.sparse.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
