@@ -166,11 +166,21 @@ def _as_sym(a) -> SymStencil:
     """``a`` as a symmetric stencil: a dense array or a scipy sparse matrix
     (its duplicate entries summed) as the one-cell stencil of the 1x1
     lattice, symmetrized and dropped like every ``SymStencil``.  A plain
-    ``Stencil`` is not known to be symmetric, and raises ``TypeError``."""
+    ``Stencil`` is not known to be symmetric, and raises ``TypeError``.  The
+    one block of an ``n x n`` matrix stores ``n^2`` entries: past
+    ``FACTOR_BUDGET`` it is refused (``CompletenessError``) before it is
+    formed."""
     if isinstance(a, SymStencil):
         return a
     if isinstance(a, Stencil):
         raise TypeError("a Stencil is not known to be symmetric; pass a SymStencil")
+    n = np.shape(a)[0]
+    entries = n * n
+    if entries > FACTOR_BUDGET:
+        raise CompletenessError(
+            f"the one block of a {n}x{n} matrix would store "
+            f"{entries} entries ({8 * entries} bytes), over the budget of "
+            f"{FACTOR_BUDGET}; inertia unavailable")
     k = np.asarray(a.toarray() if sp.issparse(a) else a, dtype=float)
     return SymStencil(_ORIGIN, k[None, None], (1, 1))
 

@@ -88,7 +88,7 @@ def test_shifted_inertia_on_operator():
     assert lattice == dense
     assert lattice[0] == want
     for solve in (lattice_solve, dense_solve):
-        assert backward_error(k, solve(rhs), rhs) <= 1e-10
+        assert np.max(np.abs(k @ solve(rhs) - rhs)) < 1e-10
 
 
 def test_band_eig_diag_example():
@@ -1154,7 +1154,8 @@ def test_variable_band_solve_expands_no_csr(monkeypatch):
 def test_factor_kinds_are_recorded(monkeypatch, tmp_path, caplog):
     """One block is recorded as dense with ``n^2`` entries, and non-band
     solves record no factor.  A layout over the entry budget is refused,
-    naming its entries, and the CLI reports that as a solver failure."""
+    naming its entries, a sparse matrix before it is densified, and the CLI
+    reports that as a solver failure."""
     a, m = make_small_system(4, 4, 2)
     req = BandRequest(lambda_max=0.4)
     dense = band_eig(a, m, req)
@@ -1166,6 +1167,14 @@ def test_factor_kinds_are_recorded(monkeypatch, tmp_path, caplog):
     message = f"would store {a.n**2} entries ({8 * a.n**2} bytes)"
     with pytest.raises(CompletenessError, match=re.escape(message)):
         band_eig(a, m, req)
+
+    def no_toarray(self, *args, **kwargs):
+        raise AssertionError("an over-budget matrix was densified")
+
+    monkeypatch.setattr(sp.csr_matrix, "toarray", no_toarray)
+    csr = sp.csr_matrix(sp.identity(a.n))
+    with pytest.raises(CompletenessError, match=re.escape(message)):
+        shifted_inertia(csr, csr, 0.5)
     fld = tmp_path / "alpha.fld"
     fld.write_text("mean 1.0\n1 1 0.2 0.0\n")
     monkeypatch.setattr(eigensolve, "FACTOR_BUDGET", 0)
