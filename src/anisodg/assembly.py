@@ -43,6 +43,10 @@ from .geometry import ALIGNMENT_TOL, Faces, Mesh, _sides_apart
 #: the largest block entry before aliasing offsets are summed) are dropped.
 DROP_TOL = 1e-15
 
+#: Edge of the square tiles in which ``SymStencil`` symmetrizes and drops a
+#: block: a tile and its transposed partner stay in cache.
+_TILE = 64
+
 #: The offset of a cell to itself, the only one of the volume terms.
 _ORIGIN = np.zeros((1, 2), dtype=int)
 
@@ -141,17 +145,23 @@ class Stencil:
             y += np.matmul(self.blocks[:, s], np.take(cols, cells, axis=0))
         return y.reshape(x.shape)
 
-    def symbols(self) -> np.ndarray:
-        """``(nx*ny, n_loc, n_loc)``: at wavevector ``(p, q)`` (index ``p*ny +
-        q``), ``sum_s blocks[0, s] exp(2 pi i (p o_x / nx + q o_y / ny))``."""
+    def symbols(self, ks: np.ndarray | None = None) -> np.ndarray:
+        """``(len(ks), n_loc, n_loc)``: at each wavevector ``(p, q)`` of the
+        flat indices ``ks = p*ny + q`` (default all ``nx*ny``), ``sum_s
+        blocks[0, s] exp(2 pi i (p o_x / nx + q o_y / ny))``."""
         if self.blocks.shape[0] != 1:
             raise ValueError("a stencil that varies from cell to cell has no symbols")
         (nx, ny), (ox, oy) = self.lattice, self.offsets.T
-        p, q = np.divmod(np.arange(nx * ny), ny)
+        p, q = np.divmod(np.arange(nx * ny) if ks is None else ks, ny)
         turns = np.outer(p, ox) % nx / nx + np.outer(q, oy) % ny / ny
         phase = np.exp(2j * np.pi * turns)
         return (phase @ self.blocks[0].reshape(len(self.offsets), -1)).reshape(
             -1, self.n_loc, self.n_loc)
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """``max |x|`` (0 if empty), without forming ``|x|``."""
+    return max(float(np.max(x, initial=0.0)), -float(np.min(x, initial=0.0)))
 
 
 def _lower_percent(nnz: int, nnz_diagonal: int, n: int) -> float:
@@ -167,15 +177,28 @@ class SymStencil(Stencil):
                  lattice: tuple[int, int]):
         super().__init__(offsets, blocks, lattice, closed=True)
         neg = _residues(-self.offsets, self.lattice)[1]  # the offsets are closed
-        rows = 0 if self.blocks.shape[0] == 1 else self.column_cells()
-        sym = (self.blocks + self.blocks[rows, neg].swapaxes(-1, -2)) * 0.5
-        size = np.abs(sym)
-        scale = np.max(size, initial=0.0)
+        rows = None if self.blocks.shape[0] == 1 else self.column_cells()
+        sym = np.empty(self.blocks.shape)
+        tiles = [slice(i, i + _TILE) for i in range(0, self.n_loc, _TILE)]
+        for s, t in enumerate(neg):
+            partner = self.blocks[:, t] if rows is None else self.blocks[rows[:, s], t]
+            # tile by tile, so a large block is not transposed in one
+            # strided sweep
+            for i in tiles:
+                for j in tiles:
+                    out = sym[:, s, i, j]
+                    np.add(self.blocks[:, s, i, j], partner[:, j, i].swapaxes(-1, -2),
+                           out=out)
+                    np.multiply(out, 0.5, out=out)
+        scale = _max_abs(sym)
         if self.blocks is not blocks:
             # offsets were merged: their blocks before the sum set the scale,
             # which a sum that cancels to rounding would lower
-            scale = max(scale, np.max(np.abs(blocks), initial=0.0))
-        sym[size < DROP_TOL * scale] = 0.0
+            scale = max(scale, _max_abs(blocks))
+        flat = sym.reshape(-1)
+        for i in range(0, flat.size, _TILE * _TILE):
+            part = flat[i:i + _TILE * _TILE]
+            part[np.abs(part) < DROP_TOL * scale] = 0.0
         self.blocks = sym
 
     @property
@@ -183,7 +206,7 @@ class SymStencil(Stencil):
         return sp.tril(self.expand(), format="csr")
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.blocks), initial=0.0))
+        return _max_abs(self.blocks)
 
     def norm_inf(self) -> float:
         return float(np.max(np.abs(self.blocks).sum(axis=(1, 3))))

@@ -41,7 +41,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
-from .assembly import _ORIGIN, Stencil, SymStencil
+from .assembly import _ORIGIN, Stencil, SymStencil, _residues
 
 #: Problems at most this large may be handled by dense LAPACK paths, and
 #: have their full spectrum (``n x n`` eigenvectors) computed.
@@ -287,13 +287,16 @@ def _dense_factor(k: np.ndarray, zero_tol: float):
 
 
 def _shifted_stencil(a: Stencil, m: Stencil, shift: float) -> Stencil:
-    """``K = A - shift M`` as one stencil on the union of their offsets."""
+    """``K = A - shift M`` as one stencil on the union of their offsets,
+    summed block by block into one array."""
+    offsets, slot = _residues(np.concatenate([a.offsets, m.offsets]), a.lattice)
     cells = max(len(a.blocks), len(m.blocks))
-    blocks = [np.broadcast_to(s.blocks, (cells,) + s.blocks.shape[1:])
-              for s in (a, m)]
-    return Stencil(np.concatenate([a.offsets, m.offsets]),
-                   np.concatenate([blocks[0], -shift * blocks[1]], axis=1),
-                   a.lattice)
+    blocks = np.zeros((cells, len(offsets)) + a.blocks.shape[2:])
+    for s, k in enumerate(slot[:len(a.offsets)]):
+        blocks[:, k] += a.blocks[:, s]
+    for s, k in enumerate(slot[len(a.offsets):]):
+        blocks[:, k] += -shift * m.blocks[:, s]
+    return Stencil(offsets, blocks, a.lattice)
 
 
 def _centered(d: np.ndarray, n: int) -> np.ndarray:
@@ -826,15 +829,18 @@ class _Basis:
 
 def _pencil_eigh(a: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a stack of Hermitian pencils ``(a[c], m[c])``, by the
-    Cholesky reduction of LAPACK's generalized driver, batched; eigenvectors
-    are ``m[c]``-orthonormal."""
+    Cholesky reduction of LAPACK's generalized driver, batched: with ``m[c]
+    = L L^H``, the eigenpairs ``(w, y)`` of ``L^{-1} a[c] L^{-H}`` give the
+    eigenvectors ``L^{-H} y``, ``m[c]``-orthonormal.  ``L^{-1}`` is formed
+    once per pencil and applied by products."""
     try:
         low = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise CompletenessError("a mass symbol is not positive definite") from exc
-    reduced = np.linalg.solve(low, np.linalg.solve(low, a).conj().swapaxes(1, 2))
-    w, y = np.linalg.eigh(reduced)
-    return w, np.linalg.solve(low.conj().swapaxes(1, 2), y)
+    inv = np.linalg.inv(low)
+    inv_h = inv.conj().swapaxes(1, 2)
+    w, y = np.linalg.eigh(inv @ a @ inv_h)
+    return w, inv_h @ y
 
 
 def _lattice_phase(k: int, n: int) -> np.ndarray:
@@ -872,9 +878,14 @@ class _LatticePencil(_Lattice):
     """A translation-invariant pencil as its symbols on an ``nx x ny`` lattice.
 
     Raises ``CompletenessError`` if the stencil of A or M varies from cell
-    to cell.  ``a_abs`` and ``m_abs`` are the stencils' blocks summed in
-    modulus over the offsets, ``|A|`` and ``|M|`` folded onto one cell;
-    ``gamma`` is the rounding constant of ``bounds``.
+    to cell.  ``real`` and ``pair`` are the representatives ``k <= -k`` of
+    the wavevector classes ``{k, -k}``, self-conjugate (``2k = 0``) and not.
+    ``a_hat`` and ``m_hat`` hold the symbols ``A(k)`` and ``M(k)`` at those
+    representatives, indexed by wavevector; the other rows, whose symbols
+    are the conjugates ``A(-k) = conj(A(k))``, are not formed and stay zero.
+    ``a_abs`` and ``m_abs`` are the stencils' blocks summed in modulus over
+    the offsets, ``|A|`` and ``|M|`` folded onto one cell; ``gamma`` is the
+    rounding constant of ``bounds``.
     """
 
     def __init__(self, a: SymStencil, m: SymStencil):
@@ -885,18 +896,28 @@ class _LatticePencil(_Lattice):
                     f"{name} is not invariant under translations of the "
                     f"{self.nx}x{self.ny} cell lattice: its stencil varies from "
                     f"cell to cell")
-        self.a_hat, self.m_hat = a.symbols(), m.symbols()
+        ks = np.arange(len(self.conj))
+        self.real = np.flatnonzero(self.conj == ks)
+        self.pair = np.flatnonzero(self.conj > ks)
+        reps = np.flatnonzero(self.conj >= ks)
+        self.a_hat, self.m_hat = (np.zeros((len(ks), a.n_loc, a.n_loc), dtype=complex)
+                                  for _ in range(2))
+        self.a_hat[reps], self.m_hat[reps] = a.symbols(reps), m.symbols(reps)
         self.a_abs, self.m_abs = (np.abs(s.blocks[0]).sum(axis=0) for s in (a, m))
         offsets = max(len(a.offsets), len(m.offsets))
         self.gamma = (133 + offsets + 1.5 * a.n_loc) * (np.finfo(float).eps / 2)
 
-    def bounds(self, k: int, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def bounds(self, k, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Upper bounds on ``||A x - w_j M x||_2`` for the stored columns
         ``x`` that ``real_waves(k, v)`` makes of each block eigenpair ``(w_j,
         v_j)`` (the two columns of a pair share one), read on the block
         alone: the symbol residual ``||A(k) v_j - w_j M(k) v_j||`` plus the
         rounding term ``gamma G_j``, ``G_j = ||(|A| + |w_j| |M|) |v_j|||``
         with ``|A|`` and ``|M|`` folded onto a cell (``a_abs``, ``m_abs``).
+        ``k`` is one class (``w`` of shape ``(c,)``, ``v`` of ``(n_loc,
+        c)``) or an array of classes all self-conjugate or all not, bounded
+        in one batch (``w`` of ``(len(k), c)``, ``v`` of ``(len(k), n_loc,
+        c)``); each class's bounds are those of its own call.
 
         *Symbol residual.*  Let ``x`` be the exact real wave of ``v``: exact
         phases ``phi_c = exp(i k . c)`` over the ``N = nx ny`` cells ``c``,
@@ -945,12 +966,13 @@ class _LatticePencil(_Lattice):
         symmetric, ``G <= (||A||_inf + |w| ||M||_inf) ||v||``.
         """
         a, m = self.a_hat[k], self.m_hat[k]
-        if self.conj[k] == k:
+        if np.all(self.conj[k] == k):
             a, m = a.real, m.real
+        w = w[..., None, :]
         size = np.abs(v)
         scale = self.a_abs @ size + np.abs(w) * (self.m_abs @ size)
-        return (np.linalg.norm(a @ v - (m @ v) * w, axis=0)
-                + self.gamma * np.linalg.norm(scale, axis=0))
+        return (np.linalg.norm(a @ v - (m @ v) * w, axis=-2)
+                + self.gamma * np.linalg.norm(scale, axis=-2))
 
 
 def bloch_eig(a: SymStencil, m: SymStencil,
@@ -991,62 +1013,62 @@ def bloch_eig(a: SymStencil, m: SymStencil,
     if req is None and a.n > DENSE_CAP:
         raise ValueError(f"full spectrum of dimension {a.n} exceeds cap {DENSE_CAP}")
     pencil = _LatticePencil(a, m)
-    # class representatives k <= -k; the self-conjugate ones are real
-    ks = np.arange(len(pencil.conj))
-    real = np.flatnonzero(pencil.conj == ks)
-    pair = np.flatnonzero(pencil.conj > ks)
+    real, pair = pencil.real, pencil.pair
     inertia = None
     if req is not None:
         neg_real, neg_pair = _class_inertia(pencil, real, pair, req.lambda_max)
         inertia = int(np.sum(neg_real) + 2 * np.sum(neg_pair))
-        counts = np.concatenate([neg_real[neg_real > 0], neg_pair[neg_pair > 0]])
         real, pair = real[neg_real > 0], pair[neg_pair > 0]
-    w_real, v_real = _pencil_eigh(pencil.a_hat[real].real, pencil.m_hat[real].real)
-    w_pair, v_pair = _pencil_eigh(pencil.a_hat[pair], pencil.m_hat[pair])
-    classes = [(int(k), w, v, 1) for k, w, v in zip(real, w_real, v_real)]
-    classes += [(int(k), w, v, 2) for k, w, v in zip(pair, w_pair, v_pair)]
+        counts = (neg_real[neg_real > 0], neg_pair[neg_pair > 0])
+    # per group of classes, self-conjugate then pairs: the kept block
+    # eigenpairs (class, eigenvalue, bound, vector) and their columns
+    cells = pencil.nx * pencil.ny
+    col_k, col_w, col_r, coeff, kept = [], [], [], [], []
+    for g, (ks, mult) in enumerate(((real, 1), (pair, 2))):
+        a_k, m_k = pencil.a_hat[ks], pencil.m_hat[ks]
+        if mult == 1:
+            a_k, m_k = a_k.real, m_k.real
+        w, v = _pencil_eigh(a_k, m_k)
+        bound = pencil.bounds(ks, w, v)
+        keep = np.ones(w.shape, dtype=bool)
+        if req is not None:
+            keep = w <= req.lambda_max
+            short = np.flatnonzero(keep.sum(axis=1) != counts[g])
+            if len(short):
+                c = short[0]
+                raise CompletenessError(
+                    f"found {int(keep[c].sum())} eigenvalues <= {req.lambda_max:.6g} "
+                    f"in the block of wavevector {divmod(int(ks[c]), pencil.ny)} "
+                    f"but its inertia count demands {counts[g][c]}")
+        k, v = np.broadcast_to(ks[:, None], w.shape)[keep], v.swapaxes(1, 2)[keep]
+        col_k.append(np.repeat(k, mult))
+        col_w.append(np.repeat(w[keep], mult))
+        col_r.append(np.repeat(bound[keep], mult))
+        # the DFT at k of the columns that real_waves(k, v) makes
+        if mult == 1:
+            coeff.append(math.sqrt(cells) * v)
+        else:
+            half = math.sqrt(cells / 2) * v.conj()
+            coeff.append(np.stack([half, 1j * half], axis=1).reshape(-1, a.n_loc))
+        kept.append((k, v, mult))
     norm_a = a.norm_inf()
 
-    if req is not None:
-        for (k, w, _, _), neg in zip(classes, counts):
-            found = int(np.sum(w <= req.lambda_max))
-            if found != neg:
-                raise CompletenessError(
-                    f"found {found} eigenvalues <= {req.lambda_max:.6g} in the "
-                    f"block of wavevector {divmod(k, pencil.ny)} but its "
-                    f"inertia count demands {neg}")
-        classes = [(k, w[w <= req.lambda_max], v[:, w <= req.lambda_max], mult)
-                   for k, w, v, mult in classes]
-
     # global ascending order, the two vectors of a pair next to each other
-    col_w = np.concatenate([np.repeat(w, mult) for _, w, _, mult in classes]
-                           or [np.empty(0)])
+    col_w = np.concatenate(col_w)
     order = np.argsort(col_w, kind="stable")
     dest = np.empty_like(order)
     dest[order] = np.arange(len(order))
-    resid = np.empty(len(order))
-    coeff = np.empty((len(order), a.n_loc), dtype=complex)
-    cells = pencil.nx * pencil.ny
-    placed = []
-    start = 0
-    for k, w, v, mult in classes:
-        cols = dest[start:start + mult * len(w)]
-        start += len(cols)
-        if len(cols):
-            placed.append((k, v, cols))
-            resid[cols] = np.repeat(pencil.bounds(k, w, v), mult)
-            # the DFT at k of the columns that real_waves(k, v) makes
-            if mult == 1:
-                coeff[cols] = math.sqrt(cells) * v.T
-            else:
-                coeff[cols[0::2]] = math.sqrt(cells / 2) * v.T.conj()
-                coeff[cols[1::2]] = 1j * coeff[cols[0::2]]
+    w = col_w[order]
+    wavevectors = np.concatenate(col_k)[order]
+    resid = np.concatenate(col_r)[order]
+    coeff = np.concatenate(coeff)[order]
+    start, placed = 0, []
+    for k, v, mult in kept:
+        cols = dest[start:start + mult * len(k)].reshape(-1, mult)
+        start += cols.size
+        placed.append((k, v, cols))
     x = _BlochWaves((pencil.nx, pencil.ny), a.n, placed)
 
-    w = col_w[order]
-    col_k = np.concatenate([np.full(mult * len(w), k) for k, w, _, mult in classes]
-                           or [np.empty(0, dtype=int)])
-    wavevectors = col_k[order]
     if req is None:
         return EigenSolution(eigenvalues=w, eigenvectors=x, residuals=resid,
                              method="dense", norm_a=norm_a,
@@ -1065,21 +1087,24 @@ def bloch_eig(a: SymStencil, m: SymStencil,
 
 @dataclass(frozen=True)
 class _BlochWaves:
-    """The eigenvectors of a ``bloch_eig`` solution, formed when called:
-    per class ``k``, ``_Lattice.real_waves`` of its block eigenvectors ``v``
-    in the columns ``cols`` of the ``n``-row array, on the lattice of
-    ``shape``."""
+    """The eigenvectors of a ``bloch_eig`` solution, formed when called: per
+    group of classes, the class ``k[j]`` and block vector ``v[j]`` of each
+    kept block eigenpair and its ``mult`` columns ``cols[j]`` of the
+    ``n``-row array; per class, ``_Lattice.real_waves`` of its vectors, on
+    the lattice of ``shape``."""
 
     shape: tuple[int, int]
     n: int
-    classes: list[tuple[int, np.ndarray, np.ndarray]]
+    groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def __call__(self) -> np.ndarray:
         lattice = _Lattice(*self.shape)
-        x = np.empty((self.n, sum(len(cols) for _, _, cols in self.classes)),
+        x = np.empty((self.n, sum(cols.size for _, _, cols in self.groups)),
                      order="F")
-        for k, v, cols in self.classes:
-            x[:, cols] = lattice.real_waves(k, v)
+        for ks, v, cols in self.groups:
+            for k in np.unique(ks).tolist():
+                at = ks == k
+                x[:, cols[at].ravel()] = lattice.real_waves(k, v[at].T)
         return x
 
 

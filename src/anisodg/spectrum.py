@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from scipy.special import spherical_jn
@@ -46,12 +48,19 @@ def canonical_modes(m_max: int, n_max: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class ExactSpectrum:
-    """omega^2 = (b1 m + b2 n)^2 over the canonical modes of a search box."""
+    """omega^2 = (b1 m + b2 n)^2 over the canonical modes of a search box.
+
+    ``entries`` is read-only (a copy of the mapping passed in): the
+    spectrum of ``exact_spectrum`` is memoized and shared between solves.
+    """
 
     b: FieldDirection
     m_max: int
     n_max: int
-    entries: dict[tuple[int, int], float] = field(default_factory=dict)
+    entries: Mapping[tuple[int, int], float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     def omega2(self, m: int, n: int) -> float:
         return self.entries[canonical_mode(m, n)]
@@ -69,8 +78,17 @@ class ExactSpectrum:
 
 def exact_spectrum(b: FieldDirection, m_max: int = DEFAULT_MODE_BOUND,
                    n_max: int = DEFAULT_MODE_BOUND) -> ExactSpectrum:
+    """The exact spectrum of the box ``|m| <= m_max``, ``|n| <= n_max``; one
+    read-only table per direction and box is computed and shared."""
     if m_max < 0 or n_max < 0:
         raise ValueError("mode search bounds must be >= 0")
+    return _exact_spectrum(b, m_max, n_max)
+
+
+@lru_cache(maxsize=16)
+def _exact_spectrum(b: FieldDirection, m_max: int, n_max: int) -> ExactSpectrum:
+    """The spectrum of ``exact_spectrum``, memoized per direction and box,
+    which every solve of a study or comparison shares."""
     entries = {(m, n): (b.b1 * m + b.b2 * n) ** 2
                for (m, n) in canonical_modes(m_max, n_max)}
     return ExactSpectrum(b=b, m_max=m_max, n_max=n_max, entries=entries)
@@ -170,16 +188,16 @@ class FourierProjector:
         c_xi = mm * hx[0] + nn * hx[1]
         c_eta = mm * he[0] + nn * he[1]
 
-        def segment_factors(p, c):
-            # (p+1, n_modes): 2 * i^a * j_a(c)
-            a = np.arange(p + 1)[:, None]
-            powers = np.array([1j ** k for k in range(p + 1)])[:, None]
-            out = 2.0 * powers * spherical_jn(a, np.abs(c))
-            # j_a is odd/even with the parity of a
-            return np.where((a % 2 == 1) & (c < 0), -out, out)
-
-        f_xi = segment_factors(p_xi, c_xi)       # (p_xi+1, modes)
-        f_eta = segment_factors(p_eta, c_eta)    # (p_eta+1, modes)
+        # (p_xi+1 + p_eta+1, n_modes): 2 * i^a * j_a(c) of both axes, the
+        # degrees a of xi and then of eta, by one elementwise Bessel call
+        a = np.concatenate([np.arange(p_xi + 1), np.arange(p_eta + 1)])[:, None]
+        c = np.concatenate([np.broadcast_to(c_xi, (p_xi + 1, n_modes)),
+                            np.broadcast_to(c_eta, (p_eta + 1, n_modes))])
+        powers = np.array([1j ** k for k in a[:, 0].tolist()])[:, None]
+        out = 2.0 * powers * spherical_jn(a, np.abs(c))
+        # j_a is odd/even with the parity of a
+        out = np.where((a % 2 == 1) & (c < 0), -out, out)
+        f_xi, f_eta = out[:p_xi + 1], out[p_xi + 1:]
         return det * np.einsum("am,bm->mab", f_xi, f_eta).reshape(
             n_modes, spec.n_loc)
 
@@ -322,8 +340,56 @@ class Association:
     error_kind: str  # "relative", "absolute" or "none"
 
 
+@dataclass(frozen=True, eq=False)
+class Associations:
+    """The rows of ``associate_modes``, kept as columns: per associated
+    eigenpair its ``index``, ``omega2_computed``, mode (``best``, an index
+    into ``modes``), ``amplitude``, ``omega2_exact``, ``error`` and
+    ``error_kind`` (the exact and error columns are None without an exact
+    spectrum).
+
+    It reads as the list of its ``Association`` rows: ``len``, iteration,
+    indexing, and ``==`` with a list or another ``Associations``.  The rows
+    are formed on the first such read and kept; ``mode_error_table`` and
+    ``max_band_mode_error`` reduce the columns, so a study forms none.
+    """
+
+    index: np.ndarray
+    omega2_computed: np.ndarray
+    best: np.ndarray
+    modes: tuple[tuple[int, int], ...]
+    amplitude: np.ndarray
+    omega2_exact: np.ndarray | None
+    error: np.ndarray | None
+    error_kind: np.ndarray
+
+    @cached_property
+    def _rows(self) -> list[Association]:
+        n = len(self.index)
+        exact = [None] * n if self.omega2_exact is None else self.omega2_exact.tolist()
+        error = [None] * n if self.error is None else self.error.tolist()
+        return [Association(*row) for row in zip(
+            self.index.tolist(), self.omega2_computed.tolist(),
+            [self.modes[i] for i in self.best.tolist()], self.amplitude.tolist(),
+            exact, error, self.error_kind.tolist())]
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __getitem__(self, i):
+        return self._rows[i]
+
+    def __eq__(self, other):
+        if isinstance(other, (Associations, list)):
+            return self._rows == list(other)
+        return NotImplemented
+
+
 def associate_modes(solution: EigenSolution, projector: FourierProjector,
-                    exact: ExactSpectrum | None = None) -> list[Association]:
+                    exact: ExactSpectrum | None = None) -> Associations:
     """Associate each eigenpair with its dominant Fourier mode.
 
     An eigenvector with no projection onto any mode of the box gets no row.
@@ -333,7 +399,8 @@ def associate_modes(solution: EigenSolution, projector: FourierProjector,
     box mode, and its vectors get no row.  Those projections are read from
     ``solution.coefficients`` when the solution carries them (``bloch_eig``
     does), so its global eigenvectors are never formed; otherwise they are
-    contracted from the eigenvectors.
+    contracted from the eigenvectors.  The rows are returned as columns
+    (``Associations``).
     """
     if solution.coefficients is not None:
         best, amps = projector._argmax_classes(solution.coefficients,
@@ -341,21 +408,18 @@ def associate_modes(solution: EigenSolution, projector: FourierProjector,
     else:
         best, amps = projector._argmax(solution.eigenvectors, solution.wavevectors)
     index = np.flatnonzero(amps > 0.0)
-    best, w2 = best[index], solution.eigenvalues[index]
-    modes = [projector.modes[i] for i in best.tolist()]
-    columns = (index.tolist(), w2.tolist(), modes, amps[index].tolist())
+    w2, best = solution.eigenvalues[index], best[index]
+    columns = (index, w2, best, projector.modes, amps[index])
     if exact is None:
-        return [Association(idx, w, mode, amp, None, None, "none")
-                for idx, w, mode, amp in zip(*columns)]
+        return Associations(*columns, None, None, np.full(len(index), "none"))
     # each distinct mode looked up once; the errors by the scalar IEEE ops
     distinct, at = np.unique(best, return_inverse=True)
     w2_exact = np.array([exact.omega2(*projector.modes[i]) for i in distinct])[at]
     zero = w2_exact == 0.0
     error = np.where(zero, np.abs(w2),
                      np.abs(w2 - w2_exact) / np.where(zero, 1.0, w2_exact))
-    kinds = np.where(zero, "absolute", "relative")
-    return [Association(*row) for row in zip(*columns, w2_exact.tolist(),
-                                             error.tolist(), kinds.tolist())]
+    return Associations(*columns, w2_exact, error,
+                        np.where(zero, "absolute", "relative"))
 
 
 @dataclass
@@ -377,21 +441,17 @@ def max_band_mode_error(result: "BandResult") -> tuple[float, int]:
     Every eigenpair is associated to one mode; per mode the association
     that ``mode_error_table`` picks represents it.  Unassociated
     band modes floor the error at 1 and are counted.  This is the quantity
-    traced by convergence studies.
+    traced by convergence studies; it is reduced on the columns of
+    ``result.assoc``, forming no row.
     """
     if result.exact is None:
         raise ValueError("band mode errors need constant coefficients")
-    table = mode_error_table(result.assoc)
-    worst = 0.0
-    missing = 0
-    for mode in result.exact.band_modes(result.setup.omega_max_sq):
-        row = table.get(mode)
-        if row is None or row.error is None:
-            missing += 1
-            worst = max(worst, 1.0)
-        else:
-            worst = max(worst, row.error)
-    return worst, missing
+    assoc, omega_max_sq = result.assoc, result.setup.omega_max_sq
+    rows = _mode_winners(assoc.best, assoc.amplitude, assoc.index)[1]
+    in_band = assoc.omega2_exact[rows] <= omega_max_sq
+    missing = len(result.exact.band_modes(omega_max_sq)) - int(np.count_nonzero(in_band))
+    worst = float(np.max(assoc.error[rows][in_band], initial=0.0))
+    return (max(worst, 1.0) if missing else worst), missing
 
 
 def band_error_report(assoc: list[Association], omega_max_sq: float,
@@ -412,19 +472,37 @@ def band_error_report(assoc: list[Association], omega_max_sq: float,
 AMPLITUDE_TIE_RTOL = 1e-12
 
 
-def mode_error_table(assoc: list[Association]) -> dict[tuple[int, int], Association]:
+def _mode_winners(key: np.ndarray, amplitude: np.ndarray, index: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``key``s (sorted) and, for each, the position of the row
+    that represents it: the largest amplitude wins, and among amplitudes
+    tied with it (``AMPLITUDE_TIE_RTOL``) the smallest index, whatever the
+    order of the rows."""
+    keys, at = np.unique(key, return_inverse=True)
+    largest = np.zeros(len(keys))
+    np.maximum.at(largest, at, amplitude)
+    tied = np.flatnonzero(amplitude >= (1.0 - AMPLITUDE_TIE_RTOL) * largest[at])
+    tied = tied[np.lexsort((index[tied], at[tied]))]
+    first = np.flatnonzero(np.diff(at[tied], prepend=-1))
+    return keys, tied[first]
+
+
+def mode_error_table(assoc: Associations | Iterable[Association]
+                     ) -> dict[tuple[int, int], Association]:
     """Best association per mode: the largest projection amplitude wins,
     and among amplitudes tied with it (``AMPLITUDE_TIE_RTOL``) the
-    smallest index."""
-    largest: dict[tuple[int, int], float] = {}
-    for row in assoc:
-        largest[row.mode] = max(largest.get(row.mode, 0.0), row.amplitude)
-    table: dict[tuple[int, int], Association] = {}
-    # descending index, so the smallest tied index is written last
-    for row in sorted(assoc, key=lambda r: r.index, reverse=True):
-        if row.amplitude >= (1.0 - AMPLITUDE_TIE_RTOL) * largest[row.mode]:
-            table[row.mode] = row
-    return table
+    smallest index.  ``Associations`` are reduced on their columns, and
+    only the winning rows are formed."""
+    if isinstance(assoc, Associations):
+        keys, rows = _mode_winners(assoc.best, assoc.amplitude, assoc.index)
+        return {assoc.modes[k]: assoc[p] for k, p in zip(keys.tolist(), rows.tolist())}
+    rows = list(assoc)
+    modes = list(dict.fromkeys(r.mode for r in rows))
+    slot = {mode: i for i, mode in enumerate(modes)}
+    keys, won = _mode_winners(np.array([slot[r.mode] for r in rows], dtype=int),
+                              np.array([r.amplitude for r in rows], dtype=float),
+                              np.array([r.index for r in rows], dtype=int))
+    return {modes[k]: rows[p] for k, p in zip(keys.tolist(), won.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +541,7 @@ class BandResult:
     setup: SolveSetup
     mesh: Mesh
     solution: EigenSolution
-    assoc: list[Association]
+    assoc: Associations
     exact: ExactSpectrum | None
     #: The stencil of A; its scalar CSR is expanded (once) only when read.
     a_matrix: SymStencil

@@ -307,7 +307,10 @@ def bloch_band_reference(a, m, req) -> EigenSolution:
     wavevector class is solved, the band is cut from each, and only then is
     each class's count checked against the LDL^T inertia of its block ``A(k)
     - lambda_max M(k)``.  ``bloch_eig`` takes the inertia first and solves
-    only the classes with band pairs; the two must agree bit for bit."""
+    only the classes with band pairs; the two must agree bit for bit.  Each
+    class is bounded over all its block eigenpairs before the band is cut,
+    as ``bloch_eig`` does in one batch: a product over fewer columns may
+    round differently."""
     pencil = _LatticePencil(a, m)
     ks = np.arange(len(pencil.conj))
     real = np.flatnonzero(pencil.conj == ks)
@@ -336,22 +339,23 @@ def bloch_band_reference(a, m, req) -> EigenSolution:
         raise CompletenessError(
             f"{n_zero} pivot(s) within tolerance of lambda_max={shift:.6g}; "
             f"band boundary is ambiguous")
-    classes = [(k, w[w <= shift], v[:, w <= shift], mult) for k, w, v, mult in classes]
+    classes = [(k, w[w <= shift], v[:, w <= shift], pencil.bounds(k, w, v)[w <= shift],
+                mult) for k, w, v, mult in classes]
 
-    col_w = np.concatenate([np.repeat(w, mult) for _, w, _, mult in classes])
+    col_w = np.concatenate([np.repeat(w, mult) for _, w, _, _, mult in classes])
     order = np.argsort(col_w, kind="stable")
     dest = np.empty_like(order)
     dest[order] = np.arange(len(order))
     x = np.empty((a.n, len(order)), order="F")
     resid = np.empty(len(order))
     start = 0
-    for k, w, v, mult in classes:
+    for k, w, v, bound, mult in classes:
         cols = dest[start:start + mult * len(w)]
         start += len(cols)
         if len(cols):
             x[:, cols] = pencil.real_waves(k, v)
-            resid[cols] = np.repeat(pencil.bounds(k, w, v), mult)
-    col_k = np.concatenate([np.full(mult * len(w), k) for k, w, _, mult in classes])
+            resid[cols] = np.repeat(bound, mult)
+    col_k = np.concatenate([np.full(mult * len(w), k) for k, w, _, _, mult in classes])
     return EigenSolution(eigenvalues=col_w[order], eigenvectors=x, residuals=resid,
                          method="bloch", inertia_count=inertia, norm_a=norm_a,
                          wavevectors=col_k[order])

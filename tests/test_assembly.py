@@ -374,6 +374,43 @@ def test_face_quadrature_detects_broken_interface():
         face_quadrature(mesh, BasisSpec(1, 1), faces, 4)
 
 
+def one_sweep_symmetrization(offsets, blocks, lattice):
+    """The blocks of ``SymStencil(offsets, blocks, lattice)`` by one sweep
+    over whole arrays: ``(B[c, d] + B[c + d, -d]^T) * 0.5``, entries below
+    ``DROP_TOL`` of the scale dropped."""
+    s = Stencil(offsets, blocks, lattice, closed=True)
+    neg = assembly._residues(-s.offsets, s.lattice)[1]
+    rows = 0 if s.blocks.shape[0] == 1 else s.column_cells()
+    sym = (s.blocks + s.blocks[rows, neg].swapaxes(-1, -2)) * 0.5
+    size = np.abs(sym)
+    scale = np.max(size, initial=0.0)
+    if s.blocks is not blocks:
+        scale = max(scale, np.max(np.abs(blocks), initial=0.0))
+    sym[size < assembly.DROP_TOL * scale] = 0.0
+    return sym
+
+
+@pytest.mark.parametrize("lattice, cells, offsets, n", [
+    ((1, 1), 1, [(0, 0)], 150),
+    ((3, 4), 1, [(0, 0), (1, 0), (-1, 2), (2, 5)], 70),
+    ((3, 2), 6, [(0, 0), (1, 1), (-1, 0), (0, 1)], 70),
+    ((2, 3), 6, [(0, 0), (2, 0), (1, -1)], 5)],
+    ids=["one-block", "constant", "variable", "small-blocks"])
+def test_symmetrization_by_tiles_is_the_one_sweep_formula(lattice, cells, offsets, n):
+    """``SymStencil`` symmetrizes and drops tile by tile, in place; its blocks
+    are bit for bit (signs of zeros included) the one-sweep formula's, on
+    blocks wider than a tile, with aliasing offsets merged, on one cell's
+    blocks and on every cell's."""
+    rng = np.random.default_rng(n)
+    blocks = rng.standard_normal((cells, len(offsets), n, n))
+    blocks[rng.random(blocks.shape) < 0.2] = 1e-17
+    blocks[rng.random(blocks.shape) < 0.1] = -0.0
+    assert n < assembly._TILE or n % assembly._TILE
+    got = assembly.SymStencil(np.array(offsets), blocks, lattice).blocks
+    want = one_sweep_symmetrization(np.array(offsets), blocks, lattice)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_matrix_dump_coordinate_format():
     a = _as_sym(sp.csr_matrix([[2.0, 0.5], [0.5, 1.0]]))
     buf = io.StringIO()

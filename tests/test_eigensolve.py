@@ -777,6 +777,93 @@ def test_bloch_bounds_enclose_the_extended_residuals(alignment, nx, ny, p_xi, p_
         assert np.all(bound - rounding <= measured + rounding)
 
 
+def varying_mass_pencil(nx, ny, n_loc, seed):
+    """A one-cell stencil pencil whose mass symbol ``M(k)`` varies with
+    ``k`` and is not diagonal: a dominant SPD block at the cell and small
+    couplings to two neighbours, in A and M."""
+    rng = np.random.default_rng(seed)
+    offsets = np.array([(0, 0), (1, 0), (0, 1)])
+
+    def stencil(diagonal):
+        blocks = 0.1 * rng.standard_normal((1, 3, n_loc, n_loc))
+        g = rng.standard_normal((n_loc, n_loc))
+        blocks[0, 0] = g @ g.T + diagonal * np.eye(n_loc)
+        return SymStencil(offsets, blocks, (nx, ny))
+
+    return stencil(5.0), stencil(2.0 * n_loc)
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 2), (3, 5)])
+def test_pencil_eigh_matches_per_class_generalized_eigh(nx, ny):
+    """The batched reduction of ``_pencil_eigh`` (one inverse Cholesky
+    factor per pencil, applied by products) against LAPACK's generalized
+    ``eigh`` class by class, on the real and the pair classes of a pencil
+    whose mass symbol depends on ``k`` and is not diagonal: eigenvalues to
+    1e-12 relative, eigenvectors M-orthonormal and eigenvectors."""
+    a, m = varying_mass_pencil(nx, ny, 6, seed=nx * ny)
+    pencil = eigensolve._LatticePencil(a, m)
+    assert len(pencil.real) and len(pencil.pair)
+    spread = np.ptp(pencil.m_hat[pencil.pair], axis=0)
+    assert np.max(np.abs(spread)) > 0.1
+    for ks, real in ((pencil.real, True), (pencil.pair, False)):
+        a_k, m_k = pencil.a_hat[ks], pencil.m_hat[ks]
+        if real:
+            a_k, m_k = a_k.real, m_k.real
+        off = m_k - np.einsum("cii->ci", m_k)[:, :, None] * np.eye(m.n_loc)
+        assert np.min(np.max(np.abs(off), axis=(1, 2))) > 1e-3
+        w, v = eigensolve._pencil_eigh(a_k, m_k)
+        for c in range(len(ks)):
+            want = sla.eigh(a_k[c], m_k[c], eigvals_only=True)
+            assert np.max(np.abs(w[c] - want) / np.abs(want)) <= 1e-12
+            gram = v[c].conj().T @ m_k[c] @ v[c]
+            assert np.max(np.abs(gram - np.eye(m.n_loc))) <= 1e-12
+            resid = a_k[c] @ v[c] - (m_k[c] @ v[c]) * w[c]
+            assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("alignment, nx, ny, p", [
+    (Alignment.BOTTOM_TOP, 8, 8, 4), (Alignment.CARTESIAN, 3, 2, 3),
+    (Alignment.BOTTOM_TOP, 4, 16, 3)], ids=["8x8-p4", "3x2-p3", "4x16-p3"])
+def test_batched_bounds_are_the_per_class_bounds(alignment, nx, ny, p):
+    """``bloch_eig`` bounds each group of classes (real, pair) in one batch;
+    each class's bounds are, bit for bit, those of its own call."""
+    a, m = constant_pencil(alignment, nx, ny, p)
+    pencil = eigensolve._LatticePencil(a, m)
+    for ks, real in ((pencil.real, True), (pencil.pair, False)):
+        a_k, m_k = pencil.a_hat[ks], pencil.m_hat[ks]
+        if real:
+            a_k, m_k = a_k.real, m_k.real
+        w, v = eigensolve._pencil_eigh(a_k, m_k)
+        batched = pencil.bounds(ks, w, v)
+        assert batched.shape == w.shape
+        for c, k in enumerate(ks.tolist()):
+            assert np.array_equal(batched[c], pencil.bounds(k, w[c], v[c]))
+
+
+def test_lattice_symbols_are_formed_at_the_class_representatives(monkeypatch):
+    """``ref_band``'s 8x8 lattice has 64 wavevectors in 34 classes ``{k,
+    -k}``: the symbols of A and M are formed at the 34 representatives only,
+    equal to the all-wavevector symbols there to rounding, and the other
+    rows are zero."""
+    a, m = constant_pencil(Alignment.BOTTOM_TOP, 8, 8, 4)
+    full = a.symbols(), m.symbols()
+    counts, symbols = [], Stencil.symbols
+
+    def spy(self, ks=None):
+        counts.append(len(ks))
+        return symbols(self, ks)
+
+    monkeypatch.setattr(Stencil, "symbols", spy)
+    pencil = eigensolve._LatticePencil(a, m)
+    reps = np.concatenate([pencil.real, pencil.pair])
+    assert counts == [34, 34] and len(reps) == 34
+    others = np.setdiff1d(np.arange(64), reps)
+    for got, want in zip((pencil.a_hat, pencil.m_hat), full):
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got[reps] - want[reps])) <= 1e-14 * scale
+        assert not np.any(got[others])
+
+
 def test_bloch_reads_duplicate_entries_as_their_sum():
     """A stencil that stores a block in two pieces, at offsets that alias
     modulo the lattice, is the operator of their sum: the symbols add the

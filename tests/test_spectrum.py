@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,14 +12,15 @@ from anisodg.basis import BasisSpec
 from anisodg.eigensolve import BandRequest, EigenSolution
 from anisodg.fields import CoefficientField, Harmonic, MagneticField
 from anisodg.geometry import Alignment, FieldDirection, MeshConfig, build_mesh
-from anisodg.spectrum import (PROJECT_BLOCK, Association, ConvergenceRow,
+from anisodg.spectrum import (AMPLITUDE_TIE_RTOL, PROJECT_BLOCK, Association,
+                              Associations, ConvergenceRow, ExactSpectrum,
                               FourierProjector, SolveSetup, associate_modes,
                               band_error_report,
                               canonical_mode, canonical_modes,
                               compare_band_errors,
                               convergence_study, exact_spectrum,
-                              least_squares_slope, mode_error_table,
-                              run_band_solve)
+                              least_squares_slope, max_band_mode_error,
+                              mode_error_table, run_band_solve)
 
 REF_B = FieldDirection(1.165939761, 1.0)
 CONST = CoefficientField.constant(1.0)
@@ -42,6 +44,24 @@ def test_exact_spectrum_reference_value():
 def test_exact_spectrum_resonance():
     spec = exact_spectrum(FieldDirection(1.0, 2.0), 4, 4)
     assert spec.omega2(2, -1) == 0.0
+
+
+def test_exact_spectrum_is_memoized_and_read_only():
+    """One table per direction and box is computed and shared by every
+    solve, so it cannot be written; a table built from a dict copies it."""
+    spec = exact_spectrum(REF_B, 20, 20)
+    assert exact_spectrum(REF_B, 20, 20) is spec
+    assert exact_spectrum(REF_B, 6, 6) is not spec
+    with pytest.raises(TypeError):
+        spec.entries[(0, 0)] = 1.0
+    with pytest.raises(TypeError):
+        del spec.entries[(4, -5)]
+    entries = {(0, 0): 0.0, (1, 0): 1.0}
+    own = ExactSpectrum(REF_B, 1, 0, entries)
+    entries[(1, 0)] = 2.0
+    assert own.omega2(1, 0) == 1.0
+    with pytest.raises(ValueError):
+        exact_spectrum(REF_B, -1, 2)
 
 
 def test_band_counting_with_multiplicity():
@@ -493,11 +513,11 @@ def test_variable_coefficient_runs_have_no_exact_data():
 
 def test_memoized_tables_keep_every_solve_bit_identical():
     """From cold caches, a solve, one of another spec and mode box, and the
-    first again: the memoized Gauss rules, volume tables, box modes and
-    residue classes change no bit of the eigenpairs, residuals or
+    first again: the memoized Gauss rules, volume tables, box modes, residue
+    classes and exact spectra change no bit of the eigenpairs, residuals or
     association rows."""
     for cache in (basis._gauss_rule, assembly._volume_tables, spectrum._box_modes,
-                  spectrum._residue_classes):
+                  spectrum._residue_classes, spectrum._exact_spectrum):
         cache.cache_clear()
     field = CoefficientField(1.0, (Harmonic(1, 1, 0.1, 0.0),))
 
@@ -580,6 +600,51 @@ def test_bloch_eigenvectors_are_formed_on_the_first_read(formed_waves, full):
     ref = bf.bloch_band_reference(a, m, BandRequest(lambda_max=edge))
     assert np.array_equal(vecs, ref.eigenvectors)
     assert np.array_equal(sol.eigenvalues, ref.eigenvalues)
+
+
+@pytest.fixture
+def formed_rows(monkeypatch):
+    """The number of ``Association`` rows constructed."""
+    count, init = [0], Association.__init__
+
+    def spy(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Association, "__init__", spy)
+    return count
+
+
+def test_convergence_study_forms_no_association_row(formed_rows):
+    """A convergence study reduces the association columns of each level
+    (``max_band_mode_error``) and constructs no ``Association`` row; reading
+    a result's rows forms them, once."""
+    setup = SolveSetup(mesh_config=MeshConfig(2, 8, Alignment.BOTTOM_TOP, REF_B),
+                       spec=BasisSpec(2, 2), alpha=CONST, beta=CONST)
+    rows = convergence_study(setup, [(2, 8), (4, 16)])
+    assert len(rows) == 2 and rows[1].max_band_error > 0.0
+    assert formed_rows[0] == 0
+    result = reference_solve(nx=2, ny=4, p=1)
+    assert formed_rows[0] == 0
+    first = result.assoc[0]
+    assert formed_rows[0] == len(result.assoc) > 0
+    assert list(result.assoc)[0] is first and formed_rows[0] == len(result.assoc)
+
+
+def test_associations_read_as_their_rows():
+    """The column form reads as the list of its rows: length, iteration,
+    indexing and slicing, and equality with the list either way round."""
+    result = reference_solve(nx=2, ny=4, p=2, full_spectrum=True)
+    assoc = result.assoc
+    assert isinstance(assoc, Associations)
+    rows = list(assoc)
+    assert len(assoc) == len(rows) == len(assoc.index) > 4
+    assert all(isinstance(r, Association) for r in rows)
+    assert assoc[0] == rows[0] and assoc[-1] == rows[-1] and assoc[1:4] == rows[1:4]
+    assert assoc == rows and rows == assoc and assoc == result.assoc
+    assert assoc != rows[:-1] and assoc != rows[::-1] and assoc != tuple(rows)
+    for r, i, best, amp in zip(rows, assoc.index, assoc.best, assoc.amplitude):
+        assert (r.index, r.mode, r.amplitude) == (i, assoc.modes[best], amp)
 
 
 def test_convergence_study_forms_no_eigenvector(formed_waves, tmp_path):
@@ -668,3 +733,75 @@ def test_mode_error_table_picks_max_amplitude():
             Association(3, 0.1, (2, 0), up, 0.09, 0.2, "relative")]
     for rows in (pair, pair[::-1]):
         assert mode_error_table(rows)[(2, 0)].index == 2
+
+
+def rowwise_mode_table(rows):
+    """``mode_error_table`` by a loop over the rows: the largest amplitude per
+    mode, then the rows by descending index, so that the smallest index tied
+    with the largest amplitude is written last."""
+    largest = {}
+    for row in rows:
+        largest[row.mode] = max(largest.get(row.mode, 0.0), row.amplitude)
+    table = {}
+    for row in sorted(rows, key=lambda r: r.index, reverse=True):
+        if row.amplitude >= (1.0 - AMPLITUDE_TIE_RTOL) * largest[row.mode]:
+            table[row.mode] = row
+    return table
+
+
+def columns_of(rows, modes):
+    """The ``Associations`` of ``rows`` (with exact data), modes indexed in
+    ``modes``."""
+    return Associations(
+        index=np.array([r.index for r in rows]),
+        omega2_computed=np.array([r.omega2_computed for r in rows]),
+        best=np.array([modes.index(r.mode) for r in rows]), modes=tuple(modes),
+        amplitude=np.array([r.amplitude for r in rows]),
+        omega2_exact=np.array([r.omega2_exact for r in rows]),
+        error=np.array([r.error for r in rows]),
+        error_kind=np.array([r.error_kind for r in rows]))
+
+
+#: Rows ``(index, mode, amplitude, error)`` of tie cases in the ``|m| <= 1,
+#: |n| <= 2`` box of ``REF_B``: (0, 1) ties one ulp apart, the larger index
+#: holding the larger amplitude; (1, -1) ties three ways within
+#: ``AMPLITUDE_TIE_RTOL``; on (1, 0) the larger amplitude is just outside
+#: it, so the larger index wins; (0, 0) and (1, 1) stand alone.  The band
+#: edges 0.05, 1.2 and 5 hold 2, 4 and 7 modes of the box, of which 0, 1
+#: (``(1, -2)``) and 2 (and ``(0, 2)``) have no row.
+UP = math.nextafter(2.0, math.inf)
+TIE_ROWS = [(7, (0, 1), UP, 0.5), (3, (0, 1), 2.0, 0.25),
+            (9, (1, -1), 1.0, 0.125), (4, (1, -1), 1.0 - 0.25e-12, 0.75),
+            (6, (1, -1), 1.0 + 0.5e-12, 0.0625),
+            (2, (1, 0), 3.0, 0.375), (5, (1, 0), 3.0 * (1.0 + 3e-12), 0.03125),
+            (0, (0, 0), 1.5, 1e-3), (1, (1, 1), 4.0, 9.0)]
+
+
+@pytest.mark.parametrize("order", ["given", "reversed", "shuffled"])
+@pytest.mark.parametrize("edge", [0.05, 1.2, 5.0])
+def test_column_mode_errors_equal_the_row_table(order, edge):
+    """On pinned tie cases, in any row order: ``mode_error_table`` of the
+    columns and of a row list pick the rows of the per-row loop, and the
+    column-form ``max_band_mode_error`` equals the maximum over the band
+    modes of that table's errors, 1 for each missing band mode."""
+    exact = exact_spectrum(REF_B, 1, 2)
+    rows = [Association(i, exact.omega2(*mode), mode, amp, exact.omega2(*mode),
+                        err, "relative") for i, mode, amp, err in TIE_ROWS]
+    if order == "reversed":
+        rows = rows[::-1]
+    elif order == "shuffled":
+        rows = [rows[i] for i in np.random.default_rng(1).permutation(len(rows))]
+    want = rowwise_mode_table(rows)
+    assert {mode: r.index for mode, r in want.items()} == {
+        (0, 1): 3, (1, -1): 4, (1, 0): 5, (0, 0): 0, (1, 1): 1}
+    assoc = columns_of(rows, list(exact.entries))
+    assert mode_error_table(rows) == want
+    assert mode_error_table(assoc) == want
+    band = exact.band_modes(edge)
+    assert (len(band), sum(mode not in want for mode in band)) == {
+        0.05: (2, 0), 1.2: (4, 1), 5.0: (7, 2)}[edge]
+    errors = [want[mode].error if mode in want else 1.0 for mode in band]
+    missing = sum(mode not in want for mode in band)
+    result = SimpleNamespace(exact=exact, assoc=assoc,
+                             setup=SimpleNamespace(omega_max_sq=edge))
+    assert max_band_mode_error(result) == (max(errors, default=0.0), missing)
