@@ -366,7 +366,8 @@ def _face_stencil(mesh: Mesh, offsets: np.ndarray, w: np.ndarray,
     Element block ``(a, b)`` couples side ``a`` (0 the owner ``c``, 1 the
     neighbour ``c + d``) to side ``b``: (0, 0) and (0, 1) go to offsets 0
     and ``d`` of ``c``, (1, 0) and (1, 1) to ``-d`` and 0 of ``c + d``, by
-    rolling the lattice (the identity for a one-cell stencil).
+    rolling the lattice; a one-cell stencil, on which a roll is the
+    identity, is not rolled.
     """
     weighted = (w[:, :, None, None] * left).transpose(0, 2, 3, 1)
     e = np.matmul(weighted[:, :, None], right.transpose(0, 2, 1, 3)[:, None])
@@ -375,7 +376,9 @@ def _face_stencil(mesh: Mesh, offsets: np.ndarray, w: np.ndarray,
     e = e.reshape(grid + (len(offsets), 2, 2, n_loc, n_loc))
     blocks = [np.zeros(grid + (n_loc, n_loc))]
     for t, d in enumerate(offsets):
-        nbr = np.roll(e[:, :, t, 1], tuple(d), axis=(0, 1))
+        nbr = e[:, :, t, 1]
+        if grid != (1, 1):
+            nbr = np.roll(nbr, tuple(d), axis=(0, 1))
         blocks[0] += e[:, :, t, 0, 0] + nbr[:, :, 1]
         blocks += [e[:, :, t, 0, 1], nbr[:, :, 0]]
     stencil = np.concatenate([_ORIGIN] + [np.stack([d, -d]) for d in offsets])
@@ -436,7 +439,8 @@ def build_reduced(ops: OperatorSet) -> tuple[SymStencil, SymStencil]:
     Cell ``c`` reaches u cell ``c + o_s`` by C's offset ``s``, as does
     ``c + o_s - o_t`` by ``t``; so each pair ``(s, t)`` adds ``C[c, s]
     M_UV^{-1} C[c + o_s - o_t, t]^T`` at offset ``o_s - o_t`` of A, one
-    batched product (C rolled over the lattice if it varies by cell).
+    batched product (C rolled over the lattice if it varies by cell; a
+    one-cell C is read as it is).
     """
     m_uv = np.diagonal(ops.m_uv.blocks[0, 0])
     if np.any(m_uv <= 0.0):
@@ -451,7 +455,9 @@ def build_reduced(ops: OperatorSet) -> tuple[SymStencil, SymStencil]:
                               closed=True)
     blocks = np.zeros((len(offsets), max(cells, len(pen.blocks)), n_loc, n_loc))
     for k, d in enumerate(shifts):
-        shifted = np.roll(right[:, :, k % s_count], tuple(-d), axis=(0, 1))
+        shifted = right[:, :, k % s_count]
+        if cells > 1:
+            shifted = np.roll(shifted, tuple(-d), axis=(0, 1))
         blocks[slot[k]] += np.matmul(left[:, k // s_count],
                                      shifted.reshape(cells, n_loc, n_loc))
     for k, at in enumerate(slot[len(shifts):]):

@@ -8,8 +8,8 @@ Two certified solvers serve ``A x = lambda M x``:
   exactly into one small Hermitian pencil per lattice wavevector, each
   solved by LAPACK; the band ``lambda <= lambda_max`` is certified by the
   summed LDL^T inertia of the blocks, taken first, and only the blocks that
-  hold band eigenvalues are solved.  No global matrix is formed, and the
-  global eigenvectors only when they are read.
+  hold band eigenvalues are solved, for those eigenvalues alone.  No global
+  matrix is formed, and the global eigenvectors only when they are read.
 * ``band_eig`` returns the band of any pencil (variable coefficients).  One
   factorization of ``K = A - lambda_max M`` (``shifted_inertia``) does two
   jobs: by Sylvester's law its negative pivots count the band, which the
@@ -843,6 +843,26 @@ def _pencil_eigh(a: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, inv_h @ y
 
 
+def _pencil_band(a: np.ndarray, m: np.ndarray,
+                 lambda_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs ``lambda <= lambda_max`` of one Hermitian pencil ``(a,
+    m)``, real symmetric if ``a`` is real, by LAPACK's subset solver
+    (``?sygvx``/``?hegvx``, ``range="V"`` over ``(-inf, lambda_max]``): the
+    Cholesky reduction and the tridiagonal form as for the full spectrum,
+    then bisection and inverse iteration for the eigenvalues in range alone.
+    ``abstol = 2 * tiny`` is LAPACK's setting for the most accurate
+    eigenvalues.  The vectors are ``m``-orthonormal columns."""
+    kind = "he" if np.iscomplexobj(a) else "sy"
+    gvx, = lapack.get_lapack_funcs((f"{kind}gvx",), (a, m))
+    w, z, found, _, info = gvx(a, m, range="V", vl=-np.inf, vu=lambda_max,
+                               abstol=2 * np.finfo(float).tiny)
+    if info > len(a):
+        raise CompletenessError("a mass symbol is not positive definite")
+    if info:
+        raise CompletenessError(f"{kind}gvx: {info} eigenvectors failed to converge")
+    return w[:found], z[:, :found]
+
+
 def _lattice_phase(k: int, n: int) -> np.ndarray:
     """``exp(2 pi i k j / n)`` for the cells ``j < n`` of one lattice axis."""
     return np.exp(2j * np.pi * (k * np.arange(n) % n) / n)
@@ -994,13 +1014,16 @@ def bloch_eig(a: SymStencil, m: SymStencil,
     (``_class_inertia``) counts its band eigenvalues, and the counts sum to
     the inertia of ``A - lambda_max M`` (Sylvester's law under the unitary
     lattice DFT).  No pivot may sit on the edge.  Only the classes with a
-    positive count are then solved, each of which must return its count;
-    the others hold no band pair.  The residuals and the PSD floor must
-    hold too.  Residuals bound ``||A x - lambda M x||`` of the stored
-    vectors, rounding included, from each block alone
-    (``_LatticePencil.bounds``): the symbol residual of the block eigenpair,
-    which is exactly that of the exact real wave, plus an a-priori rounding
-    term.
+    positive count are then solved, each for its band pairs alone, by value
+    (``_pencil_band``, LAPACK's subset solver over ``(-inf, lambda_max]``),
+    and each must return exactly its count; the others hold no band pair.
+    The full spectrum solves every class in full, in one batch per group of
+    classes (``_pencil_eigh``).  The residuals and the PSD floor must hold
+    too.  Residuals bound ``||A x - lambda M x||`` of the stored vectors,
+    rounding included, from each block alone (``_LatticePencil.bounds``),
+    and only for the returned columns: the symbol residual of the block
+    eigenpair, which is exactly that of the exact real wave, plus an
+    a-priori rounding term.
 
     The solution keeps its pairs in block form.  Each column's lattice DFT
     at its own wavevector (``EigenSolution.coefficients``) is read off its
@@ -1028,22 +1051,17 @@ def bloch_eig(a: SymStencil, m: SymStencil,
         a_k, m_k = pencil.a_hat[ks], pencil.m_hat[ks]
         if mult == 1:
             a_k, m_k = a_k.real, m_k.real
-        w, v = _pencil_eigh(a_k, m_k)
-        bound = pencil.bounds(ks, w, v)
-        keep = np.ones(w.shape, dtype=bool)
-        if req is not None:
-            keep = w <= req.lambda_max
-            short = np.flatnonzero(keep.sum(axis=1) != counts[g])
-            if len(short):
-                c = short[0]
-                raise CompletenessError(
-                    f"found {int(keep[c].sum())} eigenvalues <= {req.lambda_max:.6g} "
-                    f"in the block of wavevector {divmod(int(ks[c]), pencil.ny)} "
-                    f"but its inertia count demands {counts[g][c]}")
-        k, v = np.broadcast_to(ks[:, None], w.shape)[keep], v.swapaxes(1, 2)[keep]
+        if req is None:
+            w, v = _pencil_eigh(a_k, m_k)
+            bound = pencil.bounds(ks, w, v)
+            k, w, bound = np.repeat(ks, w.shape[1]), w.ravel(), bound.ravel()
+            v = v.swapaxes(1, 2).reshape(-1, a.n_loc)
+        else:
+            k, w, bound, v = _held_pairs(pencil, ks, a_k, m_k, counts[g],
+                                         req.lambda_max)
         col_k.append(np.repeat(k, mult))
-        col_w.append(np.repeat(w[keep], mult))
-        col_r.append(np.repeat(bound[keep], mult))
+        col_w.append(np.repeat(w, mult))
+        col_r.append(np.repeat(bound, mult))
         # the DFT at k of the columns that real_waves(k, v) makes
         if mult == 1:
             coeff.append(math.sqrt(cells) * v)
@@ -1083,6 +1101,28 @@ def bloch_eig(a: SymStencil, m: SymStencil,
     return EigenSolution(eigenvalues=w, eigenvectors=x, residuals=resid,
                          method="bloch", inertia_count=inertia, norm_a=norm_a,
                          wavevectors=wavevectors, coefficients=coeff)
+
+
+def _held_pairs(pencil: _LatticePencil, ks: np.ndarray, a_k: np.ndarray,
+                m_k: np.ndarray, counts: np.ndarray, lambda_max: float):
+    """The band eigenpairs of the classes ``ks`` of one group, whose blocks
+    are ``(a_k, m_k)`` and whose inertia counts are ``counts``: per class
+    ``_pencil_band``, which must find exactly its count, and the bounds of
+    the returned columns.  Returns the class, eigenvalue and bound of each
+    block eigenpair and its vector as a row, the classes in turn."""
+    w_all, bounds, vecs = [np.empty(0)], [np.empty(0)], [np.empty((0, a_k.shape[-1]))]
+    for k, a, m, count in zip(ks.tolist(), a_k, m_k, counts.tolist()):
+        w, v = _pencil_band(a, m, lambda_max)
+        if len(w) != count:
+            raise CompletenessError(
+                f"found {len(w)} eigenvalues <= {lambda_max:.6g} in the block "
+                f"of wavevector {divmod(k, pencil.ny)} but its inertia count "
+                f"demands {count}")
+        w_all.append(w)
+        bounds.append(pencil.bounds(k, w, v))
+        vecs.append(v.T)
+    return (np.repeat(ks, counts), np.concatenate(w_all), np.concatenate(bounds),
+            np.concatenate(vecs))
 
 
 @dataclass(frozen=True)

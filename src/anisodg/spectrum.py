@@ -65,6 +65,22 @@ class ExactSpectrum:
     def omega2(self, m: int, n: int) -> float:
         return self.entries[canonical_mode(m, n)]
 
+    def box_omega2(self, m_max: int, n_max: int) -> np.ndarray:
+        """``omega2`` of each mode of the box ``|m| <= m_max``, ``|n| <=
+        n_max`` in ``FourierProjector.modes`` order, NaN where ``entries``
+        has no value: read-only, and memoized per box on this spectrum."""
+        table = self._box_tables.get((m_max, n_max))
+        if table is None:
+            table = np.array([self.entries.get(mode, math.nan)
+                              for mode in _box_modes(m_max, n_max)[0]])
+            table.flags.writeable = False
+            self._box_tables[m_max, n_max] = table
+        return table
+
+    @cached_property
+    def _box_tables(self) -> dict[tuple[int, int], np.ndarray]:
+        return {}
+
     def band_modes(self, omega_max_sq: float) -> list[tuple[int, int]]:
         """Canonical modes with exact eigenvalue inside the band, sorted."""
         modes = [mode for mode, w2 in self.entries.items() if w2 <= omega_max_sq]
@@ -145,7 +161,12 @@ class FourierProjector:
 
     where ``local`` holds the moments of ``cell0`` about its centre and
     ``phase0`` is the unit-modulus phase of that centre, which no amplitude
-    depends on and which is therefore dropped.  A block of vectors is
+    depends on and which is therefore dropped.  ``local`` is built one
+    residue class ``(m mod nx, n mod ny)`` at a time, on the first
+    projection that reads it (``_moments``): a Bloch solution's projection
+    reads only the classes of its wavevectors and their conjugates, the FFT
+    path and a full spectrum read all.  Each row is computed elementwise,
+    so a row is the same whichever others are built with it.  A block of vectors is
     projected by a 2D DFT over the two cell axes, then one product of
     ``local`` with the transformed block per residue class
     ``(m mod nx, n mod ny)``; no ``modes x n`` matrix is formed.  ``modes``
@@ -171,15 +192,33 @@ class FourierProjector:
         self.m_max = m_max
         self.n_max = n_max
         self.modes, self._mn = _box_modes(m_max, n_max)
-        self._local = self._build_local()
         nx, ny = mesh.config.nx, mesh.config.ny
         self._classes = _residue_classes(m_max, n_max, nx, ny)
         self._residue_rows = {p * ny + q: rows for p, q, rows in self._classes}
+        self._local = np.empty((len(self.modes), spec.n_loc), dtype=complex)
+        self._built: set[int] = set()
 
-    def _build_local(self) -> np.ndarray:
+    def _moments(self, residues: Iterable[int] | None = None) -> np.ndarray:
+        """``local``, the ``(modes, n_loc)`` moments of ``cell0``, with the
+        rows of the residue classes ``residues`` (flat ``p*ny + q``; default
+        every class) built.  Each class's block of rows is built on its first
+        request and kept; rows never requested are never built, so they hold
+        garbage and must not be read."""
+        keys = self._residue_rows.keys() if residues is None else residues
+        todo = sorted(set(keys).intersection(self._residue_rows) - self._built)
+        if todo:
+            rows = np.concatenate([self._residue_rows[r] for r in todo])
+            self._local[rows] = self._build_local(rows)
+            self._built.update(todo)
+        return self._local
+
+    def _build_local(self, rows: np.ndarray) -> np.ndarray:
+        """The moments of the modes ``modes[rows]``, ``(len(rows), n_loc)``:
+        every step is elementwise in the mode, so a row does not depend on
+        which others are built with it."""
         mesh, spec = self.mesh, self.spec
-        mm, nn = self._mn.T.astype(float)
-        n_modes = len(self.modes)
+        mm, nn = self._mn[rows].T.astype(float)
+        n_modes = len(rows)
         p_xi, p_eta = spec.p_xi, spec.p_eta
 
         cell0 = mesh.cell0
@@ -216,8 +255,9 @@ class FourierProjector:
         # what[c, p, q, k] = sum_ij exp(2 pi i (p i / nx + q j / ny)) cells[c, i, j, k]
         what = np.fft.ifft2(cells, axes=(1, 2), norm="forward")
         out = np.empty((len(self.modes), block.shape[1]))
+        local = self._moments()
         for p, q, rows in self._classes:
-            out[rows] = np.abs(self._local[rows] @ what[:, p, q, :].T)
+            out[rows] = np.abs(local[rows] @ what[:, p, q, :].T)
         return out
 
     def _coefficients(self, block: np.ndarray, wavevectors: np.ndarray) -> np.ndarray:
@@ -247,19 +287,20 @@ class FourierProjector:
         nx, ny = self.mesh.config.nx, self.mesh.config.ny
         classes, inverse = np.unique(np.asarray(wavevectors), return_inverse=True)
         p, q = np.divmod(classes, ny)
+        conj = ((-p) % nx * ny + (-q) % ny).tolist()
+        local = self._moments(classes.tolist() + conj)
         empty = np.empty(0, dtype=int)
-        for c, (pc, qc) in enumerate(zip(p.tolist(), q.tolist())):
+        for c, k in enumerate(classes.tolist()):
             cols = np.flatnonzero(inverse == c)
             at_k = coeff[cols].T
-            rows = self._residue_rows.get(pc * ny + qc, empty)
-            amps = np.abs(self._local[rows] @ at_k)
-            conj = (-pc) % nx * ny + (-qc) % ny
-            if conj != pc * ny + qc:
-                rows_c = self._residue_rows.get(conj, empty)
+            rows = self._residue_rows.get(k, empty)
+            amps = np.abs(local[rows] @ at_k)
+            if conj[c] != k:
+                rows_c = self._residue_rows.get(conj[c], empty)
                 both = np.concatenate([rows, rows_c])
                 order = np.argsort(both)
                 rows = both[order]
-                amps = np.vstack([amps, np.abs(self._local[rows_c] @ at_k.conj())])[order]
+                amps = np.vstack([amps, np.abs(local[rows_c] @ at_k.conj())])[order]
             yield cols, rows, amps
 
     def amplitudes(self, vecs: np.ndarray,
@@ -412,9 +453,10 @@ def associate_modes(solution: EigenSolution, projector: FourierProjector,
     columns = (index, w2, best, projector.modes, amps[index])
     if exact is None:
         return Associations(*columns, None, None, np.full(len(index), "none"))
-    # each distinct mode looked up once; the errors by the scalar IEEE ops
-    distinct, at = np.unique(best, return_inverse=True)
-    w2_exact = np.array([exact.omega2(*projector.modes[i]) for i in distinct])[at]
+    # the errors by the scalar IEEE ops
+    w2_exact = exact.box_omega2(projector.m_max, projector.n_max)[best]
+    if np.isnan(w2_exact).any():
+        raise KeyError(projector.modes[best[np.argmax(np.isnan(w2_exact))]])
     zero = w2_exact == 0.0
     error = np.where(zero, np.abs(w2),
                      np.abs(w2 - w2_exact) / np.where(zero, 1.0, w2_exact))

@@ -8,7 +8,7 @@ and no transpose reuse.  It also keeps the global scalar forms of what the
 library does on lattice stencils (the reduction to ``A`` by scalar CSR
 products), and the global dense solvers that serve as the tests' oracles
 (``dense_generalized_eig`` and ``ldl_inertia``), the former all-classes
-band loop of ``bloch_eig`` (``bloch_band_reference``), and pencil residuals
+loop of ``bloch_eig`` (``bloch_band_reference``), and pencil residuals
 in extended precision (``extended_residuals``).
 """
 
@@ -22,7 +22,8 @@ from scipy.special import spherical_jn
 
 from anisodg.eigensolve import (DENSE_CAP, CompletenessError, EigenSolution,
                                 _as_pencil, _as_sym, _dense_pencil, _LatticePencil,
-                                _ldl_factor, _pencil_eigh, _residuals)
+                                _ldl_factor, _pencil_band, _pencil_eigh,
+                                _residuals)
 from anisodg.geometry import (MERGE_TOL, TWO_PI, Alignment, Cell, Interface,
                               edge_point, outward_normal)
 
@@ -303,44 +304,51 @@ def dense_generalized_eig(a, m=None, cap: int = DENSE_CAP) -> EigenSolution:
 
 
 def bloch_band_reference(a, m, req) -> EigenSolution:
-    """The band of ``bloch_eig`` by its former all-classes loop: every
-    wavevector class is solved, the band is cut from each, and only then is
-    each class's count checked against the LDL^T inertia of its block ``A(k)
-    - lambda_max M(k)``.  ``bloch_eig`` takes the inertia first and solves
-    only the classes with band pairs; the two must agree bit for bit.  Each
-    class is bounded over all its block eigenpairs before the band is cut,
-    as ``bloch_eig`` does in one batch: a product over fewer columns may
-    round differently."""
+    """The solve of ``bloch_eig`` by its former all-classes loop.  With
+    ``req``, every wavevector class is solved by the same by-value call as
+    ``bloch_eig``'s (``_pencil_band``), and only then is each class's count
+    checked against the LDL^T inertia of its block ``A(k) - lambda_max
+    M(k)``; ``bloch_eig`` takes the inertia first and solves only the classes
+    with band pairs.  Without ``req`` every class is solved in full, in one
+    ``_pencil_eigh`` batch per group of classes as ``bloch_eig`` does.  The
+    two must agree bit for bit.  Each class is bounded over the columns it
+    returns."""
     pencil = _LatticePencil(a, m)
     ks = np.arange(len(pencil.conj))
     real = np.flatnonzero(pencil.conj == ks)
     pair = np.flatnonzero(pencil.conj > ks)
-    w_real, v_real = _pencil_eigh(pencil.a_hat[real].real, pencil.m_hat[real].real)
-    w_pair, v_pair = _pencil_eigh(pencil.a_hat[pair], pencil.m_hat[pair])
-    classes = [(int(k), w, v, 1) for k, w, v in zip(real, w_real, v_real)]
-    classes += [(int(k), w, v, 2) for k, w, v in zip(pair, w_pair, v_pair)]
+    if req is None:
+        w_real, v_real = _pencil_eigh(pencil.a_hat[real].real, pencil.m_hat[real].real)
+        w_pair, v_pair = _pencil_eigh(pencil.a_hat[pair], pencil.m_hat[pair])
+        classes = [(int(k), w, v, 1) for k, w, v in zip(real, w_real, v_real)]
+        classes += [(int(k), w, v, 2) for k, w, v in zip(pair, w_pair, v_pair)]
+    else:
+        classes = [(int(k), *_pencil_band(pencil.a_hat[k].real, pencil.m_hat[k].real,
+                                          req.lambda_max), 1) for k in real]
+        classes += [(int(k), *_pencil_band(pencil.a_hat[k], pencil.m_hat[k],
+                                           req.lambda_max), 2) for k in pair]
     norm_a = a.norm_inf()
 
-    shift, inertia, n_zero = req.lambda_max, 0, 0
-    for k, w, _, mult in classes:
-        shifted = pencil.a_hat[k] - shift * pencil.m_hat[k]
-        if mult == 1:
-            shifted = shifted.real
-        (neg, zero, _), _ = _ldl_factor(np.array(shifted, order="F"), 1e-12)
-        found = int(np.sum(w <= shift))
-        if found != neg and not zero:
+    inertia = None
+    if req is not None:
+        shift, inertia, n_zero = req.lambda_max, 0, 0
+        for k, w, _, mult in classes:
+            shifted = pencil.a_hat[k] - shift * pencil.m_hat[k]
+            if mult == 1:
+                shifted = shifted.real
+            (neg, zero, _), _ = _ldl_factor(np.array(shifted, order="F"), 1e-12)
+            if len(w) != neg and not zero:
+                raise CompletenessError(
+                    f"found {len(w)} eigenvalues <= {shift:.6g} in the block of "
+                    f"wavevector {divmod(k, pencil.ny)} but its inertia count "
+                    f"demands {neg}")
+            inertia += mult * neg
+            n_zero += mult * zero
+        if n_zero:
             raise CompletenessError(
-                f"found {found} eigenvalues <= {shift:.6g} in the block of "
-                f"wavevector {divmod(k, pencil.ny)} but its inertia count "
-                f"demands {neg}")
-        inertia += mult * neg
-        n_zero += mult * zero
-    if n_zero:
-        raise CompletenessError(
-            f"{n_zero} pivot(s) within tolerance of lambda_max={shift:.6g}; "
-            f"band boundary is ambiguous")
-    classes = [(k, w[w <= shift], v[:, w <= shift], pencil.bounds(k, w, v)[w <= shift],
-                mult) for k, w, v, mult in classes]
+                f"{n_zero} pivot(s) within tolerance of lambda_max={shift:.6g}; "
+                f"band boundary is ambiguous")
+    classes = [(k, w, v, pencil.bounds(k, w, v), mult) for k, w, v, mult in classes]
 
     col_w = np.concatenate([np.repeat(w, mult) for _, w, _, _, mult in classes])
     order = np.argsort(col_w, kind="stable")
@@ -357,8 +365,9 @@ def bloch_band_reference(a, m, req) -> EigenSolution:
             resid[cols] = np.repeat(bound, mult)
     col_k = np.concatenate([np.full(mult * len(w), k) for k, w, _, _, mult in classes])
     return EigenSolution(eigenvalues=col_w[order], eigenvectors=x, residuals=resid,
-                         method="bloch", inertia_count=inertia, norm_a=norm_a,
-                         wavevectors=col_k[order])
+                         method="dense" if req is None else "bloch",
+                         inertia_count=inertia,
+                         norm_a=norm_a, wavevectors=col_k[order])
 
 
 def ldl_inertia(s, zero_tol: float = 1e-12) -> tuple[int, int, int]:

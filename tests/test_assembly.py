@@ -641,3 +641,66 @@ def test_reduction_matches_scalar_product(alignment, nx, ny, p_xi, p_eta,
         got = bloch_eig(a, m).eigenvalues
         want = bf.dense_generalized_eig(a_want, m_want).eigenvalues
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def rolled_face_stencil(offsets, w, left, right):
+    """``assembly._face_stencil`` of a one-cell lattice with its neighbour
+    blocks rolled over the ``1 x 1`` grid."""
+    weighted = (w[:, :, None, None] * left).transpose(0, 2, 3, 1)
+    e = np.matmul(weighted[:, :, None], right.transpose(0, 2, 1, 3)[:, None])
+    n_loc = e.shape[-1]
+    e = e.reshape((1, 1, len(offsets), 2, 2, n_loc, n_loc))
+    blocks = [np.zeros((1, 1, n_loc, n_loc))]
+    for t, d in enumerate(offsets):
+        nbr = np.roll(e[:, :, t, 1], tuple(d), axis=(0, 1))
+        blocks[0] += e[:, :, t, 0, 0] + nbr[:, :, 1]
+        blocks += [e[:, :, t, 0, 1], nbr[:, :, 0]]
+    stencil = np.concatenate([assembly._ORIGIN] + [np.stack([d, -d]) for d in offsets])
+    return stencil, np.stack(blocks, axis=2).reshape(-1, len(blocks), n_loc, n_loc)
+
+
+def rolled_reduced_blocks(ops):
+    """The blocks of ``build_reduced(ops)[0]`` before symmetrization, for a
+    one-cell ``C``, each product of C with ``C^T`` rolled over the ``1 x 1``
+    grid."""
+    m_uv = np.diagonal(ops.m_uv.blocks[0, 0])
+    c, pen = ops.c, ops.b_phipsi
+    _, s_count, n_loc, _ = c.blocks.shape
+    right = np.ascontiguousarray(c.blocks.swapaxes(-1, -2)).reshape(
+        (1, 1) + c.blocks.shape[1:])
+    left = c.blocks * (1.0 / m_uv)
+    shifts = (c.offsets[:, None] - c.offsets[None, :]).reshape(-1, 2)
+    offsets, slot = assembly._residues(np.concatenate([shifts, pen.offsets]),
+                                       c.lattice, closed=True)
+    blocks = np.zeros((len(offsets), 1, n_loc, n_loc))
+    for k, d in enumerate(shifts):
+        shifted = np.roll(right[:, :, k % s_count], tuple(-d), axis=(0, 1))
+        blocks[slot[k]] += np.matmul(left[:, k // s_count],
+                                     shifted.reshape(1, n_loc, n_loc))
+    for k, at in enumerate(slot[len(shifts):]):
+        blocks[at] += pen.blocks[:, k]
+    return offsets, blocks.swapaxes(0, 1)
+
+
+def test_one_cell_stencils_are_not_rolled(monkeypatch):
+    """``ref_band``'s one-cell pencil (8x8 p4 constant coefficients) is
+    assembled and reduced without ``np.roll``, the identity on its ``1 x 1``
+    grid of stored cells, and its blocks are bit for bit those of the
+    rolled computation."""
+    mesh, spec = build_mesh(MeshConfig(8, 8, Alignment.BOTTOM_TOP, REF_B)), BasisSpec(4, 4)
+    B = MagneticField.uniform(REF_B)
+    offsets, w, bn_beta, _, jump, avg = assembly._crossing_traces(mesh, spec, B, None)
+    ops = assemble_operator_set(mesh, spec, CONST, B, 6.0)
+    want_face = rolled_face_stencil(offsets, w * bn_beta, jump, avg)
+    want_a = assembly.SymStencil(*rolled_reduced_blocks(ops), ops.c.lattice)
+
+    def no_roll(*args, **kwargs):
+        raise AssertionError("np.roll called on a one-cell stencil")
+
+    monkeypatch.setattr(np, "roll", no_roll)
+    face = assembly._face_stencil(mesh, offsets, w * bn_beta, jump, avg)
+    a, _ = build_reduced(assemble_operator_set(mesh, spec, CONST, B, 6.0))
+    assert all(np.array_equal(got, want) for got, want in zip(face, want_face))
+    assert face[1].shape[0] == a.blocks.shape[0] == 1
+    assert np.array_equal(a.offsets, want_a.offsets)
+    assert np.array_equal(a.blocks, want_a.blocks)

@@ -630,6 +630,49 @@ def test_bloch_band_matches_the_all_classes_reference(alignment, nx, ny, p, band
     assert {"real" if conj[k] == k else "pair" for k in held} == kinds
 
 
+def per_class_band(a, m, band):
+    """``(wavevectors, eigenvalues)`` of the band by a full generalized
+    ``scipy.linalg.eigh`` of every class block, cut at ``band``: a pair
+    class's eigenvalues twice, each class's ascending, classes in turn."""
+    pencil = eigensolve._LatticePencil(a, m)
+    ks, ws = [], []
+    for k in np.flatnonzero(pencil.conj >= np.arange(len(pencil.conj))):
+        a_k, m_k = pencil.a_hat[k], pencil.m_hat[k]
+        mult = 1 if pencil.conj[k] == k else 2
+        if mult == 1:
+            a_k, m_k = a_k.real, m_k.real
+        w = sla.eigh(a_k, m_k, eigvals_only=True)
+        ws.append(np.repeat(w[w <= band], mult))
+        ks.append(np.full(len(ws[-1]), k))
+    return np.concatenate(ks), np.concatenate(ws)
+
+
+PER_CLASS_CASES = [case[:5] for case in BAND_CASES]
+PER_CLASS_CASES += [("varying", nx, ny, 6, 0.8) for nx, ny in ((4, 2), (3, 5))]
+
+
+@pytest.mark.parametrize("alignment, nx, ny, p, band", PER_CLASS_CASES,
+                         ids=[f"{getattr(c[0], 'value', c[0])}-{c[1]}x{c[2]}-p{c[3]}"
+                              for c in PER_CLASS_CASES])
+def test_bloch_band_matches_the_per_class_full_eigh(alignment, nx, ny, p, band):
+    """The by-value class solves against every eigenpair of each class
+    block: the same count in each class, and eigenvalues within ``1e-10
+    max(|lambda|, lambda_max)``; the pencils with a ``k``-dependent,
+    non-diagonal mass symbol included."""
+    if alignment == "varying":
+        a, m = varying_mass_pencil(nx, ny, p, seed=nx * ny)
+        band *= float(np.median(bloch_eig(a, m).eigenvalues))
+    else:
+        a, m = constant_pencil(alignment, nx, ny, p)
+    sol = bloch_eig(a, m, BandRequest(lambda_max=band))
+    ks, want = per_class_band(a, m, band)
+    assert sol.inertia_count == len(sol) == len(want) > 0
+    order = np.lexsort((sol.eigenvalues, sol.wavevectors))
+    assert np.array_equal(sol.wavevectors[order], ks)
+    got = sol.eigenvalues[order]
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(want), band))
+
+
 def test_bloch_band_of_no_class_or_of_every_class_matches_the_reference():
     """Every eigenvalue of the pencil ``(M, M)`` is 1: below the edge no
     class holds a band pair and the band is empty; above it every class
@@ -642,20 +685,26 @@ def test_bloch_band_of_no_class_or_of_every_class_matches_the_reference():
 
 def test_bloch_band_solves_only_the_classes_that_hold_band_pairs(monkeypatch):
     """``ref_band``'s pencil (8x8 p4, band edge 0.2) has 34 wavevector
-    classes.  The band solve hands ``_pencil_eigh`` the 7 whose block holds
-    an eigenvalue below the edge; the full spectrum hands it all 34."""
+    classes.  The band solve hands ``_pencil_band`` the 7 whose block holds
+    an eigenvalue below the edge; the full spectrum hands ``_pencil_eigh``
+    all 34."""
     a, m = constant_pencil(Alignment.BOTTOM_TOP, 8, 8, 4)
     pencil = eigensolve._LatticePencil(a, m)
     reps = np.flatnonzero(pencil.conj >= np.arange(len(pencil.conj)))
     holding = [k for k in reps if sla.eigh(
         pencil.a_hat[k], pencil.m_hat[k], eigvals_only=True)[0] <= 0.2]
-    rows, pencil_eigh = [], eigensolve._pencil_eigh
+    rows, pencil_band, pencil_eigh = [], eigensolve._pencil_band, eigensolve._pencil_eigh
 
-    def spy(a_k, m_k):
+    def band_spy(a_k, m_k, lambda_max):
+        rows.append(1)
+        return pencil_band(a_k, m_k, lambda_max)
+
+    def full_spy(a_k, m_k):
         rows.append(len(a_k))
         return pencil_eigh(a_k, m_k)
 
-    monkeypatch.setattr(eigensolve, "_pencil_eigh", spy)
+    monkeypatch.setattr(eigensolve, "_pencil_band", band_spy)
+    monkeypatch.setattr(eigensolve, "_pencil_eigh", full_spy)
     sol = bloch_eig(a, m, BandRequest(lambda_max=0.2))
     assert (len(reps), len(holding)) == (34, 7)
     assert sum(rows) == len(holding) == len(np.unique(sol.wavevectors))
@@ -671,14 +720,36 @@ def test_bloch_band_short_of_a_block_inertia_is_incomplete(monkeypatch):
     pencil = eigensolve._LatticePencil(a, m)
     neg = int(np.sum(sla.eigh(pencil.a_hat[0].real, pencil.m_hat[0].real,
                               eigvals_only=True) <= 0.4))
-    pencil_eigh = eigensolve._pencil_eigh
+    pencil_band = eigensolve._pencil_band
 
-    def drop_lowest(a_k, m_k):
-        w, v = pencil_eigh(a_k, m_k)
-        return w[:, 1:], v[:, :, 1:]
+    def drop_lowest(a_k, m_k, lambda_max):
+        w, v = pencil_band(a_k, m_k, lambda_max)
+        return w[1:], v[:, 1:]
 
-    monkeypatch.setattr(eigensolve, "_pencil_eigh", drop_lowest)
+    monkeypatch.setattr(eigensolve, "_pencil_band", drop_lowest)
     message = (f"found {neg - 1} eigenvalues <= 0.4 in the block of wavevector "
+               f"(0, 0) but its inertia count demands {neg}")
+    with pytest.raises(CompletenessError, match=re.escape(message)):
+        bloch_eig(a, m, BandRequest(lambda_max=0.4))
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["one-fewer", "one-more"])
+def test_bloch_band_class_solve_off_by_one_pair_is_incomplete(monkeypatch, extra):
+    """A class solve that returns one pair fewer (its top band pair lost) or
+    one pair more (the first pair above the edge) than its block's inertia
+    count raises."""
+    a, m = make_small_system(2, 2, 2)
+    pencil = eigensolve._LatticePencil(a, m)
+    neg = int(np.sum(sla.eigh(pencil.a_hat[0].real, pencil.m_hat[0].real,
+                              eigvals_only=True) <= 0.4))
+
+    def off_by_one(a_k, m_k, lambda_max):
+        w, v = sla.eigh(a_k, m_k)
+        count = int(np.sum(w <= lambda_max)) + extra
+        return w[:count], v[:, :count]
+
+    monkeypatch.setattr(eigensolve, "_pencil_band", off_by_one)
+    message = (f"found {neg + extra} eigenvalues <= 0.4 in the block of wavevector "
                f"(0, 0) but its inertia count demands {neg}")
     with pytest.raises(CompletenessError, match=re.escape(message)):
         bloch_eig(a, m, BandRequest(lambda_max=0.4))

@@ -3,6 +3,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import spherical_jn
 
 import bruteforce as bf
@@ -21,6 +23,8 @@ from anisodg.spectrum import (AMPLITUDE_TIE_RTOL, PROJECT_BLOCK, Association,
                               convergence_study, exact_spectrum,
                               least_squares_slope, max_band_mode_error,
                               mode_error_table, run_band_solve)
+from pinning import pinned
+from test_eigensolve import BAND_CASES, constant_pencil
 
 REF_B = FieldDirection(1.165939761, 1.0)
 CONST = CoefficientField.constant(1.0)
@@ -107,7 +111,7 @@ def test_projector_constant_vector():
 
 
 def local_moments_per_degree(mesh, spec, modes):
-    """``FourierProjector._local`` with one Bessel call per degree: the
+    """``FourierProjector._moments()`` with one Bessel call per degree: the
     reference for its one broadcast call per axis."""
     mm, nn = np.array(modes, dtype=float).T
     cell0 = mesh.cell0
@@ -132,8 +136,123 @@ def test_local_moments_match_the_per_degree_loop(p_xi, p_eta):
     mesh = build_mesh(MeshConfig(4, 8, Alignment.BOTTOM_TOP, REF_B))
     spec = BasisSpec(p_xi, p_eta)
     proj = FourierProjector(mesh, spec)
-    np.testing.assert_array_equal(proj._local,
+    np.testing.assert_array_equal(proj._moments(),
                                   local_moments_per_degree(mesh, spec, proj.modes))
+
+
+#: The derandomized draws of ``test_moments_built_in_any_order_are_the_eager_table``
+#: when it was recorded, replayed by ``pinned``.
+MOMENT_DRAWS = [
+    (Alignment.CARTESIAN, 1, 1, 0, 0, 0),
+    (Alignment.LEFT_RIGHT, 1, 1, 0, 0, 0),
+    (Alignment.LEFT_RIGHT, 3, 1, 3, 1, 0),
+    (Alignment.BOTTOM_TOP, 4, 2, 0, 2, 127),
+    (Alignment.CARTESIAN, 2, 2, 0, 0, 17795),
+    (Alignment.LEFT_RIGHT, 6, 2, 1, 2, 732),
+    (Alignment.BOTTOM_TOP, 5, 1, 1, 2, 15151),
+    (Alignment.CARTESIAN, 6, 6, 0, 3, 1746),
+    (Alignment.LEFT_RIGHT, 5, 3, 1, 1, 436),
+    (Alignment.LEFT_RIGHT, 2, 6, 3, 0, 292),
+    (Alignment.LEFT_RIGHT, 5, 4, 1, 3, 288),
+    (Alignment.LEFT_RIGHT, 4, 4, 1, 3, 288),
+    (Alignment.LEFT_RIGHT, 4, 4, 1, 3, 1),
+    (Alignment.LEFT_RIGHT, 4, 4, 1, 1, 1),
+    (Alignment.LEFT_RIGHT, 4, 1, 1, 1, 1),
+    (Alignment.LEFT_RIGHT, 4, 1, 1, 1, 4),
+    (Alignment.LEFT_RIGHT, 4, 4, 1, 1, 4),
+    (Alignment.BOTTOM_TOP, 3, 2, 0, 1, 8192),
+    (Alignment.BOTTOM_TOP, 3, 3, 0, 1, 8192),
+    (Alignment.BOTTOM_TOP, 1, 3, 0, 1, 8192),
+    (Alignment.BOTTOM_TOP, 1, 3, 3, 1, 8192),
+    (Alignment.BOTTOM_TOP, 1, 3, 3, 3, 8192),
+    (Alignment.BOTTOM_TOP, 3, 3, 3, 1, 8192),
+    (Alignment.BOTTOM_TOP, 3, 3, 3, 3, 8192),
+    (Alignment.CARTESIAN, 1, 3, 0, 2, 420),
+]
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(alignment=st.sampled_from(list(Alignment)), nx=st.integers(1, 6),
+       ny=st.integers(1, 6), p_xi=st.integers(0, 3), p_eta=st.integers(0, 3),
+       seed=st.integers(0, 2**16))
+@pinned("alignment, nx, ny, p_xi, p_eta, seed", MOMENT_DRAWS)
+def test_moments_built_in_any_order_are_the_eager_table(alignment, nx, ny, p_xi,
+                                                          p_eta, seed):
+    """The residue classes requested in a random order and in random
+    groups, some twice, build each row of the moment table once, bit for
+    bit the row of the table built in one call."""
+    mesh = build_mesh(MeshConfig(nx, ny, alignment, REF_B))
+    spec = BasisSpec(p_xi, p_eta)
+    proj = FourierProjector(mesh, spec, 6, 6)
+    eager = proj._build_local(np.arange(len(proj.modes)))
+    rng = np.random.default_rng(seed)
+    residues = rng.permutation(nx * ny).tolist()
+    cuts = np.sort(rng.integers(0, len(residues) + 1, 3)).tolist()
+    for part in np.split(residues, cuts):
+        local = proj._moments(part.tolist() + residues[:1])
+        rows = np.concatenate([proj._residue_rows.get(r, np.empty(0, dtype=int))
+                               for r in part.tolist() + residues[:1]])
+        assert np.array_equal(local[rows], eager[rows])
+    assert np.array_equal(proj._moments(), eager)
+
+
+@pytest.fixture
+def built_rows(monkeypatch):
+    """The rows of every ``FourierProjector._build_local`` call."""
+    calls, build = [], FourierProjector._build_local
+
+    def spy(self, rows):
+        calls.append(rows)
+        return build(self, rows)
+
+    monkeypatch.setattr(FourierProjector, "_build_local", spy)
+    return calls
+
+
+def test_moments_are_built_for_the_residues_a_projection_reads(built_rows):
+    """``ref_band``'s association (8x8 p4, band edge 0.2, 7 classes) builds
+    the moment rows of the 13 residues of its classes and their conjugates,
+    each once; a full spectrum (34 classes) and a ``band_eig`` association
+    (the FFT path) build all 841 box modes."""
+    config, spec = MeshConfig(8, 8, Alignment.BOTTOM_TOP, REF_B), BasisSpec(4, 4)
+    setup = SolveSetup(mesh_config=config, spec=spec, alpha=CONST, beta=CONST)
+    sol = run_band_solve(setup).solution
+    rows = np.concatenate(built_rows)
+    mn = np.array(FourierProjector(build_mesh(config), spec).modes)[rows]
+    residues = set(((mn[:, 0] % 8) * 8 + mn[:, 1] % 8).tolist())
+    p, q = np.divmod(np.unique(sol.wavevectors), 8)
+    held = set((p * 8 + q).tolist()) | set(((-p) % 8 * 8 + (-q) % 8).tolist())
+    assert residues == held and len(residues) == 13
+    assert len(rows) == len(np.unique(rows)) == 168
+    for full in (run_band_solve(SolveSetup(mesh_config=config, spec=spec, alpha=CONST,
+                                           beta=CONST, full_spectrum=True)),
+                 run_band_solve(SolveSetup(
+                     mesh_config=MeshConfig(2, 4, Alignment.BOTTOM_TOP, REF_B),
+                     spec=BasisSpec(1, 1), alpha=CONST,
+                     beta=CoefficientField(1.0, (Harmonic(0, 1, 0.1, 0.0),))))):
+        built_rows.clear()
+        associate_modes(full.solution, FourierProjector(full.mesh, full.setup.spec))
+        assert np.array_equal(np.sort(np.concatenate(built_rows)), np.arange(841))
+    assert full.solution.wavevectors is None
+
+
+@pytest.mark.parametrize("alignment, nx, ny, p, band", [c[:5] for c in BAND_CASES],
+                         ids=[f"{c[0].value}-{c[1]}x{c[2]}-p{c[3]}" for c in BAND_CASES])
+def test_band_amplitudes_from_the_built_residues_are_the_eager_ones(alignment, nx, ny,
+                                                                     p, band):
+    """The amplitudes and the association of a Bloch band, projected with
+    only its residues' moments built, are bit for bit those projected with
+    the whole table built first."""
+    a, m = constant_pencil(alignment, nx, ny, p)
+    sol = eigensolve.bloch_eig(a, m, BandRequest(lambda_max=band))
+    mesh, spec = build_mesh(MeshConfig(nx, ny, alignment, REF_B)), BasisSpec(p, p)
+    lazy, eager = FourierProjector(mesh, spec), FourierProjector(mesh, spec)
+    eager._moments()
+    amps, assoc = zip(*[(proj.amplitudes(sol.eigenvectors, sol.wavevectors),
+                         associate_modes(sol, proj, exact_spectrum(REF_B)))
+                        for proj in (lazy, eager)])
+    assert np.array_equal(amps[0], amps[1])
+    assert assoc[0] == assoc[1]
 
 
 def test_projector_moments_match_quadrature_oracle():
@@ -430,7 +549,7 @@ def test_class_tie_across_conjugate_residues_follows_mode_order(monkeypatch):
     proj = FourierProjector(mesh, spec, 3, 3)
     a, b = proj.modes.index((1, 2)), proj.modes.index((2, 0))
     assert b < a
-    local = np.zeros_like(proj._local)
+    local = np.zeros_like(proj._moments())
     local[a] = proj._local[a]
     local[b] = proj._local[a].conj()
     monkeypatch.setattr(proj, "_local", local)
@@ -552,15 +671,18 @@ def test_full_spectrum_needs_constant_coefficients():
 
 
 def test_constant_coefficient_solves_use_the_lattice_blocks():
+    """The band solve finds each class's band pairs by value, the full
+    spectrum every pair at once: the two LAPACK solvers agree to
+    ``1e-10 * max(|lambda|, lambda_max)``."""
     band = reference_solve(nx=2, ny=4, p=1)
     full = reference_solve(nx=2, ny=4, p=1, full_spectrum=True)
     assert band.solution.method == "bloch"
     assert band.solution.inertia_count == len(band.solution)
     assert full.solution.method == "dense"
     assert len(full.solution) == band.setup.dof()
-    np.testing.assert_array_equal(
-        band.solution.eigenvalues,
-        full.solution.eigenvalues[:len(band.solution)])
+    w = band.solution.eigenvalues
+    assert np.all(np.abs(w - full.solution.eigenvalues[:len(w)])
+                  <= 1e-10 * np.maximum(np.abs(w), band.setup.omega_max_sq))
     np.testing.assert_array_equal(
         band.solution.wavevectors,
         full.solution.wavevectors[:len(band.solution)])
@@ -595,9 +717,7 @@ def test_bloch_eigenvectors_are_formed_on_the_first_read(formed_waves, full):
     assert sol.eigenvectors is vecs
     a, m = build_reduced(assemble_operator_set(
         build_mesh(config), spec, CONST, MagneticField.uniform(REF_B), 6.0))
-    # above the top of the spectrum the reference holds all of it
-    edge = 2.0 * float(sol.eigenvalues[-1]) if full else 0.2
-    ref = bf.bloch_band_reference(a, m, BandRequest(lambda_max=edge))
+    ref = bf.bloch_band_reference(a, m, None if full else BandRequest(lambda_max=0.2))
     assert np.array_equal(vecs, ref.eigenvectors)
     assert np.array_equal(sol.eigenvalues, ref.eigenvalues)
 
