@@ -28,9 +28,6 @@ class BasisSpec:
     def n_loc(self) -> int:
         return (self.p_xi + 1) * (self.p_eta + 1)
 
-    def flat_index(self, a: int, b: int) -> int:
-        return a * (self.p_eta + 1) + b
-
 
 def dof_parallel(spec: BasisSpec, nx: int) -> int:
     return (spec.p_xi + 1) * nx
@@ -60,7 +57,7 @@ def legendre_basis_eval(p: int, t) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    nodes: np.ndarray   # (n,) in 1D or (n, 2) for a tensor rule
+    nodes: np.ndarray   # (n,)
     weights: np.ndarray
 
     def __post_init__(self):
@@ -109,15 +106,6 @@ def _read_only(rule: QuadratureRule) -> QuadratureRule:
     rule.nodes.flags.writeable = False
     rule.weights.flags.writeable = False
     return rule
-
-
-def tensor_gauss_rule(n: int) -> QuadratureRule:
-    """Tensor-product Gauss rule on the reference square; weights sum to 4."""
-    rule = gauss_rule(n)
-    xi, eta = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-    wx, we = np.meshgrid(rule.weights, rule.weights, indexing="ij")
-    nodes = np.column_stack([xi.ravel(), eta.ravel()])
-    return QuadratureRule(nodes=nodes, weights=(wx * we).ravel())
 
 
 def tensor_basis_eval(spec: BasisSpec, xi, eta) -> tuple[np.ndarray, np.ndarray]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -131,6 +132,8 @@ class RunConfig:
         """``setup``, with ``coefficient`` giving the field of a file name."""
         if self.omega_max_sq <= 0.0:
             raise ConfigError("omega_max_sq must be > 0")
+        if self.tolerance <= 0.0:
+            raise ConfigError("tolerance must be > 0")
         if self.m_max < 0 or self.n_max < 0:
             raise ConfigError("mode bounds must be >= 0")
         return SolveSetup(
@@ -176,6 +179,8 @@ def build_config(config_file: str | None, overrides: dict[str, str]) -> RunConfi
                 merged[key] = casts[field_types[key]](val)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {val!r}") from exc
+            if field_types[key] == "float" and not math.isfinite(merged[key]):
+                raise ConfigError(f"bad value for {key!r}: {val!r} is not finite")
     return RunConfig(**merged)
 
 

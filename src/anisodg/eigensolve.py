@@ -43,12 +43,9 @@ from scipy.linalg import blas, lapack
 
 from .assembly import _ORIGIN, Stencil, SymStencil, _residues
 
-#: Problems at most this large may be handled by dense LAPACK paths, and
-#: have their full spectrum (``n x n`` eigenvectors) computed.
-DENSE_CAP = 8192
-
-#: The most matrix entries a factor of ``K = A - shift M`` may store
-#: (``2**28`` float64 entries are 2 GiB); a larger layout is refused.
+#: The most matrix entries a factor of ``K = A - shift M``, a dense pencil
+#: or an eigenvector array may store (``2**28`` float64 entries are 2 GiB);
+#: a larger one is refused before it is formed.
 FACTOR_BUDGET = 2**28
 
 #: Width of band_eig's Lanczos block: the band eigenvalues of the
@@ -127,11 +124,15 @@ class EigenSolution:
     ``j`` is ``sum_c exp(2 pi i (p c_x / nx + q c_y / ny)) x_j[c]`` over the
     cells ``c`` of column ``x_j``, read off its block eigenvector rather
     than summed (its DFT at ``-k`` is the conjugate, the column being real).
+    They are what a Bloch solution's Fourier labels are read from
+    (``spectrum.associate_modes``).
 
     ``bloch_eig`` passes ``eigenvectors`` as a callable that forms them: the
     ``n x len`` array is built on the first read of ``eigenvectors`` and
     kept, so a solve whose vectors only get labelled (by ``coefficients``)
-    never forms it.
+    never forms it.  An array of more than ``FACTOR_BUDGET`` entries is
+    refused on that read (``ValueError``), and the rest of the solution
+    stays readable.
     """
 
     eigenvalues: np.ndarray
@@ -154,7 +155,8 @@ class EigenSolution:
     def __getattr__(self, name):
         # reached only while the deferred eigenvectors are unformed
         if name == "eigenvectors" and "_form" in vars(self):
-            self.eigenvectors = vars(self).pop("_form")()
+            self.eigenvectors = vars(self)["_form"]()
+            del self._form
             return self.eigenvectors
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
@@ -214,6 +216,8 @@ def _residuals(a: SymStencil, m: SymStencil,
 
 
 def _count_signs(pivots: np.ndarray, tol: float) -> tuple[int, int, int]:
+    if not np.isfinite(pivots).all():
+        raise CompletenessError("an LDL^T pivot is not finite; inertia unavailable")
     n_zero = int(np.sum(np.abs(pivots) <= tol))
     n_neg = int(np.sum(pivots < -tol))
     return n_neg, n_zero, len(pivots) - n_neg - n_zero
@@ -232,6 +236,18 @@ class Factor:
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
         return self.solve(b)
+
+
+def _d_eigenvalues(d: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a Bunch-Kaufman factor's D, the real symmetric
+    tridiagonal matrix of diagonal ``d`` and off-diagonal ``off``.  scipy
+    refuses a D with a non-finite entry (the factor of a matrix with NaN or
+    inf entries); its eigenvalues are then NaN, which ``_count_signs``
+    refuses."""
+    try:
+        return sla.eigvalsh_tridiagonal(d, off)
+    except ValueError:
+        return np.full(len(d), np.nan)
 
 
 def _ldl_routines(k: np.ndarray):
@@ -270,7 +286,7 @@ def _ldl_factor(k: np.ndarray, zero_tol: float, routines=None):
     if len(starts):
         off = np.zeros(len(pivots) - 1)
         off[starts] = np.abs(lu[starts + 1, starts])
-        pivots = sla.eigvalsh_tridiagonal(pivots.copy(), off)
+        pivots = _d_eigenvalues(pivots.copy(), off)
     return (_count_signs(pivots, zero_tol * max(scale, np.finfo(float).tiny)),
             lambda b: trs(lu, piv, b, lower=1)[0])
 
@@ -439,7 +455,7 @@ class _BunchKaufman:
             raise ValueError(f"dsytrf: illegal value in argument {-info}")
         self.low, off, _ = lapack.dsyconv(ldu, ipiv, lower=1, overwrite_a=1)
         d, off = np.diag(self.low).copy(), off[:-1]
-        self.pivots = sla.eigvalsh_tridiagonal(d, off)
+        self.pivots = _d_eigenvalues(d, off)
         # D^{-1}: 1 / d on the 1x1 pivots, [[p0, q], [q, p1]] on the 2x2
         # ones, inverted scaled by their off-diagonal as in dsytrs2
         one, two = np.flatnonzero(ipiv > 0), np.flatnonzero(ipiv < 0)[::2]
@@ -630,7 +646,9 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
     band eigenvalue maps to a negative ``mu = 1/(lambda - lambda_max)`` of
     ``K^{-1} M`` and every other one to a positive value, so the band is
     exactly the ``n_neg`` negative eigenvalues.  Only a band that fills
-    (nearly) the whole space is solved by dense LAPACK instead.  The result
+    (nearly) the whole space is solved by dense LAPACK instead, refused
+    (``CompletenessError``) when the ``n x n`` pencil would store more than
+    ``FACTOR_BUDGET`` entries.  The result
     is accepted only when the returned count matches the inertia and every
     residual is within tolerance.
     """
@@ -651,10 +669,11 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
 
     limit = req.tolerance * max(norm_a, np.finfo(float).tiny)
     if n_neg + 8 >= n - 1:
-        if n > DENSE_CAP:
+        if n * n > FACTOR_BUDGET:
             raise CompletenessError(
-                f"band of {n_neg} eigenvalues needs a subspace near the full "
-                f"dimension {n}, which exceeds the dense cap")
+                f"band of {n_neg} eigenvalues needs the dense {n}x{n} pencil, "
+                f"which would store {n * n} entries, over the budget of "
+                f"{FACTOR_BUDGET}")
         w, x = sla.eigh(*_dense_pencil(a, m), overwrite_a=True,
                         overwrite_b=True, subset_by_value=(-np.inf, req.lambda_max))
         method, solves, subspace = "dense-band", 0, n
@@ -1025,16 +1044,16 @@ def bloch_eig(a: SymStencil, m: SymStencil,
     eigenpair, which is exactly that of the exact real wave, plus an
     a-priori rounding term.
 
-    The solution keeps its pairs in block form.  Each column's lattice DFT
+    The solution keeps its pairs in block form, ``n x n_loc`` coefficients
+    for a full spectrum of any size.  Each column's lattice DFT
     at its own wavevector (``EigenSolution.coefficients``) is read off its
     block eigenvector ``v``: ``sqrt(N) v`` for a self-conjugate class, and
     ``sqrt(N/2) conj(v)`` and ``i sqrt(N/2) conj(v)`` for the real-part and
     imaginary-part columns of a pair (``N = nx ny``).  The ``n``-long
     global columns are formed from the block vectors only when
-    ``eigenvectors`` is first read (``_BlochWaves``).
+    ``eigenvectors`` is first read (``_BlochWaves``), and refused there past
+    ``FACTOR_BUDGET`` entries.
     """
-    if req is None and a.n > DENSE_CAP:
-        raise ValueError(f"full spectrum of dimension {a.n} exceeds cap {DENSE_CAP}")
     pencil = _LatticePencil(a, m)
     real, pair = pencil.real, pencil.pair
     inertia = None
@@ -1131,16 +1150,21 @@ class _BlochWaves:
     group of classes, the class ``k[j]`` and block vector ``v[j]`` of each
     kept block eigenpair and its ``mult`` columns ``cols[j]`` of the
     ``n``-row array; per class, ``_Lattice.real_waves`` of its vectors, on
-    the lattice of ``shape``."""
+    the lattice of ``shape``.  An array of more than ``FACTOR_BUDGET``
+    entries raises ``ValueError`` before it is allocated."""
 
     shape: tuple[int, int]
     n: int
     groups: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     def __call__(self) -> np.ndarray:
+        columns = sum(cols.size for _, _, cols in self.groups)
+        if self.n * columns > FACTOR_BUDGET:
+            raise ValueError(
+                f"the {self.n}x{columns} eigenvector array would store "
+                f"{self.n * columns} entries, over the budget of {FACTOR_BUDGET}")
         lattice = _Lattice(*self.shape)
-        x = np.empty((self.n, sum(cols.size for _, _, cols in self.groups)),
-                     order="F")
+        x = np.empty((self.n, columns), order="F")
         for ks, v, cols in self.groups:
             for k in np.unique(ks).tolist():
                 at = ks == k

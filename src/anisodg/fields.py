@@ -11,6 +11,7 @@ tangent to aligned mesh edges wherever b is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -69,7 +70,8 @@ class CoefficientField:
 
 
 def check_positive(f: CoefficientField, samples: int = POSITIVITY_SAMPLES) -> float:
-    """Sample f on a samples x samples grid; raise if the minimum is not > 0.
+    """Sample f on a samples x samples grid; raise if the minimum is not > 0
+    (a NaN sample included).
 
     Returns the minimal sampled value.  This is a sampling check, not a
     proof of positivity.
@@ -79,7 +81,7 @@ def check_positive(f: CoefficientField, samples: int = POSITIVITY_SAMPLES) -> fl
     vals = f.eval(xx, yy)
     k = int(np.argmin(vals))
     vmin = float(vals.flat[k])
-    if vmin <= 0.0:
+    if not vmin > 0.0:
         i, j = np.unravel_index(k, vals.shape)
         raise FieldFileError(
             f"field is not positive: min sampled value {vmin:.6g} "
@@ -92,6 +94,7 @@ def parse_field(text: str, name: str = "<field>") -> CoefficientField:
 
     Line 1 (after comments): ``mean <real>``; every further non-comment line
     is ``<m:int> <n:int> <c_cos:real> <c_sin:real>``.  ``#`` starts a comment.
+    Every real must be finite.
     """
     mean = None
     harmonics = []
@@ -105,12 +108,14 @@ def parse_field(text: str, name: str = "<field>") -> CoefficientField:
                 if tokens[0] != "mean" or len(tokens) != 2:
                     raise ValueError("expected 'mean <real>'")
                 mean = float(tokens[1])
+                values = [mean]
             else:
                 if len(tokens) != 4:
                     raise ValueError("expected '<m> <n> <c_cos> <c_sin>'")
-                harmonics.append(Harmonic(m=int(tokens[0]), n=int(tokens[1]),
-                                          c_cos=float(tokens[2]),
-                                          c_sin=float(tokens[3])))
+                values = [float(tokens[2]), float(tokens[3])]
+                harmonics.append(Harmonic(int(tokens[0]), int(tokens[1]), *values))
+            if not all(map(math.isfinite, values)):
+                raise ValueError("numbers must be finite")
         except ValueError as exc:
             raise FieldFileError(f"{name}:{lineno}: cannot parse {line!r}: {exc}") from exc
     if mean is None:

@@ -326,15 +326,6 @@ class Mesh:
             xi[rows], eta[rows] = edge_point(name, t[rows])
         return (xi, eta) + self.map_points(faces.cells, xi, eta)
 
-    def is_conforming(self) -> bool:
-        return all(t.owner_range == (-1.0, 1.0) for t in self.templates)
-
-    def total_interface_length(self) -> float:
-        return self.n_cells * sum(t.h_F for t in self.templates)
-
-    def total_cell_area(self) -> float:
-        return self.n_cells * 4.0 * self.cell0.jacobian_det
-
     def summary(self) -> str:
         """Plain-text dump of cells and interfaces, for debugging and golden tests."""
         lines = [f"mesh {self.config.nx}x{self.config.ny} "

@@ -170,19 +170,17 @@ class FourierProjector:
     projected by a 2D DFT over the two cell axes, then one product of
     ``local`` with the transformed block per residue class
     ``(m mod nx, n mod ny)``; no ``modes x n`` matrix is formed.  ``modes``
-    is stored in the tie order of ``argmax_mode``, so the first maximum is
+    is stored in the tie order of ``argmax_modes``, so the first maximum is
     the documented winner.
 
-    A column whose wavevector class ``{k, -k}`` is known (a Bloch
-    eigenvector, ``EigenSolution.wavevectors``) has a lattice DFT that
-    vanishes outside ``k`` and ``-k``.  Only the modes of those two residue
-    classes then get an amplitude, from its DFT coefficient at ``k`` and
-    the conjugate at ``-k`` (the column is real); every other amplitude is
-    exactly 0.  One routine turns the coefficients into amplitudes, and they
-    come from one of two sources: ``amplitudes`` and ``argmax_modes`` take
-    them by one phase contraction of each column over the cells, and
-    ``associate_modes`` reads a Bloch solution's own
-    ``EigenSolution.coefficients``, taken from its block eigenvectors.
+    A Bloch eigenvector of wavevector class ``{k, -k}``
+    (``EigenSolution.wavevectors``) has a lattice DFT that vanishes outside
+    ``k`` and ``-k``.  Only the modes of those two residue classes then get
+    an amplitude, from its DFT coefficient at ``k`` and the conjugate at
+    ``-k`` (the column is real).  Those coefficients have one source, the
+    Bloch solution's own ``EigenSolution.coefficients``, read off its block
+    eigenvectors (``associate_modes``); ``amplitudes`` and ``argmax_modes``
+    project vectors onto every mode.
     """
 
     def __init__(self, mesh: Mesh, spec: BasisSpec,
@@ -260,25 +258,6 @@ class FourierProjector:
             out[rows] = np.abs(local[rows] @ what[:, p, q, :].T)
         return out
 
-    def _coefficients(self, block: np.ndarray, wavevectors: np.ndarray) -> np.ndarray:
-        """``(cols, n_loc)``: the lattice DFT of each column of ``block`` at
-        its own wavevector, by a phase contraction over the cells."""
-        nx, ny, n_loc = self.mesh.config.nx, self.mesh.config.ny, self.spec.n_loc
-        classes, inverse = np.unique(np.asarray(wavevectors), return_inverse=True)
-        p, q = np.divmod(classes, ny)
-        # the phases exp(2 pi i (p i / nx + q j / ny)) of _project's DFT, by axis
-        phase_x = np.exp(2j * np.pi * (np.outer(p, np.arange(nx)) % nx) / nx)
-        phase_y = np.exp(2j * np.pi * (np.outer(q, np.arange(ny)) % ny) / ny)
-        coeff = np.empty((block.shape[1], n_loc), dtype=complex)
-        for s in range(0, block.shape[1], PROJECT_BLOCK):
-            k = inverse[s:s + PROJECT_BLOCK]
-            cells = block[:, s:s + PROJECT_BLOCK].T.reshape(-1, nx, ny, n_loc)
-            # over j, then over i: two short sums round off about as little
-            # as the FFT's, where one sum over all cells would not
-            over_j = (phase_y[k, None, None] @ cells)[:, :, 0]
-            coeff[s:s + PROJECT_BLOCK] = (phase_x[k, None] @ over_j)[:, 0]
-        return coeff
-
     def _project_classes(self, coeff: np.ndarray, wavevectors: np.ndarray):
         """``(cols, rows, amps)`` per wavevector class of the columns whose
         DFT at their own wavevector is ``coeff``: the columns in that class,
@@ -303,45 +282,26 @@ class FourierProjector:
                 amps = np.vstack([amps, np.abs(local[rows_c] @ at_k.conj())])[order]
             yield cols, rows, amps
 
-    def amplitudes(self, vecs: np.ndarray,
-                   wavevectors: np.ndarray | None = None) -> np.ndarray:
+    def amplitudes(self, vecs: np.ndarray) -> np.ndarray:
         """|projection| onto each mode: ``(modes,)`` for a coefficient vector,
-        ``(modes, k)`` for the ``k`` columns of a block.  With the columns'
-        ``wavevectors`` (see the class docstring) only the modes of their
-        classes are projected and the rest read exactly 0."""
+        ``(modes, k)`` for the ``k`` columns of a block."""
         vecs = np.asarray(vecs)
         block = self._columns(vecs)
         out = np.zeros((len(self.modes), block.shape[1]))
-        if wavevectors is None:
-            for s in range(0, block.shape[1], PROJECT_BLOCK):
-                out[:, s:s + PROJECT_BLOCK] = self._project(block[:, s:s + PROJECT_BLOCK])
-        else:
-            coeff = self._coefficients(block, wavevectors)
-            for cols, rows, amps in self._project_classes(coeff, wavevectors):
-                out[np.ix_(rows, cols)] = amps
+        for s in range(0, block.shape[1], PROJECT_BLOCK):
+            out[:, s:s + PROJECT_BLOCK] = self._project(block[:, s:s + PROJECT_BLOCK])
         return out.reshape((len(self.modes),) + vecs.shape[1:])
 
-    def amplitude_table(self, vec: np.ndarray) -> dict[tuple[int, int], float]:
-        amps = self.amplitudes(vec)
-        return {mode: float(a) for mode, a in zip(self.modes, amps)}
-
-    def argmax_modes(self, vecs: np.ndarray, wavevectors: np.ndarray | None = None
-                     ) -> tuple[list[tuple[int, int]], np.ndarray]:
+    def argmax_modes(self, vecs: np.ndarray) -> tuple[list[tuple[int, int]], np.ndarray]:
         """Best mode and its amplitude for each column of ``vecs``; ties
         prefer small |m|+|n|, then small m.  A column with no projection
-        onto any mode of the box has amplitude 0.  With the columns'
-        ``wavevectors`` only the modes of their classes compete, and a
-        class that holds no mode of the box gives amplitude 0."""
-        best, amps = self._argmax(vecs, wavevectors)
+        onto any mode of the box has amplitude 0."""
+        best, amps = self._argmax(vecs)
         return [self.modes[i] for i in best], amps
 
-    def _argmax(self, vecs: np.ndarray, wavevectors: np.ndarray | None
-                ) -> tuple[np.ndarray, np.ndarray]:
+    def _argmax(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``argmax_modes`` with the modes as indices into ``modes``."""
         block = self._columns(np.asarray(vecs))
-        if wavevectors is not None:
-            return self._argmax_classes(self._coefficients(block, wavevectors),
-                                        wavevectors)
         best = np.zeros(block.shape[1], dtype=int)
         amps = np.zeros(block.shape[1])
         for s in range(0, block.shape[1], PROJECT_BLOCK):
@@ -353,7 +313,7 @@ class FourierProjector:
     def _argmax_classes(self, coeff: np.ndarray, wavevectors: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
         """``_argmax`` of the columns whose DFT at their own wavevector is
-        ``coeff``."""
+        ``coeff``; a class that holds no mode of the box gives amplitude 0."""
         best = np.zeros(len(coeff), dtype=int)
         amps = np.zeros(len(coeff))
         for cols, rows, a in self._project_classes(coeff, wavevectors):
@@ -361,13 +321,6 @@ class FourierProjector:
                 best[cols] = rows[a.argmax(axis=0)]
                 amps[cols] = a.max(axis=0)
         return best, amps
-
-    def argmax_mode(self, vec: np.ndarray) -> tuple[tuple[int, int], float]:
-        """Best mode and its amplitude; ties prefer small |m|+|n|, then small m."""
-        modes, amps = self.argmax_modes(np.asarray(vec)[:, None])
-        if amps[0] <= 0.0:
-            raise ValueError("zero projection everywhere; cannot associate")
-        return modes[0], float(amps[0])
 
 
 @dataclass(frozen=True)
@@ -434,20 +387,19 @@ def associate_modes(solution: EigenSolution, projector: FourierProjector,
     """Associate each eigenpair with its dominant Fourier mode.
 
     An eigenvector with no projection onto any mode of the box gets no row.
-    A Bloch eigenvector (``solution.wavevectors`` set) is projected only
-    onto the modes of its own wavevector class ``{k, -k}``, being orthogonal
-    to every other mode; on a lattice wider than the box a class can hold no
-    box mode, and its vectors get no row.  Those projections are read from
-    ``solution.coefficients`` when the solution carries them (``bloch_eig``
-    does), so its global eigenvectors are never formed; otherwise they are
-    contracted from the eigenvectors.  The rows are returned as columns
-    (``Associations``).
+    A Bloch solution (``solution.coefficients`` set, by ``bloch_eig``) is
+    projected from its coefficients onto the modes of each column's own
+    wavevector class ``{k, -k}`` alone, being orthogonal to every other
+    mode, so its global eigenvectors are never formed; on a lattice wider
+    than the box a class can hold no box mode, and its vectors get no row.
+    Any other solution's eigenvectors are projected onto every mode by the
+    FFT.  The rows are returned as columns (``Associations``).
     """
     if solution.coefficients is not None:
         best, amps = projector._argmax_classes(solution.coefficients,
                                                solution.wavevectors)
     else:
-        best, amps = projector._argmax(solution.eigenvectors, solution.wavevectors)
+        best, amps = projector._argmax(solution.eigenvectors)
     index = np.flatnonzero(amps > 0.0)
     w2, best = solution.eigenvalues[index], best[index]
     columns = (index, w2, best, projector.modes, amps[index])
@@ -529,22 +481,13 @@ def _mode_winners(key: np.ndarray, amplitude: np.ndarray, index: np.ndarray
     return keys, tied[first]
 
 
-def mode_error_table(assoc: Associations | Iterable[Association]
-                     ) -> dict[tuple[int, int], Association]:
+def mode_error_table(assoc: Associations) -> dict[tuple[int, int], Association]:
     """Best association per mode: the largest projection amplitude wins,
     and among amplitudes tied with it (``AMPLITUDE_TIE_RTOL``) the
-    smallest index.  ``Associations`` are reduced on their columns, and
-    only the winning rows are formed."""
-    if isinstance(assoc, Associations):
-        keys, rows = _mode_winners(assoc.best, assoc.amplitude, assoc.index)
-        return {assoc.modes[k]: assoc[p] for k, p in zip(keys.tolist(), rows.tolist())}
-    rows = list(assoc)
-    modes = list(dict.fromkeys(r.mode for r in rows))
-    slot = {mode: i for i, mode in enumerate(modes)}
-    keys, won = _mode_winners(np.array([slot[r.mode] for r in rows], dtype=int),
-                              np.array([r.amplitude for r in rows], dtype=float),
-                              np.array([r.index for r in rows], dtype=int))
-    return {modes[k]: rows[p] for k, p in zip(keys.tolist(), won.tolist())}
+    smallest index.  The columns are reduced, and only the winning rows
+    are formed."""
+    keys, rows = _mode_winners(assoc.best, assoc.amplitude, assoc.index)
+    return {assoc.modes[k]: assoc[p] for k, p in zip(keys.tolist(), rows.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +549,8 @@ def run_band_solve(setup: SolveSetup) -> BandResult:
     With ``full_spectrum`` set the whole spectrum is computed and associated
     instead of just the band; studies use this to track band modes whose
     discrete eigenvalues sit far outside the band on coarse meshes.  It
-    needs constant coefficients (a ``ValueError`` otherwise) and at most
-    ``DENSE_CAP`` unknowns.
+    needs constant coefficients (a ``ValueError`` otherwise); its pairs stay
+    in block form (``bloch_eig``) at any size.
     """
     if setup.full_spectrum and not setup.constant_coefficients:
         raise ValueError("the full spectrum is solved only for constant "
@@ -688,11 +631,11 @@ def convergence_study(setup: SolveSetup, levels: list[tuple[int, int]],
 
 
 #: Levels up to this size are solved for their full spectrum, so even badly
-#: shifted band modes can be associated and their errors tracked.  Studies
-#: form no ``n x n`` eigenvectors (association reads the block-form
-#: ``EigenSolution.coefficients``) and the lattice-block solve is cheap, so
-#: the cap does not bound their memory; it fixes which levels get the full
-#: spectrum, and with them the studies' results.
+#: shifted band modes can be associated and their errors tracked; larger
+#: ones solve the widened band.  The cap fixes the studies' results: with it
+#: lifted, the default ``convergence`` (8x8, 16x16, 32x32 p7) reports other
+#: errors at levels 1 and 2 (0.21666665 -> 0.21666662, 2.0277e-5 ->
+#: 2.0639e-5), in 3.4x the time and 2.4x the peak memory.
 FULL_SPECTRUM_CAP = 4096
 
 

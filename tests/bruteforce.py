@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from numpy.polynomial import legendre as npleg
 from scipy.special import spherical_jn
 
-from anisodg.eigensolve import (DENSE_CAP, CompletenessError, EigenSolution,
+from anisodg.eigensolve import (CompletenessError, EigenSolution,
                                 _as_pencil, _as_sym, _dense_pencil, _LatticePencil,
                                 _ldl_factor, _pencil_band, _pencil_eigh,
                                 _residuals)
@@ -28,6 +28,10 @@ from anisodg.geometry import (MERGE_TOL, TWO_PI, Alignment, Cell, Interface,
                               edge_point, outward_normal)
 
 ORACLE_QUAD = 20
+
+#: The largest pencil the dense oracle solves: it forms ``n x n`` matrices
+#: and eigenvectors.
+DENSE_CAP = 8192
 
 
 def oracle_cells(config):

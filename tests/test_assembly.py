@@ -47,7 +47,7 @@ def test_mass_legendre_diagonal_formula():
     expect = np.zeros(spec.n_loc)
     for a in range(spec.p_xi + 1):
         for b in range(spec.p_eta + 1):
-            k = spec.flat_index(a, b)
+            k = a * (spec.p_eta + 1) + b
             expect[k] = det * (2.0 / (2 * a + 1)) * (2.0 / (2 * b + 1))
     assert m.shape == (mesh.n_cells * spec.n_loc,)
     assert np.max(np.abs(m.reshape(mesh.n_cells, spec.n_loc) - expect)) < 1e-13 * det
@@ -83,7 +83,7 @@ def test_gradient_xi_constant_rows_vanish_when_aligned():
     scale = np.abs(g).max()
     for cid in range(mesh.n_cells):
         for b in range(spec.p_eta + 1):
-            row = cid * spec.n_loc + spec.flat_index(0, b)
+            row = cid * spec.n_loc + b  # the dof P_0(xi) P_b(eta)
             assert np.max(np.abs(g[row])) < 1e-12 * scale
 
 

@@ -3,8 +3,7 @@ import pytest
 from numpy.polynomial import legendre as npleg
 
 from anisodg.basis import (BasisSpec, dof_parallel, dof_perpendicular,
-                           gauss_rule, legendre_basis_eval, tensor_basis_eval,
-                           tensor_gauss_rule)
+                           gauss_rule, legendre_basis_eval, tensor_basis_eval)
 
 
 def test_spec_validation_and_dims():
@@ -90,12 +89,6 @@ def test_quadrature_exactness_random_polynomials():
         exact = sum(c * (1.0 - (-1.0) ** (d + 1)) / (d + 1)
                     for d, c in enumerate(reversed(coeffs)))
         assert abs(integral - exact) < 1e-13 * max(1.0, abs(exact))
-
-
-def test_tensor_rule_weight_sum():
-    rule = tensor_gauss_rule(4)
-    assert rule.nodes.shape == (16, 2)
-    assert abs(np.sum(rule.weights) - 4.0) < 1e-14
 
 
 def test_tensor_basis_constant_mode():

@@ -141,6 +141,37 @@ def test_malformed_field_file_exits_io_error(tmp_path):
     assert code == EXIT_IO
 
 
+#: ``solve`` at 2x8 p2, the size at which the bad inputs below were found
+SMALL = ["--nx", "2", "--ny", "8", "--p_xi", "2", "--p_eta", "2"]
+
+
+@pytest.mark.parametrize("option, value", [
+    ("omega_max_sq", "nan"), ("omega_max_sq", "inf"), ("tolerance", "0"),
+    ("b1", "nan"), ("eta_s", "nan")])
+def test_bad_numeric_option_exits_config_error(tmp_path, option, value):
+    """A non-finite float option, or a tolerance that is not positive, is a
+    configuration error, not a traceback or a band certified from NaN."""
+    code = main(["solve", *SMALL, f"--{option}", value, "--output_dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("key, text", [
+    ("alpha_file", "mean nan\n"), ("beta_file", "mean inf\n"),
+    ("alpha_file", "mean 1.0\n1 1 nan 0\n")],
+    ids=["mean-nan", "mean-inf", "harmonic-nan"])
+def test_non_finite_field_file_exits_io_error(tmp_path, caplog, key, text):
+    """A NaN or inf in a field file is refused at load, naming its line."""
+    fld = tmp_path / "field.fld"
+    fld.write_text(text)
+    code = main(["solve", *SMALL, f"--{key}", str(fld), "--output_dir", str(tmp_path)])
+    assert code == EXIT_IO
+    line = text.count("\n")
+    assert any(f"field.fld:{line}:" in rec.message and "finite" in rec.message
+               for rec in caplog.records)
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_variable_coefficients_have_error_kind_none(tmp_path):
     fld = tmp_path / "alpha.fld"
     fld.write_text("mean 1.0\n1 1 0.2 0.0\n")

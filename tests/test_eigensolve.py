@@ -22,8 +22,8 @@ from anisodg.eigensolve import (BandRequest, CompletenessError, Factor, band_eig
 from anisodg.fields import CoefficientField, Harmonic, MagneticField, iota_profile
 from anisodg.geometry import (Alignment, FieldDirection, MeshConfig, build_mesh,
                               choose_alignment)
-from bruteforce import (bloch_band_reference, dense_generalized_eig, extended_residuals,
-                        ldl_inertia)
+from bruteforce import (DENSE_CAP, bloch_band_reference, dense_generalized_eig,
+                        extended_residuals, ldl_inertia)
 from pinning import pinned
 
 REF_B = FieldDirection(1.165939761, 1.0)
@@ -591,11 +591,72 @@ def test_bloch_band_edge_on_a_block_eigenvalue_is_ambiguous():
         bloch_eig(a, m, BandRequest(lambda_max=edge))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["entry", "block"])
+def test_band_of_a_non_finite_pencil_is_incomplete(bad, where):
+    """A NaN or inf in a one-cell pencil makes its LDL^T pivots non-finite:
+    ``bloch_eig`` and ``band_eig`` refuse the band instead of certifying
+    it empty."""
+    a, m = make_small_system(1, 1, 2)
+    dense = a.to_dense()
+    if where == "entry":
+        dense[1, 2] = dense[2, 1] = bad
+    else:
+        dense[:] = bad
+    a = eigensolve._as_sym(dense)
+    req = BandRequest(lambda_max=0.4)
+    for solve in (bloch_eig, band_eig):
+        with pytest.raises(CompletenessError, match="not finite"):
+            solve(a, m, req)
+
+
 def constant_pencil(alignment, nx, ny, p):
     mesh = build_mesh(MeshConfig(nx, ny, alignment, REF_B))
     return build_reduced(assemble_operator_set(
         mesh, BasisSpec(p, p), CoefficientField.constant(1.0),
         MagneticField.uniform(REF_B), 6.0))
+
+
+def test_bloch_full_spectrum_of_any_size_stays_in_block_form(monkeypatch):
+    """A full spectrum past the dense oracle's cap (16x64 p3, n = 16384)
+    returns its n pairs and their coefficients.  Its n x n eigenvectors
+    (2 GiB) are refused when read with ``FACTOR_BUDGET`` below ``n^2``; a
+    refused read leaves them unformed, and a later read within the budget
+    forms them."""
+    a, m = constant_pencil(Alignment.BOTTOM_TOP, 16, 64, 3)
+    assert a.n == 16384 > DENSE_CAP
+    sol = bloch_eig(a, m)
+    assert sol.method == "dense" and len(sol) == a.n
+    assert sol.coefficients.shape == (a.n, a.n_loc)
+    assert np.all(np.diff(sol.eigenvalues) >= 0.0)
+    monkeypatch.setattr(eigensolve, "FACTOR_BUDGET", a.n**2 - 1)
+    message = f"the {a.n}x{a.n} eigenvector array would store {a.n**2} entries"
+    with pytest.raises(ValueError, match=message):
+        sol.eigenvectors
+    small_a, small_m = make_small_system(2, 2, 1)
+    small = bloch_eig(small_a, small_m)
+    monkeypatch.setattr(eigensolve, "FACTOR_BUDGET", small_a.n**2 - 1)
+    with pytest.raises(ValueError, match="eigenvector array"):
+        small.eigenvectors
+    monkeypatch.setattr(eigensolve, "FACTOR_BUDGET", small_a.n**2)
+    assert np.array_equal(small.eigenvectors,
+                          bloch_band_reference(small_a, small_m, None).eigenvectors)
+
+
+def test_dense_band_is_refused_past_the_entry_budget(monkeypatch):
+    """A band that fills the whole space is solved on the dense ``n x n``
+    pencil, which past ``FACTOR_BUDGET`` entries is refused, though the
+    lattice factor that counts the band fits (4x16 p1: 8 blocks, 21504
+    entries, against ``n^2 = 65536``)."""
+    a, m = constant_pencil(Alignment.BOTTOM_TOP, 4, 16, 1)
+    req = BandRequest(lambda_max=2.0 * dense_generalized_eig(a, m).eigenvalues[-1])
+    monkeypatch.setattr(eigensolve, "FACTOR_BUDGET", a.n**2)
+    sol = band_eig(a, m, req)
+    assert (sol.method, sol.factor, len(sol)) == ("dense-band", "lattice", a.n)
+    assert sol.factor_entries < a.n**2
+    monkeypatch.setattr(eigensolve, "FACTOR_BUDGET", a.n**2 - 1)
+    with pytest.raises(CompletenessError, match=f"the dense {a.n}x{a.n} pencil"):
+        band_eig(a, m, req)
 
 
 #: ``(alignment, nx, ny, p, lambda_max, kinds)``: ``kinds`` are the kinds of

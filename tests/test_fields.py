@@ -70,8 +70,10 @@ def test_positivity_violation_reports_location(tmp_path):
     path.write_text("mean 0.1\n1 0 -1.0 0.0\n")  # dips to -0.9 near x=0
     with pytest.raises(FieldFileError, match="min sampled value"):
         load_field(path)
-    # direct check returns the minimum for a valid field
+    # direct check returns the minimum for a valid field, and refuses NaN
     assert check_positive(CoefficientField.constant(2.0)) == 2.0
+    with pytest.raises(FieldFileError, match="min sampled value nan"):
+        check_positive(CoefficientField.constant(math.nan))
 
 
 def test_iota_profile_endpoints():

@@ -16,6 +16,11 @@ TWO_PI = 2.0 * math.pi
 REF_B = FieldDirection(1.165939761, 1.0)
 
 
+def is_conforming(mesh):
+    """Every interface covers the whole edge of its owner."""
+    return all(t.owner_range == (-1.0, 1.0) for t in mesh.templates)
+
+
 def test_field_direction_rejects_zero():
     with pytest.raises(ValueError):
         FieldDirection(0.0, 0.0)
@@ -37,15 +42,15 @@ def test_cartesian_2x2_tiling():
     assert mesh.n_cells == 4
     assert len(mesh.interfaces) == 8
     assert all(abs(i.h_F - math.pi) < 1e-14 for i in mesh.interfaces)
-    assert mesh.is_conforming()
-    assert abs(mesh.total_cell_area() - 4 * math.pi**2) < 1e-12
+    assert is_conforming(mesh)
+    assert abs(mesh.n_cells * 4.0 * mesh.cell0.jacobian_det - 4 * math.pi**2) < 1e-12
 
 
 def test_aligned_integer_offset_is_conforming():
     # (b2/b1)*(Ny/Nx) = 2: each right edge meets exactly one left edge,
     # shifted by two rows
     mesh = build_mesh(MeshConfig(4, 4, Alignment.BOTTOM_TOP, FieldDirection(1.0, 2.0)))
-    assert mesh.is_conforming()
+    assert is_conforming(mesh)
     vertical = [i for i in mesh.interfaces if i.owner_edge == "right"]
     assert len(vertical) == 16
     for itf in vertical:
@@ -55,7 +60,7 @@ def test_aligned_integer_offset_is_conforming():
 
 def test_reference_case_split_fractions():
     mesh = build_mesh(MeshConfig(8, 8, Alignment.BOTTOM_TOP, REF_B))
-    assert not mesh.is_conforming()
+    assert not is_conforming(mesh)
     g = (REF_B.b2 / REF_B.b1) % 1.0
     assert abs(g - 0.857678) < 1e-6
     dy = TWO_PI / 8
@@ -133,7 +138,7 @@ def test_partition_property(cfg):
         expect = TWO_PI * (cfg.nx + cfg.ny * math.hypot(1.0, b2 / b1))
     else:
         expect = TWO_PI * (cfg.ny + cfg.nx * math.hypot(1.0, b1 / b2))
-    assert mesh.total_interface_length() == pytest.approx(expect, rel=1e-12)
+    assert mesh.faces.h_F.sum() == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.mark.parametrize("ratio,conforming", [
@@ -145,7 +150,7 @@ def test_conformity_iff_integer_offset(ratio, conforming):
     mesh = build_mesh(cfg)
     offset = ratio * cfg.ny / cfg.nx
     assert (abs(offset - round(offset)) < 1e-12) == conforming
-    assert mesh.is_conforming() == conforming
+    assert is_conforming(mesh) == conforming
 
 
 @pytest.mark.parametrize("cfg", [

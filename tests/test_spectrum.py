@@ -24,7 +24,7 @@ from anisodg.spectrum import (AMPLITUDE_TIE_RTOL, PROJECT_BLOCK, Association,
                               least_squares_slope, max_band_mode_error,
                               mode_error_table, run_band_solve)
 from pinning import pinned
-from test_eigensolve import BAND_CASES, constant_pencil
+from test_eigensolve import BAND_CASES, constant_pencil, lattice_dft
 
 REF_B = FieldDirection(1.165939761, 1.0)
 CONST = CoefficientField.constant(1.0)
@@ -99,11 +99,26 @@ def build_projector(nx=4, ny=4, p=3, m_max=6, n_max=6, b=REF_B):
     return mesh, spec, FourierProjector(mesh, spec, m_max, n_max)
 
 
+def amplitude_table(proj, vec):
+    """Each mode's amplitude of the vector ``vec``."""
+    return dict(zip(proj.modes, proj.amplitudes(vec).tolist()))
+
+
+def class_amplitudes(proj, coeff, wavevectors):
+    """``(modes, columns)`` amplitudes of the columns whose lattice DFT at
+    their own wavevector is ``coeff``: projected onto the modes of each
+    column's class, 0 elsewhere."""
+    out = np.zeros((len(proj.modes), len(coeff)))
+    for cols, rows, amps in proj._project_classes(coeff, wavevectors):
+        out[np.ix_(rows, cols)] = amps
+    return out
+
+
 def test_projector_constant_vector():
     mesh, spec, proj = build_projector()
     vec = np.zeros(mesh.n_cells * spec.n_loc)
     vec[::spec.n_loc] = 1.0
-    table = proj.amplitude_table(vec)
+    table = amplitude_table(proj, vec)
     peak = table[(0, 0)]
     assert peak == pytest.approx(4 * math.pi**2, rel=1e-12)
     others = max(v for k, v in table.items() if k != (0, 0))
@@ -248,7 +263,7 @@ def test_band_amplitudes_from_the_built_residues_are_the_eager_ones(alignment, n
     mesh, spec = build_mesh(MeshConfig(nx, ny, alignment, REF_B)), BasisSpec(p, p)
     lazy, eager = FourierProjector(mesh, spec), FourierProjector(mesh, spec)
     eager._moments()
-    amps, assoc = zip(*[(proj.amplitudes(sol.eigenvectors, sol.wavevectors),
+    amps, assoc = zip(*[(class_amplitudes(proj, sol.coefficients, sol.wavevectors),
                          associate_modes(sol, proj, exact_spectrum(REF_B)))
                         for proj in (lazy, eager)])
     assert np.array_equal(amps[0], amps[1])
@@ -273,7 +288,7 @@ def test_projector_moments_match_quadrature_oracle():
                     local = vec[cid * spec.n_loc:(cid + 1) * spec.n_loc]
                     total += wx * wy * cell.jacobian_det * \
                         (phi @ local) * np.exp(1j * (m * x + n * y))
-        assert abs(proj.amplitude_table(vec)[mode] - abs(total)) < 1e-10
+        assert abs(amplitude_table(proj, vec)[mode] - abs(total)) < 1e-10
 
 
 def test_projection_round_trip_argmax():
@@ -291,25 +306,18 @@ def test_projection_round_trip_argmax():
                 rhs[cid * spec.n_loc:(cid + 1) * spec.n_loc] += \
                     wx * wy * cell.jacobian_det * math.cos(4 * x - 5 * y) * phi
     vec = np.linalg.solve(mass, rhs)
-    mode, amp = proj.argmax_mode(vec)
+    (mode,), (amp,) = proj.argmax_modes(vec[:, None])
     assert mode == (4, -5)
     assert amp > 0.5 * 2 * math.pi**2  # half the exact projection magnitude
 
 
-def test_projector_zero_vector_rejected():
+def test_projector_zero_and_wrong_size_vectors():
+    """A zero vector projects onto no mode (amplitude 0, so no association
+    row); a vector of the wrong size is refused."""
     mesh, spec, proj = build_projector()
-    with pytest.raises(ValueError, match="zero projection"):
-        proj.argmax_mode(np.zeros(mesh.n_cells * spec.n_loc))
+    assert proj.argmax_modes(np.zeros((mesh.n_cells * spec.n_loc, 1)))[1].tolist() == [0.0]
     with pytest.raises(ValueError, match="dimension"):
         proj.amplitudes(np.zeros(3))
-
-
-def test_projector_amplitude_table():
-    mesh, spec, proj = build_projector(nx=2, ny=2, p=1, m_max=2, n_max=2)
-    vec = np.zeros(mesh.n_cells * spec.n_loc)
-    vec[::spec.n_loc] = 1.0
-    table = proj.amplitude_table(vec)
-    assert table[(0, 0)] == pytest.approx(4 * math.pi**2, rel=1e-12)
 
 
 PROJECTOR_MESHES = {
@@ -348,7 +356,7 @@ def test_batched_association_matches_per_column_argmax():
     assert vecs.shape[1] > PROJECT_BLOCK
     proj = FourierProjector(result.mesh, result.setup.spec, 20, 20)
     for row in result.assoc:
-        mode, amp = proj.argmax_mode(vecs[:, row.index])
+        (mode,), (amp,) = proj.argmax_modes(vecs[:, [row.index]])
         assert row.mode == mode
         assert row.amplitude == pytest.approx(amp, rel=1e-12)
 
@@ -400,11 +408,11 @@ def test_exact_tie_prefers_small_order_then_small_m():
     spec = BasisSpec(1, 1)
     proj = FourierProjector(mesh, spec, 3, 3)
     vec = np.array([0.0, 1.0, 1.0, 0.0])  # dofs (a, b) = (0,0), (0,1), (1,0), (1,1)
-    table = proj.amplitude_table(vec)
+    table = amplitude_table(proj, vec)
     best = max(table.values())
     assert table[(1, 0)] == table[(0, 1)] == best
     assert {mode for mode, a in table.items() if a == best} == {(0, 1), (1, 0)}
-    assert proj.argmax_mode(vec) == ((0, 1), best)
+    assert proj.argmax_modes(vec[:, None]) == ([(0, 1)], [best])
 
 
 def test_tie_rule_on_crafted_amplitudes(monkeypatch):
@@ -494,10 +502,10 @@ CLASS_SOLVES = {
 
 @pytest.mark.parametrize("name", sorted(CLASS_SOLVES))
 def test_class_restricted_projection_matches_the_fft(name):
-    """Projecting a Bloch solution onto its wavevector classes only gives
-    the FFT amplitudes at the in-class modes, exactly 0 elsewhere, and the
-    same labels wherever the FFT winner is not round-off; so do the
-    solution's own coefficients, from which its association rows are read
+    """Projecting a Bloch solution's own coefficients onto its wavevector
+    classes only gives the FFT amplitudes of its eigenvectors at the
+    in-class modes, exactly 0 elsewhere, and the same labels wherever the
+    FFT winner is not round-off; its association rows are read from them
     bit for bit.  The 7x5 box is
     wider than every lattice, so several modes share each residue class;
     on the 1-wide lattices ``k = -k`` along that axis."""
@@ -517,26 +525,20 @@ def test_class_restricted_projection_matches_the_fft(name):
     residues = mode_residues(proj.modes, nx, ny)
     in_class = np.array([[r in cls for cls in classes] for r in residues])
     fft = proj.amplitudes(sol.eigenvectors)
-    got = proj.amplitudes(sol.eigenvectors, sol.wavevectors)
+    got = class_amplitudes(proj, sol.coefficients, sol.wavevectors)
     assert np.all(got[~in_class] == 0.0)
     assert np.max(np.abs(got - fft)[in_class]) <= 1e-12 * np.max(fft)
 
     fft_modes, fft_amps = proj.argmax_modes(sol.eigenvectors)
-    modes, amps = proj.argmax_modes(sol.eigenvectors, sol.wavevectors)
+    best, amps = proj._argmax_classes(sol.coefficients, sol.wavevectors)
+    modes = [proj.modes[i] for i in best]
     assert np.array_equal(amps, got.max(axis=0))
     resolved = fft_amps > 1e-12
     assert resolved.any()
     assert [m for m, ok in zip(modes, resolved) if ok] == \
         [m for m, ok in zip(fft_modes, resolved) if ok]
-    # the association reads the solution's own coefficients
-    best, coeff_amps = proj._argmax_classes(sol.coefficients, sol.wavevectors)
-    coeff_modes = [proj.modes[i] for i in best]
-    assert np.max(np.abs(coeff_amps - amps)) <= 1e-12 * np.max(fft)
-    assert [m for m, ok in zip(coeff_modes, resolved) if ok] == \
-        [m for m, ok in zip(fft_modes, resolved) if ok]
     assert [(r.index, r.mode, r.amplitude) for r in result.assoc] == \
-        [(i, m, a) for i, (m, a) in enumerate(zip(coeff_modes, coeff_amps.tolist()))
-         if a > 0.0]
+        [(i, m, a) for i, (m, a) in enumerate(zip(modes, amps.tolist())) if a > 0.0]
 
 
 def test_class_tie_across_conjugate_residues_follows_mode_order(monkeypatch):
@@ -555,9 +557,12 @@ def test_class_tie_across_conjugate_residues_follows_mode_order(monkeypatch):
     monkeypatch.setattr(proj, "_local", local)
     v = np.array([1.0, 1j]) @ np.random.default_rng(3).standard_normal((2, spec.n_loc))
     vec = np.real(np.exp(2j * np.pi * np.arange(3) / 3)[:, None] * v).ravel()
-    amps = proj.amplitudes(vec, np.array([1]))
+    k = np.array([1])
+    coeff = lattice_dft(vec[:, None], k, 3, 1, spec.n_loc)
+    amps = class_amplitudes(proj, coeff, k)[:, 0]
     assert amps[a] == amps[b] == amps.max() > 0.0
-    assert proj.argmax_modes(vec[:, None], np.array([1])) == ([(2, 0)], [amps[b]])
+    best, top = proj._argmax_classes(coeff, k)
+    assert (proj.modes[best[0]], top.tolist()) == ((2, 0), [amps[b]])
 
 
 def test_variable_coefficient_association_projects_onto_every_mode():
@@ -828,6 +833,35 @@ def test_least_squares_slope():
     assert least_squares_slope(rows) == pytest.approx(math.log(100) / math.log(4))
 
 
+class _Stop(Exception):
+    """Raised by a spy to end a study at its first solve."""
+
+
+@pytest.mark.parametrize("nx, ny, p, n, full", [(16, 16, 3, 4096, True),
+                                                (16, 32, 3, 8192, False),
+                                                (8, 32, 4, 6400, False)])
+def test_study_levels_up_to_the_cap_get_their_full_spectrum(monkeypatch, nx, ny, p,
+                                                            n, full):
+    """``FULL_SPECTRUM_CAP`` picks each level's solve: a level of at most
+    4096 unknowns is solved for its full spectrum, a larger one for the band
+    widened by the study's ``band_margin``.  The spy records the level's
+    setup and stops the study there, so no solve runs."""
+    seen = []
+
+    def spy(setup):
+        seen.append(setup)
+        raise _Stop
+
+    monkeypatch.setattr(spectrum, "run_band_solve", spy)
+    setup = SolveSetup(mesh_config=MeshConfig(2, 2, Alignment.BOTTOM_TOP, REF_B),
+                       spec=BasisSpec(p, p), alpha=CONST, beta=CONST)
+    with pytest.raises(_Stop):
+        convergence_study(setup, [(nx, ny), (2 * nx, 2 * ny)], band_margin=3.5)
+    (level,) = seen
+    assert (level.mesh_config.nx, level.mesh_config.ny, level.dof()) == (nx, ny, n)
+    assert (level.full_spectrum, level.band_margin) == (full, 3.5)
+
+
 def test_real_convergence_small():
     """Two real levels of the p=(1,1) discretization: error must drop."""
     setup = SolveSetup(
@@ -839,20 +873,17 @@ def test_real_convergence_small():
 
 
 def test_mode_error_table_picks_max_amplitude():
-    sols = EigenSolution(eigenvalues=np.array([0.1, 0.2]),
-                         eigenvectors=np.eye(2), residuals=np.zeros(2),
-                         method="dense")
-    from anisodg.spectrum import Association
+    modes = [(1, -1), (2, 0)]
     rows = [Association(0, 0.1, (1, -1), 2.0, 0.09, 0.1, "relative"),
             Association(1, 0.2, (1, -1), 5.0, 0.09, 1.0, "relative")]
-    table = mode_error_table(rows)
+    table = mode_error_table(columns_of(rows, modes))
     assert table[(1, -1)].index == 1
     # amplitudes one ulp apart are tied, in either order: the smaller index wins
     up = math.nextafter(2.0, math.inf)
     pair = [Association(2, 0.1, (2, 0), 2.0, 0.09, 0.1, "relative"),
             Association(3, 0.1, (2, 0), up, 0.09, 0.2, "relative")]
     for rows in (pair, pair[::-1]):
-        assert mode_error_table(rows)[(2, 0)].index == 2
+        assert mode_error_table(columns_of(rows, modes))[(2, 0)].index == 2
 
 
 def rowwise_mode_table(rows):
@@ -901,7 +932,7 @@ TIE_ROWS = [(7, (0, 1), UP, 0.5), (3, (0, 1), 2.0, 0.25),
 @pytest.mark.parametrize("edge", [0.05, 1.2, 5.0])
 def test_column_mode_errors_equal_the_row_table(order, edge):
     """On pinned tie cases, in any row order: ``mode_error_table`` of the
-    columns and of a row list pick the rows of the per-row loop, and the
+    columns picks the rows of the per-row loop, and the
     column-form ``max_band_mode_error`` equals the maximum over the band
     modes of that table's errors, 1 for each missing band mode."""
     exact = exact_spectrum(REF_B, 1, 2)
@@ -915,7 +946,6 @@ def test_column_mode_errors_equal_the_row_table(order, edge):
     assert {mode: r.index for mode, r in want.items()} == {
         (0, 1): 3, (1, -1): 4, (1, 0): 5, (0, 0): 0, (1, 1): 1}
     assoc = columns_of(rows, list(exact.entries))
-    assert mode_error_table(rows) == want
     assert mode_error_table(assoc) == want
     band = exact.band_modes(edge)
     assert (len(band), sum(mode not in want for mode in band)) == {
