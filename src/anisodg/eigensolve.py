@@ -215,11 +215,17 @@ def _residuals(a: SymStencil, m: SymStencil,
     return np.linalg.norm(a.matvec(v) - m.matvec(v) * w[None, :], axis=0)
 
 
-def _count_signs(pivots: np.ndarray, tol: float) -> tuple[int, int, int]:
+def _sign_counts(pivots: np.ndarray, tol) -> tuple[np.ndarray, np.ndarray]:
+    """The negative pivots and those within ``tol`` of zero along the last
+    axis of ``pivots`` (``tol`` broadcast against it); a pivot that is not
+    finite raises ``CompletenessError``."""
     if not np.isfinite(pivots).all():
         raise CompletenessError("an LDL^T pivot is not finite; inertia unavailable")
-    n_zero = int(np.sum(np.abs(pivots) <= tol))
-    n_neg = int(np.sum(pivots < -tol))
+    return np.sum(pivots < -tol, axis=-1), np.sum(np.abs(pivots) <= tol, axis=-1)
+
+
+def _count_signs(pivots: np.ndarray, tol: float) -> tuple[int, int, int]:
+    n_neg, n_zero = map(int, _sign_counts(pivots, tol))
     return n_neg, n_zero, len(pivots) - n_neg - n_zero
 
 
@@ -260,11 +266,10 @@ def _ldl_routines(k: np.ndarray):
     return kind, trf, trs, int(trf_lwork(k.shape[-1], lower=1)[0].real)
 
 
-def _ldl_factor(k: np.ndarray, zero_tol: float, routines=None):
+def _ldl_factor(k: np.ndarray, zero_tol: float):
     """Inertia of a dense symmetric (real) or Hermitian (complex) matrix and
     a solve with it, from one Bunch-Kaufman LDL^T factorization that
-    overwrites ``k``.  A caller factoring many matrices of one dtype and
-    size passes their ``_ldl_routines`` in ``routines``.
+    overwrites ``k``.
 
     D has 1x1 and 2x2 pivot blocks; in LAPACK's lower storage the negative
     ``ipiv`` entries come in pairs, one pair per 2x2 block.  D is then a
@@ -273,7 +278,7 @@ def _ldl_factor(k: np.ndarray, zero_tol: float, routines=None):
     diagonal when every pivot is 1x1), and those within ``zero_tol *
     max|K|`` of zero count as zero.
     """
-    kind, trf, trs, lwork = routines or _ldl_routines(k)
+    kind, trf, trs, lwork = _ldl_routines(k)
     if kind == "he":
         scale = float(np.max(np.abs(k)))
     else:
@@ -281,14 +286,43 @@ def _ldl_factor(k: np.ndarray, zero_tol: float, routines=None):
     lu, piv, info = trf(k, lower=1, lwork=lwork, overwrite_a=1)
     if info < 0:
         raise ValueError(f"{kind}trf: illegal value in argument {-info}")
+    return (_count_signs(_d_pivots(lu, piv), zero_tol * max(scale, np.finfo(float).tiny)),
+            lambda b: trs(lu, piv, b, lower=1)[0])
+
+
+def _d_pivots(lu: np.ndarray, piv: np.ndarray) -> np.ndarray:
+    """The eigenvalues of D of one Bunch-Kaufman factor ``(lu, piv)`` in
+    LAPACK's lower storage (``_ldl_factor``): its diagonal when every pivot
+    is 1x1."""
     pivots = np.diag(lu).real
     starts = np.flatnonzero(piv < 0)[::2]
     if len(starts):
         off = np.zeros(len(pivots) - 1)
         off[starts] = np.abs(lu[starts + 1, starts])
         pivots = _d_eigenvalues(pivots.copy(), off)
-    return (_count_signs(pivots, zero_tol * max(scale, np.finfo(float).tiny)),
-            lambda b: trs(lu, piv, b, lower=1)[0])
+    return pivots
+
+
+def _stack_inertia(lu: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(n_neg, n_zero)`` of each matrix of a stack ``lu`` of symmetric
+    (real) or Hermitian (complex) matrices, each Fortran-ordered, as
+    ``_ldl_factor`` counts them one by one: one bare ``?sytrf``/``?hetrf``
+    per matrix, which overwrites it in place, then every pivot read and
+    counted in one pass.  Only a factor with a 2x2 pivot block has its D
+    split by ``_d_eigenvalues``; the others' pivots are their diagonals."""
+    if not lu.swapaxes(1, 2).flags.c_contiguous:
+        raise ValueError("the matrices of the stack are not Fortran-ordered")
+    kind, trf, _, lwork = _ldl_routines(lu)
+    scale = np.max(np.abs(lu), axis=(1, 2))
+    piv = np.empty(lu.shape[:2], dtype=np.int32)
+    for c in range(len(lu)):
+        _, piv[c], info = trf(lu[c], lower=1, lwork=lwork, overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"{kind}trf: illegal value in argument {-info}")
+    pivots = np.diagonal(lu, axis1=1, axis2=2).real.copy()
+    for c in np.flatnonzero(np.any(piv < 0, axis=1)).tolist():
+        pivots[c] = _d_pivots(lu[c], piv[c])
+    return _sign_counts(pivots, zero_tol * np.maximum(scale, np.finfo(float).tiny)[:, None])
 
 
 def _dense_factor(k: np.ndarray, zero_tol: float):
@@ -851,13 +885,14 @@ def _pencil_eigh(a: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Cholesky reduction of LAPACK's generalized driver, batched: with ``m[c]
     = L L^H``, the eigenpairs ``(w, y)`` of ``L^{-1} a[c] L^{-H}`` give the
     eigenvectors ``L^{-H} y``, ``m[c]``-orthonormal.  ``L^{-1}`` is formed
-    once per pencil and applied by products."""
+    once per pencil and applied by products; an ``m`` of one matrix is
+    every pencil's, factored and inverted once."""
     try:
         low = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise CompletenessError("a mass symbol is not positive definite") from exc
     inv = np.linalg.inv(low)
-    inv_h = inv.conj().swapaxes(1, 2)
+    inv_h = inv.conj().swapaxes(-1, -2)
     w, y = np.linalg.eigh(inv @ a @ inv_h)
     return w, inv_h @ y
 
@@ -918,13 +953,18 @@ class _LatticePencil(_Lattice):
 
     Raises ``CompletenessError`` if the stencil of A or M varies from cell
     to cell.  ``real`` and ``pair`` are the representatives ``k <= -k`` of
-    the wavevector classes ``{k, -k}``, self-conjugate (``2k = 0``) and not.
-    ``a_hat`` and ``m_hat`` hold the symbols ``A(k)`` and ``M(k)`` at those
-    representatives, indexed by wavevector; the other rows, whose symbols
-    are the conjugates ``A(-k) = conj(A(k))``, are not formed and stay zero.
-    ``a_abs`` and ``m_abs`` are the stencils' blocks summed in modulus over
-    the offsets, ``|A|`` and ``|M|`` folded onto one cell; ``gamma`` is the
-    rounding constant of ``bounds``.
+    the wavevector classes ``{k, -k}``, self-conjugate (``2k = 0``) and not,
+    and ``reps`` the two in turn.  ``a_hat`` holds the symbols ``A(k)`` at
+    ``reps``, the representative ``k`` in row ``row[k]``; the other
+    wavevectors' symbols, the conjugates ``A(-k) = conj(A(k))``, are not
+    formed.  ``m_hat`` holds M's symbols likewise, except for a cell-local
+    M (its one offset is the cell itself): its symbol is the same block at
+    every wavevector, formed once and kept as that one ``(n_loc, n_loc)``
+    block, which broadcasts against a stack of A's.  ``symbols`` reads
+    both at any representatives.  ``a_abs`` and ``m_abs`` are the
+    stencils' blocks summed in modulus over the offsets, ``|A|`` and
+    ``|M|`` folded onto one cell; ``gamma`` is the rounding constant of
+    ``bounds``.
     """
 
     def __init__(self, a: SymStencil, m: SymStencil):
@@ -938,13 +978,31 @@ class _LatticePencil(_Lattice):
         ks = np.arange(len(self.conj))
         self.real = np.flatnonzero(self.conj == ks)
         self.pair = np.flatnonzero(self.conj > ks)
-        reps = np.flatnonzero(self.conj >= ks)
-        self.a_hat, self.m_hat = (np.zeros((len(ks), a.n_loc, a.n_loc), dtype=complex)
-                                  for _ in range(2))
-        self.a_hat[reps], self.m_hat[reps] = a.symbols(reps), m.symbols(reps)
+        self.reps = np.concatenate([self.real, self.pair])
+        self.row = np.zeros(len(ks), dtype=int)
+        self.row[self.reps] = np.arange(len(self.reps))
+        self.a_hat = a.symbols(self.reps)
+        if np.any(m.offsets):
+            self.m_hat = m.symbols(self.reps)
+        else:
+            self.m_hat = m.symbols(self.reps[:1])[0]
         self.a_abs, self.m_abs = (np.abs(s.blocks[0]).sum(axis=0) for s in (a, m))
         offsets = max(len(a.offsets), len(m.offsets))
         self.gamma = (133 + offsets + 1.5 * a.n_loc) * (np.finfo(float).eps / 2)
+
+    def symbols(self, k) -> tuple[np.ndarray, np.ndarray]:
+        """``(A(k), M(k))`` at the representative ``k`` or the array of
+        representatives ``k`` (a stack); a cell-local M's is its one block."""
+        return self._rows(self.row[k])
+
+    def group(self, real: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``symbols`` of every class of a group, the self-conjugate ones
+        (``real``) or the pairs, as views of the symbol stacks."""
+        split = len(self.real)
+        return self._rows(slice(0, split) if real else slice(split, None))
+
+    def _rows(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        return self.a_hat[rows], self.m_hat if self.m_hat.ndim == 2 else self.m_hat[rows]
 
     def bounds(self, k, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Upper bounds on ``||A x - w_j M x||_2`` for the stored columns
@@ -1004,7 +1062,7 @@ class _LatticePencil(_Lattice):
         the bound exceeds it by at most ``2 gamma G``.  As ``|A|`` is
         symmetric, ``G <= (||A||_inf + |w| ||M||_inf) ||v||``.
         """
-        a, m = self.a_hat[k], self.m_hat[k]
+        a, m = self.symbols(k)
         if np.all(self.conj[k] == k):
             a, m = a.real, m.real
         w = w[..., None, :]
@@ -1030,16 +1088,20 @@ def bloch_eig(a: SymStencil, m: SymStencil,
     it the band ``lambda <= lambda_max`` is returned (method ``"bloch"``),
     certified like ``band_eig``'s, and the certificate comes first: the LDL^T
     inertia of each class's block ``A(k) - lambda_max M(k)``
-    (``_class_inertia``) counts its band eigenvalues, and the counts sum to
-    the inertia of ``A - lambda_max M`` (Sylvester's law under the unitary
-    lattice DFT).  No pivot may sit on the edge.  Only the classes with a
-    positive count are then solved, each for its band pairs alone, by value
-    (``_pencil_band``, LAPACK's subset solver over ``(-inf, lambda_max]``),
-    and each must return exactly its count; the others hold no band pair.
-    The full spectrum solves every class in full, in one batch per group of
-    classes (``_pencil_eigh``).  The residuals and the PSD floor must hold
+    (``_class_inertia``: per group of classes one stack, one bare LAPACK
+    factorization per class and one vectorized count) counts its band
+    eigenvalues, and the counts sum to the inertia of ``A - lambda_max M``
+    (Sylvester's law under the unitary lattice DFT).  No pivot may sit on
+    the edge.  Only the classes with a positive count are then solved, each
+    for its band pairs alone, by value (``_pencil_band``, LAPACK's subset
+    solver over ``(-inf, lambda_max]``), and each must return exactly its
+    count; the others hold no band pair.  The full spectrum solves every
+    class in full, in one batch per group of classes (``_pencil_eigh``).
+    A cell-local M's symbol is one block, formed once and shared by every
+    class (``_LatticePencil``).  The residuals and the PSD floor must hold
     too.  Residuals bound ``||A x - lambda M x||`` of the stored vectors,
-    rounding included, from each block alone (``_LatticePencil.bounds``),
+    rounding included, from each block alone (``_LatticePencil.bounds``,
+    batched over the classes of a group, or of a group and a band count),
     and only for the returned columns: the symbol residual of the block
     eigenpair, which is exactly that of the exact real wave, plus an
     a-priori rounding term.
@@ -1058,7 +1120,7 @@ def bloch_eig(a: SymStencil, m: SymStencil,
     real, pair = pencil.real, pencil.pair
     inertia = None
     if req is not None:
-        neg_real, neg_pair = _class_inertia(pencil, real, pair, req.lambda_max)
+        neg_real, neg_pair = _class_inertia(pencil, req.lambda_max)
         inertia = int(np.sum(neg_real) + 2 * np.sum(neg_pair))
         real, pair = real[neg_real > 0], pair[neg_pair > 0]
         counts = (neg_real[neg_real > 0], neg_pair[neg_pair > 0])
@@ -1067,7 +1129,7 @@ def bloch_eig(a: SymStencil, m: SymStencil,
     cells = pencil.nx * pencil.ny
     col_k, col_w, col_r, coeff, kept = [], [], [], [], []
     for g, (ks, mult) in enumerate(((real, 1), (pair, 2))):
-        a_k, m_k = pencil.a_hat[ks], pencil.m_hat[ks]
+        a_k, m_k = pencil.group(mult == 1) if req is None else pencil.symbols(ks)
         if mult == 1:
             a_k, m_k = a_k.real, m_k.real
         if req is None:
@@ -1125,23 +1187,38 @@ def bloch_eig(a: SymStencil, m: SymStencil,
 def _held_pairs(pencil: _LatticePencil, ks: np.ndarray, a_k: np.ndarray,
                 m_k: np.ndarray, counts: np.ndarray, lambda_max: float):
     """The band eigenpairs of the classes ``ks`` of one group, whose blocks
-    are ``(a_k, m_k)`` and whose inertia counts are ``counts``: per class
-    ``_pencil_band``, which must find exactly its count, and the bounds of
-    the returned columns.  Returns the class, eigenvalue and bound of each
-    block eigenpair and its vector as a row, the classes in turn."""
-    w_all, bounds, vecs = [np.empty(0)], [np.empty(0)], [np.empty((0, a_k.shape[-1]))]
-    for k, a, m, count in zip(ks.tolist(), a_k, m_k, counts.tolist()):
-        w, v = _pencil_band(a, m, lambda_max)
+    are ``(a_k, m_k)`` (``m_k`` one matrix when M is cell-local) and whose
+    inertia counts are ``counts``: per class ``_pencil_band``, which must
+    find exactly its count, then the bounds of the returned columns, the
+    classes of one count in one batch.  Returns the class, eigenvalue and
+    bound of each block eigenpair and its vector as a row, the classes in
+    turn.
+
+    A batch holds the classes of one count alone because the column count
+    picks BLAS's kernel (a matrix-vector product for one column) and
+    numpy's summation order in the norms: so batched, each class's bounds
+    are, bit for bit, those of its own ``bounds`` call."""
+    pairs = []
+    for c, (k, count) in enumerate(zip(ks.tolist(), counts.tolist())):
+        w, v = _pencil_band(a_k[c], m_k if m_k.ndim == 2 else m_k[c], lambda_max)
         if len(w) != count:
             raise CompletenessError(
                 f"found {len(w)} eigenvalues <= {lambda_max:.6g} in the block "
                 f"of wavevector {divmod(k, pencil.ny)} but its inertia count "
                 f"demands {count}")
-        w_all.append(w)
-        bounds.append(pencil.bounds(k, w, v))
-        vecs.append(v.T)
-    return (np.repeat(ks, counts), np.concatenate(w_all), np.concatenate(bounds),
-            np.concatenate(vecs))
+        pairs.append((w, v.T))
+    bounds = [np.empty(0)] * len(pairs)
+    for count in np.unique(counts).tolist():
+        at = np.flatnonzero(counts == count)
+        w = np.stack([pairs[c][0] for c in at.tolist()])
+        # each class's vectors as the Fortran-ordered block LAPACK returned
+        v = np.stack([pairs[c][1] for c in at.tolist()]).swapaxes(1, 2)
+        for c, bound in zip(at.tolist(), pencil.bounds(ks[at], w, v)):
+            bounds[c] = bound
+    return (np.repeat(ks, counts),
+            np.concatenate([np.empty(0)] + [w for w, _ in pairs]),
+            np.concatenate([np.empty(0)] + bounds),
+            np.concatenate([np.empty((0, a_k.shape[-1]))] + [v for _, v in pairs]))
 
 
 @dataclass(frozen=True)
@@ -1172,28 +1249,35 @@ class _BlochWaves:
         return x
 
 
-def _class_inertia(pencil: _LatticePencil, real: np.ndarray, pair: np.ndarray,
+def _class_inertia(pencil: _LatticePencil,
                    shift: float) -> tuple[np.ndarray, np.ndarray]:
-    """The number of eigenvalues below ``shift`` in each class of ``real``
-    and of ``pair`` (representatives of self-conjugate classes and of class
-    pairs): the negative Bunch-Kaufman inertia of the block ``A(k) - shift
-    M(k)``, real for a self-conjugate ``k``.  A pair's two blocks are
-    complex conjugates, so the inertia of ``A - shift M`` is the sum of the
-    counts, a pair's twice.  ``bloch_eig`` takes the counts before it solves
-    any block, and solves only the classes whose count is positive.  No
-    pivot may sit on the shift.  The blocks are formed in one batch, and
-    LAPACK's routines are looked up once per group."""
-    reps = np.concatenate([real, pair])
-    shifted = pencil.a_hat[reps] - shift * pencil.m_hat[reps]
-    counts, n_zero = [], 0
-    for blocks, mult in ((shifted[:len(real)].real, 1), (shifted[len(real):], 2)):
-        routines = _ldl_routines(blocks)
-        inertia = np.array([_ldl_factor(np.array(b, order="F"), 1e-12, routines)[0]
-                            for b in blocks], dtype=int).reshape(-1, 3)
-        counts.append(inertia[:, 0])
-        n_zero += mult * int(np.sum(inertia[:, 1]))
+    """The number of eigenvalues below ``shift`` in each class of
+    ``pencil.real`` and of ``pencil.pair`` (representatives of
+    self-conjugate classes and of class pairs): the negative Bunch-Kaufman
+    inertia of the block ``A(k) - shift M(k)``, real for a self-conjugate
+    ``k``.  A pair's two blocks are complex conjugates, so the inertia of
+    ``A - shift M`` is the sum of the counts, a pair's twice.  ``bloch_eig``
+    takes the counts before it solves any block, and solves only the
+    classes whose count is positive.  No pivot may sit on the shift.  The
+    blocks are formed in one batch, and each group's are factored and
+    counted as one stack (``_stack_inertia``): one LAPACK call per class
+    and no other Python work per class."""
+    counts = []
+    for real in (True, False):
+        a_k, m_k = pencil.group(real)
+        # A(k) - shift M(k), written straight into the matrices LAPACK
+        # factors in place; a self-conjugate block is its real part
+        blocks = np.empty(a_k.shape, dtype=float if real else complex).swapaxes(1, 2)
+        shift_m = shift * m_k
+        if real:
+            np.subtract(a_k.real, shift_m.real, out=blocks)
+        else:
+            np.subtract(a_k, shift_m, out=blocks)
+        counts.append(_stack_inertia(blocks, 1e-12))
+    (neg_real, zero_real), (neg_pair, zero_pair) = counts
+    n_zero = int(np.sum(zero_real) + 2 * np.sum(zero_pair))
     if n_zero:
         raise CompletenessError(
             f"{n_zero} pivot(s) within tolerance of lambda_max={shift:.6g}; "
             f"band boundary is ambiguous")
-    return counts[0], counts[1]
+    return neg_real, neg_pair

@@ -145,6 +145,41 @@ def _residue_classes(m_max: int, n_max: int, nx: int, ny: int):
     return classes
 
 
+@lru_cache(maxsize=16)
+def _class_rows(m_max: int, n_max: int, nx: int, ny: int):
+    """Per wavevector ``k`` (flat ``p*ny + q``) of the lattice, the modes of
+    its class ``{k, -k}``: ``(rows, conj, size, single)``.  ``rows[k]``
+    holds the rows (indexing ``_box_modes``) of the residue classes of
+    ``k`` and ``-k`` in ascending order, padded with row 0 to the largest
+    class; ``conj[k]`` marks the rows of ``-k`` when ``-k != k``; ``size[k]``
+    counts the rows held.  ``single[k]`` is, for ``k`` and then ``-k``, the
+    position in ``rows[k]`` of the mode of a residue class that holds one
+    mode alone, else -1.  All read-only; memoized per box and lattice."""
+    residue_rows = {p * ny + q: rows
+                    for p, q, rows in _residue_classes(m_max, n_max, nx, ny)}
+    empty = np.empty(0, dtype=int)
+    p, q = np.divmod(np.arange(nx * ny), ny)
+    minus = ((-p) % nx * ny + (-q) % ny).tolist()
+    parts = [(residue_rows.get(k, empty), residue_rows.get(c, empty) if c != k else empty)
+             for k, c in enumerate(minus)]
+    size = np.array([len(own) + len(other) for own, other in parts])
+    rows = np.zeros((len(parts), size.max(initial=0)), dtype=int)
+    conj = np.zeros(rows.shape, dtype=bool)
+    single = np.full((len(parts), 2), -1)
+    for k, (own, other) in enumerate(parts):
+        both = np.concatenate([own, other])
+        order = np.argsort(both)
+        rows[k, :len(both)] = both[order]
+        conj[k, :len(both)] = order >= len(own)
+        where = np.argsort(order)  # the position of each of own, other
+        for j, (start, part) in enumerate(((0, own), (len(own), other))):
+            if len(part) == 1:
+                single[k, j] = where[start]
+    for table in (rows, conj, size, single):
+        table.flags.writeable = False
+    return rows, conj, size, single
+
+
 class FourierProjector:
     """Projections of DG coefficient vectors onto Fourier modes.
 
@@ -180,7 +215,11 @@ class FourierProjector:
     ``-k`` (the column is real).  Those coefficients have one source, the
     Bloch solution's own ``EigenSolution.coefficients``, read off its block
     eigenvectors (``associate_modes``); ``amplitudes`` and ``argmax_modes``
-    project vectors onto every mode.
+    project vectors onto every mode.  The classes are projected in a few
+    batches, not one by one (``_argmax_classes``): the classes that hold
+    one number of columns take one padded product of their modes' moments,
+    listed per class in a table memoized per box and lattice
+    (``_class_rows``), with their columns' coefficients.
     """
 
     def __init__(self, mesh: Mesh, spec: BasisSpec,
@@ -258,30 +297,6 @@ class FourierProjector:
             out[rows] = np.abs(local[rows] @ what[:, p, q, :].T)
         return out
 
-    def _project_classes(self, coeff: np.ndarray, wavevectors: np.ndarray):
-        """``(cols, rows, amps)`` per wavevector class of the columns whose
-        DFT at their own wavevector is ``coeff``: the columns in that class,
-        the modes of its two residue classes in ``modes`` order, and their
-        ``(rows, cols)`` amplitudes."""
-        nx, ny = self.mesh.config.nx, self.mesh.config.ny
-        classes, inverse = np.unique(np.asarray(wavevectors), return_inverse=True)
-        p, q = np.divmod(classes, ny)
-        conj = ((-p) % nx * ny + (-q) % ny).tolist()
-        local = self._moments(classes.tolist() + conj)
-        empty = np.empty(0, dtype=int)
-        for c, k in enumerate(classes.tolist()):
-            cols = np.flatnonzero(inverse == c)
-            at_k = coeff[cols].T
-            rows = self._residue_rows.get(k, empty)
-            amps = np.abs(local[rows] @ at_k)
-            if conj[c] != k:
-                rows_c = self._residue_rows.get(conj[c], empty)
-                both = np.concatenate([rows, rows_c])
-                order = np.argsort(both)
-                rows = both[order]
-                amps = np.vstack([amps, np.abs(local[rows_c] @ at_k.conj())])[order]
-            yield cols, rows, amps
-
     def amplitudes(self, vecs: np.ndarray) -> np.ndarray:
         """|projection| onto each mode: ``(modes,)`` for a coefficient vector,
         ``(modes, k)`` for the ``k`` columns of a block."""
@@ -313,13 +328,48 @@ class FourierProjector:
     def _argmax_classes(self, coeff: np.ndarray, wavevectors: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
         """``_argmax`` of the columns whose DFT at their own wavevector is
-        ``coeff``; a class that holds no mode of the box gives amplitude 0."""
+        ``coeff``, projected onto the modes of their wavevector classes
+        ``{k, -k}`` alone; a class that holds no mode of the box gives
+        amplitude 0.
+
+        The classes that hold one number of columns are projected in one
+        batch: one product of their modes' moments (``_class_rows``,
+        padded with zero moments) with their columns' coefficients, a mode
+        of ``-k`` by its conjugate moments, ``|conj(local) x| = |local
+        conj(x)|``.  The number of columns picks BLAS's kernel, hence a
+        batch per number, and the mode of a residue class that holds one
+        mode alone is projected by a vector product of its own: each
+        amplitude is then, bit for bit, that of one product of the class's
+        columns with the moments of each of its two residue classes."""
+        nx, ny = self.mesh.config.nx, self.mesh.config.ny
+        table, conj, size, single = _class_rows(self.m_max, self.n_max, nx, ny)
+        classes, inverse, counts = np.unique(wavevectors, return_inverse=True,
+                                             return_counts=True)
+        p, q = np.divmod(classes, ny)
+        local = self._moments(classes.tolist() + ((-p) % nx * ny + (-q) % ny).tolist())
+        by_class = np.argsort(inverse, kind="stable")
+        starts = np.cumsum(counts) - counts
         best = np.zeros(len(coeff), dtype=int)
         amps = np.zeros(len(coeff))
-        for cols, rows, a in self._project_classes(coeff, wavevectors):
-            if len(rows):
-                best[cols] = rows[a.argmax(axis=0)]
-                amps[cols] = a.max(axis=0)
+        for width in np.unique(counts).tolist():
+            at = np.flatnonzero(counts == width)
+            ks = classes[at]
+            rows = table[ks, :size[ks].max()]
+            if not rows.size:
+                continue
+            moments = local[rows]
+            moments[np.arange(rows.shape[1]) >= size[ks][:, None]] = 0.0
+            flip = conj[ks, :rows.shape[1]]
+            moments[flip] = moments[flip].conj()
+            cols = by_class[starts[at][:, None] + np.arange(width)]
+            block = coeff[cols].swapaxes(1, 2)
+            a = np.abs(moments @ block)
+            for pos in single[ks].T:
+                c = np.flatnonzero(pos >= 0)
+                if len(c):
+                    a[c, pos[c]] = np.abs(moments[c, pos[c], None] @ block[c])[:, 0]
+            best[cols] = np.take_along_axis(rows, a.argmax(axis=1), axis=1)
+            amps[cols] = a.max(axis=1)
         return best, amps
 
 

@@ -8,8 +8,9 @@ and no transpose reuse.  It also keeps the global scalar forms of what the
 library does on lattice stencils (the reduction to ``A`` by scalar CSR
 products), and the global dense solvers that serve as the tests' oracles
 (``dense_generalized_eig`` and ``ldl_inertia``), the former all-classes
-loop of ``bloch_eig`` (``bloch_band_reference``), and pencil residuals
-in extended precision (``extended_residuals``).
+loop of ``bloch_eig`` (``bloch_band_reference``), the former
+per-class loop of the Bloch association (``class_projection``), and
+pencil residuals in extended precision (``extended_residuals``).
 """
 
 import math
@@ -321,26 +322,27 @@ def bloch_band_reference(a, m, req) -> EigenSolution:
     ks = np.arange(len(pencil.conj))
     real = np.flatnonzero(pencil.conj == ks)
     pair = np.flatnonzero(pencil.conj > ks)
+    def block(k, mult):
+        a_k, m_k = pencil.symbols(k)
+        return (a_k.real, m_k.real) if mult == 1 else (a_k, m_k)
+
     if req is None:
-        w_real, v_real = _pencil_eigh(pencil.a_hat[real].real, pencil.m_hat[real].real)
-        w_pair, v_pair = _pencil_eigh(pencil.a_hat[pair], pencil.m_hat[pair])
+        w_real, v_real = _pencil_eigh(*block(real, 1))
+        w_pair, v_pair = _pencil_eigh(*block(pair, 2))
         classes = [(int(k), w, v, 1) for k, w, v in zip(real, w_real, v_real)]
         classes += [(int(k), w, v, 2) for k, w, v in zip(pair, w_pair, v_pair)]
     else:
-        classes = [(int(k), *_pencil_band(pencil.a_hat[k].real, pencil.m_hat[k].real,
-                                          req.lambda_max), 1) for k in real]
-        classes += [(int(k), *_pencil_band(pencil.a_hat[k], pencil.m_hat[k],
-                                           req.lambda_max), 2) for k in pair]
+        classes = [(int(k), *_pencil_band(*block(k, mult), req.lambda_max), mult)
+                   for ks, mult in ((real, 1), (pair, 2)) for k in ks]
     norm_a = a.norm_inf()
 
     inertia = None
     if req is not None:
         shift, inertia, n_zero = req.lambda_max, 0, 0
         for k, w, _, mult in classes:
-            shifted = pencil.a_hat[k] - shift * pencil.m_hat[k]
-            if mult == 1:
-                shifted = shifted.real
-            (neg, zero, _), _ = _ldl_factor(np.array(shifted, order="F"), 1e-12)
+            a_k, m_k = pencil.symbols(k)
+            shifted = a_k - shift * m_k
+            neg, zero, _ = block_inertia(shifted.real if mult == 1 else shifted)
             if len(w) != neg and not zero:
                 raise CompletenessError(
                     f"found {len(w)} eigenvalues <= {shift:.6g} in the block of "
@@ -372,6 +374,13 @@ def bloch_band_reference(a, m, req) -> EigenSolution:
                          method="dense" if req is None else "bloch",
                          inertia_count=inertia,
                          norm_a=norm_a, wavevectors=col_k[order])
+
+
+def block_inertia(block, zero_tol: float = 1e-12) -> tuple[int, int, int]:
+    """Inertia of one real-symmetric or Hermitian class block, from its own
+    ``_ldl_factor`` (of a Fortran-ordered copy): the per-class count that
+    ``bloch_eig``'s batched ``_class_inertia`` must reproduce."""
+    return _ldl_factor(np.array(block, order="F"), zero_tol)[0]
 
 
 def ldl_inertia(s, zero_tol: float = 1e-12) -> tuple[int, int, int]:
@@ -429,3 +438,40 @@ def oracle_moments(mesh, spec, modes):
             out[row, cid * n_loc:(cid + 1) * n_loc] = \
                 cell.jacobian_det * phase * local.ravel()
     return out
+
+
+def class_projection(proj, coeff, wavevectors):
+    """The former per-class loop of ``FourierProjector._argmax_classes``:
+    per wavevector class ``k`` of the columns whose DFT at their own
+    wavevector is ``coeff``, the modes of the residue classes of ``k`` and
+    ``-k`` projected onto by two products, ``|local x|`` and ``|local
+    conj(x)|``, and the class's columns labelled by the first largest
+    amplitude in mode order.  Returns the labels and amplitudes of
+    ``_argmax_classes`` and the ``(modes, columns)`` table of amplitudes,
+    0 outside each column's class."""
+    nx, ny = proj.mesh.config.nx, proj.mesh.config.ny
+    classes, inverse = np.unique(np.asarray(wavevectors), return_inverse=True)
+    p, q = np.divmod(classes, ny)
+    conj = ((-p) % nx * ny + (-q) % ny).tolist()
+    local = proj._moments(classes.tolist() + conj)
+    residue_rows = {p * ny + q: rows for p, q, rows in proj._classes}
+    empty = np.empty(0, dtype=int)
+    best = np.zeros(len(coeff), dtype=int)
+    amps = np.zeros(len(coeff))
+    table = np.zeros((len(proj.modes), len(coeff)))
+    for c, k in enumerate(classes.tolist()):
+        cols = np.flatnonzero(inverse == c)
+        at_k = coeff[cols].T
+        rows = residue_rows.get(k, empty)
+        a = np.abs(local[rows] @ at_k)
+        if conj[c] != k:
+            rows_c = residue_rows.get(conj[c], empty)
+            both = np.concatenate([rows, rows_c])
+            order = np.argsort(both)
+            rows = both[order]
+            a = np.vstack([a, np.abs(local[rows_c] @ at_k.conj())])[order]
+        if len(rows):
+            best[cols] = rows[a.argmax(axis=0)]
+            amps[cols] = a.max(axis=0)
+            table[np.ix_(rows, cols)] = a
+    return best, amps, table

@@ -22,8 +22,8 @@ from anisodg.eigensolve import (BandRequest, CompletenessError, Factor, band_eig
 from anisodg.fields import CoefficientField, Harmonic, MagneticField, iota_profile
 from anisodg.geometry import (Alignment, FieldDirection, MeshConfig, build_mesh,
                               choose_alignment)
-from bruteforce import (DENSE_CAP, bloch_band_reference, dense_generalized_eig,
-                        extended_residuals, ldl_inertia)
+from bruteforce import (DENSE_CAP, block_inertia, bloch_band_reference,
+                        dense_generalized_eig, extended_residuals, ldl_inertia)
 from pinning import pinned
 
 REF_B = FieldDirection(1.165939761, 1.0)
@@ -583,6 +583,124 @@ def test_bloch_rejects_variable_coefficients():
         bloch_eig(a, m, BandRequest(lambda_max=0.4))
 
 
+def random_class_blocks(hermitian, count, n, zero_diagonal, seed):
+    """A stack of ``count`` random real-symmetric or Hermitian ``n x n``
+    blocks; with ``zero_diagonal`` each is shifted by its constant
+    diagonal, which leaves it a zero diagonal."""
+    rng = np.random.default_rng(seed)
+    blocks = rng.standard_normal((count, n, n))
+    if hermitian:
+        blocks = blocks + 1j * rng.standard_normal((count, n, n))
+    blocks = blocks + blocks.conj().swapaxes(1, 2)
+    if zero_diagonal:
+        blocks[:, np.arange(n), np.arange(n)] = rng.standard_normal((count, 1))
+        blocks -= np.einsum("cii->ci", blocks)[:, :1, None] * np.eye(n)
+    return blocks
+
+
+def fortran_copy(blocks):
+    """A copy of a stack whose matrices are Fortran-ordered, as
+    ``_stack_inertia`` factors them in place."""
+    out = np.empty(blocks.shape, dtype=blocks.dtype).swapaxes(1, 2)
+    out[...] = blocks
+    return out
+
+
+#: Recorded draws of ``test_stack_inertia_is_the_per_class_ldl_count``.
+STACK_INERTIA_DRAWS = [
+    (False, 1, 1, False, 0),
+    (True, 1, 1, False, 0),
+    (True, 5, 6, False, 3427),
+    (False, 5, 1, False, 0),
+    (False, 5, 3, False, 305),
+    (True, 4, 7, True, 4096),
+    (False, 3, 2, True, 34),
+    (True, 1, 8, False, 16),
+    (False, 3, 8, True, 601),
+    (True, 5, 1, True, 1957),
+    (True, 3, 2, True, 1067),
+    (True, 3, 1, True, 1067),
+    (True, 3, 1, True, 1),
+    (True, 3, 1, True, 3),
+    (True, 5, 6, True, 9023),
+    (True, 5, 6, True, 5),
+    (True, 1, 6, True, 5),
+    (True, 1, 6, True, 1),
+    (True, 1, 1, True, 1),
+    (True, 4, 4, True, 9978),
+    (True, 4, 4, True, 4),
+    (True, 4, 8, True, 22338),
+    (True, 4, 4, True, 22338),
+    (False, 5, 1, True, 4760),
+    (False, 5, 1, True, 1),
+    (True, 5, 1, True, 1),
+    (True, 3, 6, False, 17206),
+    (True, 3, 6, True, 17206),
+    (True, 3, 3, True, 17206),
+    (True, 3, 3, True, 3),
+]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(hermitian=st.booleans(), count=st.integers(1, 5), n=st.integers(1, 10),
+       zero_diagonal=st.booleans(), seed=st.integers(0, 2**16))
+@pinned("hermitian, count, n, zero_diagonal, seed", STACK_INERTIA_DRAWS)
+def test_stack_inertia_is_the_per_class_ldl_count(hermitian, count, n,
+                                                  zero_diagonal, seed):
+    """The batched inertia of a stack of class blocks (``_stack_inertia``,
+    which ``bloch_eig``'s ``_class_inertia`` runs per group) is, block by
+    block, the count of each block's own ``_ldl_factor`` (``tests/
+    bruteforce.py``), on random real-symmetric and Hermitian stacks.  A
+    zero diagonal forces Bunch-Kaufman 2x2 pivots in every block wider
+    than one."""
+    blocks = random_class_blocks(hermitian, count, n, zero_diagonal, seed)
+    neg, zero = eigensolve._stack_inertia(fortran_copy(blocks), 1e-12)
+    want = [block_inertia(b) for b in blocks]
+    assert neg.tolist() == [w[0] for w in want]
+    assert zero.tolist() == [w[1] for w in want]
+    if zero_diagonal and n > 1:
+        _, trf, _, lwork = eigensolve._ldl_routines(blocks)
+        for b in blocks:
+            assert np.any(trf(np.array(b, order="F"), lower=1, lwork=lwork)[1] < 0)
+
+
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real", "hermitian"])
+def test_stack_inertia_counts_a_pivot_within_tolerance_as_zero(hermitian):
+    """A pivot within ``1e-12 max|K|`` of zero counts as zero, one just
+    outside it by its sign, in the stack as in each block's own factor.
+    In ``_class_inertia`` a zero pivot makes the band edge ambiguous."""
+    rng = np.random.default_rng(5)
+    dtype = complex if hermitian else float
+    blocks = np.array([np.diag(d) for d in ([3.0, -1.0, 2e-12, 0.5],
+                                             [3.0, -1.0, -4e-12, 0.5],
+                                             [3.0, 1.0, 4e-12, -0.5])], dtype=dtype)
+    perm = rng.permutation(4)
+    blocks = blocks[:, perm][:, :, perm]
+    neg, zero = eigensolve._stack_inertia(fortran_copy(blocks), 1e-12)
+    assert (neg.tolist(), zero.tolist()) == ([1, 2, 1], [1, 0, 0])
+    assert [block_inertia(b)[:2] for b in blocks] == [(1, 1), (2, 0), (1, 0)]
+
+    a = eigensolve._as_sym(np.diag([4.0, 0.0, 1.0 + 1e-13]))
+    pencil = eigensolve._LatticePencil(a, eigensolve._as_pencil(a, None)[1])
+    with pytest.raises(CompletenessError, match="1 pivot.*ambiguous"):
+        eigensolve._class_inertia(pencil, 1.0)
+    _, m = make_small_system(3, 2, 1)
+    with pytest.raises(CompletenessError, match="ambiguous"):
+        eigensolve._class_inertia(eigensolve._LatticePencil(m, m), 1.0)
+
+
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real", "hermitian"])
+def test_stack_inertia_of_a_nan_entry_is_not_finite(hermitian):
+    """A NaN entry in the lower triangle of one block of a stack makes its
+    pivots NaN: the stack, like that block's own factor, refuses it."""
+    blocks = random_class_blocks(hermitian, 3, 5, False, 11)
+    blocks[1, 3, 1] = blocks[1, 1, 3] = np.nan
+    with pytest.raises(CompletenessError, match="not finite"):
+        eigensolve._stack_inertia(fortran_copy(blocks), 1e-12)
+    with pytest.raises(CompletenessError, match="not finite"):
+        block_inertia(blocks[1])
+
+
 def test_bloch_band_edge_on_a_block_eigenvalue_is_ambiguous():
     a, m = make_small_system(2, 2, 2)
     w = bloch_eig(a, m).eigenvalues
@@ -698,7 +816,7 @@ def per_class_band(a, m, band):
     pencil = eigensolve._LatticePencil(a, m)
     ks, ws = [], []
     for k in np.flatnonzero(pencil.conj >= np.arange(len(pencil.conj))):
-        a_k, m_k = pencil.a_hat[k], pencil.m_hat[k]
+        a_k, m_k = pencil.symbols(k)
         mult = 1 if pencil.conj[k] == k else 2
         if mult == 1:
             a_k, m_k = a_k.real, m_k.real
@@ -744,17 +862,32 @@ def test_bloch_band_of_no_class_or_of_every_class_matches_the_reference():
         assert len(sol) == sol.inertia_count == count
 
 
+def spy_symbols(monkeypatch):
+    """Record ``(stencil, len(ks))`` of each ``Stencil.symbols`` call."""
+    calls, symbols = [], Stencil.symbols
+
+    def spy(self, ks=None):
+        calls.append((self, len(ks)))
+        return symbols(self, ks)
+
+    monkeypatch.setattr(Stencil, "symbols", spy)
+    return calls
+
+
 def test_bloch_band_solves_only_the_classes_that_hold_band_pairs(monkeypatch):
     """``ref_band``'s pencil (8x8 p4, band edge 0.2) has 34 wavevector
-    classes.  The band solve hands ``_pencil_band`` the 7 whose block holds
-    an eigenvalue below the edge; the full spectrum hands ``_pencil_eigh``
-    all 34."""
+    classes.  The band solve factors each class's shifted block once (34
+    Bunch-Kaufman factorizations), hands ``_pencil_band`` the 7 whose block
+    holds an eigenvalue below the edge, and forms the cell-local mass
+    symbol once; the full spectrum hands ``_pencil_eigh`` all 34."""
     a, m = constant_pencil(Alignment.BOTTOM_TOP, 8, 8, 4)
     pencil = eigensolve._LatticePencil(a, m)
     reps = np.flatnonzero(pencil.conj >= np.arange(len(pencil.conj)))
     holding = [k for k in reps if sla.eigh(
-        pencil.a_hat[k], pencil.m_hat[k], eigvals_only=True)[0] <= 0.2]
-    rows, pencil_band, pencil_eigh = [], eigensolve._pencil_band, eigensolve._pencil_eigh
+        *pencil.symbols(k), eigvals_only=True)[0] <= 0.2]
+    rows, factors = [], []
+    pencil_band, pencil_eigh = eigensolve._pencil_band, eigensolve._pencil_eigh
+    ldl_routines = eigensolve._ldl_routines
 
     def band_spy(a_k, m_k, lambda_max):
         rows.append(1)
@@ -764,11 +897,25 @@ def test_bloch_band_solves_only_the_classes_that_hold_band_pairs(monkeypatch):
         rows.append(len(a_k))
         return pencil_eigh(a_k, m_k)
 
+    def routines_spy(k):
+        kind, trf, trs, lwork = ldl_routines(k)
+
+        def trf_spy(*args, **kwargs):
+            factors.append(kind)
+            return trf(*args, **kwargs)
+        return kind, trf_spy, trs, lwork
+
     monkeypatch.setattr(eigensolve, "_pencil_band", band_spy)
     monkeypatch.setattr(eigensolve, "_pencil_eigh", full_spy)
+    monkeypatch.setattr(eigensolve, "_ldl_routines", routines_spy)
+    symbols = spy_symbols(monkeypatch)
     sol = bloch_eig(a, m, BandRequest(lambda_max=0.2))
     assert (len(reps), len(holding)) == (34, 7)
     assert sum(rows) == len(holding) == len(np.unique(sol.wavevectors))
+    assert len(factors) == len(reps)
+    assert factors.count("sy") == len(pencil.real)
+    assert [n for s, n in symbols if s is m] == [1]
+    assert [n for s, n in symbols if s is a] == [34]
     rows.clear()
     full = bloch_eig(a, m)
     assert sum(rows) == len(reps) == len(np.unique(full.wavevectors))
@@ -779,7 +926,7 @@ def test_bloch_band_short_of_a_block_inertia_is_incomplete(monkeypatch):
     inertia count, which raises."""
     a, m = make_small_system(2, 2, 2)
     pencil = eigensolve._LatticePencil(a, m)
-    neg = int(np.sum(sla.eigh(pencil.a_hat[0].real, pencil.m_hat[0].real,
+    neg = int(np.sum(sla.eigh(*(s.real for s in pencil.symbols(0)),
                               eigvals_only=True) <= 0.4))
     pencil_band = eigensolve._pencil_band
 
@@ -801,7 +948,7 @@ def test_bloch_band_class_solve_off_by_one_pair_is_incomplete(monkeypatch, extra
     count raises."""
     a, m = make_small_system(2, 2, 2)
     pencil = eigensolve._LatticePencil(a, m)
-    neg = int(np.sum(sla.eigh(pencil.a_hat[0].real, pencil.m_hat[0].real,
+    neg = int(np.sum(sla.eigh(*(s.real for s in pencil.symbols(0)),
                               eigvals_only=True) <= 0.4))
 
     def off_by_one(a_k, m_k, lambda_max):
@@ -888,7 +1035,7 @@ def test_bloch_bounds_enclose_the_extended_residuals(alignment, nx, ny, p_xi, p_
     top = float(np.max(bloch_eig(a, m).eigenvalues))
     for k in np.flatnonzero(pencil.conj >= np.arange(len(pencil.conj))):
         real = pencil.conj[k] == k
-        a_k, m_k = pencil.a_hat[k], pencil.m_hat[k]
+        a_k, m_k = pencil.symbols(k)
         if real:
             a_k, m_k = a_k.real, m_k.real
         w, v = eigensolve._pencil_eigh(a_k[None], m_k[None])
@@ -935,10 +1082,10 @@ def test_pencil_eigh_matches_per_class_generalized_eigh(nx, ny):
     a, m = varying_mass_pencil(nx, ny, 6, seed=nx * ny)
     pencil = eigensolve._LatticePencil(a, m)
     assert len(pencil.real) and len(pencil.pair)
-    spread = np.ptp(pencil.m_hat[pencil.pair], axis=0)
+    spread = np.ptp(pencil.symbols(pencil.pair)[1], axis=0)
     assert np.max(np.abs(spread)) > 0.1
     for ks, real in ((pencil.real, True), (pencil.pair, False)):
-        a_k, m_k = pencil.a_hat[ks], pencil.m_hat[ks]
+        a_k, m_k = pencil.symbols(ks)
         if real:
             a_k, m_k = a_k.real, m_k.real
         off = m_k - np.einsum("cii->ci", m_k)[:, :, None] * np.eye(m.n_loc)
@@ -955,6 +1102,26 @@ def test_pencil_eigh_matches_per_class_generalized_eigh(nx, ny):
 
 @pytest.mark.parametrize("alignment, nx, ny, p", [
     (Alignment.BOTTOM_TOP, 8, 8, 4), (Alignment.CARTESIAN, 3, 2, 3),
+    (Alignment.LEFT_RIGHT, 2, 2, 0)], ids=["8x8-p4", "3x2-p3", "2x2-p0"])
+def test_pencil_eigh_of_one_mass_block_is_that_of_its_stack(alignment, nx, ny, p):
+    """A cell-local mass symbol is one block for every class: ``_pencil_eigh``
+    factors and inverts it once, and its eigenpairs are, bit for bit, those
+    of the stack that repeats the block per class."""
+    a, m = constant_pencil(alignment, nx, ny, p)
+    pencil = eigensolve._LatticePencil(a, m)
+    for ks, real in ((pencil.real, True), (pencil.pair, False)):
+        a_k, m_k = pencil.symbols(ks)
+        if real:
+            a_k, m_k = a_k.real, m_k.real
+        assert m_k.shape == (a.n_loc, a.n_loc)
+        once = eigensolve._pencil_eigh(a_k, m_k)
+        stacked = eigensolve._pencil_eigh(a_k, np.repeat(m_k[None], len(ks), axis=0))
+        for got, want in zip(once, stacked):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alignment, nx, ny, p", [
+    (Alignment.BOTTOM_TOP, 8, 8, 4), (Alignment.CARTESIAN, 3, 2, 3),
     (Alignment.BOTTOM_TOP, 4, 16, 3)], ids=["8x8-p4", "3x2-p3", "4x16-p3"])
 def test_batched_bounds_are_the_per_class_bounds(alignment, nx, ny, p):
     """``bloch_eig`` bounds each group of classes (real, pair) in one batch;
@@ -962,7 +1129,7 @@ def test_batched_bounds_are_the_per_class_bounds(alignment, nx, ny, p):
     a, m = constant_pencil(alignment, nx, ny, p)
     pencil = eigensolve._LatticePencil(a, m)
     for ks, real in ((pencil.real, True), (pencil.pair, False)):
-        a_k, m_k = pencil.a_hat[ks], pencil.m_hat[ks]
+        a_k, m_k = pencil.symbols(ks)
         if real:
             a_k, m_k = a_k.real, m_k.real
         w, v = eigensolve._pencil_eigh(a_k, m_k)
@@ -974,26 +1141,33 @@ def test_batched_bounds_are_the_per_class_bounds(alignment, nx, ny, p):
 
 def test_lattice_symbols_are_formed_at_the_class_representatives(monkeypatch):
     """``ref_band``'s 8x8 lattice has 64 wavevectors in 34 classes ``{k,
-    -k}``: the symbols of A and M are formed at the 34 representatives only,
-    equal to the all-wavevector symbols there to rounding, and the other
-    rows are zero."""
+    -k}``: the symbols of A are formed at the 34 representatives only, equal
+    to the all-wavevector symbols there to rounding.  Its M is cell-local,
+    so its symbol is formed once, as one block, and that block is, bit for
+    bit, ``Stencil.symbols`` at every wavevector.  A mass that couples
+    neighbouring cells has its symbols formed at the representatives."""
     a, m = constant_pencil(Alignment.BOTTOM_TOP, 8, 8, 4)
-    full = a.symbols(), m.symbols()
-    counts, symbols = [], Stencil.symbols
-
-    def spy(self, ks=None):
-        counts.append(len(ks))
-        return symbols(self, ks)
-
-    monkeypatch.setattr(Stencil, "symbols", spy)
+    assert not np.any(m.offsets)
+    full_a, full_m = a.symbols(), m.symbols()
+    coupled = varying_mass_pencil(3, 5, 6, seed=15)
+    full_coupled = [s.symbols() for s in coupled]
+    calls = spy_symbols(monkeypatch)
     pencil = eigensolve._LatticePencil(a, m)
     reps = np.concatenate([pencil.real, pencil.pair])
-    assert counts == [34, 34] and len(reps) == 34
-    others = np.setdiff1d(np.arange(64), reps)
-    for got, want in zip((pencil.a_hat, pencil.m_hat), full):
-        scale = np.max(np.abs(want))
-        assert np.max(np.abs(got[reps] - want[reps])) <= 1e-14 * scale
-        assert not np.any(got[others])
+    assert [n for _, n in calls] == [34, 1] and len(reps) == 34
+    assert np.array_equal(pencil.reps, reps)
+    assert np.array_equal(pencil.row[reps], np.arange(34))
+    got_a, got_m = pencil.symbols(reps)
+    assert np.max(np.abs(got_a - full_a[reps])) <= 1e-14 * np.max(np.abs(full_a))
+    assert got_m.shape == (a.n_loc, a.n_loc)
+    for k in range(64):
+        assert full_m[k].tobytes() == got_m.tobytes()
+
+    calls.clear()
+    pencil = eigensolve._LatticePencil(*coupled)
+    assert [n for _, n in calls] == [8, 8]
+    for got, want in zip(pencil.symbols(pencil.reps), full_coupled):
+        assert np.max(np.abs(got - want[pencil.reps])) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_bloch_reads_duplicate_entries_as_their_sum():

@@ -107,11 +107,8 @@ def amplitude_table(proj, vec):
 def class_amplitudes(proj, coeff, wavevectors):
     """``(modes, columns)`` amplitudes of the columns whose lattice DFT at
     their own wavevector is ``coeff``: projected onto the modes of each
-    column's class, 0 elsewhere."""
-    out = np.zeros((len(proj.modes), len(coeff)))
-    for cols, rows, amps in proj._project_classes(coeff, wavevectors):
-        out[np.ix_(rows, cols)] = amps
-    return out
+    column's class, 0 elsewhere, by the per-class reference loop."""
+    return bf.class_projection(proj, coeff, wavevectors)[2]
 
 
 def test_projector_constant_vector():
@@ -541,6 +538,52 @@ def test_class_restricted_projection_matches_the_fft(name):
         [(i, m, a) for i, (m, a) in enumerate(zip(modes, amps.tolist())) if a > 0.0]
 
 
+#: ``(mesh config, spec, full spectrum, box, band edge)`` of the batched
+#: class projection cases: the ``CLASS_SOLVES`` and the ``BAND_CASES``
+#: meshes, a 3x3 box on the 4x4 p3 full spectrum (residue classes of one
+#: mode), and lattices wider than the box, some of whose classes hold no
+#: box mode.
+BATCH_SOLVES = {
+    "bottom-top-4x4-p3-full-box3": (MeshConfig(4, 4, Alignment.BOTTOM_TOP, REF_B),
+                                    BasisSpec(3, 3), True, 3, 0.2),
+    "cartesian-48x2-p1-full": (MeshConfig(48, 2, Alignment.CARTESIAN, REF_B),
+                               BasisSpec(1, 1), True, 20, 0.2),
+    "left-right-16x2-p2-band-box6": (MeshConfig(16, 2, Alignment.LEFT_RIGHT, REF_B),
+                                     BasisSpec(2, 2), False, 6, 0.2),
+}
+BATCH_SOLVES.update({name: (config, spec, full, (7, 5), 0.2)
+                     for name, (config, spec, full) in CLASS_SOLVES.items()})
+BATCH_SOLVES.update({f"band-{c[0].value}-{c[1]}x{c[2]}-p{c[3]}": (
+    MeshConfig(c[1], c[2], c[0], REF_B), BasisSpec(c[3], c[3]), False, 20, c[4])
+    for c in BAND_CASES})
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SOLVES))
+def test_batched_class_projection_is_the_per_class_loop(name):
+    """``_argmax_classes`` projects each batch of classes by one product
+    and the residue classes of one mode by their own vector products: its
+    labels and amplitudes are, bit for bit, those of the former per-class
+    loop (``bruteforce.class_projection``)."""
+    config, spec, full, box, band = BATCH_SOLVES[name]
+    m_max, n_max = box if isinstance(box, tuple) else (box, box)
+    result = run_band_solve(SolveSetup(
+        mesh_config=config, spec=spec, alpha=CONST, beta=CONST, omega_max_sq=band,
+        full_spectrum=full, m_max=m_max, n_max=n_max))
+    sol = result.solution
+    proj = FourierProjector(result.mesh, spec, m_max, n_max)
+    best, amps = proj._argmax_classes(sol.coefficients, sol.wavevectors)
+    want_best, want_amps, _ = bf.class_projection(proj, sol.coefficients,
+                                                  sol.wavevectors)
+    assert np.array_equal(best, want_best)
+    assert amps.tobytes() == want_amps.tobytes()
+    _, _, size, single = spectrum._class_rows(m_max, n_max, config.nx, config.ny)
+    held = np.unique(sol.wavevectors)
+    if name.endswith("box3"):
+        assert np.any(single[held] >= 0)
+    if "48x2" in name or "16x2" in name:
+        assert np.any(size[held] == 0) and np.any(amps == 0.0)
+
+
 def test_class_tie_across_conjugate_residues_follows_mode_order(monkeypatch):
     """On the 3x1 lattice the class {1, 2} holds the modes m = 1 (residue k)
     and m = 2 (residue -k).  With the moments of (2, 0) set to the conjugates
@@ -638,10 +681,11 @@ def test_variable_coefficient_runs_have_no_exact_data():
 def test_memoized_tables_keep_every_solve_bit_identical():
     """From cold caches, a solve, one of another spec and mode box, and the
     first again: the memoized Gauss rules, volume tables, box modes, residue
-    classes and exact spectra change no bit of the eigenpairs, residuals or
-    association rows."""
+    classes, class rows and exact spectra change no bit of the eigenpairs,
+    residuals or association rows, and the tables are read-only."""
     for cache in (basis._gauss_rule, assembly._volume_tables, spectrum._box_modes,
-                  spectrum._residue_classes, spectrum._exact_spectrum):
+                  spectrum._residue_classes, spectrum._class_rows,
+                  spectrum._exact_spectrum):
         cache.cache_clear()
     field = CoefficientField(1.0, (Harmonic(1, 1, 0.1, 0.0),))
 
@@ -662,6 +706,9 @@ def test_memoized_tables_keep_every_solve_bit_identical():
         spectrum._box_modes(20, 20)[1][0, 0] = 1
     with pytest.raises(ValueError):
         spectrum._residue_classes(20, 20, 2, 8)[0][2][0] = 1
+    for table in spectrum._class_rows(20, 20, 2, 8):
+        with pytest.raises(ValueError):
+            table[0] = 1
 
 
 def test_full_spectrum_needs_constant_coefficients():
