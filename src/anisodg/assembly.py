@@ -77,6 +77,16 @@ def _residues(offsets: np.ndarray, lattice: tuple[int, int], closed: bool = Fals
     return np.stack(np.divmod(keys, lattice[1]), axis=1), np.searchsorted(keys, key)
 
 
+def _reached_cells(offsets: np.ndarray, lattice: tuple[int, int]) -> np.ndarray:
+    """``(nx*ny, S)``, read-only: the cell that each cell reaches by each of
+    ``offsets`` on the lattice."""
+    nx, ny = lattice
+    i, j = np.divmod(np.arange(nx * ny), ny)
+    cells = (i[:, None] + offsets[:, 0]) % nx * ny + (j[:, None] + offsets[:, 1]) % ny
+    cells.flags.writeable = False
+    return cells
+
+
 class Stencil:
     """An operator on the ``nx x ny`` cell lattice as cell blocks at fixed offsets.
 
@@ -109,12 +119,7 @@ class Stencil:
     def _column_cells(self) -> np.ndarray:
         """``column_cells``, built on first use: the offsets and the lattice
         never change after construction.  Read-only, as it is shared."""
-        nx, ny = self.lattice
-        i, j = np.divmod(np.arange(self.n_cells), ny)
-        cells = ((i[:, None] + self.offsets[:, 0]) % nx * ny
-                 + (j[:, None] + self.offsets[:, 1]) % ny)
-        cells.flags.writeable = False
-        return cells
+        return _reached_cells(self.offsets, self.lattice)
 
     def expand(self) -> sp.csr_matrix:
         """The scalar CSR matrix, built anew."""

@@ -610,6 +610,7 @@ def run_band_solve(setup: SolveSetup) -> BandResult:
     ops = assemble_operator_set(mesh, setup.spec, setup.alpha, b_field,
                                 setup.eta_s, setup.n_quad)
     a, m = build_reduced(ops)
+    del ops  # only M, the pencil's, outlives the reduction
     req = None if setup.full_spectrum else BandRequest(
         lambda_max=setup.omega_max_sq * max(setup.band_margin, 1.0),
         tolerance=setup.tolerance)

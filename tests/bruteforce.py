@@ -9,8 +9,10 @@ library does on lattice stencils (the reduction to ``A`` by scalar CSR
 products), and the global dense solvers that serve as the tests' oracles
 (``dense_generalized_eig`` and ``ldl_inertia``), the former all-classes
 loop of ``bloch_eig`` (``bloch_band_reference``), the former
-per-class loop of the Bloch association (``class_projection``), and
-pencil residuals in extended precision (``extended_residuals``).
+per-class loop of the Bloch association (``class_projection``), the
+former lattice LDL^T on a formed ``K`` stencil scattered whole
+(``lattice_ldl_reference``), and pencil residuals in extended precision
+(``extended_residuals``).
 """
 
 import math
@@ -21,10 +23,11 @@ import scipy.sparse as sp
 from numpy.polynomial import legendre as npleg
 from scipy.special import spherical_jn
 
-from anisodg.eigensolve import (CompletenessError, EigenSolution,
-                                _as_pencil, _as_sym, _dense_pencil, _LatticePencil,
-                                _ldl_factor, _pencil_band, _pencil_eigh,
-                                _residuals)
+from anisodg.assembly import Stencil, _residues
+from anisodg.eigensolve import (CompletenessError, EigenSolution, _BunchKaufman,
+                                _as_pencil, _as_sym, _count_signs, _dense_pencil,
+                                _LatticePencil, _ldl_factor, _pencil_band,
+                                _pencil_eigh, _residuals)
 from anisodg.geometry import (MERGE_TOL, TWO_PI, Alignment, Cell, Interface,
                               edge_point, outward_normal)
 
@@ -392,6 +395,79 @@ def ldl_inertia(s, zero_tol: float = 1e-12) -> tuple[int, int, int]:
     if sp.issparse(s):
         s = s.toarray()
     return _ldl_factor(np.array(s, dtype=float, order="F"), zero_tol)[0]
+
+
+def shifted_stencil(a, m, shift: float) -> Stencil:
+    """``K = A - shift M`` as one stencil on the union of their offsets,
+    summed block by block into one array."""
+    offsets, slot = _residues(np.concatenate([a.offsets, m.offsets]), a.lattice)
+    cells = max(len(a.blocks), len(m.blocks))
+    blocks = np.zeros((cells, len(offsets)) + a.blocks.shape[2:])
+    for s, k in enumerate(slot[:len(a.offsets)]):
+        blocks[:, k] += a.blocks[:, s]
+    for s, k in enumerate(slot[len(a.offsets):]):
+        blocks[:, k] += -shift * m.blocks[:, s]
+    return Stencil(offsets, blocks, a.lattice)
+
+
+def _scatter(k, blocking):
+    """The dense blocks of the stencil ``K`` in ``blocking``, all at once:
+    the diagonal blocks, and per block ``j`` but the border its coupling
+    ``K[j, next + border]`` above the diagonal (columns of the next block
+    first; the block before the border couples to the border only)."""
+    steps, nl = len(blocking.sizes) - 1, k.n_loc
+    size, border_size = blocking.sizes[0], blocking.sizes[-1]
+    pos = np.empty(k.n_cells, dtype=int)
+    pos[blocking.order] = np.arange(k.n_cells)
+    block = np.minimum(pos // size, steps)
+    local = pos - block * size
+    cols = k.column_cells()
+    row, row_at = (np.broadcast_to(x[:, None], cols.shape) for x in (block, local))
+    col, col_at = block[cols], local[cols]
+    values = np.broadcast_to(k.blocks, cols.shape + (nl, nl))
+
+    diag = np.zeros((steps, size, nl, size, nl))
+    border = np.zeros((border_size, nl, border_size, nl))
+    inner = np.zeros((max(steps - 1, 0), size, nl, size + border_size, nl))
+    last = np.zeros((size, nl, border_size, nl))
+    at = (row == col) & (row < steps)
+    diag[row[at], row_at[at], :, col_at[at], :] = values[at]
+    at = (row == col) & (row == steps)
+    border[row_at[at], :, col_at[at], :] = values[at]
+    at = (row < col) & (row == steps - 1)
+    last[row_at[at], :, col_at[at], :] = values[at]
+    at = (row < col) & (row < steps - 1)  # the border's columns after the next's
+    inner[row[at], row_at[at], :, col_at[at] + size * (col[at] == steps), :] = values[at]
+
+    b, c = size * nl, border_size * nl
+    upper = [x.reshape(b, b + c) for x in inner]
+    if steps:
+        upper.append(last.reshape(b, c))
+    return [d.reshape(b, b) for d in diag] + [border.reshape(c, c)], upper
+
+
+def lattice_ldl_reference(k, blocking, zero_tol: float = 1e-12):
+    """The pivots of each block and the inertia of the periodic block LDL^T
+    of the stencil ``K`` (``shifted_stencil``) in ``blocking``, eliminated
+    as ``_LatticeLDL`` does, on every block scattered at once from ``K``
+    before the elimination starts."""
+    diag, upper = _scatter(k, blocking)
+    tol = zero_tol * max(float(np.max(np.abs(k.blocks))), np.finfo(float).tiny)
+    border, width = diag[-1], len(diag[-1])
+    pivots = []
+    for j, up in enumerate(upper):
+        factor = _BunchKaufman(diag[j])
+        w = factor.forward(up)
+        up[:] = factor.scale(w)
+        nxt = up.shape[1] - width
+        if nxt:
+            update = w[:, :nxt].T @ up
+            diag[j + 1] -= update[:, :nxt]
+            upper[j + 1][:, -width:] -= update[:, nxt:]
+        border -= w[:, nxt:].T @ up[:, nxt:]
+        pivots.append(factor.pivots)
+    pivots.append(_BunchKaufman(border).pivots)
+    return pivots, tuple(map(sum, zip(*(_count_signs(p, tol) for p in pivots))))
 
 
 def extended_residuals(a, m, w, x) -> np.ndarray:

@@ -23,7 +23,8 @@ from anisodg.fields import CoefficientField, Harmonic, MagneticField, iota_profi
 from anisodg.geometry import (Alignment, FieldDirection, MeshConfig, build_mesh,
                               choose_alignment)
 from bruteforce import (DENSE_CAP, block_inertia, bloch_band_reference,
-                        dense_generalized_eig, extended_residuals, ldl_inertia)
+                        dense_generalized_eig, extended_residuals,
+                        lattice_ldl_reference, ldl_inertia, shifted_stencil)
 from pinning import pinned
 
 REF_B = FieldDirection(1.165939761, 1.0)
@@ -1202,7 +1203,7 @@ def flux_surface_system(nx, ny, p, s=0.5, alignment=Alignment.BOTTOM_TOP):
 
 
 def cheapest_blocking(a, m, shift):
-    k = eigensolve._shifted_stencil(a, m, shift)
+    k = eigensolve._Shifted(a, m, shift)
     return min(eigensolve._blockings(k), key=lambda blocks: blocks.flops)
 
 
@@ -1210,6 +1211,44 @@ def backward_error(k, z, r):
     """``||r - K z|| / (||K|| ||z|| + ||r||)`` in the infinity norms."""
     norm_k = np.max(np.abs(k).sum(axis=1))
     return np.max(np.abs(r - k @ z)) / (norm_k * np.max(np.abs(z)) + np.max(np.abs(r)))
+
+
+def assert_same_pivots(ldl, pivots, inertia):
+    """``ldl``'s pivots equal ``pivots`` bit for bit, block by block, and its
+    inertia ``inertia``."""
+    assert len(ldl.factors) == len(pivots)
+    for factor, want in zip(ldl.factors, pivots):
+        assert np.array_equal(factor.pivots, want)
+    assert ldl.inertia == inertia
+
+
+def reachable_arrays(root) -> list[np.ndarray]:
+    """The arrays reachable from ``root`` through the attributes of the
+    library's objects, lists and tuples, each followed to the array that owns
+    its memory."""
+    seen, owners, todo = set(), {}, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            owners[id(obj)] = obj
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif type(obj).__module__.startswith("anisodg"):
+            todo.extend(vars(obj).values())
+    return list(owners.values())
+
+
+def stored_bytes(ldl) -> int:
+    """The bytes of the lattice factor's matrices (its packed triangles and
+    its ``V`` blocks), each of which must own its memory."""
+    matrices = [f.packed for f in ldl.factors] + ldl.upper
+    assert all(x.base is None for x in matrices)
+    return sum(x.nbytes for x in matrices)
 
 
 def test_lattice_layouts_of_the_benchmark_meshes():
@@ -1243,7 +1282,10 @@ def test_one_block_factors_the_dense_k_of_the_csr():
     k = a.expand().toarray()
     mass = m.expand().tocoo()
     np.subtract.at(k, (mass.row, mass.col), 0.27 * mass.data)
-    assert np.array_equal(eigensolve._shifted_stencil(a, m, 0.27).to_dense(), k)
+    blocking = cheapest_blocking(a, m, 0.27)
+    assert blocking.sizes == (a.n_cells,)
+    assert np.array_equal(eigensolve._Shifted(a, m, 0.27).block_row(blocking, 0)[0], k)
+    assert np.array_equal(shifted_stencil(a, m, 0.27).to_dense(), k)
     inertia, factor = shifted_inertia(a, m, 0.27)
     assert factor.kind == "dense" and factor.entries == a.n**2
     assert inertia == ldl_inertia(k)
@@ -1483,13 +1525,16 @@ def test_lattice_ldl_against_dense_inertia(alignment, nx, ny, p, b, alpha, beta,
                                            shift, axis, shear, extra):
     """Every row layout, on both axes and every admissible shear, with
     ``extra`` more rows to a block than the stencil's reach: the lattice
-    LDL^T has the Bunch-Kaufman inertia of the expanded K, and its solve
-    inverts K to a backward error of 1e-10."""
+    LDL^T has the Bunch-Kaufman inertia of the expanded K, and the pivots,
+    bit for bit, of the elimination on every block scattered at once from
+    a formed K stencil (``lattice_ldl_reference``); it stores its
+    ``entries`` (of more than one block), and its solve inverts K to a
+    backward error of 1e-10."""
     mesh = build_mesh(MeshConfig(nx, ny, alignment, b))
     ops = assemble_operator_set(mesh, BasisSpec(p, p), CoefficientField(1.0, (alpha,)),
                                 MagneticField(b, CoefficientField(1.0, (beta,))), 6.0)
     a, m = build_reduced(ops)
-    k = eigensolve._shifted_stencil(a, m, shift)
+    k = eigensolve._Shifted(a, m, shift)
     n_u, n_v = k.lattice[axis], k.lattice[1 - axis]
     shears = [s for s in range(n_u) if s * n_v % n_u == 0]
     shear = shears[shear % len(shears)]
@@ -1500,14 +1545,68 @@ def test_lattice_ldl_against_dense_inertia(alignment, nx, ny, p, b, alpha, beta,
     assert sorted(blocking.order) == list(range(k.n_cells))
     assert sum(blocking.sizes) == k.n_cells
 
-    dense = k.expand().toarray()
+    stencil = shifted_stencil(a, m, shift)
+    dense = stencil.expand().toarray()
     ldl = eigensolve._LatticeLDL(k, blocking, 1e-12)
     assert ldl.inertia == ldl_inertia(dense)
-    # a block wide enough for the Level-3 triangular solves, a narrow one
-    # and a vector
-    r = np.random.default_rng(3).standard_normal((k.n, eigensolve.NARROW))
+    assert_same_pivots(ldl, *lattice_ldl_reference(stencil, blocking))
+    if len(blocking.sizes) > 1:  # one block is factored dense in production
+        assert stored_bytes(ldl) == 8 * blocking.entries
+    # a wide block, a narrow one and a vector
+    r = np.random.default_rng(3).standard_normal((a.n, 16))
     for rhs in (r, r[:, :2], r[:, 0]):
         assert backward_error(dense, ldl(rhs), rhs) <= 1e-10
+
+
+def variable_sparse_pencil():
+    """The pencil of the benchmark's ``variable_sparse`` workload at seed 0
+    (58x16 p2, its seeded alpha and beta) and its band edge."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import variable_fields
+    finally:
+        sys.path.pop(0)
+    alpha, beta = variable_fields(0)
+    b = iota_profile(0.5)
+    mesh = build_mesh(MeshConfig(58, 16, Alignment.BOTTOM_TOP, b))
+    return build_reduced(assemble_operator_set(
+        mesh, BasisSpec(2, 2), alpha, MagneticField(b, beta), 6.0)), 0.27
+
+
+def test_lattice_ldl_of_the_benchmark_pencil():
+    """On ``variable_sparse``'s pencil the lattice LDL^T, its blocks built
+    one step ahead of the elimination, has the pivots bit for bit of the
+    elimination on a formed K stencil scattered whole, and its count.
+    After construction its arrays are its packed triangles and ``V`` blocks,
+    ``8 * entries`` bytes, and vectors no longer than the lattice or a
+    block: no dense diagonal block, coupling or K stencil stays reachable
+    from the factor."""
+    (a, m), shift = variable_sparse_pencil()
+    blocking = cheapest_blocking(a, m, shift)
+    inertia, factor = shifted_inertia(a, m, shift)
+    ldl = factor.solve
+    assert factor.kind == "lattice" and factor.entries == blocking.entries
+    assert_same_pivots(ldl, *lattice_ldl_reference(shifted_stencil(a, m, shift), blocking))
+    assert ldl.inertia == inertia and inertia[0] == 9
+    assert stored_bytes(ldl) == 8 * blocking.entries
+    widest = max(blocking.sizes) * a.n_loc
+    matrices = {id(f.packed) for f in ldl.factors} | {id(v) for v in ldl.upper}
+    others = [x for x in reachable_arrays(factor) if id(x) not in matrices]
+    assert len(reachable_arrays(factor)) == len(others) + len(matrices)
+    assert max(x.size for x in others) <= max(a.n_cells, widest) < widest**2 // 2
+
+
+def test_lattice_factor_builds_no_stencil(monkeypatch):
+    """The lattice factorization reads A's and M's blocks and forms no
+    stencil, so no ``K = A - shift M`` stencil either."""
+    a, m = flux_surface_system(10, 6, 2)
+
+    def no_stencil(self, *args, **kwargs):
+        raise AssertionError("a stencil was formed")
+
+    monkeypatch.setattr(Stencil, "__init__", no_stencil)
+    inertia, factor = shifted_inertia(a, m, 0.3)
+    assert factor.kind == "lattice" and inertia[0] > 0
 
 
 def test_lattice_factor_serves_band_eig():

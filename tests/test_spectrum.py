@@ -1,4 +1,5 @@
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,8 @@ from anisodg.spectrum import (AMPLITUDE_TIE_RTOL, PROJECT_BLOCK, Association,
                               least_squares_slope, max_band_mode_error,
                               mode_error_table, run_band_solve)
 from pinning import pinned
-from test_eigensolve import BAND_CASES, constant_pencil, lattice_dft
+from test_eigensolve import (BAND_CASES, STELLARATOR_ALPHA, STELLARATOR_BETA,
+                             constant_pencil, lattice_dft)
 
 REF_B = FieldDirection(1.165939761, 1.0)
 CONST = CoefficientField.constant(1.0)
@@ -1002,3 +1004,28 @@ def test_column_mode_errors_equal_the_row_table(order, edge):
     result = SimpleNamespace(exact=exact, assoc=assoc,
                              setup=SimpleNamespace(omega_max_sq=edge))
     assert max_band_mode_error(result) == (max(errors, default=0.0), missing)
+
+
+def test_band_solve_releases_the_operator_set(monkeypatch):
+    """``run_band_solve`` drops the operator set once ``A`` and ``M`` are
+    built: the set, its C, u-mass and penalty stencils are gone before the
+    lattice factorization starts (M stays, as the pencil's)."""
+    assemble, factor = spectrum.assemble_operator_set, eigensolve._lattice_factor
+    refs, alive = [], []
+
+    def recording(*args, **kwargs):
+        ops = assemble(*args, **kwargs)
+        refs.extend(weakref.ref(x) for x in (ops, ops.c, ops.m_uv, ops.b_phipsi))
+        return ops
+
+    def checking(*args):
+        alive.append([ref() is not None for ref in refs])
+        return factor(*args)
+
+    monkeypatch.setattr(spectrum, "assemble_operator_set", recording)
+    monkeypatch.setattr(eigensolve, "_lattice_factor", checking)
+    result = run_band_solve(SolveSetup(
+        mesh_config=MeshConfig(10, 6, Alignment.BOTTOM_TOP, REF_B), spec=BasisSpec(2, 2),
+        alpha=STELLARATOR_ALPHA, beta=STELLARATOR_BETA, omega_max_sq=0.3))
+    assert result.solution.factor == "lattice" and len(result.solution) > 0
+    assert alive == [[False] * 4]
