@@ -17,9 +17,12 @@ Two certified solvers serve ``A x = lambda M x``:
   Lanczos iteration (``LANCZOS_BLOCK`` right-hand sides per solve, full
   reorthogonalization in the M inner product) that stops once that many
   Ritz pairs have converged.  K is factored straight from the stencil
-  blocks: ordered in lattice rows, ``R`` rows to a block, K is periodic
-  block-tridiagonal, and a block LDL^T (``_LatticeLDL``) sums the
-  Bunch-Kaufman inertias of its Schur blocks (Haynsworth); a layout of one
+  blocks of A and M, and never formed: ordered in lattice rows, ``R`` rows
+  to a block, K is periodic block-tridiagonal, and a block LDL^T
+  (``_LatticeLDL``) sums the Bunch-Kaufman inertias of its Schur blocks
+  (Haynsworth).  It builds each block of K one step before the elimination
+  reaches it and keeps each factored unit triangle in rectangular full
+  packed form, so it stores only what its solve reads; a layout of one
   block is dense Bunch-Kaufman.  Products with a stencil run on its blocks
   too, so no CSR matrix is formed.  Every factor must pass a
   backward-error check of its solve before its inertia is used
@@ -43,9 +46,10 @@ from scipy.linalg import blas, lapack
 
 from .assembly import _ORIGIN, Stencil, SymStencil, _reached_cells, _residues
 
-#: The most matrix entries a factor of ``K = A - shift M``, a dense pencil
-#: or an eigenvector array may store (``2**28`` float64 entries are 2 GiB);
-#: a larger one is refused before it is formed.
+#: The most matrix entries a factor of ``K = A - shift M`` (as it stores
+#: them: packed triangles at half their square, ``_Blocking.entries``), a
+#: dense pencil or an eigenvector array may store (``2**28`` float64
+#: entries are 2 GiB); a larger one is refused before it is formed.
 FACTOR_BUDGET = 2**28
 
 #: Width of band_eig's Lanczos block: the band eigenvalues of the
@@ -109,7 +113,9 @@ class EigenSolution:
     ``factor`` is the kind of ``band_eig``'s factorization of ``K = A -
     lambda_max M`` (``"lattice"`` or, for a layout of one block,
     ``"dense"``; see ``shifted_inertia``) and ``factor_entries`` the matrix
-    entries it stores; the Bloch and full dense solves leave them None and 0.
+    entries it stores (``_Blocking.entries``: the lattice factor's packed
+    triangles count half their square); the Bloch and full dense solves
+    leave them None and 0.
     ``wavevectors`` and ``coefficients`` are set by ``bloch_eig`` alone and
     are None for every other solve.  ``wavevectors`` holds, for each column,
     the flat index ``p*ny + q`` of the representative of the lattice
@@ -341,7 +347,6 @@ class _Shifted:
         self.lattice, self.n_cells, self.n_loc = a.lattice, a.n_cells, a.n_loc
         self.offsets, slot = _residues(np.concatenate([a.offsets, m.offsets]), a.lattice)
         self.reached = _reached_cells(self.offsets, self.lattice)
-        self.cells = max(len(a.blocks), len(m.blocks))
         # per offset of K, its offset in A and in M (-1 where they have none)
         self._of = []
         for part in np.split(slot, [len(a.offsets)]):
@@ -362,8 +367,8 @@ class _Shifted:
 
     def max_abs(self) -> float:
         """``max |K|``, one offset at a time."""
-        cells = np.arange(self.cells)
-        return max(float(np.max(np.abs(self.values(cells, np.full(self.cells, s)))))
+        cells = np.arange(max(len(self.a.blocks), len(self.m.blocks)))
+        return max(float(np.max(np.abs(self.values(cells, np.full(len(cells), s)))))
                    for s in range(len(self.offsets)))
 
     def block_row(self, blocking: _Blocking, j: int):
@@ -804,7 +809,7 @@ def _lanczos(m: SymStencil, solve, shift: float, n_neg: int,
     done = solves = stall = best = 0
     while done < basis.k:
         block = slice(done, basis.k)
-        image = solve(basis.mq[:, block])
+        image = solve(basis.take_pending())
         solves += image.shape[1]
         basis.extend(image, block)
         done = block.stop
@@ -841,15 +846,16 @@ def _negative_count(h: np.ndarray) -> int:
 
 
 class _Basis:
-    """The M-orthonormal Lanczos basis ``q[:, :k]``, its M image ``mq`` and
-    ``h = Q^T M T Q``, growing in place."""
+    """The M-orthonormal Lanczos basis ``q[:, :k]`` and ``h = Q^T M T Q``,
+    growing in place, and the M image of the columns that await their solve
+    (``take_pending``); the applied columns keep no M image."""
 
     def __init__(self, n: int, cap: int, m: SymStencil, rng):
         self.n, self.m, self.rng = n, m, rng
         self.q = np.empty((n, cap), order="F")
-        self.mq = np.empty((n, cap), order="F")
         self.h = np.zeros((cap, cap))
         self.k = 0
+        self.pending = []
 
     def _reserve(self, cols: int) -> None:
         """Room for ``cols`` more columns; the storage doubles, up to ``n``."""
@@ -857,10 +863,9 @@ class _Basis:
         if self.k + cols <= cap:
             return
         cap = min(self.n, max(2 * cap, self.k + cols))
-        for name in ("q", "mq"):
-            grown = np.empty((self.n, cap), order="F")
-            grown[:, :self.k] = getattr(self, name)[:, :self.k]
-            setattr(self, name, grown)
+        grown = np.empty((self.n, cap), order="F")
+        grown[:, :self.k] = self.q[:, :self.k]
+        self.q = grown
         h = np.zeros((cap, cap))
         h[:self.k, :self.k] = self.h[:self.k, :self.k]
         self.h = h
@@ -872,10 +877,10 @@ class _Basis:
         A direction whose M-norm falls below ``RANK_FLOOR`` of the block's
         is dropped (the block lost rank)."""
         k, cols = self.k, w.shape[1]
-        q, mq = self.q[:, :k], self.mq[:, :k]
+        q = self.q[:, :k]
         coef = np.zeros((k + cols, cols))
         for _ in range(2):  # classical Gram-Schmidt, twice
-            c = mq.T @ w
+            c = q.T @ self.m.matvec(w)
             w -= q @ c
             coef[:k] += c
         mw = self.m.matvec(w)
@@ -888,10 +893,17 @@ class _Basis:
             perm -= 1  # w[:, perm] = q_new triu(r[:rank])
             inv = np.triu(lapack.dtrtri(r[:rank, :rank])[0])
             self.q[:, k:k + rank] = w[:, perm[:rank]] @ inv
-            self.mq[:, k:k + rank] = mw[:, perm[:rank]] @ inv
+            self.pending.append(mw[:, perm[:rank]] @ inv)
             coef[k:k + rank, perm] = np.triu(r[:rank])
             self.k = k + rank
         return coef[:self.k]
+
+    def take_pending(self) -> np.ndarray:
+        """The M image of the columns not yet applied, which the caller
+        applies: ``M q[:, done:k]``."""
+        image = np.concatenate(self.pending, axis=1)
+        self.pending = []
+        return image
 
     def add_random(self, cols: int) -> None:
         """Append ``cols`` random directions (as many as fit in the space)."""
