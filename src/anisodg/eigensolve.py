@@ -354,21 +354,19 @@ class _Shifted:
             of[part] = np.arange(len(part))
             self._of.append(of)
 
-    def values(self, cells: np.ndarray, slots: np.ndarray) -> np.ndarray:
-        """``(len(cells), n_loc, n_loc)``: K's block of each row cell
-        ``cells[e]`` at its offset ``slots[e]``."""
+    def values(self, cells: np.ndarray, s: int) -> np.ndarray:
+        """``(len(cells), n_loc, n_loc)``: K's blocks of the row cells
+        ``cells`` at its offset ``s``."""
         out = np.zeros((len(cells), self.n_loc, self.n_loc))
         for stencil, of, scale in zip((self.a, self.m), self._of, (1.0, -self.shift)):
-            s = of[slots]
-            has = s >= 0
-            rows = cells[has] if len(stencil.blocks) > 1 else 0
-            out[has] += scale * stencil.blocks[rows, s[has]]
+            if of[s] >= 0:
+                out += scale * stencil.blocks[cells if len(stencil.blocks) > 1 else 0, of[s]]
         return out
 
     def max_abs(self) -> float:
         """``max |K|``, one offset at a time."""
         cells = np.arange(max(len(self.a.blocks), len(self.m.blocks)))
-        return max(float(np.max(np.abs(self.values(cells, np.full(len(cells), s)))))
+        return max(float(np.max(np.abs(self.values(cells, s))))
                    for s in range(len(self.offsets)))
 
     def block_row(self, blocking: _Blocking, j: int):
@@ -376,7 +374,8 @@ class _Shifted:
         its diagonal block and, but for the border (``j`` the last), its
         coupling ``K[j, next + border]`` above the diagonal (columns of the
         next block first; the block before the border couples to the border
-        only), else None."""
+        only), else None.  They are filled one offset at a time, so no
+        temporary is as large as K's stencil."""
         steps, size, nl = len(blocking.sizes) - 1, blocking.sizes[0], self.n_loc
         pos = np.empty(self.n_cells, dtype=int)
         pos[blocking.order] = np.arange(self.n_cells)
@@ -384,22 +383,19 @@ class _Shifted:
         cells = blocking.order[j * size:j * size + blocking.sizes[j]]
         reached = self.reached[cells]
         col, col_at = block[reached], (pos - block * size)[reached]
-        row_at, slots = np.indices(reached.shape)
-        rows = cells[row_at]
-        b = len(cells)
 
-        def fill(shape, at, cols):
-            out = np.zeros(shape)
-            out[row_at[at], :, cols, :] = self.values(rows[at], slots[at])
-            return out.reshape(b * nl, -1)
+        def fill(width, at, cols):
+            out = np.zeros((len(cells), nl, width, nl))
+            for s in range(len(self.offsets)):
+                rows = np.flatnonzero(at[:, s])
+                out[rows, :, cols[rows, s], :] = self.values(cells[rows], s)
+            return out.reshape(len(cells) * nl, -1)
 
-        diag = fill((b, nl, b, nl), col == j, col_at[col == j])
+        diag = fill(len(cells), col == j, col_at)
         if j == steps:
             return diag, None
         nxt = size if j < steps - 1 else 0  # the border's columns after the next's
-        at = col > j
-        return diag, fill((b, nl, nxt + blocking.sizes[-1], nl), at,
-                          col_at[at] + nxt * (col[at] == steps))
+        return diag, fill(nxt + blocking.sizes[-1], col > j, col_at + nxt * (col == steps))
 
 
 def _centered(d: np.ndarray, n: int) -> np.ndarray:
@@ -599,6 +595,7 @@ class _LatticeLDL:
             w = factor.forward(up)
             v = factor.scale(w)
             factor.pack()
+            del diag, up  # released before the next block row is built
             nxt = v.shape[1] - width
             if nxt:
                 diag, up = k.block_row(blocking, j + 1)
