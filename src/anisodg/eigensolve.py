@@ -806,7 +806,7 @@ def _lanczos(m: SymStencil, solve, shift: float, n_neg: int,
     done = solves = stall = best = 0
     while done < basis.k:
         block = slice(done, basis.k)
-        image = solve(basis.take_pending())
+        image = solve(basis.mq[:, block])
         solves += image.shape[1]
         basis.extend(image, block)
         done = block.stop
@@ -843,16 +843,15 @@ def _negative_count(h: np.ndarray) -> int:
 
 
 class _Basis:
-    """The M-orthonormal Lanczos basis ``q[:, :k]`` and ``h = Q^T M T Q``,
-    growing in place, and the M image of the columns that await their solve
-    (``take_pending``); the applied columns keep no M image."""
+    """The M-orthonormal Lanczos basis ``q[:, :k]``, its M image ``mq`` and
+    ``h = Q^T M T Q``, growing in place."""
 
     def __init__(self, n: int, cap: int, m: SymStencil, rng):
         self.n, self.m, self.rng = n, m, rng
         self.q = np.empty((n, cap), order="F")
+        self.mq = np.empty((n, cap), order="F")
         self.h = np.zeros((cap, cap))
         self.k = 0
-        self.pending = []
 
     def _reserve(self, cols: int) -> None:
         """Room for ``cols`` more columns; the storage doubles, up to ``n``."""
@@ -860,9 +859,10 @@ class _Basis:
         if self.k + cols <= cap:
             return
         cap = min(self.n, max(2 * cap, self.k + cols))
-        grown = np.empty((self.n, cap), order="F")
-        grown[:, :self.k] = self.q[:, :self.k]
-        self.q = grown
+        for name in ("q", "mq"):
+            grown = np.empty((self.n, cap), order="F")
+            grown[:, :self.k] = getattr(self, name)[:, :self.k]
+            setattr(self, name, grown)
         h = np.zeros((cap, cap))
         h[:self.k, :self.k] = self.h[:self.k, :self.k]
         self.h = h
@@ -874,10 +874,10 @@ class _Basis:
         A direction whose M-norm falls below ``RANK_FLOOR`` of the block's
         is dropped (the block lost rank)."""
         k, cols = self.k, w.shape[1]
-        q = self.q[:, :k]
+        q, mq = self.q[:, :k], self.mq[:, :k]
         coef = np.zeros((k + cols, cols))
         for _ in range(2):  # classical Gram-Schmidt, twice
-            c = q.T @ self.m.matvec(w)
+            c = mq.T @ w
             w -= q @ c
             coef[:k] += c
         mw = self.m.matvec(w)
@@ -890,17 +890,10 @@ class _Basis:
             perm -= 1  # w[:, perm] = q_new triu(r[:rank])
             inv = np.triu(lapack.dtrtri(r[:rank, :rank])[0])
             self.q[:, k:k + rank] = w[:, perm[:rank]] @ inv
-            self.pending.append(mw[:, perm[:rank]] @ inv)
+            self.mq[:, k:k + rank] = mw[:, perm[:rank]] @ inv
             coef[k:k + rank, perm] = np.triu(r[:rank])
             self.k = k + rank
         return coef[:self.k]
-
-    def take_pending(self) -> np.ndarray:
-        """The M image of the columns not yet applied, which the caller
-        applies: ``M q[:, done:k]``."""
-        image = np.concatenate(self.pending, axis=1)
-        self.pending = []
-        return image
 
     def add_random(self, cols: int) -> None:
         """Append ``cols`` random directions (as many as fit in the space)."""

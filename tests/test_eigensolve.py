@@ -237,32 +237,6 @@ def test_band_eig_multiplicity_above_block_width(monkeypatch, stall_steps):
     assert sol.solves <= 100
 
 
-def test_lanczos_basis_keeps_only_the_pending_m_image(monkeypatch):
-    """Each solve is applied to ``M q`` of exactly the columns not yet
-    applied (a random block that joins at a stall among them), and the basis
-    keeps no M image of the applied ones: ``q`` is its only ``n``-row
-    array."""
-    band = np.array([0.05, 0.2, 0.2, 0.2, 0.45, 0.45, 0.7, 0.9])
-    a, m = _pencil_with_spectrum(np.concatenate([band, np.linspace(2.0, 60.0, 292)]), 41)
-    monkeypatch.setattr(eigensolve, "STALL_STEPS", 1)
-    take, applied, errors = eigensolve._Basis.take_pending, [], []
-
-    def checked(basis):
-        cols = sum(x.shape[1] for x in basis.pending)
-        image = take(basis)
-        assert applied[-1:] in ([], [basis.k - cols])
-        errors.append(np.max(np.abs(image - m @ basis.q[:, basis.k - cols:basis.k])))
-        assert [name for name, x in vars(basis).items()
-                if isinstance(x, np.ndarray) and len(x) == basis.n] == ["q"]
-        applied.append(basis.k)
-        return image
-
-    monkeypatch.setattr(eigensolve._Basis, "take_pending", checked)
-    sol = band_eig(a, m, BandRequest(lambda_max=1.0))
-    assert len(sol) == 8 and applied[-1] == sol.solves
-    assert max(errors) < 1e-12
-
-
 @pytest.mark.parametrize("n", [1, 40])
 def test_band_eig_zero_operator(n):
     """``A = 0`` puts the whole spectrum at 0 and the residual tolerance at
