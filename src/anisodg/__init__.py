@@ -7,14 +7,14 @@ from .fields import CoefficientField, MagneticField, iota_profile, load_field
 from .geometry import (Alignment, FieldDirection, MeshConfig, aspect_ratios,
                        build_mesh, choose_alignment)
 from .spectrum import (FourierProjector, SolveSetup, associate_modes,
-                       band_error_report, compare_band_errors,
-                       convergence_study, exact_spectrum, run_band_solve)
+                       compare_band_errors, convergence_study, exact_spectrum,
+                       run_band_solve)
 
 __all__ = [
     "Alignment", "BandRequest", "BasisSpec", "CoefficientField",
     "CompletenessError", "FieldDirection", "FourierProjector", "MagneticField",
     "MeshConfig", "SolveSetup", "aspect_ratios", "associate_modes",
-    "band_eig", "band_error_report", "bloch_eig", "build_mesh", "choose_alignment",
+    "band_eig", "bloch_eig", "build_mesh", "choose_alignment",
     "compare_band_errors", "convergence_study",
     "dof_parallel", "dof_perpendicular", "exact_spectrum", "gauss_rule",
     "iota_profile", "load_field", "run_band_solve",

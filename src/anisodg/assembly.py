@@ -20,7 +20,9 @@ cell ``c`` to cell ``c + offsets[s]``.  With a constant coefficient all cells
 carry the same blocks (``cells = 1``), integrated on ``mesh.cell0`` and one
 face per template (``Mesh.templates``); else on every cell and face, in one
 batched pass.  The interface and penalty terms pair the jump trace ``[+own,
--nbr]`` with the average ``[own, nbr] / 2`` or with itself.  Symmetric
+-nbr]`` with the average ``[own, nbr] / 2`` or with itself; both are built
+inside ``assemble_operator_set``, from its one pass over the crossing faces
+(``_face_terms``, ``_penalty``).  Symmetric
 operators (``SymStencil``) are symmetrized over offsets ``d, -d`` and dropped
 below ``DROP_TOL`` on their blocks.  ``build_reduced`` forms ``A`` by one
 batched product per pair of offsets of ``C``.  Solves read the blocks:
@@ -111,19 +113,16 @@ class Stencil:
             for s, k in enumerate(slot):
                 self.blocks[:, k] += blocks[:, s]
 
-    def column_cells(self) -> np.ndarray:
-        """``(n_cells, S)``: the cell that each row cell reaches by each offset."""
-        return self._column_cells
-
     @cached_property
-    def _column_cells(self) -> np.ndarray:
-        """``column_cells``, built on first use: the offsets and the lattice
-        never change after construction.  Read-only, as it is shared."""
+    def column_cells(self) -> np.ndarray:
+        """``(n_cells, S)``: the cell that each row cell reaches by each
+        offset, built on first use (the offsets and the lattice never change
+        after construction).  Read-only, as it is shared."""
         return _reached_cells(self.offsets, self.lattice)
 
     def expand(self) -> sp.csr_matrix:
         """The scalar CSR matrix, built anew."""
-        cols = self.column_cells()
+        cols = self.column_cells
         order = np.argsort(cols, axis=1)  # sorted block columns: a sorted CSR
         blocks = np.broadcast_to(self.blocks, (self.n_cells,) + self.blocks.shape[1:])
         blocks = blocks[np.arange(self.n_cells)[:, None], order]
@@ -138,7 +137,7 @@ class Stencil:
         """The dense matrix, scattered from the blocks."""
         dense = np.zeros((self.n_cells, self.n_loc, self.n_cells, self.n_loc))
         rows = np.arange(self.n_cells)[:, None]
-        dense[rows, :, self.column_cells(), :] = self.blocks
+        dense[rows, :, self.column_cells, :] = self.blocks
         return dense.reshape(self.n, self.n)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -146,7 +145,7 @@ class Stencil:
         batched product of the blocks with ``x`` at the cells it reaches."""
         cols = x.reshape(self.n_cells, self.n_loc, -1)
         y = np.zeros(cols.shape)
-        for s, cells in enumerate(self.column_cells().T):
+        for s, cells in enumerate(self.column_cells.T):
             y += np.matmul(self.blocks[:, s], np.take(cols, cells, axis=0))
         return y.reshape(x.shape)
 
@@ -182,7 +181,7 @@ class SymStencil(Stencil):
                  lattice: tuple[int, int]):
         super().__init__(offsets, blocks, lattice, closed=True)
         neg = _residues(-self.offsets, self.lattice)[1]  # the offsets are closed
-        rows = None if self.blocks.shape[0] == 1 else self.column_cells()
+        rows = None if self.blocks.shape[0] == 1 else self.column_cells
         sym = np.empty(self.blocks.shape)
         tiles = [slice(i, i + _TILE) for i in range(0, self.n_loc, _TILE)]
         for s, t in enumerate(neg):
@@ -390,27 +389,17 @@ def _face_stencil(mesh: Mesh, offsets: np.ndarray, w: np.ndarray,
     return stencil, np.stack(blocks, axis=2).reshape(-1, len(blocks), n_loc, n_loc)
 
 
-def assemble_face_terms(mesh: Mesh, spec: BasisSpec, B: MagneticField,
-                        n_quad: int | None = None) -> Stencil:
-    """Interface blocks F[i, j] = sum over faces of {phi_j} * (B . [phi_i])."""
-    return _face_terms(mesh, _crossing_traces(mesh, spec, B, n_quad))
-
-
-def assemble_penalty(mesh: Mesh, spec: BasisSpec, B: MagneticField,
-                     eta_s: float, n_quad: int | None = None) -> SymStencil:
-    """Penalty (eta_S / h_F) * (B . [phi]) (B . [psi]), symmetric PSD."""
-    return _penalty(mesh, _crossing_traces(mesh, spec, B, n_quad), eta_s)
-
-
 def _face_terms(mesh: Mesh, traces) -> Stencil:
-    """``assemble_face_terms`` from the ``_crossing_traces`` it needs."""
+    """Interface blocks ``F[i, j] = sum over faces of {phi_j} (B . [phi_i])``
+    from the ``_crossing_traces`` of the faces."""
     offsets, w, bn_beta, _, jump, avg = traces
     return Stencil(*_face_stencil(mesh, offsets, w * bn_beta, jump, avg),
                    _lattice(mesh))
 
 
 def _penalty(mesh: Mesh, traces, eta_s: float) -> SymStencil:
-    """``assemble_penalty`` from the ``_crossing_traces`` it needs."""
+    """The penalty ``(eta_S / h_F) (B . [phi]) (B . [psi])``, symmetric PSD,
+    from the ``_crossing_traces`` of the faces."""
     if eta_s < 0.0:
         raise ValueError("penalty parameter must be >= 0")
     offsets, w, bn_beta, h_f, jump, _ = traces

@@ -29,7 +29,7 @@ from .eigensolve import CompletenessError
 from .fields import CoefficientField, FieldFileError, iota_profile, load_field
 from .geometry import Alignment, FieldDirection, MeshConfig, choose_alignment
 from .spectrum import (SolveSetup, compare_band_errors, convergence_study,
-                       exact_spectrum, run_band_solve)
+                       exact_spectrum, max_band_mode_error, run_band_solve)
 
 log = logging.getLogger("anisodg")
 
@@ -219,9 +219,8 @@ def _log_solve(result) -> None:
     log.info("DoF=%d nnzA=%.4f%% band count=%d", result.setup.dof(),
              result.nnz_percent, len(result.solution))
     if result.exact is not None:
-        report = result.band_report()
-        log.info("max band error=%s (missing modes: %d)",
-                 _fmt(report.max_error), len(report.missing_modes))
+        max_err, missing = max_band_mode_error(result)
+        log.info("max band error=%s (missing modes: %d)", _fmt(max_err), missing)
 
 
 # ---------------------------------------------------------------------------

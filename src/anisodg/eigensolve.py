@@ -26,7 +26,11 @@ Two certified solvers serve ``A x = lambda M x``:
   block is dense Bunch-Kaufman.  Products with a stencil run on its blocks
   too, so no CSR matrix is formed.  Every factor must pass a
   backward-error check of its solve before its inertia is used
-  (``BACKWARD_TOL``).
+  (``BACKWARD_TOL``).  ``shifted_inertia`` is the one way into the factor.
+
+Both solvers certify alike: no pivot on the band edge (``_check_edge``),
+then every residual within tolerance and none below the PSD floor
+(``_check_pairs``).
 
 Every pencil is a pair of ``SymStencil`` on one lattice: a dense array or a
 scipy sparse matrix is taken as the one-cell stencil of the 1x1 lattice
@@ -110,9 +114,9 @@ class EigenSolution:
     exceeds it.  ``solves`` is the number of right-hand sides the Lanczos
     iteration applied ``K^{-1}`` to and ``subspace`` its final basis size;
     the dense-band solve reports ``subspace = n`` and the other methods 0.
-    ``factor`` is the kind of ``band_eig``'s factorization of ``K = A -
-    lambda_max M`` (``"lattice"`` or, for a layout of one block,
-    ``"dense"``; see ``shifted_inertia``) and ``factor_entries`` the matrix
+    ``factor`` is the kind of the ``Factor`` of ``K = A - lambda_max M``
+    that ``shifted_inertia`` gave ``band_eig`` (``"lattice"`` or, for a
+    layout of one block, ``"dense"``) and ``factor_entries`` the matrix
     entries it stores (``_Blocking.entries``: the lattice factor's packed
     triangles count half their square); the Bloch and full dense solves
     leave them None and 0.
@@ -280,15 +284,21 @@ def _ldl_factor(k: np.ndarray, zero_tol: float):
     max|K|`` of zero count as zero.
     """
     kind, trf, trs, lwork = _ldl_routines(k)
-    if kind == "he":
-        scale = float(np.max(np.abs(k)))
-    else:
-        scale = max(float(np.max(k)), -float(np.min(k)))
+    scale = float(_pivot_scale(k))
     lu, piv, info = trf(k, lower=1, lwork=lwork, overwrite_a=1)
     if info < 0:
         raise ValueError(f"{kind}trf: illegal value in argument {-info}")
     return (_count_signs(_d_pivots(lu, piv), zero_tol * max(scale, np.finfo(float).tiny)),
             lambda b: trs(lu, piv, b, lower=1)[0])
+
+
+def _pivot_scale(k: np.ndarray, axis=None):
+    """``max |k|`` over ``axis``, the scale of a pivot tolerance; of a real
+    ``k`` read as ``max(max k, -min k)``, exactly (negation is), with no
+    ``|k|`` temporary."""
+    if np.iscomplexobj(k):
+        return np.max(np.abs(k), axis=axis)
+    return np.maximum(np.max(k, axis=axis), -np.min(k, axis=axis))
 
 
 def _d_pivots(lu: np.ndarray, piv: np.ndarray) -> np.ndarray:
@@ -314,7 +324,7 @@ def _stack_inertia(lu: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndar
     if not lu.swapaxes(1, 2).flags.c_contiguous:
         raise ValueError("the matrices of the stack are not Fortran-ordered")
     kind, trf, _, lwork = _ldl_routines(lu)
-    scale = np.max(np.abs(lu), axis=(1, 2))
+    scale = _pivot_scale(lu, axis=(1, 2))
     piv = np.empty(lu.shape[:2], dtype=np.int32)
     for c in range(len(lu)):
         _, piv[c], info = trf(lu[c], lower=1, lwork=lwork, overwrite_a=1)
@@ -324,13 +334,6 @@ def _stack_inertia(lu: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndar
     for c in np.flatnonzero(np.any(piv < 0, axis=1)).tolist():
         pivots[c] = _d_pivots(lu[c], piv[c])
     return _sign_counts(pivots, zero_tol * np.maximum(scale, np.finfo(float).tiny)[:, None])
-
-
-def _dense_factor(k: np.ndarray, zero_tol: float):
-    """``_ldl_factor`` of the symmetric C-ordered ``k``, overwritten: its
-    transpose is ``k`` in the Fortran order LAPACK factors in place."""
-    inertia, solve = _ldl_factor(k.T, zero_tol)
-    return inertia, Factor("dense", k.size, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +369,7 @@ class _Shifted:
     def max_abs(self) -> float:
         """``max |K|``, one offset at a time."""
         cells = np.arange(max(len(self.a.blocks), len(self.m.blocks)))
-        return max(float(np.max(np.abs(self.values(cells, s))))
+        return max(float(_pivot_scale(self.values(cells, s)))
                    for s in range(len(self.offsets)))
 
     def block_row(self, blocking: _Blocking, j: int):
@@ -637,12 +640,27 @@ class _LatticeLDL:
         return out.reshape(b.shape)
 
 
-def _lattice_factor(a: SymStencil, m: SymStencil, shift: float, zero_tol: float):
-    """Inertia of ``K = A - shift M`` and a solve with it, from the blocking
-    of K over lattice rows of fewest flops (``_Blocking.flops``).  A layout
-    of one block is factored by dense Bunch-Kaufman, any other by
-    ``_LatticeLDL``.  A layout whose factor would store more than
-    ``FACTOR_BUDGET`` entries raises ``CompletenessError``."""
+def shifted_inertia(a, m, shift: float, zero_tol: float = 1e-12):
+    """Inertia of ``K = A - shift * M`` and a solve with K (a ``Factor``),
+    from one factorization.
+
+    By Sylvester's law ``(n_neg, n_zero, n_pos)`` counts the eigenvalues of
+    the pencil (A, M) below, at and above ``shift``.  A and M are symmetric
+    stencils on one lattice, or matrices (``_as_pencil``).  K is never
+    formed (``_Shifted``): it is factored straight from the stencil blocks,
+    in the layout over lattice rows of fewest flops (``_Blocking.flops``).
+    A layout that would store more than ``FACTOR_BUDGET`` entries is refused
+    (``CompletenessError``).  The layout of one block, which a matrix
+    always takes, is factored by dense Bunch-Kaufman (``_ldl_factor``), any
+    other by a periodic block LDL^T (``_LatticeLDL``).  A factor without
+    pivots on the shift must solve ``K z = r`` for a fixed random ``r`` to a
+    normwise backward error ``||r - K z|| / (||K|| ||z|| + ||r||)`` of at
+    most ``BACKWARD_TOL`` (infinity norms, ``||A|| + |shift| ||M||``
+    bounding ``||K||``), else the inertia is unavailable
+    (``CompletenessError``).  The solve takes a vector or a block of
+    right-hand sides.
+    """
+    a, m = _as_pencil(a, m)
     k = _Shifted(a, m, shift)
     blocking = min(_blockings(k), key=lambda blocks: blocks.flops)
     if blocking.entries > FACTOR_BUDGET:
@@ -651,58 +669,46 @@ def _lattice_factor(a: SymStencil, m: SymStencil, shift: float, zero_tol: float)
             f"entries ({8 * blocking.entries} bytes), over the budget of "
             f"{FACTOR_BUDGET}; inertia unavailable")
     if len(blocking.sizes) == 1:
-        return _dense_factor(k.block_row(blocking, 0)[0], zero_tol)
-    ldl = _LatticeLDL(k, blocking, zero_tol)
-    return ldl.inertia, Factor("lattice", blocking.entries, ldl)
-
-
-def _check_backward_error(a: SymStencil, m: SymStencil, shift: float,
-                          solve, norm_k: float) -> None:
-    """Raise unless ``solve`` inverts ``K = A - shift M`` to a normwise
-    backward error ``||r - K z|| / (||K|| ||z|| + ||r||)`` (infinity norms,
-    ``norm_k = ||A|| + |shift| ||M||`` bounding ``||K||``) of at most
-    ``BACKWARD_TOL``, for one fixed random ``r``."""
-    r = np.random.default_rng(0).standard_normal(a.n)
-    z = solve(r)
-    residual = r - (a.matvec(z) - shift * m.matvec(z))
-    scale = norm_k * np.max(np.abs(z), initial=0.0) + np.max(np.abs(r), initial=0.0)
-    error = np.max(np.abs(residual), initial=0.0) / max(scale, np.finfo(float).tiny)
-    if not error <= BACKWARD_TOL:
-        raise CompletenessError(
-            f"the factorization of A - {shift:.6g} M solves with backward "
-            f"error {error:.2e} > {BACKWARD_TOL:.0e}; inertia unavailable")
-
-
-def shifted_inertia(a, m, shift: float, zero_tol: float = 1e-12):
-    """Inertia of ``K = A - shift * M`` and a solve with K (a ``Factor``),
-    from one factorization.
-
-    By Sylvester's law ``(n_neg, n_zero, n_pos)`` counts the eigenvalues of
-    the pencil (A, M) below, at and above ``shift``.  A and M are symmetric
-    stencils on one lattice, or matrices (``_as_pencil``).  K is factored
-    by a periodic block LDL^T over lattice rows (``_LatticeLDL``), read
-    straight from the stencil blocks, in the layout of fewest flops
-    (``_Blocking.flops``); the layout of one block, which a matrix always
-    takes, is dense Bunch-Kaufman.  A layout that would store more than
-    ``FACTOR_BUDGET`` entries is refused (``CompletenessError``).  A factor
-    without pivots on the shift must solve ``K z = r`` for a fixed random
-    ``r`` to a backward error of ``BACKWARD_TOL``, else the inertia is
-    unavailable (``CompletenessError``).  The solve takes a vector or a
-    block of right-hand sides.
-    """
-    a, m = _as_pencil(a, m)
-    return _shifted_inertia(a, m, shift, a.norm_inf() + abs(shift) * m.norm_inf(),
-                            zero_tol)
-
-
-def _shifted_inertia(a: SymStencil, m: SymStencil, shift: float,
-                     norm_k: float, zero_tol: float = 1e-12):
-    """``shifted_inertia`` of a pencil whose ``norm_k = ||A||_inf + |shift|
-    ||M||_inf`` the caller has computed."""
-    inertia, factor = _lattice_factor(a, m, shift, zero_tol)
+        # the transpose of the symmetric C-ordered K is K in the Fortran
+        # order LAPACK factors in place
+        inertia, solve = _ldl_factor(k.block_row(blocking, 0)[0].T, zero_tol)
+        factor = Factor("dense", blocking.entries, solve)
+    else:
+        ldl = _LatticeLDL(k, blocking, zero_tol)
+        inertia, factor = ldl.inertia, Factor("lattice", blocking.entries, ldl)
     if inertia[1] == 0:
-        _check_backward_error(a, m, shift, factor, norm_k)
+        r = np.random.default_rng(0).standard_normal(a.n)
+        z = factor(r)
+        residual = r - (a.matvec(z) - shift * m.matvec(z))
+        norm_k = a.norm_inf() + abs(shift) * m.norm_inf()
+        scale = norm_k * np.max(np.abs(z), initial=0.0) + np.max(np.abs(r), initial=0.0)
+        error = np.max(np.abs(residual), initial=0.0) / max(scale, np.finfo(float).tiny)
+        if not error <= BACKWARD_TOL:
+            raise CompletenessError(
+                f"the factorization of A - {shift:.6g} M solves with backward "
+                f"error {error:.2e} > {BACKWARD_TOL:.0e}; inertia unavailable")
     return inertia, factor
+
+
+def _check_edge(n_zero: int, lambda_max: float) -> None:
+    """Raise unless no pivot of the certificate sits on the band edge."""
+    if n_zero:
+        raise CompletenessError(
+            f"{n_zero} pivot(s) within tolerance of lambda_max="
+            f"{lambda_max:.6g}; band boundary is ambiguous")
+
+
+def _check_pairs(w: np.ndarray, resid: np.ndarray, req: BandRequest,
+                 norm_a: float) -> None:
+    """Raise unless every residual is within ``req.tolerance ||A||`` and no
+    eigenvalue lies below the PSD floor ``-req.tolerance ||A||``."""
+    limit = req.tolerance * max(norm_a, np.finfo(float).tiny)
+    if np.any(resid > limit):
+        raise CompletenessError(
+            f"residual {resid.max():.3e} exceeds tolerance {limit:.3e}")
+    if np.any(w < -req.tolerance * norm_a):
+        raise CompletenessError(
+            f"negative eigenvalue {w.min():.3e} below the PSD tolerance")
 
 
 def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
@@ -726,19 +732,14 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
     a, m = _as_pencil(a, m)
     n = a.n
     norm_a = a.norm_inf()
-    norm_k = norm_a + req.lambda_max * m.norm_inf()
-    (n_neg, n_zero, _), solve = _shifted_inertia(a, m, req.lambda_max, norm_k)
-    if n_zero:
-        raise CompletenessError(
-            f"{n_zero} pivot(s) within tolerance of lambda_max="
-            f"{req.lambda_max:.6g}; band boundary is ambiguous")
+    (n_neg, n_zero, _), solve = shifted_inertia(a, m, req.lambda_max)
+    _check_edge(n_zero, req.lambda_max)
     if n_neg == 0:
         return EigenSolution(eigenvalues=np.empty(0), eigenvectors=np.empty((n, 0)),
                              residuals=np.empty(0), method="empty",
                              inertia_count=0, norm_a=norm_a, factor=solve.kind,
                              factor_entries=solve.entries)
 
-    limit = req.tolerance * max(norm_a, np.finfo(float).tiny)
     if n_neg + 8 >= n - 1:
         if n * n > FACTOR_BUDGET:
             raise CompletenessError(
@@ -749,6 +750,9 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
                         overwrite_b=True, subset_by_value=(-np.inf, req.lambda_max))
         method, solves, subspace = "dense-band", 0, n
     else:
+        # the residual limit over ||K|| <= ||A|| + lambda_max ||M||
+        limit = req.tolerance * max(norm_a, np.finfo(float).tiny)
+        norm_k = norm_a + req.lambda_max * m.norm_inf()
         w, x, solves, subspace = _lanczos(m, solve, req.lambda_max, n_neg,
                                           limit / norm_k, seed)
         method = "shift-invert"
@@ -762,12 +766,7 @@ def band_eig(a, m, req: BandRequest, *, seed: int = 0) -> EigenSolution:
     order = np.argsort(w)
     w, x = w[order], x[:, order]
     resid = _residuals(a, m, w, x)
-    if np.any(resid > limit):
-        raise CompletenessError(
-            f"residual {resid.max():.3e} exceeds tolerance {limit:.3e}")
-    if np.any(w < -req.tolerance * norm_a):
-        raise CompletenessError(
-            f"negative eigenvalue {w.min():.3e} below the PSD tolerance")
+    _check_pairs(w, resid, req, norm_a)
     return EigenSolution(eigenvalues=w, eigenvectors=x, residuals=resid,
                          method=method, inertia_count=n_neg, norm_a=norm_a,
                          solves=solves, subspace=subspace, factor=solve.kind,
@@ -1209,13 +1208,7 @@ def bloch_eig(a: SymStencil, m: SymStencil,
         return EigenSolution(eigenvalues=w, eigenvectors=x, residuals=resid,
                              method="dense", norm_a=norm_a,
                              wavevectors=wavevectors, coefficients=coeff)
-    limit = req.tolerance * max(norm_a, np.finfo(float).tiny)
-    if np.any(resid > limit):
-        raise CompletenessError(
-            f"residual {resid.max():.3e} exceeds tolerance {limit:.3e}")
-    if np.any(w < -req.tolerance * norm_a):
-        raise CompletenessError(
-            f"negative eigenvalue {w.min():.3e} below the PSD tolerance")
+    _check_pairs(w, resid, req, norm_a)
     return EigenSolution(eigenvalues=w, eigenvectors=x, residuals=resid,
                          method="bloch", inertia_count=inertia, norm_a=norm_a,
                          wavevectors=wavevectors, coefficients=coeff)
@@ -1312,9 +1305,5 @@ def _class_inertia(pencil: _LatticePencil,
             np.subtract(a_k, shift_m, out=blocks)
         counts.append(_stack_inertia(blocks, 1e-12))
     (neg_real, zero_real), (neg_pair, zero_pair) = counts
-    n_zero = int(np.sum(zero_real) + 2 * np.sum(zero_pair))
-    if n_zero:
-        raise CompletenessError(
-            f"{n_zero} pivot(s) within tolerance of lambda_max={shift:.6g}; "
-            f"band boundary is ambiguous")
+    _check_edge(int(np.sum(zero_real) + 2 * np.sum(zero_pair)), shift)
     return neg_real, neg_pair

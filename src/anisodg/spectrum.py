@@ -466,27 +466,14 @@ def associate_modes(solution: EigenSolution, projector: FourierProjector,
                         np.where(zero, "absolute", "relative"))
 
 
-@dataclass
-class BandReport:
-    """Per-eigenpair rows whose exact eigenvalue lies in the band."""
-
-    rows: list[Association]
-    omega_max_sq: float
-    missing_modes: list[tuple[int, int]]
-
-    @property
-    def max_error(self) -> float:
-        return max((r.error for r in self.rows), default=0.0)
-
-
 def max_band_mode_error(result: "BandResult") -> tuple[float, int]:
     """Max over band modes of each mode's best-association error.
 
     Every eigenpair is associated to one mode; per mode the association
     that ``mode_error_table`` picks represents it.  Unassociated
-    band modes floor the error at 1 and are counted.  This is the quantity
-    traced by convergence studies; it is reduced on the columns of
-    ``result.assoc``, forming no row.
+    band modes floor the error at 1 and are counted.  This is the one max
+    band error: convergence studies trace it and the ``solve`` log reports
+    it.  It is reduced on the columns of ``result.assoc``, forming no row.
     """
     if result.exact is None:
         raise ValueError("band mode errors need constant coefficients")
@@ -496,18 +483,6 @@ def max_band_mode_error(result: "BandResult") -> tuple[float, int]:
     missing = len(result.exact.band_modes(omega_max_sq)) - int(np.count_nonzero(in_band))
     worst = float(np.max(assoc.error[rows][in_band], initial=0.0))
     return (max(worst, 1.0) if missing else worst), missing
-
-
-def band_error_report(assoc: list[Association], omega_max_sq: float,
-                      exact: ExactSpectrum) -> BandReport:
-    """Rows of the association table whose exact mode is inside the band."""
-    rows = [r for r in assoc
-            if r.omega2_exact is not None and r.omega2_exact <= omega_max_sq]
-    found = {r.mode for r in rows}
-    missing = [mode for mode in exact.band_modes(omega_max_sq)
-               if mode not in found]
-    return BandReport(rows=rows, omega_max_sq=omega_max_sq,
-                      missing_modes=missing)
 
 
 #: Amplitudes within this relative distance of a mode's largest one count
@@ -581,11 +556,6 @@ class BandResult:
     #: The stencil of A; its scalar CSR is expanded (once) only when read.
     a_matrix: SymStencil
     nnz_percent: float
-
-    def band_report(self) -> BandReport:
-        if self.exact is None:
-            raise ValueError("band error report needs constant coefficients")
-        return band_error_report(self.assoc, self.setup.omega_max_sq, self.exact)
 
 
 def run_band_solve(setup: SolveSetup) -> BandResult:

@@ -12,7 +12,8 @@ loop of ``bloch_eig`` (``bloch_band_reference``), the former
 per-class loop of the Bloch association (``class_projection``), the
 former lattice LDL^T on a formed ``K`` stencil scattered whole
 (``lattice_ldl_reference``), and pencil residuals in extended precision
-(``extended_residuals``).
+(``extended_residuals``).  ``face_and_penalty`` builds the library's
+interface and penalty stencils alone, as ``assemble_operator_set`` does.
 """
 
 import math
@@ -23,7 +24,8 @@ import scipy.sparse as sp
 from numpy.polynomial import legendre as npleg
 from scipy.special import spherical_jn
 
-from anisodg.assembly import Stencil, _residues
+from anisodg.assembly import (Stencil, _crossing_traces, _face_terms, _penalty,
+                              _residues)
 from anisodg.eigensolve import (CompletenessError, EigenSolution, _BunchKaufman,
                                 _as_pencil, _as_sym, _count_signs, _dense_pencil,
                                 _LatticePencil, _ldl_factor, _pencil_band,
@@ -273,6 +275,13 @@ def oracle_penalty(mesh, spec, b_field, eta_s, nq=ORACLE_QUAD, tangent_tol=1e-14
     return out
 
 
+def face_and_penalty(mesh, spec, b_field, eta_s=6.0, n_quad=None):
+    """The library's interface stencil ``F`` and penalty stencil, from one
+    ``_crossing_traces`` pass, as ``assemble_operator_set`` builds them."""
+    traces = _crossing_traces(mesh, spec, b_field, n_quad)
+    return _face_terms(mesh, traces), _penalty(mesh, traces, eta_s)
+
+
 def oracle_reduced(mesh, spec, alpha, b_field, eta_s, nq=ORACLE_QUAD):
     """Dense reduced operator and mass matrix by direct composition."""
     mass_u = oracle_mass(mesh, spec, None, nq)
@@ -421,7 +430,7 @@ def _scatter(k, blocking):
     pos[blocking.order] = np.arange(k.n_cells)
     block = np.minimum(pos // size, steps)
     local = pos - block * size
-    cols = k.column_cells()
+    cols = k.column_cells
     row, row_at = (np.broadcast_to(x[:, None], cols.shape) for x in (block, local))
     col, col_at = block[cols], local[cols]
     values = np.broadcast_to(k.blocks, cols.shape + (nl, nl))
@@ -480,7 +489,7 @@ def extended_residuals(a, m, w, x) -> np.ndarray:
     def product(s):
         out = np.zeros(cols.shape, dtype=np.longdouble)
         for blocks, cells in zip(s.blocks.astype(np.longdouble).swapaxes(0, 1),
-                                 s.column_cells().T):
+                                 s.column_cells.T):
             out += np.matmul(blocks, cols[cells])
         return out
 

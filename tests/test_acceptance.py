@@ -298,11 +298,10 @@ def test_criterion_7_oracle_equivalence():
             nq = None if alpha.is_constant and beta.is_constant else 20
             for spec in (BasisSpec(2, 2), BasisSpec(1, 2)):
                 field = MagneticField(cfg.b, beta)
-                from anisodg.assembly import (assemble_face_terms,
-                                              assemble_gradient,
+                from anisodg.assembly import (assemble_gradient,
                                               assemble_mass_phi,
-                                              assemble_mass_u,
-                                              assemble_penalty)
+                                              assemble_mass_u)
+                face, penalty = bf.face_and_penalty(mesh, spec, field, ETA_S, nq)
                 pairs = [
                     (assemble_mass_u(mesh, spec).to_dense(),
                      bf.oracle_mass(mesh, spec, None)),
@@ -311,9 +310,9 @@ def test_criterion_7_oracle_equivalence():
                                     lambda x, y: float(alpha.eval(x, y)))),
                     (assemble_gradient(mesh, spec, field, nq).expand().toarray(),
                      bf.oracle_gradient(mesh, spec, field)),
-                    (assemble_face_terms(mesh, spec, field, nq).expand().toarray(),
+                    (face.expand().toarray(),
                      bf.oracle_face_terms(mesh, spec, field)),
-                    (assemble_penalty(mesh, spec, field, ETA_S, nq).to_dense(),
+                    (penalty.to_dense(),
                      bf.oracle_penalty(mesh, spec, field, ETA_S)),
                 ]
                 for got, want in pairs:

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 from anisodg import assembly
-from anisodg.assembly import (AssemblyError, Stencil, assemble_face_terms,
-                              assemble_gradient, assemble_mass_phi,
-                              assemble_mass_u, assemble_operator_set,
-                              assemble_penalty, build_reduced,
+from anisodg.assembly import (AssemblyError, Stencil, assemble_gradient,
+                              assemble_mass_phi, assemble_mass_u,
+                              assemble_operator_set, build_reduced,
                               default_quad_points, face_quadrature)
 from anisodg.basis import BasisSpec
 from anisodg.eigensolve import BandRequest, _as_sym, bloch_eig
@@ -69,7 +68,7 @@ def test_gradient_constant_trial_cancels_with_faces():
     spec = BasisSpec(2, 2)
     field = MagneticField(REF_B, CoefficientField(1.0, (Harmonic(1, 0, 0.2, 0.1),)))
     g = assemble_gradient(mesh, spec, field).expand().toarray()
-    f = assemble_face_terms(mesh, spec, field).expand().toarray()
+    f = bf.face_and_penalty(mesh, spec, field)[0].expand().toarray()
     ones = constant_vector(mesh, spec)
     resid = (g - f).T @ ones  # rows: every psi against the constant trial
     assert np.max(np.abs(resid)) < 1e-12 * max(np.abs(g).max(), 1.0)
@@ -92,7 +91,7 @@ def test_face_terms_cartesian_p0_hand_value():
     b = FieldDirection(0.8, -0.3)
     mesh = build_mesh(MeshConfig(2, 2, Alignment.CARTESIAN, b))
     spec = BasisSpec(0, 0)
-    f = assemble_face_terms(mesh, spec, MagneticField.uniform(b)).expand().toarray()
+    f = bf.face_and_penalty(mesh, spec, MagneticField.uniform(b))[0].expand().toarray()
     for itf in mesh.interfaces:
         bn = b.b1 * itf.normal[0] + b.b2 * itf.normal[1]
         o = mesh.cell_id(itf.owner)
@@ -114,7 +113,7 @@ def test_aligned_interfaces_contribute_nothing():
     spec = BasisSpec(1, 1)
     beta = CoefficientField(1.0, (Harmonic(1, 1, 0.5, 0.0),))
     field = MagneticField(b, beta)
-    got = assemble_face_terms(mesh, spec, field, n_quad=20).expand().toarray()
+    got = bf.face_and_penalty(mesh, spec, field, n_quad=20)[0].expand().toarray()
 
     class VerticalOnly:
         config = mesh.config
@@ -140,16 +139,16 @@ def test_matched_traces_have_zero_jump():
 
 def test_penalty_zero_for_bassi_rebay_limit():
     mesh = build_mesh(MeshConfig(2, 2, Alignment.BOTTOM_TOP, REF_B))
-    p = assemble_penalty(mesh, BasisSpec(1, 1), MagneticField.uniform(REF_B), 0.0)
+    _, p = bf.face_and_penalty(mesh, BasisSpec(1, 1), MagneticField.uniform(REF_B), 0.0)
     assert p.lower.nnz == 0
     with pytest.raises(ValueError):
-        assemble_penalty(mesh, BasisSpec(1, 1), MagneticField.uniform(REF_B), -1.0)
+        bf.face_and_penalty(mesh, BasisSpec(1, 1), MagneticField.uniform(REF_B), -1.0)
 
 
 def test_penalty_positive_semidefinite_quadratic_form():
     mesh = build_mesh(MeshConfig(2, 2, Alignment.BOTTOM_TOP, REF_B))
     spec = BasisSpec(2, 1)
-    p = assemble_penalty(mesh, spec, MagneticField.uniform(REF_B), 6.0)
+    _, p = bf.face_and_penalty(mesh, spec, MagneticField.uniform(REF_B), 6.0)
     full = p.to_dense()
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -184,6 +183,7 @@ def test_oracle_equivalence(mesh_name, cfg, coeff_name, alpha, beta, spec):
     mesh = build_mesh(cfg)
     field = MagneticField(cfg.b, beta)
     nq = 20 if coeff_name != "constant" else None
+    face, penalty = bf.face_and_penalty(mesh, spec, field, 6.0, nq)
     pairs = [
         (assemble_mass_u(mesh, spec).to_dense(),
          bf.oracle_mass(mesh, spec, None)),
@@ -191,10 +191,8 @@ def test_oracle_equivalence(mesh_name, cfg, coeff_name, alpha, beta, spec):
          bf.oracle_mass(mesh, spec, lambda x, y: float(alpha.eval(x, y)))),
         (assemble_gradient(mesh, spec, field, nq).expand().toarray(),
          bf.oracle_gradient(mesh, spec, field)),
-        (assemble_face_terms(mesh, spec, field, nq).expand().toarray(),
-         bf.oracle_face_terms(mesh, spec, field)),
-        (assemble_penalty(mesh, spec, field, 6.0, nq).to_dense(),
-         bf.oracle_penalty(mesh, spec, field, 6.0)),
+        (face.expand().toarray(), bf.oracle_face_terms(mesh, spec, field)),
+        (penalty.to_dense(), bf.oracle_penalty(mesh, spec, field, 6.0)),
     ]
     for got, want in pairs:
         scale = max(np.abs(want).max(), 1e-300)
@@ -302,11 +300,12 @@ def test_interface_and_gradient_match_oracle(alignment, nx, ny, p_xi, p_eta, b1,
     field = MagneticField(b, CoefficientField(1.0, (harmonic,)))
     face_want = bf.oracle_face_terms(mesh, spec, field)
     penalty_want = bf.oracle_penalty(mesh, spec, field, 6.0)
+    face, penalty = bf.face_and_penalty(mesh, spec, field, 6.0, 20)
     pairs = [
         (assemble_gradient(mesh, spec, field, 20).expand().toarray(),
          bf.oracle_gradient(mesh, spec, field)),
-        (assemble_face_terms(mesh, spec, field, 20).expand().toarray(), face_want),
-        (assemble_penalty(mesh, spec, field, 6.0, 20).to_dense(), penalty_want),
+        (face.expand().toarray(), face_want),
+        (penalty.to_dense(), penalty_want),
     ]
     scale = max(np.abs(face_want).max(), np.abs(penalty_want).max(), 1.0)
     for got, want in pairs:
@@ -380,7 +379,7 @@ def one_sweep_symmetrization(offsets, blocks, lattice):
     ``DROP_TOL`` of the scale dropped."""
     s = Stencil(offsets, blocks, lattice, closed=True)
     neg = assembly._residues(-s.offsets, s.lattice)[1]
-    rows = 0 if s.blocks.shape[0] == 1 else s.column_cells()
+    rows = 0 if s.blocks.shape[0] == 1 else s.column_cells
     sym = (s.blocks + s.blocks[rows, neg].swapaxes(-1, -2)) * 0.5
     size = np.abs(sym)
     scale = np.max(size, initial=0.0)
@@ -468,8 +467,8 @@ def test_column_cells_are_built_once_per_stencil():
                                 MagneticField(REF_B, VAR_BETA), 6.0)
     a, _ = build_reduced(ops)
     for stencil in (a, ops.c):
-        cells = stencil.column_cells()
-        assert stencil.column_cells() is cells
+        cells = stencil.column_cells
+        assert stencil.column_cells is cells
         with pytest.raises(ValueError):
             cells[0, 0] = 1
         want = [[(i + ox) % nx * ny + (j + oy) % ny for ox, oy in stencil.offsets]
@@ -490,8 +489,8 @@ def test_volume_tables_are_shared_and_read_only():
 @pytest.mark.parametrize("beta", [CONST, VAR_BETA], ids=["constant", "variable"])
 def test_operator_set_shares_one_trace_pass(alignment, beta, monkeypatch):
     """``assemble_operator_set`` builds its interface and penalty terms from
-    a single crossing-trace pass, to the very bits of the standalone
-    ``assemble_face_terms`` and ``assemble_penalty``."""
+    a single crossing-trace pass, to the very bits of the interface and
+    penalty stencils built alone (``bf.face_and_penalty``)."""
     mesh = build_mesh(MeshConfig(3, 4, alignment, REF_B))
     spec, field = BasisSpec(2, 1), MagneticField(REF_B, beta)
     calls = []
@@ -505,8 +504,7 @@ def test_operator_set_shares_one_trace_pass(alignment, beta, monkeypatch):
     ops = assemble_operator_set(mesh, spec, VAR_ALPHA, field, 6.0)
     assert len(calls) == 1
     grad = assemble_gradient(mesh, spec, field)
-    face = assemble_face_terms(mesh, spec, field)
-    penalty = assemble_penalty(mesh, spec, field, 6.0)
+    face, penalty = bf.face_and_penalty(mesh, spec, field, 6.0)
     c = Stencil(np.concatenate([grad.offsets, face.offsets]),
                 np.concatenate([grad.blocks, -face.blocks], axis=1), grad.lattice)
     for got, want in ((ops.c, c), (ops.b_phipsi, penalty)):

@@ -17,8 +17,8 @@ from anisodg import eigensolve
 from anisodg.assembly import Stencil, SymStencil, assemble_operator_set, build_reduced
 from anisodg.basis import BasisSpec
 from anisodg.cli import EXIT_SOLVER, main
-from anisodg.eigensolve import (BandRequest, CompletenessError, Factor, band_eig,
-                                bloch_eig, shifted_inertia)
+from anisodg.eigensolve import (BandRequest, CompletenessError, band_eig, bloch_eig,
+                                shifted_inertia)
 from anisodg.fields import CoefficientField, Harmonic, MagneticField, iota_profile
 from anisodg.geometry import (Alignment, FieldDirection, MeshConfig, build_mesh,
                               choose_alignment)
@@ -162,14 +162,14 @@ def test_band_eig_lanczos_failure_is_incomplete(monkeypatch):
     uncertified band: a solve that returns its right-hand side instead of
     applying K^{-1} makes the operator positive definite, so no Ritz value
     turns negative and the whole space runs out."""
-    factor = eigensolve._shifted_inertia
+    factor = eigensolve.shifted_inertia
 
-    def identity_solve(a, m, shift, norm_k):
-        inertia, _ = factor(a, m, shift, norm_k)
+    def identity_solve(*args):
+        inertia, _ = factor(*args)
         return inertia, lambda b: np.array(b)
 
     a, m = make_small_system(4, 4, 2)
-    monkeypatch.setattr(eigensolve, "_shifted_inertia", identity_solve)
+    monkeypatch.setattr(eigensolve, "shifted_inertia", identity_solve)
     with pytest.raises(CompletenessError, match="Lanczos failed"):
         band_eig(a, m, BandRequest(lambda_max=0.4))
 
@@ -1713,18 +1713,23 @@ def test_backward_error_guard_rejects_an_inaccurate_solve(monkeypatch, system, k
     the backward-error check, on the lattice layout and on the one-block
     one: its inertia is unavailable."""
     a, m = flux_surface_system(*system)
-    lattice_factor = eigensolve._lattice_factor
+    ldl_factor, lattice_solve = eigensolve._ldl_factor, eigensolve._LatticeLDL.__call__
     noise = 1e-6 * np.random.default_rng(1).standard_normal(a.n)
     kinds = []
 
-    def inaccurate(*args):
-        # the guard solves for one vector
-        inertia, factor = lattice_factor(*args)
-        kinds.append(factor.kind)
-        return inertia, Factor(factor.kind, factor.entries,
-                               lambda b: factor(b) * (1.0 + noise))
+    # the guard solves for one vector; only a solve of the layout's factor
+    # is reached
+    def inaccurate_dense(*args):
+        inertia, solve = ldl_factor(*args)
+        kinds.append("dense")
+        return inertia, lambda b: solve(b) * (1.0 + noise)
 
-    monkeypatch.setattr(eigensolve, "_lattice_factor", inaccurate)
+    def inaccurate_lattice(self, b):
+        kinds.append("lattice")
+        return lattice_solve(self, b) * (1.0 + noise)
+
+    monkeypatch.setattr(eigensolve, "_ldl_factor", inaccurate_dense)
+    monkeypatch.setattr(eigensolve._LatticeLDL, "__call__", inaccurate_lattice)
     with pytest.raises(CompletenessError, match="backward error.*inertia unavailable"):
         shifted_inertia(a, m, 0.3)
     assert kinds == [kind]

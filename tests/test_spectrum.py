@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 import weakref
 from types import SimpleNamespace
 
@@ -18,7 +20,6 @@ from anisodg.geometry import Alignment, FieldDirection, MeshConfig, build_mesh
 from anisodg.spectrum import (AMPLITUDE_TIE_RTOL, PROJECT_BLOCK, Association,
                               Associations, ConvergenceRow, ExactSpectrum,
                               FourierProjector, SolveSetup, associate_modes,
-                              band_error_report,
                               canonical_mode, canonical_modes,
                               compare_band_errors,
                               convergence_study, exact_spectrum,
@@ -652,21 +653,6 @@ def test_degenerate_pair_members_share_canonical_mode():
             assert result.assoc[i].mode == result.assoc[i + 1].mode
 
 
-def test_band_error_report_rows_and_missing():
-    result = reference_solve()
-    report = band_error_report(result.assoc, result.setup.omega_max_sq,
-                               result.exact)
-    assert all(r.omega2_exact <= 0.2 for r in report.rows)
-    assert report.max_error >= 0.0
-
-
-def test_band_error_report_empty_band():
-    # solve a band below the first nonzero eigenvalue: only (0,0) remains
-    result = reference_solve(omega_max_sq=1e-4)
-    report = band_error_report(result.assoc, 1e-4, result.exact)
-    assert [r.mode for r in report.rows] == [(0, 0)]
-
-
 def test_variable_coefficient_runs_have_no_exact_data():
     from anisodg.fields import Harmonic
     setup = SolveSetup(
@@ -676,8 +662,8 @@ def test_variable_coefficient_runs_have_no_exact_data():
     result = run_band_solve(setup)
     assert result.exact is None
     assert all(r.error_kind == "none" for r in result.assoc)
-    with pytest.raises(ValueError):
-        result.band_report()
+    with pytest.raises(ValueError, match="constant coefficients"):
+        max_band_mode_error(result)
 
 
 def test_memoized_tables_keep_every_solve_bit_identical():
@@ -978,12 +964,13 @@ TIE_ROWS = [(7, (0, 1), UP, 0.5), (3, (0, 1), 2.0, 0.25),
 
 
 @pytest.mark.parametrize("order", ["given", "reversed", "shuffled"])
-@pytest.mark.parametrize("edge", [0.05, 1.2, 5.0])
+@pytest.mark.parametrize("edge", [1e-4, 0.05, 1.2, 5.0])
 def test_column_mode_errors_equal_the_row_table(order, edge):
     """On pinned tie cases, in any row order: ``mode_error_table`` of the
     columns picks the rows of the per-row loop, and the
     column-form ``max_band_mode_error`` equals the maximum over the band
-    modes of that table's errors, 1 for each missing band mode."""
+    modes of that table's errors, 1 for each missing band mode.  A band
+    below the first nonzero eigenvalue holds ``(0, 0)`` alone."""
     exact = exact_spectrum(REF_B, 1, 2)
     rows = [Association(i, exact.omega2(*mode), mode, amp, exact.omega2(*mode),
                         err, "relative") for i, mode, amp, err in TIE_ROWS]
@@ -998,7 +985,9 @@ def test_column_mode_errors_equal_the_row_table(order, edge):
     assert mode_error_table(assoc) == want
     band = exact.band_modes(edge)
     assert (len(band), sum(mode not in want for mode in band)) == {
-        0.05: (2, 0), 1.2: (4, 1), 5.0: (7, 2)}[edge]
+        1e-4: (1, 0), 0.05: (2, 0), 1.2: (4, 1), 5.0: (7, 2)}[edge]
+    if edge == 1e-4:
+        assert list(band) == [(0, 0)]
     errors = [want[mode].error if mode in want else 1.0 for mode in band]
     missing = sum(mode not in want for mode in band)
     result = SimpleNamespace(exact=exact, assoc=assoc,
@@ -1006,11 +995,47 @@ def test_column_mode_errors_equal_the_row_table(order, edge):
     assert max_band_mode_error(result) == (max(errors, default=0.0), missing)
 
 
+def test_every_public_assembly_and_eigensolve_function_is_on_the_solve_path(
+        monkeypatch):
+    """``run_band_solve`` of a constant and of a variable 2x4 p1 setup reaches
+    every public function of ``anisodg.assembly`` and ``anisodg.eigensolve``:
+    no public name of the two layers serves tests alone.  Each is spied on in
+    every ``anisodg`` namespace that binds it, as the benchmark's tracer
+    wraps it."""
+    spaces = [module for name, module in sorted(sys.modules.items())
+              if name == "anisodg" or name.startswith("anisodg.")]
+    public = [(f"{module.__name__}.{name}", fn)
+              for module in (assembly, eigensolve)
+              for name, fn in list(vars(module).items())
+              if inspect.isfunction(fn) and fn.__module__ == module.__name__
+              and not name.startswith("_")]
+    reached = set()
+
+    def spying(name, fn):
+        def spy(*args, **kwargs):
+            reached.add(name)
+            return fn(*args, **kwargs)
+        return spy
+
+    for name, fn in public:
+        spy = spying(name, fn)
+        for space in spaces:
+            for key, value in list(vars(space).items()):
+                if value is fn:
+                    monkeypatch.setattr(space, key, spy)
+    for alpha, beta in ((CONST, CONST), (STELLARATOR_ALPHA, STELLARATOR_BETA)):
+        run_band_solve(SolveSetup(
+            mesh_config=MeshConfig(2, 4, Alignment.BOTTOM_TOP, REF_B),
+            spec=BasisSpec(1, 1), alpha=alpha, beta=beta))
+    assert "anisodg.eigensolve.shifted_inertia" in dict(public)
+    assert sorted(set(dict(public)) - reached) == []
+
+
 def test_band_solve_releases_the_operator_set(monkeypatch):
     """``run_band_solve`` drops the operator set once ``A`` and ``M`` are
     built: the set, its C, u-mass and penalty stencils are gone before the
     lattice factorization starts (M stays, as the pencil's)."""
-    assemble, factor = spectrum.assemble_operator_set, eigensolve._lattice_factor
+    assemble, factor = spectrum.assemble_operator_set, eigensolve.shifted_inertia
     refs, alive = [], []
 
     def recording(*args, **kwargs):
@@ -1023,7 +1048,7 @@ def test_band_solve_releases_the_operator_set(monkeypatch):
         return factor(*args)
 
     monkeypatch.setattr(spectrum, "assemble_operator_set", recording)
-    monkeypatch.setattr(eigensolve, "_lattice_factor", checking)
+    monkeypatch.setattr(eigensolve, "shifted_inertia", checking)
     result = run_band_solve(SolveSetup(
         mesh_config=MeshConfig(10, 6, Alignment.BOTTOM_TOP, REF_B), spec=BasisSpec(2, 2),
         alpha=STELLARATOR_ALPHA, beta=STELLARATOR_BETA, omega_max_sq=0.3))
