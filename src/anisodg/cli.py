@@ -16,9 +16,7 @@ import argparse
 import dataclasses
 import logging
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dc_fields
 from functools import cache
 from pathlib import Path
@@ -37,8 +35,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
-
-THREADS_ENV = "ANISODG_NUM_THREADS"
 
 
 class ConfigError(ValueError):
@@ -319,11 +315,6 @@ def _parse_s_values(text: str) -> list[float]:
 
 def cmd_sweep(config: RunConfig) -> int:
     s_values = sorted(_parse_s_values(config.s_values))
-    threads = os.environ.get(THREADS_ENV, "1")
-    try:
-        workers = max(1, int(threads))
-    except ValueError as exc:
-        raise ConfigError(f"bad {THREADS_ENV} {threads!r} (expected an integer)") from exc
 
     # each distinct field file is read and checked once per sweep, before
     # any solve starts
@@ -344,18 +335,15 @@ def cmd_sweep(config: RunConfig) -> int:
             beta_file=config.beta_file.replace("{s}", repr(s)))
         setups.append(surface_config._setup(iota_profile(s), coefficient))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(run_band_solve, setups))
-    else:
-        solved = [run_band_solve(setup) for setup in setups]
-    results = zip(s_values, solved)
-
+    # one surface at a time: its CSV is written and its result dropped
+    # before the next solve, so memory stays flat in the surface count; a
+    # failed solve leaves the CSVs of the surfaces before it, no sweep.csv
     out = Path(config.output_dir)
     combined = []
     previous: list | None = None
     prev_s = None
-    for s, result in results:
+    for s, setup in zip(s_values, setups):
+        result = run_band_solve(setup)
         _write_csv(out / f"spectrum_s{_fmt(s)}.csv", SPECTRUM_HEADER,
                    _spectrum_rows(result))
         modes = [r.mode for r in result.assoc]
@@ -369,6 +357,7 @@ def cmd_sweep(config: RunConfig) -> int:
         previous, prev_s = modes, s
         for r in result.assoc:
             combined.append(f"{_fmt(s)},{_fmt(r.omega2_computed)},{r.mode[0]},{r.mode[1]}")
+        del result  # else the name holds it through the next solve
     _write_csv(out / "sweep.csv", "s,omega2,m,n", combined)
     return EXIT_OK
 

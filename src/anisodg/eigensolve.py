@@ -68,6 +68,9 @@ RANK_FLOOR = 1e-8
 #: random block joins the basis if every negative Ritz pair has converged.
 STALL_STEPS = 16
 
+#: A pivot within this fraction of ``max |K|`` of zero counts as zero.
+PIVOT_TOL = 1e-12
+
 #: Largest normwise backward error ``||r - K z|| / (||K|| ||z|| + ||r||)``
 #: of a factor's solve of ``K z = r`` for which its inertia is trusted.
 BACKWARD_TOL = 1e-10
@@ -271,7 +274,7 @@ def _ldl_routines(k: np.ndarray):
     return kind, trf, trs, int(trf_lwork(k.shape[-1], lower=1)[0].real)
 
 
-def _ldl_factor(k: np.ndarray, zero_tol: float):
+def _ldl_factor(k: np.ndarray):
     """Inertia of a dense symmetric (real) or Hermitian (complex) matrix and
     a solve with it, from one Bunch-Kaufman LDL^T factorization that
     overwrites ``k``.
@@ -280,7 +283,7 @@ def _ldl_factor(k: np.ndarray, zero_tol: float):
     ``ipiv`` entries come in pairs, one pair per 2x2 block.  D is then a
     Hermitian tridiagonal matrix that splits at its zero off-diagonals; it
     has the eigenvalues of the real one with the off-diagonal moduli (its
-    diagonal when every pivot is 1x1), and those within ``zero_tol *
+    diagonal when every pivot is 1x1), and those within ``PIVOT_TOL *
     max|K|`` of zero count as zero.
     """
     kind, trf, trs, lwork = _ldl_routines(k)
@@ -288,7 +291,7 @@ def _ldl_factor(k: np.ndarray, zero_tol: float):
     lu, piv, info = trf(k, lower=1, lwork=lwork, overwrite_a=1)
     if info < 0:
         raise ValueError(f"{kind}trf: illegal value in argument {-info}")
-    return (_count_signs(_d_pivots(lu, piv), zero_tol * max(scale, np.finfo(float).tiny)),
+    return (_count_signs(_d_pivots(lu, piv), PIVOT_TOL * max(scale, np.finfo(float).tiny)),
             lambda b: trs(lu, piv, b, lower=1)[0])
 
 
@@ -314,7 +317,7 @@ def _d_pivots(lu: np.ndarray, piv: np.ndarray) -> np.ndarray:
     return pivots
 
 
-def _stack_inertia(lu: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _stack_inertia(lu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(n_neg, n_zero)`` of each matrix of a stack ``lu`` of symmetric
     (real) or Hermitian (complex) matrices, each Fortran-ordered, as
     ``_ldl_factor`` counts them one by one: one bare ``?sytrf``/``?hetrf``
@@ -333,7 +336,7 @@ def _stack_inertia(lu: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndar
     pivots = np.diagonal(lu, axis1=1, axis2=2).real.copy()
     for c in np.flatnonzero(np.any(piv < 0, axis=1)).tolist():
         pivots[c] = _d_pivots(lu[c], piv[c])
-    return _sign_counts(pivots, zero_tol * np.maximum(scale, np.finfo(float).tiny)[:, None])
+    return _sign_counts(pivots, PIVOT_TOL * np.maximum(scale, np.finfo(float).tiny)[:, None])
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +579,14 @@ class _LatticeLDL:
     is one step from them (``_Shifted.block_row``), so besides the border
     only the block being eliminated and the next one are ever dense.  By
     Haynsworth's inertia additivity the inertias of the ``D`` and of the
-    final border sum to K's.  A pivot within ``tol`` of zero in any block but
-    the border means the elimination broke down, and raises.
+    final border sum to K's.  A pivot within ``PIVOT_TOL * max|K|`` of zero
+    in any block but the border means the elimination broke down, and
+    raises.
     """
 
-    def __init__(self, k: _Shifted, blocking: _Blocking, zero_tol: float):
+    def __init__(self, k: _Shifted, blocking: _Blocking):
         self.order, self.n_loc = blocking.order, k.n_loc
-        tol = zero_tol * max(k.max_abs(), np.finfo(float).tiny)
+        tol = PIVOT_TOL * max(k.max_abs(), np.finfo(float).tiny)
         steps = len(blocking.sizes) - 1
         border, _ = k.block_row(blocking, steps)
         width = len(border)
@@ -640,7 +644,7 @@ class _LatticeLDL:
         return out.reshape(b.shape)
 
 
-def shifted_inertia(a, m, shift: float, zero_tol: float = 1e-12):
+def shifted_inertia(a, m, shift: float):
     """Inertia of ``K = A - shift * M`` and a solve with K (a ``Factor``),
     from one factorization.
 
@@ -671,10 +675,10 @@ def shifted_inertia(a, m, shift: float, zero_tol: float = 1e-12):
     if len(blocking.sizes) == 1:
         # the transpose of the symmetric C-ordered K is K in the Fortran
         # order LAPACK factors in place
-        inertia, solve = _ldl_factor(k.block_row(blocking, 0)[0].T, zero_tol)
+        inertia, solve = _ldl_factor(k.block_row(blocking, 0)[0].T)
         factor = Factor("dense", blocking.entries, solve)
     else:
-        ldl = _LatticeLDL(k, blocking, zero_tol)
+        ldl = _LatticeLDL(k, blocking)
         inertia, factor = ldl.inertia, Factor("lattice", blocking.entries, ldl)
     if inertia[1] == 0:
         r = np.random.default_rng(0).standard_normal(a.n)
@@ -1303,7 +1307,7 @@ def _class_inertia(pencil: _LatticePencil,
             np.subtract(a_k.real, shift_m.real, out=blocks)
         else:
             np.subtract(a_k, shift_m, out=blocks)
-        counts.append(_stack_inertia(blocks, 1e-12))
+        counts.append(_stack_inertia(blocks))
     (neg_real, zero_real), (neg_pair, zero_pair) = counts
     _check_edge(int(np.sum(zero_real) + 2 * np.sum(zero_pair)), shift)
     return neg_real, neg_pair

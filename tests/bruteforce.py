@@ -26,10 +26,10 @@ from scipy.special import spherical_jn
 
 from anisodg.assembly import (Stencil, _crossing_traces, _face_terms, _penalty,
                               _residues)
-from anisodg.eigensolve import (CompletenessError, EigenSolution, _BunchKaufman,
-                                _as_pencil, _as_sym, _count_signs, _dense_pencil,
-                                _LatticePencil, _ldl_factor, _pencil_band,
-                                _pencil_eigh, _residuals)
+from anisodg.eigensolve import (PIVOT_TOL, CompletenessError, EigenSolution,
+                                _BunchKaufman, _as_pencil, _as_sym, _count_signs,
+                                _dense_pencil, _LatticePencil, _ldl_factor,
+                                _pencil_band, _pencil_eigh, _residuals)
 from anisodg.geometry import (MERGE_TOL, TWO_PI, Alignment, Cell, Interface,
                               edge_point, outward_normal)
 
@@ -388,22 +388,22 @@ def bloch_band_reference(a, m, req) -> EigenSolution:
                          norm_a=norm_a, wavevectors=col_k[order])
 
 
-def block_inertia(block, zero_tol: float = 1e-12) -> tuple[int, int, int]:
+def block_inertia(block) -> tuple[int, int, int]:
     """Inertia of one real-symmetric or Hermitian class block, from its own
     ``_ldl_factor`` (of a Fortran-ordered copy): the per-class count that
     ``bloch_eig``'s batched ``_class_inertia`` must reproduce."""
-    return _ldl_factor(np.array(block, order="F"), zero_tol)[0]
+    return _ldl_factor(np.array(block, order="F"))[0]
 
 
-def ldl_inertia(s, zero_tol: float = 1e-12) -> tuple[int, int, int]:
+def ldl_inertia(s) -> tuple[int, int, int]:
     """Inertia (n_neg, n_zero, n_pos) of a symmetric matrix.
 
     Uses the dense Bunch-Kaufman LDL^T factorization; pivot-block
-    eigenvalues within ``zero_tol * max|S|`` of zero count as zero.
+    eigenvalues within ``PIVOT_TOL * max|S|`` of zero count as zero.
     """
     if sp.issparse(s):
         s = s.toarray()
-    return _ldl_factor(np.array(s, dtype=float, order="F"), zero_tol)[0]
+    return _ldl_factor(np.array(s, dtype=float, order="F"))[0]
 
 
 def shifted_stencil(a, m, shift: float) -> Stencil:
@@ -455,13 +455,13 @@ def _scatter(k, blocking):
     return [d.reshape(b, b) for d in diag] + [border.reshape(c, c)], upper
 
 
-def lattice_ldl_reference(k, blocking, zero_tol: float = 1e-12):
+def lattice_ldl_reference(k, blocking):
     """The pivots of each block and the inertia of the periodic block LDL^T
     of the stencil ``K`` (``shifted_stencil``) in ``blocking``, eliminated
     as ``_LatticeLDL`` does, on every block scattered at once from ``K``
     before the elimination starts."""
     diag, upper = _scatter(k, blocking)
-    tol = zero_tol * max(float(np.max(np.abs(k.blocks))), np.finfo(float).tiny)
+    tol = PIVOT_TOL * max(float(np.max(np.abs(k.blocks))), np.finfo(float).tiny)
     border, width = diag[-1], len(diag[-1])
     pivots = []
     for j, up in enumerate(upper):

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 import bruteforce as bf
 from anisodg import cli
 from anisodg.assembly import assemble_operator_set
-from anisodg.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, RunConfig,
+from anisodg.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SOLVER, RunConfig,
                          build_config, main, parse_config_file)
+from anisodg.eigensolve import CompletenessError
 from anisodg.fields import MagneticField
 from anisodg.geometry import build_mesh
 
@@ -246,30 +248,55 @@ def test_sweep_sorted_and_combined(tmp_path):
     assert set(s_values) == {0.0, 0.5, 1.0}
 
 
-def test_sweep_validates_s_range(tmp_path, monkeypatch):
+def test_sweep_validates_s_range(tmp_path):
     code = main(["sweep", "--s_values", "0,2", "--output_dir", str(tmp_path)])
     assert code == EXIT_CONFIG
     code = main(["sweep", "--output_dir", str(tmp_path)])
     assert code == EXIT_CONFIG
-    monkeypatch.setenv("ANISODG_NUM_THREADS", "two")
-    code = main(["sweep", "--s_values", "0,1", "--output_dir", str(tmp_path)])
-    assert code == EXIT_CONFIG
 
 
-def test_sweep_thread_pool(tmp_path, monkeypatch):
-    outputs = {}
-    for threads in ["2", "1"]:
-        monkeypatch.setenv("ANISODG_NUM_THREADS", threads)
-        out = tmp_path / f"threads{threads}"
-        code = main(["sweep", "--nx", "2", "--ny", "2", "--p_xi", "1",
-                     "--p_eta", "1", "--alignment", "aligned_bottom_top",
-                     "--m_max", "2", "--n_max", "2",
-                     "--s_values", "0,1", "--output_dir", str(out)])
-        assert code == EXIT_OK
-        outputs[threads] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
-    assert "sweep.csv" in outputs["2"]
-    # the pool changes the schedule, never the bytes written
-    assert outputs["2"] == outputs["1"]
+SWEEP_2X2 = ["sweep", "--nx", "2", "--ny", "2", "--p_xi", "1", "--p_eta", "1",
+             "--alignment", "aligned_bottom_top", "--m_max", "2", "--n_max", "2",
+             "--s_values", "0,0.5,1"]
+
+
+def test_sweep_releases_each_surface(tmp_path, monkeypatch):
+    """Each surface's result is gone before the next surface is solved."""
+    earlier = []
+    run_band_solve = cli.run_band_solve
+
+    def tracked(setup):
+        assert all(ref() is None for ref in earlier)
+        result = run_band_solve(setup)
+        earlier.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(cli, "run_band_solve", tracked)
+    assert main(SWEEP_2X2 + ["--output_dir", str(tmp_path)]) == EXIT_OK
+    assert len(earlier) == 3
+
+
+def test_failed_sweep_keeps_earlier_surfaces(tmp_path, monkeypatch):
+    """A solver failure on one surface exits 3 and keeps the spectrum CSVs of
+    the surfaces solved before it; no sweep.csv is written."""
+    calls = []
+    run_band_solve = cli.run_band_solve
+
+    def failing(setup):
+        calls.append(setup)
+        if len(calls) == 2:
+            raise CompletenessError("band not certified")
+        return run_band_solve(setup)
+
+    assert main(SWEEP_2X2 + ["--output_dir", str(tmp_path / "whole")]) == EXIT_OK
+    calls.clear()
+    monkeypatch.setattr(cli, "run_band_solve", failing)
+    failed = tmp_path / "failed"
+    assert main(SWEEP_2X2 + ["--output_dir", str(failed)]) == EXIT_SOLVER
+    assert len(calls) == 2
+    assert sorted(p.name for p in failed.iterdir()) == ["spectrum_s0.csv"]
+    assert ((failed / "spectrum_s0.csv").read_bytes()
+            == (tmp_path / "whole" / "spectrum_s0.csv").read_bytes())
 
 
 def test_sweep_per_surface_field_files(tmp_path):
@@ -287,11 +314,9 @@ def test_sweep_per_surface_field_files(tmp_path):
     assert rows0 and rows1
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_sweep_reads_each_field_file_once(tmp_path, monkeypatch, threads):
+def test_sweep_reads_each_field_file_once(tmp_path, monkeypatch):
     """A shared field file is read and checked once per sweep, however many
     surfaces and keys name it; an "{s}" file once per surface."""
-    monkeypatch.setenv("ANISODG_NUM_THREADS", threads)
     shared = tmp_path / "shared.fld"
     shared.write_text("mean 1.0\n0 1 0.1 0.0\n")
     for s in ("0.0", "0.5", "1.0"):
@@ -304,9 +329,7 @@ def test_sweep_reads_each_field_file_once(tmp_path, monkeypatch, threads):
         return load_field(path)
 
     monkeypatch.setattr(cli, "load_field", counted)
-    sweep = ["sweep", "--nx", "2", "--ny", "2", "--p_xi", "1", "--p_eta", "1",
-             "--alignment", "aligned_bottom_top", "--m_max", "2", "--n_max", "2",
-             "--s_values", "0,0.5,1", "--alpha_file", str(shared)]
+    sweep = SWEEP_2X2 + ["--alpha_file", str(shared)]
     assert main(sweep + ["--beta_file", str(shared),
                          "--output_dir", str(tmp_path / "shared")]) == EXIT_OK
     assert loaded == [str(shared)]

@@ -655,7 +655,7 @@ def test_stack_inertia_is_the_per_class_ldl_count(hermitian, count, n,
     zero diagonal forces Bunch-Kaufman 2x2 pivots in every block wider
     than one."""
     blocks = random_class_blocks(hermitian, count, n, zero_diagonal, seed)
-    neg, zero = eigensolve._stack_inertia(fortran_copy(blocks), 1e-12)
+    neg, zero = eigensolve._stack_inertia(fortran_copy(blocks))
     want = [block_inertia(b) for b in blocks]
     assert neg.tolist() == [w[0] for w in want]
     assert zero.tolist() == [w[1] for w in want]
@@ -667,9 +667,10 @@ def test_stack_inertia_is_the_per_class_ldl_count(hermitian, count, n,
 
 @pytest.mark.parametrize("hermitian", [False, True], ids=["real", "hermitian"])
 def test_stack_inertia_counts_a_pivot_within_tolerance_as_zero(hermitian):
-    """A pivot within ``1e-12 max|K|`` of zero counts as zero, one just
-    outside it by its sign, in the stack as in each block's own factor.
-    In ``_class_inertia`` a zero pivot makes the band edge ambiguous."""
+    """A pivot within ``PIVOT_TOL max|K|`` (1e-12) of zero counts as zero,
+    one just outside it by its sign, in the stack as in each block's own
+    factor.  In ``_class_inertia`` a zero pivot makes the band edge
+    ambiguous."""
     rng = np.random.default_rng(5)
     dtype = complex if hermitian else float
     blocks = np.array([np.diag(d) for d in ([3.0, -1.0, 2e-12, 0.5],
@@ -677,7 +678,7 @@ def test_stack_inertia_counts_a_pivot_within_tolerance_as_zero(hermitian):
                                              [3.0, 1.0, 4e-12, -0.5])], dtype=dtype)
     perm = rng.permutation(4)
     blocks = blocks[:, perm][:, :, perm]
-    neg, zero = eigensolve._stack_inertia(fortran_copy(blocks), 1e-12)
+    neg, zero = eigensolve._stack_inertia(fortran_copy(blocks))
     assert (neg.tolist(), zero.tolist()) == ([1, 2, 1], [1, 0, 0])
     assert [block_inertia(b)[:2] for b in blocks] == [(1, 1), (2, 0), (1, 0)]
 
@@ -697,7 +698,7 @@ def test_stack_inertia_of_a_nan_entry_is_not_finite(hermitian):
     blocks = random_class_blocks(hermitian, 3, 5, False, 11)
     blocks[1, 3, 1] = blocks[1, 1, 3] = np.nan
     with pytest.raises(CompletenessError, match="not finite"):
-        eigensolve._stack_inertia(fortran_copy(blocks), 1e-12)
+        eigensolve._stack_inertia(fortran_copy(blocks))
     with pytest.raises(CompletenessError, match="not finite"):
         block_inertia(blocks[1])
 
@@ -1547,7 +1548,7 @@ def test_lattice_ldl_against_dense_inertia(alignment, nx, ny, p, b, alpha, beta,
 
     stencil = shifted_stencil(a, m, shift)
     dense = stencil.expand().toarray()
-    ldl = eigensolve._LatticeLDL(k, blocking, 1e-12)
+    ldl = eigensolve._LatticeLDL(k, blocking)
     assert ldl.inertia == ldl_inertia(dense)
     assert_same_pivots(ldl, *lattice_ldl_reference(stencil, blocking))
     if len(blocking.sizes) > 1:  # one block is factored dense in production
