@@ -21,10 +21,11 @@ Two certified solvers serve ``A x = lambda M x``:
   to a block, K is periodic block-tridiagonal, and a block LDL^T
   (``_LatticeLDL``) sums the Bunch-Kaufman inertias of its Schur blocks
   (Haynsworth).  It builds each block of K one step before the elimination
-  reaches it and keeps each factored unit triangle in rectangular full
-  packed form, so it stores only what its solve reads; a layout of one
-  block is dense Bunch-Kaufman.  Products with a stencil run on its blocks
-  too, so no CSR matrix is formed.  Every factor must pass a
+  reaches it and keeps only its pivot blocks, each unit triangle in
+  rectangular full packed form, beside CSR copies of K's own couplings;
+  its solve eliminates the border by its Schur complement.  A layout of
+  one block is dense Bunch-Kaufman.  Products with a stencil run on its
+  blocks too, so no CSR matrix is formed.  Every factor must pass a
   backward-error check of its solve before its inertia is used
   (``BACKWARD_TOL``).  ``shifted_inertia`` is the one way into the factor.
 
@@ -50,10 +51,11 @@ from scipy.linalg import blas, lapack
 
 from .assembly import _ORIGIN, Stencil, SymStencil, _reached_cells, _residues
 
-#: The most matrix entries a factor of ``K = A - shift M`` (as it stores
-#: them: packed triangles at half their square, ``_Blocking.entries``), a
-#: dense pencil or an eigenvector array may store (``2**28`` float64
-#: entries are 2 GiB); a larger one is refused before it is formed.
+#: The most matrix entries a factor of ``K = A - shift M`` (its pivot
+#: blocks as it stores them, packed triangles at half their square:
+#: ``_Blocking.entries``), a dense pencil or an eigenvector array may store
+#: (``2**28`` float64 entries are 2 GiB); a larger one is refused before it
+#: is formed.
 FACTOR_BUDGET = 2**28
 
 #: Width of band_eig's Lanczos block: the band eigenvalues of the
@@ -120,9 +122,10 @@ class EigenSolution:
     ``factor`` is the kind of the ``Factor`` of ``K = A - lambda_max M``
     that ``shifted_inertia`` gave ``band_eig`` (``"lattice"`` or, for a
     layout of one block, ``"dense"``) and ``factor_entries`` the matrix
-    entries it stores (``_Blocking.entries``: the lattice factor's packed
-    triangles count half their square); the Bloch and full dense solves
-    leave them None and 0.
+    entries of its pivot blocks (``_Blocking.entries``: the lattice
+    factor's packed triangles, at half their square; the CSR copies of K's
+    couplings it keeps beside them are not counted); the Bloch and full
+    dense solves leave them None and 0.
     ``wavevectors`` and ``coefficients`` are set by ``bloch_eig`` alone and
     are None for every other solve.  ``wavevectors`` holds, for each column,
     the flat index ``p*ny + q`` of the representative of the lattice
@@ -413,7 +416,7 @@ def _centered(d: np.ndarray, n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class _Blocking:
     """The lattice cells in the order ``order``, cut into consecutive blocks
-    of ``sizes`` cells; the last block is the border."""
+    of ``sizes`` cells; the last block is the border, the others its chain."""
 
     order: np.ndarray
     sizes: tuple[int, ...]
@@ -440,16 +443,15 @@ class _Blocking:
 
     @property
     def entries(self) -> int:
-        """Stored entries: the unit triangles of the factored diagonal blocks
-        and border, packed (``w (w + 1) / 2`` for a block ``w`` wide), and
-        the off-diagonal blocks ``V``; of one block, its dense Bunch-Kaufman
-        factor."""
+        """Stored entries: the unit triangles of the factored Schur blocks
+        and border, packed (``w (w + 1) / 2`` for a block ``w`` wide); of one
+        block, its dense Bunch-Kaufman factor.  The couplings the lattice
+        factor keeps beside them are K's own sparse blocks, not counted."""
         b, c = self._widths()
         steps = len(self.sizes) - 1
         if not steps:
             return c * c
-        return (steps * b * (b + 1) // 2 + (steps - 1) * b * b + steps * b * c
-                + c * (c + 1) // 2)
+        return steps * b * (b + 1) // 2 + c * (c + 1) // 2
 
 
 def _row_blocking(k: _Shifted, axis: int, shear: int, rows: int) -> _Blocking:
@@ -565,23 +567,37 @@ class _BunchKaufman:
         return self.back(self.scale(self.forward(g)))
 
 
+def _coupling(k: np.ndarray) -> tuple[sp.csr_matrix, sp.csc_matrix]:
+    """A block of K as CSR, and its transpose: a CSC view of the same
+    arrays."""
+    csr = sp.csr_matrix(k)
+    return csr, csr.T
+
+
 class _LatticeLDL:
     """The LDL^T of ``K`` (a ``_Shifted`` pencil) that ``blocking`` makes
     periodic block-tridiagonal, and its solve.
 
-    Block ``j`` but the border is eliminated in turn: Bunch-Kaufman ``S_j =
-    P L D L^T P^T`` of its Schur block, then ``W = L^{-1} P^T K[j, i]`` for
-    the next block and the border ``i`` (one triangular solve, on the whole
-    ``L``) updates the next block, the next block's border coupling and the
-    border by ``- W^T D^{-1} W``.  ``V = D^{-1} W`` is stored: ``V^T`` is the
-    factor's off-diagonal block, ``P L`` its diagonal one, whose ``L`` is
-    then packed.  K's blocks are built from A's and M's when the elimination
-    is one step from them (``_Shifted.block_row``), so besides the border
-    only the block being eliminated and the next one are ever dense.  By
-    Haynsworth's inertia additivity the inertias of the ``D`` and of the
-    final border sum to K's.  A pivot within ``PIVOT_TOL * max|K|`` of zero
-    in any block but the border means the elimination broke down, and
-    raises.
+    Ordered chain first, border last, ``K = [[T, G], [G^T, B]]``: ``T`` is
+    the block-tridiagonal chain of the blocks but the border, coupled by
+    ``E_j = K[j, j+1]``, and ``G = K[T, B]`` is nonzero only in the chain's
+    first and last block rows.  Block ``j`` of the chain is eliminated in
+    turn: Bunch-Kaufman ``S_j = P L D L^T P^T`` of its Schur block, then
+    ``W = L^{-1} P^T K[j, i]`` for the next block and the border ``i`` (one
+    triangular solve, on the whole ``L``) updates the next block, the next
+    block's border coupling and the border by ``- W^T D^{-1} W``.  The
+    border then holds its Schur complement ``B~ = B - G^T T^{-1} G``,
+    factored last.  Only the pivot blocks are kept, each ``L`` packed
+    (``_BunchKaufman.pack``), with CSR copies of K's couplings and their
+    transposes (``_coupling``): ``E_j`` in ``chain``, and ``G_0`` and
+    ``G_{s-1}`` with their block in ``edges``, taken before any update
+    reaches them.  ``W`` and ``D^{-1} W`` are per-step temporaries.
+    K's blocks are built from A's and M's when the elimination is one step
+    from them (``_Shifted.block_row``), so besides the border only the
+    block being eliminated and the next one are ever dense.  By
+    Haynsworth's inertia additivity the inertias of the ``S_j`` and of
+    ``B~`` sum to K's.  A pivot within ``PIVOT_TOL * max|K|`` of zero in any
+    block but the border means the elimination broke down, and raises.
     """
 
     def __init__(self, k: _Shifted, blocking: _Blocking):
@@ -591,8 +607,13 @@ class _LatticeLDL:
         border, _ = k.block_row(blocking, steps)
         width = len(border)
         diag, up = k.block_row(blocking, 0)
-        self.factors, self.upper = [], []
+        self.factors, self.chain, self.edges = [], [], []
+        if steps:
+            self.edges.append((0, *_coupling(up[:, -width:])))
         for j in range(steps):
+            nxt = up.shape[1] - width
+            if nxt:
+                self.chain.append(_coupling(up[:, :nxt]))
             factor = _BunchKaufman(diag)
             if np.any(np.abs(factor.pivots) <= tol):
                 raise CompletenessError(
@@ -603,15 +624,15 @@ class _LatticeLDL:
             v = factor.scale(w)
             factor.pack()
             del diag, up  # released before the next block row is built
-            nxt = v.shape[1] - width
             if nxt:
                 diag, up = k.block_row(blocking, j + 1)
+                if j + 1 == steps - 1:  # the last block's border coupling
+                    self.edges.append((j + 1, *_coupling(up)))
                 update = w[:, :nxt].T @ v
                 diag -= update[:, :nxt]
                 up[:, -width:] -= update[:, nxt:]
             border -= w[:, nxt:].T @ v[:, nxt:]
             self.factors.append(factor)
-            self.upper.append(v)
         factor = _BunchKaufman(border)
         factor.pack()
         self.factors.append(factor)
@@ -619,28 +640,34 @@ class _LatticeLDL:
                                             for p in self.factors))))
         self.ends = np.cumsum(np.multiply(blocking.sizes, k.n_loc))[:-1]
 
+    def _chain_solve(self, parts: list) -> list:
+        """``T^{-1}`` of the chain's blocks of columns ``parts`` (replaced in
+        the list): the forward sweep ``u_j = S_j^{-1} (b_j - E_{j-1}^T
+        u_{j-1})``, then the back sweep ``x_j = u_j - S_j^{-1} E_j
+        x_{j+1}``."""
+        for j, factor in enumerate(self.factors[:-1]):
+            if j:
+                parts[j] = parts[j] - self.chain[j - 1][1] @ parts[j - 1]
+            parts[j] = factor.solve(parts[j])
+        for j in reversed(range(len(self.chain))):
+            parts[j] = parts[j] - self.factors[j].solve(self.chain[j][0] @ parts[j + 1])
+        return parts
+
     def __call__(self, b: np.ndarray) -> np.ndarray:
+        """``K^{-1} b`` by the Schur complement on the border: ``y = T^{-1}
+        b_T``, ``x_B = B~^{-1} (b_B - G^T y)``, ``x_T = T^{-1} (b_T - G
+        x_B)``."""
         cols = b.reshape(len(self.order), self.n_loc, -1)
         parts = np.split(cols[self.order].reshape(-1, cols.shape[-1]), self.ends)
-        width = len(parts[-1])
-        # the products with V are taken as row products, which OpenBLAS
-        # streams up to twice as fast for few right-hand sides (8.8 against
-        # 4.9 GB/s for two at 800 x 1600, one thread of a Xeon)
-        for j, (v, factor) in enumerate(zip(self.upper, self.factors)):
-            parts[j] = factor.forward(parts[j])
-            update = (parts[j].T @ v).T
-            nxt = v.shape[1] - width
-            if nxt:
-                parts[j + 1] -= update[:nxt]
-            parts[-1] -= update[nxt:]
-        parts[-1] = self.factors[-1].solve(parts[-1])
-        for j in reversed(range(len(self.upper))):
-            v, factor = self.upper[j], self.factors[j]
-            below = parts[-1] if v.shape[1] == width else np.concatenate(
-                [parts[j + 1], parts[-1]])
-            parts[j] = factor.back(factor.scale(parts[j]) - (below.T @ v.T).T)
+        chain, rhs = parts[:-1], parts[-1]
+        y = self._chain_solve(list(chain))
+        for j, g, g_t in self.edges:
+            rhs = rhs - g_t @ y[j]
+        x = self.factors[-1].solve(rhs)
+        for j, g, _ in self.edges:
+            chain[j] = chain[j] - g @ x
         out = np.empty(cols.shape)
-        out[self.order] = np.concatenate(parts).reshape(cols.shape)
+        out[self.order] = np.concatenate(self._chain_solve(chain) + [x]).reshape(cols.shape)
         return out.reshape(b.shape)
 
 
@@ -653,10 +680,11 @@ def shifted_inertia(a, m, shift: float):
     stencils on one lattice, or matrices (``_as_pencil``).  K is never
     formed (``_Shifted``): it is factored straight from the stencil blocks,
     in the layout over lattice rows of fewest flops (``_Blocking.flops``).
-    A layout that would store more than ``FACTOR_BUDGET`` entries is refused
-    (``CompletenessError``).  The layout of one block, which a matrix
-    always takes, is factored by dense Bunch-Kaufman (``_ldl_factor``), any
-    other by a periodic block LDL^T (``_LatticeLDL``).  A factor without
+    A layout whose pivot blocks would store more than ``FACTOR_BUDGET``
+    entries (``_Blocking.entries``) is refused (``CompletenessError``).  The
+    layout of one block, which a matrix always takes, is factored by dense
+    Bunch-Kaufman (``_ldl_factor``), any other by a periodic block LDL^T
+    (``_LatticeLDL``).  A factor without
     pivots on the shift must solve ``K z = r`` for a fixed random ``r`` to a
     normwise backward error ``||r - K z|| / (||K|| ||z|| + ||r||)`` of at
     most ``BACKWARD_TOL`` (infinity norms, ``||A|| + |shift| ||M||``
@@ -670,8 +698,8 @@ def shifted_inertia(a, m, shift: float):
     if blocking.entries > FACTOR_BUDGET:
         raise CompletenessError(
             f"the factor of A - {shift:.6g} M would store {blocking.entries} "
-            f"entries ({8 * blocking.entries} bytes), over the budget of "
-            f"{FACTOR_BUDGET}; inertia unavailable")
+            f"entries ({8 * blocking.entries} bytes) in its pivot blocks, over "
+            f"the budget of {FACTOR_BUDGET}; inertia unavailable")
     if len(blocking.sizes) == 1:
         # the transpose of the symmetric C-ordered K is K in the Fortran
         # order LAPACK factors in place

@@ -1239,32 +1239,81 @@ def reachable_arrays(root) -> list[np.ndarray]:
             owners[id(obj)] = obj
         elif isinstance(obj, (list, tuple)):
             todo.extend(obj)
+        elif sp.issparse(obj):
+            todo.extend((obj.data, obj.indices, obj.indptr))
         elif type(obj).__module__.startswith("anisodg"):
             todo.extend(vars(obj).values())
     return list(owners.values())
 
 
 def stored_bytes(ldl) -> int:
-    """The bytes of the lattice factor's matrices (its packed triangles and
-    its ``V`` blocks), each of which must own its memory."""
-    matrices = [f.packed for f in ldl.factors] + ldl.upper
+    """The bytes of the lattice factor's packed triangles, each of which must
+    own its memory."""
+    matrices = [f.packed for f in ldl.factors]
     assert all(x.base is None for x in matrices)
     return sum(x.nbytes for x in matrices)
+
+
+def couplings(ldl) -> list[tuple[int, int, sp.csr_matrix]]:
+    """The lattice factor's CSR couplings as ``(row block, column block,
+    matrix)``: ``E_j = K[j, j+1]`` along the chain, then the border's.  The
+    transpose kept beside each is a view of its arrays."""
+    border = len(ldl.factors) - 1
+    for coupling, transpose in ldl.chain + [edge[1:] for edge in ldl.edges]:
+        assert all(np.shares_memory(getattr(transpose, x), getattr(coupling, x))
+                   for x in ("data", "indices", "indptr"))
+    return ([(j, j + 1, e) for j, (e, _) in enumerate(ldl.chain)]
+            + [(j, border, g) for j, g, _ in ldl.edges])
+
+
+def block_of_cells(blocking) -> np.ndarray:
+    """The block of ``blocking`` that holds each lattice cell."""
+    pos = np.empty(len(blocking.order), dtype=int)
+    pos[blocking.order] = np.arange(len(blocking.order))
+    return np.minimum(pos // blocking.sizes[0], len(blocking.sizes) - 1)
+
+
+def assert_couplings_within_k(ldl, stencil, blocking):
+    """Each coupling holds at most the nonzeros of K's stencil blocks on the
+    offsets that cross its block boundary: those of the cells of its row
+    block whose column cells lie in its column block."""
+    block = block_of_cells(blocking)
+    cols = stencil.column_cells
+    nonzeros = np.broadcast_to(np.count_nonzero(stencil.blocks, axis=(2, 3)), cols.shape)
+    for row, col, coupling in couplings(ldl):
+        crossing = (block[:, None] == row) & (block[cols] == col)
+        assert coupling.nnz <= int(np.sum(nonzeros[crossing]))
+
+
+def assert_couplings_are_k(ldl, dense, blocking):
+    """Each coupling is K's original block, before any Schur update: the
+    rows of its row block and the columns of its column block of the dense
+    ``K``, in the blocking's order."""
+    n_loc = len(dense) // len(blocking.order)
+    dofs = (blocking.order[:, None] * n_loc + np.arange(n_loc)).ravel()
+    ends = np.cumsum((0,) + blocking.sizes) * n_loc
+    ordered = dense[np.ix_(dofs, dofs)]
+    for row, col, coupling in couplings(ldl):
+        want = ordered[ends[row]:ends[row + 1], ends[col]:ends[col + 1]]
+        assert np.array_equal(coupling.toarray(), want)
 
 
 def test_lattice_layouts_of_the_benchmark_meshes():
     """58x16 p2 (``variable_sparse``) takes rows of constant i, two to a
     block of 288 unknowns; criterion 8's coarse 8x32 p4 rows sheared by 4,
-    two to a block; the 4x8 p3 flux surfaces of ``flux_sweep`` one block."""
+    two to a block; the 4x8 p3 flux surfaces of ``flux_sweep`` one block.
+    The lattice layouts' entries are their packed pivot blocks only."""
     a, m = flux_surface_system(58, 16, 2)
     blocking = cheapest_blocking(a, m, 0.27)
     assert np.array_equal(blocking.order, np.arange(58 * 16))
     assert blocking.sizes == (32,) * 29
     assert blocking.sizes[0] * a.n_loc == 288
+    assert blocking.entries == 29 * (288 * 289 // 2) == 1_206_864
 
     a, m = flux_surface_system(8, 32, 4)
     blocking = cheapest_blocking(a, m, 0.27)
     assert blocking.sizes == (16,) * 16
+    assert blocking.entries == 16 * (400 * 401 // 2) == 1_283_200
     i, j = np.divmod(blocking.order.reshape(32, 8), 32)
     label = (j - 4 * i) % 32  # one row of 8 cells per label, in label order
     assert np.all(label == np.arange(32)[:, None])
@@ -1528,9 +1577,9 @@ def test_lattice_ldl_against_dense_inertia(alignment, nx, ny, p, b, alpha, beta,
     ``extra`` more rows to a block than the stencil's reach: the lattice
     LDL^T has the Bunch-Kaufman inertia of the expanded K, and the pivots,
     bit for bit, of the elimination on every block scattered at once from
-    a formed K stencil (``lattice_ldl_reference``); it stores its
-    ``entries`` (of more than one block), and its solve inverts K to a
-    backward error of 1e-10."""
+    a formed K stencil (``lattice_ldl_reference``); its packed triangles
+    take its ``entries`` (of more than one block), its couplings are K's
+    own blocks, and its solve inverts K to a backward error of 1e-10."""
     mesh = build_mesh(MeshConfig(nx, ny, alignment, b))
     ops = assemble_operator_set(mesh, BasisSpec(p, p), CoefficientField(1.0, (alpha,)),
                                 MagneticField(b, CoefficientField(1.0, (beta,))), 6.0)
@@ -1553,10 +1602,36 @@ def test_lattice_ldl_against_dense_inertia(alignment, nx, ny, p, b, alpha, beta,
     assert_same_pivots(ldl, *lattice_ldl_reference(stencil, blocking))
     if len(blocking.sizes) > 1:  # one block is factored dense in production
         assert stored_bytes(ldl) == 8 * blocking.entries
+    assert_couplings_within_k(ldl, stencil, blocking)
+    assert_couplings_are_k(ldl, dense, blocking)
     # a wide block, a narrow one and a vector
     r = np.random.default_rng(3).standard_normal((a.n, 16))
     for rhs in (r, r[:, :2], r[:, 0]):
         assert backward_error(dense, ldl(rhs), rhs) <= 1e-10
+
+
+@pytest.mark.parametrize("rows, chain", [(12, 0), (6, 1), (5, 1), (4, 2), (3, 3)],
+                         ids=["border-only", "one", "one-wide-border", "two", "three"])
+def test_lattice_ldl_edge_chains(rows, chain):
+    """Chains of one, two and three blocks before the border (with one, its
+    first block is also its last), and the border alone: the solve agrees
+    with ``np.linalg.solve`` of the dense K, and the border couplings are
+    K's original blocks, the last block's taken before the Schur update
+    of its border columns."""
+    a, m = flux_surface_system(12, 4, 1)
+    k = eigensolve._Shifted(a, m, 0.3)
+    blocking = eigensolve._row_blocking(k, 0, 0, rows)
+    assert len(blocking.sizes) == chain + 1
+    dense = shifted_stencil(a, m, 0.3).to_dense()
+    ldl = eigensolve._LatticeLDL(k, blocking)
+    assert ldl.inertia == ldl_inertia(dense)
+    assert len(ldl.chain) == max(chain - 1, 0)
+    assert [j for j, *_ in ldl.edges] == {0: [], 1: [0]}.get(chain, [0, chain - 1])
+    assert_couplings_are_k(ldl, dense, blocking)
+    r = np.random.default_rng(5).standard_normal((a.n, 3))
+    want = np.linalg.solve(dense, r)
+    for rhs, x in ((r, want), (r[:, 0], want[:, 0])):
+        assert np.max(np.abs(ldl(rhs) - x)) <= 1e-10 * np.max(np.abs(x))
 
 
 def variable_sparse_pencil():
@@ -1578,23 +1653,39 @@ def test_lattice_ldl_of_the_benchmark_pencil():
     """On ``variable_sparse``'s pencil the lattice LDL^T, its blocks built
     one step ahead of the elimination, has the pivots bit for bit of the
     elimination on a formed K stencil scattered whole, and its count.
-    After construction its arrays are its packed triangles and ``V`` blocks,
-    ``8 * entries`` bytes, and vectors no longer than the lattice or a
-    block: no dense diagonal block, coupling or K stencil stays reachable
-    from the factor."""
+    After construction its arrays are its packed triangles, ``8 * entries``
+    bytes, the CSR arrays of its couplings, each within K's nonzeros across
+    its block boundary, and vectors no longer than the lattice or a block:
+    no dense block, Schur update or K stencil stays reachable from the
+    factor."""
     (a, m), shift = variable_sparse_pencil()
     blocking = cheapest_blocking(a, m, shift)
     inertia, factor = shifted_inertia(a, m, shift)
     ldl = factor.solve
+    stencil = shifted_stencil(a, m, shift)
     assert factor.kind == "lattice" and factor.entries == blocking.entries
-    assert_same_pivots(ldl, *lattice_ldl_reference(shifted_stencil(a, m, shift), blocking))
+    assert_same_pivots(ldl, *lattice_ldl_reference(stencil, blocking))
     assert ldl.inertia == inertia and inertia[0] == 9
     assert stored_bytes(ldl) == 8 * blocking.entries
+    assert_couplings_within_k(ldl, stencil, blocking)
+    assert len(ldl.chain) == len(blocking.sizes) - 2 and len(ldl.edges) == 2
     widest = max(blocking.sizes) * a.n_loc
-    matrices = {id(f.packed) for f in ldl.factors} | {id(v) for v in ldl.upper}
+    # the couplings' arrays own no more memory than they show
+    coupled = reachable_arrays([c for _, _, c in couplings(ldl)])
+    assert sum(x.nbytes for x in coupled) == sum(
+        c.data.nbytes + c.indices.nbytes + c.indptr.nbytes for _, _, c in couplings(ldl))
+    matrices = {id(f.packed) for f in ldl.factors} | {id(x) for x in coupled}
     others = [x for x in reachable_arrays(factor) if id(x) not in matrices]
     assert len(reachable_arrays(factor)) == len(others) + len(matrices)
     assert max(x.size for x in others) <= max(a.n_cells, widest) < widest**2 // 2
+    # a solve of 16, 2 and 1 columns, against products with the stencils
+    r = np.random.default_rng(3).standard_normal((a.n, 16))
+    norm_k = a.norm_inf() + shift * m.norm_inf()
+    for rhs in (r, r[:, :2], r[:, :1]):
+        z = ldl(rhs)
+        residual = rhs - (a.matvec(z) - shift * m.matvec(z))
+        assert np.max(np.abs(residual)) <= 1e-10 * (
+            norm_k * np.max(np.abs(z)) + np.max(np.abs(rhs)))
 
 
 def test_lattice_factor_builds_no_stencil(monkeypatch):
