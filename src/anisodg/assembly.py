@@ -23,8 +23,9 @@ batched pass.  The interface and penalty terms pair the jump trace ``[+own,
 -nbr]`` with the average ``[own, nbr] / 2`` or with itself; both are built
 inside ``assemble_operator_set``, from its one pass over the crossing faces
 (``_face_terms``, ``_penalty``).  Symmetric
-operators (``SymStencil``) are symmetrized over offsets ``d, -d`` and dropped
-below ``DROP_TOL`` on their blocks.  ``build_reduced`` forms ``A`` by one
+operators (``SymStencil``) are symmetrized in place over offsets ``d, -d``
+and dropped below ``DROP_TOL`` on their blocks, which each builder forms for
+it alone.  ``build_reduced`` forms ``A`` by one
 batched product per pair of offsets of ``C``.  Solves read the blocks:
 their products, dense forms and (constant coefficients) symbols.
 """
@@ -175,35 +176,48 @@ def _lower_percent(nnz: int, nnz_diagonal: int, n: int) -> float:
 class SymStencil(Stencil):
     """A symmetric stencil: ``(B[c, d] + B[c + d, -d]^T) / 2``, with entries
     below ``DROP_TOL`` of the largest dropped; its metadata are read from
-    the blocks."""
+    the blocks.
+
+    It takes ``blocks`` as its own and symmetrizes them in place: a
+    C-contiguous float64 ``blocks`` whose offsets need no merging is
+    overwritten, any other is copied (once) first.  The blocks are fixed
+    from then on."""
 
     def __init__(self, offsets: np.ndarray, blocks: np.ndarray,
                  lattice: tuple[int, int]):
+        blocks = np.ascontiguousarray(blocks, dtype=float)
         super().__init__(offsets, blocks, lattice, closed=True)
         neg = _residues(-self.offsets, self.lattice)[1]  # the offsets are closed
-        rows = None if self.blocks.shape[0] == 1 else self.column_cells
-        sym = np.empty(self.blocks.shape)
-        tiles = [slice(i, i + _TILE) for i in range(0, self.n_loc, _TILE)]
+        rows = (self.column_cells if self.blocks.shape[0] > 1
+                else np.zeros((1, len(neg)), dtype=int))
+        tiles = list(enumerate(slice(i, i + _TILE) for i in range(0, self.n_loc, _TILE)))
         for s, t in enumerate(neg):
-            partner = self.blocks[:, t] if rows is None else self.blocks[rows[:, s], t]
-            # tile by tile, so a large block is not transposed in one
-            # strided sweep
-            for i in tiles:
-                for j in tiles:
-                    out = sym[:, s, i, j]
-                    np.add(self.blocks[:, s, i, j], partner[:, j, i].swapaxes(-1, -2),
-                           out=out)
-                    np.multiply(out, 0.5, out=out)
-        scale = _max_abs(sym)
+            if t < s:
+                continue
+            # each pair (d, -d) once, tile pair by tile pair, so a large
+            # block is not transposed in one strided sweep: the new blocks
+            # of -d at the cells that d reaches are the transposes of d's
+            for a, i in tiles:
+                for b, j in tiles:
+                    if s == t and b < a:
+                        continue
+                    partner = self.blocks[rows[:, s], t, j, i]
+                    np.add(partner, self.blocks[:, s, i, j].swapaxes(-1, -2), out=partner)
+                    np.multiply(partner, 0.5, out=partner)
+                    self.blocks[rows[:, s], t, j, i] = partner
+                    if s != t or a != b:
+                        self.blocks[:, s, i, j] = partner.swapaxes(-1, -2)
+                    del partner  # one partner block alive at a time
+        scale = _max_abs(self.blocks)
         if self.blocks is not blocks:
             # offsets were merged: their blocks before the sum set the scale,
             # which a sum that cancels to rounding would lower
             scale = max(scale, _max_abs(blocks))
-        flat = sym.reshape(-1)
+        flat = self.blocks.reshape(-1, copy=False)  # the stored blocks, not a copy
         for i in range(0, flat.size, _TILE * _TILE):
             part = flat[i:i + _TILE * _TILE]
             part[np.abs(part) < DROP_TOL * scale] = 0.0
-        self.blocks = sym
+        self._norm_inf = None
 
     @property
     def lower(self) -> sp.csr_matrix:
@@ -213,7 +227,14 @@ class SymStencil(Stencil):
         return _max_abs(self.blocks)
 
     def norm_inf(self) -> float:
-        return float(np.max(np.abs(self.blocks).sum(axis=(1, 3))))
+        """``max_i sum_j |a_ij|``, read once: the row sums accumulate one
+        offset at a time, so no ``|blocks|`` is formed."""
+        if self._norm_inf is None:
+            rows = np.zeros((len(self.blocks), self.n_loc))
+            for s in range(len(self.offsets)):
+                rows += np.abs(self.blocks[:, s]).sum(axis=-1)
+            self._norm_inf = float(np.max(rows))
+        return self._norm_inf
 
     def nnz_percent(self) -> float:
         copies = self.n_cells // self.blocks.shape[0]
@@ -434,7 +455,8 @@ def build_reduced(ops: OperatorSet) -> tuple[SymStencil, SymStencil]:
     ``c + o_s - o_t`` by ``t``; so each pair ``(s, t)`` adds ``C[c, s]
     M_UV^{-1} C[c + o_s - o_t, t]^T`` at offset ``o_s - o_t`` of A, one
     batched product (C rolled over the lattice if it varies by cell; a
-    one-cell C is read as it is).
+    one-cell C is read as it is), summed cell-major into the array that A's
+    ``SymStencil`` then symmetrizes in place.
     """
     m_uv = np.diagonal(ops.m_uv.blocks[0, 0])
     if np.any(m_uv <= 0.0):
@@ -447,13 +469,13 @@ def build_reduced(ops: OperatorSet) -> tuple[SymStencil, SymStencil]:
     shifts = (c.offsets[:, None] - c.offsets[None, :]).reshape(-1, 2)
     offsets, slot = _residues(np.concatenate([shifts, pen.offsets]), c.lattice,
                               closed=True)
-    blocks = np.zeros((len(offsets), max(cells, len(pen.blocks)), n_loc, n_loc))
+    blocks = np.zeros((max(cells, len(pen.blocks)), len(offsets), n_loc, n_loc))
     for k, d in enumerate(shifts):
         shifted = right[:, :, k % s_count]
         if cells > 1:
             shifted = np.roll(shifted, tuple(-d), axis=(0, 1))
-        blocks[slot[k]] += np.matmul(left[:, k // s_count],
-                                     shifted.reshape(cells, n_loc, n_loc))
+        blocks[:, slot[k]] += np.matmul(left[:, k // s_count],
+                                        shifted.reshape(cells, n_loc, n_loc))
     for k, at in enumerate(slot[len(shifts):]):
-        blocks[at] += pen.blocks[:, k]
-    return SymStencil(offsets, blocks.swapaxes(0, 1), c.lattice), ops.m_phipsi
+        blocks[:, at] += pen.blocks[:, k]
+    return SymStencil(offsets, blocks, c.lattice), ops.m_phipsi

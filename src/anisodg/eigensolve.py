@@ -178,7 +178,8 @@ class EigenSolution:
 def _as_sym(a) -> SymStencil:
     """``a`` as a symmetric stencil: a dense array or a scipy sparse matrix
     (its duplicate entries summed) as the one-cell stencil of the 1x1
-    lattice, symmetrized and dropped like every ``SymStencil``.  A plain
+    lattice, symmetrized and dropped like every ``SymStencil``, on a copy
+    (a caller's array is never overwritten).  A plain
     ``Stencil`` is not known to be symmetric, and raises ``TypeError``.  The
     one block of an ``n x n`` matrix stores ``n^2`` entries: past
     ``FACTOR_BUDGET`` it is refused (``CompletenessError``) before it is
@@ -194,7 +195,7 @@ def _as_sym(a) -> SymStencil:
             f"the one block of a {n}x{n} matrix would store "
             f"{entries} entries ({8 * entries} bytes), over the budget of "
             f"{FACTOR_BUDGET}; inertia unavailable")
-    k = np.asarray(a.toarray() if sp.issparse(a) else a, dtype=float)
+    k = a.toarray() if sp.issparse(a) else np.array(a, dtype=float, order="C")
     return SymStencil(_ORIGIN, k[None, None], (1, 1))
 
 
@@ -814,8 +815,10 @@ def _lanczos(m: SymStencil, solve, shift: float, n_neg: int,
     the final basis size.
 
     T is self-adjoint in the M inner product.  Each step applies ``solve``
-    to the whole newest block of the M-orthonormal basis Q and takes the
-    image into the basis (``_Basis.extend``), which fills ``H = Q^T M T Q``.
+    to the M image of the whole newest block of the M-orthonormal basis Q,
+    which the basis formed when it appended that block (``_Basis.m_new``),
+    and takes the image into the basis (``_Basis.extend``), which fills ``H
+    = Q^T M T Q``.
     A Ritz pair ``(mu, x = Q y)`` of the applied columns has ``T x - mu x =
     Q_new R y_last``, ``Q_new`` being the block not yet applied.  With
     ``lambda = shift + 1/mu`` its pencil residual ``||A x - lambda M x|| =
@@ -837,7 +840,7 @@ def _lanczos(m: SymStencil, solve, shift: float, n_neg: int,
     done = solves = stall = best = 0
     while done < basis.k:
         block = slice(done, basis.k)
-        image = solve(basis.mq[:, block])
+        image = solve(basis.m_new)
         solves += image.shape[1]
         basis.extend(image, block)
         done = block.stop
@@ -874,15 +877,18 @@ def _negative_count(h: np.ndarray) -> int:
 
 
 class _Basis:
-    """The M-orthonormal Lanczos basis ``q[:, :k]``, its M image ``mq`` and
-    ``h = Q^T M T Q``, growing in place."""
+    """The M-orthonormal Lanczos basis ``q[:, :k]`` and ``h = Q^T M T Q``,
+    growing in place, and ``m_new``, the M image of the columns appended
+    since the last ``extend`` (the block the next step applies T to).  The
+    basis keeps no M image of its other columns: Gram-Schmidt applies M to
+    the block it orthogonalizes instead."""
 
     def __init__(self, n: int, cap: int, m: SymStencil, rng):
         self.n, self.m, self.rng = n, m, rng
         self.q = np.empty((n, cap), order="F")
-        self.mq = np.empty((n, cap), order="F")
         self.h = np.zeros((cap, cap))
         self.k = 0
+        self.m_new = np.empty((n, 0))
 
     def _reserve(self, cols: int) -> None:
         """Room for ``cols`` more columns; the storage doubles, up to ``n``."""
@@ -890,10 +896,9 @@ class _Basis:
         if self.k + cols <= cap:
             return
         cap = min(self.n, max(2 * cap, self.k + cols))
-        for name in ("q", "mq"):
-            grown = np.empty((self.n, cap), order="F")
-            grown[:, :self.k] = getattr(self, name)[:, :self.k]
-            setattr(self, name, grown)
+        grown = np.empty((self.n, cap), order="F")
+        grown[:, :self.k] = self.q[:, :self.k]
+        self.q = grown
         h = np.zeros((cap, cap))
         h[:self.k, :self.k] = self.h[:self.k, :self.k]
         self.h = h
@@ -903,12 +908,13 @@ class _Basis:
         M-orthogonal to the basis, M-orthonormalized by pivoted Cholesky-QR;
         return the coefficients ``c`` of ``w = Q c`` for the enlarged basis.
         A direction whose M-norm falls below ``RANK_FLOOR`` of the block's
-        is dropped (the block lost rank)."""
+        is dropped (the block lost rank).  The M image of the new columns
+        joins ``m_new``."""
         k, cols = self.k, w.shape[1]
-        q, mq = self.q[:, :k], self.mq[:, :k]
+        q = self.q[:, :k]
         coef = np.zeros((k + cols, cols))
         for _ in range(2):  # classical Gram-Schmidt, twice
-            c = mq.T @ w
+            c = q.T @ self.m.matvec(w)
             w -= q @ c
             coef[:k] += c
         mw = self.m.matvec(w)
@@ -921,7 +927,7 @@ class _Basis:
             perm -= 1  # w[:, perm] = q_new triu(r[:rank])
             inv = np.triu(lapack.dtrtri(r[:rank, :rank])[0])
             self.q[:, k:k + rank] = w[:, perm[:rank]] @ inv
-            self.mq[:, k:k + rank] = mw[:, perm[:rank]] @ inv
+            self.m_new = np.hstack([self.m_new, mw[:, perm[:rank]] @ inv])
             coef[k:k + rank, perm] = np.triu(r[:rank])
             self.k = k + rank
         return coef[:self.k]
@@ -939,6 +945,7 @@ class _Basis:
         cols = min(image.shape[1], self.n - self.k)
         self._reserve(cols)
         k = self.k
+        self.m_new = np.empty((self.n, 0))
         coef = self._append(image)
         self.h[:len(coef), block] = coef
         self.add_random(cols - (self.k - k))

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,15 +400,119 @@ def test_symmetrization_by_tiles_is_the_one_sweep_formula(lattice, cells, offset
     """``SymStencil`` symmetrizes and drops tile by tile, in place; its blocks
     are bit for bit (signs of zeros included) the one-sweep formula's, on
     blocks wider than a tile, with aliasing offsets merged, on one cell's
-    blocks and on every cell's."""
+    blocks and on every cell's.  The formula reads a copy of the blocks,
+    which the stencil may overwrite."""
     rng = np.random.default_rng(n)
     blocks = rng.standard_normal((cells, len(offsets), n, n))
     blocks[rng.random(blocks.shape) < 0.2] = 1e-17
     blocks[rng.random(blocks.shape) < 0.1] = -0.0
     assert n < assembly._TILE or n % assembly._TILE
+    want = one_sweep_symmetrization(np.array(offsets), blocks.copy(), lattice)
     got = assembly.SymStencil(np.array(offsets), blocks, lattice).blocks
-    want = one_sweep_symmetrization(np.array(offsets), blocks, lattice)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lattice, cells, offsets, n", [
+    ((4, 4), 16, [(0, 0), (2, 0), (0, 2), (2, 2), (1, 0), (-1, 0)], 130),
+    ((5, 3), 1, [(0, 0), (1, 1), (-1, -1), (2, 0), (-2, 0)], 9)],
+    ids=["self-paired-tiles", "constant-distinct"])
+def test_symmetrization_in_place_is_the_one_sweep_formula(lattice, cells, offsets, n):
+    """Blocks that need no merging are overwritten: the pairs ``(d, -d)``
+    are done once each, and an offset that is its own negation (here
+    ``(2, 0)``, ``(0, 2)`` and ``(2, 2)`` on the 4x4 lattice) tile pair by
+    tile pair, yet the blocks are bit for bit the one-sweep formula's."""
+    offsets = assembly._residues(np.array(offsets), lattice, closed=True)[0]
+    rng = np.random.default_rng(n)
+    blocks = rng.standard_normal((cells, len(offsets), n, n))
+    blocks[rng.random(blocks.shape) < 0.2] = 1e-17
+    blocks[rng.random(blocks.shape) < 0.1] = -0.0
+    want = one_sweep_symmetrization(offsets, blocks.copy(), lattice)
+    got = assembly.SymStencil(offsets, blocks, lattice).blocks
+    assert got is blocks
+    assert got.tobytes() == want.tobytes()
+
+
+def test_symmetrization_of_a_non_contiguous_view():
+    """A strided view is copied once and the copy symmetrized; its entries
+    below ``DROP_TOL`` still drop, and the viewed array keeps its bytes."""
+    lattice, offsets = (3, 2), np.array([(0, 0), (1, 1), (-1, -1), (0, 1), (0, -1)])
+    offsets = assembly._residues(offsets, lattice, closed=True)[0]
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal((len(offsets), 6, 7, 7))
+    base[rng.random(base.shape) < 0.2] = 1e-17
+    before = base.tobytes()
+    view = base.swapaxes(0, 1)
+    assert not view.flags.c_contiguous
+    want = one_sweep_symmetrization(offsets, view, lattice)
+    got = assembly.SymStencil(offsets, view, lattice).blocks
+    assert got.tobytes() == want.tobytes()
+    assert np.count_nonzero(got == 0.0) > 0  # base has no zero entry
+    tiny = (got != 0.0) & (np.abs(got) < assembly.DROP_TOL * np.abs(got).max())
+    assert not tiny.any()
+    assert base.tobytes() == before
+
+
+#: Offsets of ``K``'s stencil in ``variable_sparse``'s 58x16 p2 pencil, and
+#: its cell blocks: the sizes of the memory pins
+PINNED_LATTICE = (58, 16)
+PINNED_OFFSETS = [(0, 0), (1, 0), (0, 1), (1, 4), (1, 5), (2, 8), (2, 9)]
+
+
+def pinned_blocks():
+    offsets = assembly._residues(np.array(PINNED_OFFSETS), PINNED_LATTICE,
+                                 closed=True)[0]
+    blocks = np.random.default_rng(0).standard_normal((928, len(offsets), 9, 9))
+    assert blocks.shape == (928, 13, 9, 9)
+    return offsets, blocks
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory numpy and Python allocated
+    during it, over what was allocated before it (``tracemalloc``)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        value = call()
+        return value, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_symmetrization_allocates_at_most_two_offsets():
+    """A ``SymStencil`` built on the benchmark pencil's blocks keeps them
+    and allocates at most two offsets' blocks beyond them (one partner
+    block, and the column cells and drop masks)."""
+    offsets, blocks = pinned_blocks()
+    stencil, peak = traced_peak(lambda: assembly.SymStencil(offsets, blocks,
+                                                            PINNED_LATTICE))
+    assert stencil.blocks is blocks
+    assert peak <= 2 * blocks[:, 0].nbytes
+
+
+def test_norm_inf_allocates_at_most_one_offset():
+    """The row sums of ``|A|`` accumulate one offset at a time: the peak is
+    one offset's ``|blocks|``, its row sums and their total (and a few
+    Python objects), bit for bit the sum over whole arrays."""
+    offsets, blocks = pinned_blocks()
+    stencil = assembly.SymStencil(offsets, blocks, PINNED_LATTICE)
+    norm, peak = traced_peak(stencil.norm_inf)
+    assert norm == np.abs(stencil.blocks).sum(axis=(1, 3)).max()
+    assert peak <= blocks[:, 0].nbytes + 2 * blocks[:, 0, :, 0].nbytes + 4096
+
+
+@pytest.mark.parametrize("cells", [1, 6], ids=["one-cell", "per-cell"])
+def test_norm_inf_is_the_dense_row_sum_read_once(cells):
+    """``norm_inf`` is ``max_i sum_j |a_ij|`` of the dense matrix, computed on
+    the first call only: the blocks are fixed after construction."""
+    lattice, offsets = (3, 2), np.array([(0, 0), (1, 1), (-1, -1), (0, 1), (0, -1)])
+    offsets = assembly._residues(offsets, lattice, closed=True)[0]
+    blocks = np.random.default_rng(cells).standard_normal((cells, len(offsets), 4, 4))
+    stencil = assembly.SymStencil(offsets, blocks, lattice)
+    want = np.abs(stencil.to_dense()).sum(axis=1).max()
+    assert stencil.norm_inf() == pytest.approx(want, rel=1e-14)
+    stencil.blocks = 2.0 * stencil.blocks
+    assert stencil.norm_inf() == pytest.approx(want, rel=1e-14)
 
 
 def test_matrix_dump_coordinate_format():

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,62 @@ def test_band_eig_accepts_plain_arrays():
     sol = band_eig(a, None, BandRequest(lambda_max=1.0))
     assert len(sol) == 12
     assert np.max(np.abs(np.sort(sol.eigenvalues) - evals[:12])) < 1e-9
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, m: band_eig(a, m, BandRequest(lambda_max=1.0)),
+    lambda a, m: shifted_inertia(a, m, 1.0)], ids=["band_eig", "shifted_inertia"])
+def test_caller_arrays_are_never_overwritten(call):
+    """A stencil symmetrizes and drops its blocks in place, so a dense
+    operand is copied first: a caller's C-contiguous float64 ``a`` and
+    ``m``, neither exactly symmetric and both with an entry below
+    ``DROP_TOL``, keep every byte."""
+    rng = np.random.default_rng(37)
+    q, _ = np.linalg.qr(rng.standard_normal((59, 59)))
+    evals = np.concatenate([np.linspace(0.01, 0.9, 12), np.linspace(2, 50, 47)])
+    a = np.zeros((60, 60))
+    a[:59, :59] = (q * evals) @ q.T
+    a[59, 59] = 50.0
+    a += 1e-9 * rng.standard_normal((60, 60))
+    m = np.eye(60) + 1e-9 * rng.standard_normal((60, 60))
+    a[59, 0] = m[59, 0] = 1e-20
+    for x in (a, m):
+        assert x.flags.c_contiguous and x.dtype == np.float64
+    before = a.tobytes(), m.tobytes()
+    call(a, m)
+    assert (a.tobytes(), m.tobytes()) == before
+
+
+def test_lanczos_basis_holds_only_q_and_h():
+    """The Lanczos basis stores Q and H, and the M image of the newest block
+    alone: its traced memory is Q's, H's and a few columns, with no second
+    ``n x cap`` array."""
+    a, m = make_small_system(8, 8, 3)  # 1024 dof
+    (n_neg, _, _), solve = shifted_inertia(a, m, 0.4)
+    cap = 32
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        basis = eigensolve._Basis(m.n, cap, m, np.random.default_rng(0))
+        basis.add_random(eigensolve.LANCZOS_BLOCK)
+        done = 0
+        while basis.k < cap - eigensolve.LANCZOS_BLOCK:
+            assert basis.m_new.shape == (m.n, basis.k - done)
+            block = slice(done, basis.k)
+            basis.extend(solve(basis.m_new), block)
+            done = block.stop
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert basis.q.shape == (m.n, cap)
+    q = basis.q[:, :basis.k]
+    assert np.allclose(q.T @ m.matvec(q), np.eye(basis.k), atol=1e-12)
+    assert np.allclose(basis.m_new, m.matvec(basis.q[:, done:basis.k]), atol=1e-12)
+    arrays = [x for x in vars(basis).values() if isinstance(x, np.ndarray)]
+    assert [x.shape for x in arrays if x.size >= m.n * cap] == [(m.n, cap)]
+    columns = m.n * 8  # bytes of one column
+    assert held <= basis.q.nbytes + basis.h.nbytes + 4 * columns
+    assert n_neg > 0
 
 
 def test_band_eig_returns_near_degenerate_pairs_completely():
